@@ -26,8 +26,9 @@ upper bound UB).
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -66,8 +67,8 @@ def distinguish(c1: cd.LinearCode, c2: cd.LinearCode, trials: int = 100,
         return Verdict("Inequivalent", {"invariant": "dimension", "k1": c1.k, "k2": c2.k},
                        f"dimensions differ: {c1.k} vs {c2.k}")
     m = c1.field.m
-    p1 = {r: iv.invariant_profile(c1, r) for r in range(m)}
-    p2 = {r: iv.invariant_profile(c2, r) for r in range(m)}
+    p1 = iv.fingerprint_consecutive(c1).detail
+    p2 = iv.fingerprint_consecutive(c2).detail
     for r in range(m):
         if p1[r].key != p2[r].key:
             return Verdict(
@@ -149,18 +150,9 @@ def bruteforce_equivalent(c1: cd.LinearCode, c2: cd.LinearCode,
             raise cd.BudgetExceeded(
                 f"kernel of size {p}^{nu} exceeds enumeration cap {cap}"
             )
-        # enumerate nonzero combinations
-        counters = [0] * nu
-        while True:
-            pos = 0
-            while pos < nu:
-                counters[pos] += 1
-                if counters[pos] < p:
-                    break
-                counters[pos] = 0
-                pos += 1
-            if pos == nu:
-                break
+        # nonzero combinations, the first counter varying fastest
+        for rev in itertools.islice(itertools.product(range(p), repeat=nu), 1, None):
+            counters = rev[::-1]
             digits = [0] * unknowns
             for bi, cnt in enumerate(counters):
                 if cnt:

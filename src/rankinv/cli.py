@@ -28,7 +28,7 @@ from . import classify as cl
 from . import codes as cd
 from . import invariants as iv
 from . import linalg as la
-from .gf import FieldError, FieldTower, field_to_dict, format_element, make_field, parse_element
+from .gf import FieldError, FieldTower, format_element, make_field, parse_element
 from .rng import DetRNG
 
 FORMATS = ("pretty", "csv", "json")
@@ -55,12 +55,8 @@ def _parse_modulus(value: str, p: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def _fmt(field: FieldTower, a: int) -> str:
-    return format_element(field, a, style="coeffs")
-
-
 def _fmt_vec(field: FieldTower, v) -> str:
-    return ",".join(_fmt(field, a) for a in v)
+    return ",".join(format_element(field, a) for a in v)
 
 
 def _config_line(pairs) -> str:
@@ -78,11 +74,6 @@ def _field_config(field: FieldTower):
 
 def _emit_json(doc) -> None:
     print(json.dumps(doc, indent=1, sort_keys=True))
-
-
-def _load(path: str):
-    code, provenance = cd.load_code(path)
-    return code, provenance
 
 
 def _fp_hash(key) -> str:
@@ -159,7 +150,7 @@ def cmd_code_build(args) -> int:
 
 
 def cmd_code_dual(args) -> int:
-    code, provenance = _load(args.file)
+    code, provenance = cd.load_code(args.file)
     field = code.field
     dual = cd.dual(code)
     dual_prov = {"dual_of": provenance} if provenance else {"dual_of": {}}
@@ -191,7 +182,7 @@ def cmd_code_dual(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_invariants(args) -> int:
-    code, _ = _load(args.file)
+    code, _ = cd.load_code(args.file)
     field = code.field
     n, k, m = code.n, code.k, field.m
     if args.sigma == "all":
@@ -237,8 +228,8 @@ def cmd_invariants(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_compare(args) -> int:
-    c1, _ = _load(args.file1)
-    c2, _ = _load(args.file2)
+    c1, _ = cd.load_code(args.file1)
+    c2, _ = cd.load_code(args.file2)
     if c1.field != c2.field:
         raise cd.BuildError("codes live over different fields")
     verdict = cl.distinguish(c1, c2, trials=args.trials, seed=args.seed)
@@ -284,7 +275,7 @@ def cmd_compare(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_classify_gabidulin(args) -> int:
-    code, _ = _load(args.file)
+    code, _ = cd.load_code(args.file)
     verdict, crits = cl.is_theta_gabidulin(code, args.theta, dist_cap=args.cap)
     config = ([("subcommand", "classify-gabidulin"), ("file", args.file)]
               + _field_config(code.field)
@@ -401,7 +392,7 @@ def cmd_census(args) -> int:
         print(json.dumps(summary, sort_keys=True))
         return 0
     print(f"g = {_fmt_vec(field, report.g)}")
-    print(f"eta = {_fmt(field, report.eta)}")
+    print(f"eta = {format_element(field, report.eta)}")
     print(f"UB = {report.ub}")
     print(f"LB1 = {report.lb1}")
     print(f"LB2 = {report.lb2}")

@@ -27,13 +27,14 @@ where no eta satisfies the constraint at all.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 from . import linalg as la
-from .gf import FieldTower, FullAut, GaloisAut, field_from_dict, field_to_dict
+from .gf import FieldTower, FullAut, GaloisAut, field_from_dict, field_to_dict, pack_digits
 
 FAMILIES = ("Gabidulin", "Twisted", "GeneralizedTwisted", "NewGabI", "NewGabII")
 
@@ -200,11 +201,7 @@ def _gtw_rows(field: FieldTower, spec: CodeSpec, theta: GaloisAut) -> la.Matrix:
             f"t entries must all lie in [1, {n - k}] or all in [{m - n + 1}, {m - k}] "
             "(mixed ranges are not part of the family)"
         )
-    powers = {}
-    cur = tuple(spec.g)
-    for j in range(m):
-        powers[j] = cur
-        cur = theta.on_vector(cur)
+    powers = la.moore_matrix(field, spec.g, m, theta)
     rows = []
     h_to_i = {hi: i for i, hi in enumerate(h)}
     for j in range(k):
@@ -228,11 +225,7 @@ def _newgab_rows(field: FieldTower, spec: CodeSpec, theta: GaloisAut) -> la.Matr
     if spec.family == "NewGabII" and not m - k <= k:
         raise BuildError("NewGabII requires m - k <= k")
     twisted_count = k if spec.family == "NewGabI" else m - k
-    powers = {}
-    cur = tuple(spec.g)
-    for j in range(m):
-        powers[j] = cur
-        cur = theta.on_vector(cur)
+    powers = la.moore_matrix(field, spec.g, m, theta)
     rows = []
     for i in range(k):
         if i < twisted_count:
@@ -328,11 +321,6 @@ class SemilinearMap:
         return w
 
 
-def apply_galois(code: LinearCode, sigma: GaloisAut) -> LinearCode:
-    rows = tuple(sigma.on_vector(r) for r in code.gen)
-    return LinearCode.from_rows(code.field, rows, code.n)
-
-
 def apply_full_aut(code: LinearCode, tau: FullAut) -> LinearCode:
     rows = tuple(tau.on_vector(r) for r in code.gen)
     return LinearCode.from_rows(code.field, rows, code.n)
@@ -362,7 +350,7 @@ def _subfield_kernel(code: LinearCode):
     """F_p-kernel of x -> frob_q(xG) - xG over message space coordinates;
     basis vectors give codewords with all entries in F_q."""
     field = code.field
-    p, d, e = field.p, field.d, field.e
+    p, d = field.p, field.d
     k, n = code.k, code.n
     if k == 0:
         return []
@@ -383,19 +371,9 @@ def _subfield_kernel(code: LinearCode):
     basis = la.nullspace_p(p, equations, k * d)
     out = []
     for vec in basis:
-        x = [0] * k
-        for i in range(k):
-            acc = 0
-            for s in range(d):
-                c = vec[i * d + s]
-                if c:
-                    term = field.alpha_pow(s) if s else field.one
-                    if c != 1:
-                        term = field.mul(term, c % p)
-                    acc = field.add(acc, term)
-            x[i] = acc
-        c = la.vec_mat(field, tuple(x), code.gen)
-        out.append(c)
+        # sum_s c_s * alpha^s over s < d is the element with digits c
+        x = tuple(pack_digits(vec[i * d:(i + 1) * d], p) for i in range(k))
+        out.append(la.vec_mat(field, x, code.gen))
     return out
 
 
@@ -412,61 +390,16 @@ def subfield_subcode(code: LinearCode):
     return len(R), R
 
 
-def has_rank_one_codeword(code: LinearCode, all_mu: bool = False):
+def has_rank_one_codeword(code: LinearCode):
     """(bool, witness codeword).  A nonzero codeword of F_q-rank one exists
     iff the code meets F_q^n nontrivially (scale the word by any entry's
-    inverse); the default path solves exactly that linear condition.  The
-    all_mu=True path instead sweeps every mu of norm 1 and solves
-    theta(c) = mu*c -- the classical eigenvector formulation -- and is meant
-    for cross-validation on small fields."""
+    inverse), which is a linear condition on the message coordinates."""
     field = code.field
-    if code.k == 0:
-        return False, None
-    if not all_mu:
-        vecs = _subfield_kernel(code)
-        for c in vecs:
-            if any(c):
-                if la.rank_q(field, c) != 1:
-                    raise AssertionError("subfield word of rank != 1")  # pragma: no cover
-                return True, tuple(c)
-        return False, None
-    # eigenvector sweep over all norm-one mu
-    p, d = field.p, field.d
-    k, n = code.k, code.n
-    count = field.Qm1 // (field.q - 1)
-    mu_gen = field.alpha_pow(field.q - 1)
-    mu = field.one
-    for _ in range(count):
-        equations: list[list[int]] = [[0] * (k * d) for _ in range(n * d)]
-        for i in range(k):
-            for s in range(d):
-                x = field.alpha_pow(s) if s else field.one
-                col = i * d + s
-                for j in range(n):
-                    c = field.mul(x, code.gen[i][j])
-                    delta = field.sub(field.frob_q(c, 1), field.mul(mu, c))
-                    if delta:
-                        coeffs = field.coeffs(delta)
-                        for dd in range(d):
-                            if coeffs[dd]:
-                                equations[j * d + dd][col] = coeffs[dd]
-        basis = la.nullspace_p(p, equations, k * d)
-        for vec in basis:
-            x = [0] * k
-            for i in range(k):
-                acc = 0
-                for s in range(d):
-                    cc = vec[i * d + s]
-                    if cc:
-                        term = field.alpha_pow(s) if s else field.one
-                        if cc != 1:
-                            term = field.mul(term, cc % p)
-                        acc = field.add(acc, term)
-                x[i] = acc
-            c = la.vec_mat(field, tuple(x), code.gen)
-            if any(c) and la.rank_q(field, c) == 1:
-                return True, tuple(c)
-        mu = field.mul(mu, mu_gen)
+    for c in _subfield_kernel(code):
+        if any(c):
+            if la.rank_q(field, c) != 1:
+                raise AssertionError("subfield word of rank != 1")  # pragma: no cover
+            return True, tuple(c)
     return False, None
 
 
@@ -483,30 +416,15 @@ def min_distance_bruteforce(code: LinearCode, cap: int = 1 << 24) -> int:
             f"projective codeword count {n_words} exceeds cap {cap}"
         )
     best = code.n + 1
-    gen = code.gen
     # normalized messages: first nonzero coordinate equals 1
     for lead in range(k):
         prefix = (0,) * lead + (1,)
-        suffix_len = k - lead - 1
-        stackv = [0] * suffix_len
-        while True:
-            x = prefix + tuple(stackv)
-            c = la.vec_mat(field, x, gen)
-            r = la.rank_q(field, c)
+        for suffix in itertools.product(range(Q), repeat=k - lead - 1):
+            r = la.rank_q(field, la.vec_mat(field, prefix + suffix, code.gen))
             if r < best:
                 best = r
                 if best == 1:
                     return 1
-            # odometer
-            pos = suffix_len - 1
-            while pos >= 0:
-                stackv[pos] += 1
-                if stackv[pos] < Q:
-                    break
-                stackv[pos] = 0
-                pos -= 1
-            if pos < 0:
-                break
     return best
 
 

@@ -9,8 +9,7 @@ vector (c_0, ..., c_{d-1}) in base p:
 
 ``alpha`` (the residue class of x) is primitive: every nonzero element is a
 power of alpha.  All arithmetic lives on the FieldTower object and operates
-on packed ints; the FF dataclass is a thin typed wrapper used at API
-boundaries (serialization, pretty-printing).
+on packed ints.
 
 Two interchangeable arithmetic backends exist:
 
@@ -426,21 +425,11 @@ class FieldTower:
             raise FieldError("coefficients must lie in [0, p)")
         return pack_digits(coeffs, self.p)
 
-    def ff(self, x) -> "FF":
-        """Wrap an element given as packed int, coeff sequence, FF, or string."""
-        if isinstance(x, FF):
-            if x.owner != self:
-                raise FieldError("element belongs to a different field")
-            return x
-        if isinstance(x, str):
-            return FF(self, self.coeffs(parse_element(self, x)))
-        if isinstance(x, int):
-            return FF(self, self.coeffs(x))
-        return FF(self, self.coeffs(self.from_coeffs(x)))
-
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
+        if self.p == 2:
+            return a ^ b
         if self._exp is not None:
             if a == 0:
                 return b
@@ -455,8 +444,6 @@ class FieldTower:
             if z < 0:
                 return 0
             return self._exp[la + z]
-        if self.p == 2:
-            return a ^ b
         p = self.p
         out = 0
         mul = 1
@@ -607,51 +594,8 @@ class FieldTower:
 
 
 # --------------------------------------------------------------------------
-# element wrapper, parsing, serialization
+# parsing, serialization
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FF:
-    """Typed field element: owner tower + little-endian coefficient vector."""
-
-    owner: FieldTower
-    coeffs: tuple[int, ...]
-
-    @property
-    def packed(self) -> int:
-        return pack_digits(self.coeffs, self.owner.p)
-
-    def _bin(self, other, op):
-        if not isinstance(other, FF):
-            other = self.owner.ff(other)
-        if other.owner != self.owner:
-            raise FieldError("elements belong to different fields")
-        return self.owner.ff(op(self.packed, other.packed))
-
-    def __add__(self, other):
-        return self._bin(other, self.owner.add)
-
-    def __sub__(self, other):
-        return self._bin(other, self.owner.sub)
-
-    def __mul__(self, other):
-        return self._bin(other, self.owner.mul)
-
-    def __truediv__(self, other):
-        return self._bin(other, self.owner.div)
-
-    def __neg__(self):
-        return self.owner.ff(self.owner.neg(self.packed))
-
-    def __pow__(self, k: int):
-        return self.owner.ff(self.owner.pow(self.packed, k))
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __str__(self):
-        return format_element(self.owner, self.packed)
-
 
 def parse_element(field: FieldTower, token: str) -> int:
     """Parse one element: '0', '1', 'a'/'alpha' (optionally with '^k'), or a
@@ -670,16 +614,8 @@ def parse_element(field: FieldTower, token: str) -> int:
     raise FieldError(f"cannot parse field element {token!r}")
 
 
-def format_element(field: FieldTower, a: int, style: str = "coeffs") -> str:
-    if style == "coeffs":
-        return ":".join(str(c) for c in field.coeffs(a))
-    if style == "alpha":
-        if a == 0:
-            return "0"
-        if a == 1:
-            return "1"
-        return f"a^{field.log(a)}"
-    raise FieldError(f"unknown element format style {style!r}")
+def format_element(field: FieldTower, a: int) -> str:
+    return ":".join(str(c) for c in field.coeffs(a))
 
 
 def field_to_dict(field: FieldTower) -> dict:
@@ -769,16 +705,6 @@ class FullAut:
 def galois_generators(m: int) -> list[int]:
     """Exponents r for which a -> a^(q^r) generates Gal(F_{q^m}/F_q)."""
     return [r for r in range(1, m) if math.gcd(r, m) == 1] or ([0] if m == 1 else [])
-
-
-def frobenius(x: FF, i: int) -> FF:
-    """Galois action on a wrapped element: x ** (q**i)."""
-    return x.owner.ff(x.owner.frob_q(x.packed, i))
-
-
-def norm(x: FF) -> FF:
-    """Norm down to the intermediate subfield F_q."""
-    return x.owner.ff(x.owner.norm_q(x.packed))
 
 
 # --------------------------------------------------------------------------

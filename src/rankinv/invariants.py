@@ -8,8 +8,7 @@ For a code C of dimension k and a Galois automorphism sigma (a -> a^(q^r)):
 
 Both sequences stabilize as soon as two consecutive values agree; s by step
 n-k at the latest and t by step k.  Intersections are computed through duals
-(the dual of a sum of duals), matching the duality t_i(C) = n - s_i(dual C);
-a direct pairwise-intersection path exists for cross-checking.
+(the dual of a sum of duals), matching the duality t_i(C) = n - s_i(dual C).
 
 Fingerprints package these dimensions into equivalence-invariant keys:
 
@@ -50,31 +49,12 @@ def intersect_code(code: cd.LinearCode, auts) -> cd.LinearCode:
     return cd.dual(dual_sum)
 
 
-def _sigma(code: cd.LinearCode, sigma_exp: int) -> GaloisAut:
-    return GaloisAut(code.field, sigma_exp)
-
-
-def s_sequence(code: cd.LinearCode, sigma_exp: int, i_max: int | None = None,
-               method: str = "fast") -> list[int]:
+def s_sequence(code: cd.LinearCode, sigma_exp: int, i_max: int | None = None) -> list[int]:
     """[s_0, s_1, ...]: fixed length i_max+1 when i_max is given, otherwise
     up to and including the first repeated value."""
-    if method == "fast":
-        return _s_fast(code, sigma_exp, i_max)
-    if method == "naive":
-        return _s_naive(code, sigma_exp, i_max)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _stop_bound(code: cd.LinearCode) -> int:
-    # s stabilizes by index n-k, t by index k; +1 captures the repeat
-    return max(code.n - code.k, code.k) + 1
-
-
-def _s_fast(code: cd.LinearCode, sigma_exp: int, i_max: int | None) -> list[int]:
-    field = code.field
-    sigma = _sigma(code, sigma_exp)
+    sigma = GaloisAut(code.field, sigma_exp)
     limit = i_max if i_max is not None else code.n - code.k + 1
-    inc = la.IncrementalRank(field)
+    inc = la.IncrementalRank(code.field)
     block = code.gen
     seq = []
     for i in range(limit + 1):
@@ -90,61 +70,19 @@ def _s_fast(code: cd.LinearCode, sigma_exp: int, i_max: int | None) -> list[int]
     return seq
 
 
-def _s_naive(code: cd.LinearCode, sigma_exp: int, i_max: int | None) -> list[int]:
-    field = code.field
-    sigma = _sigma(code, sigma_exp)
-    limit = i_max if i_max is not None else code.n - code.k + 1
-    seq = []
-    blocks = []
-    block = code.gen
-    for i in range(limit + 1):
-        blocks.append(block)
-        seq.append(la.rank(field, la.stack(*blocks)))
-        if i_max is None and i > 0 and seq[-1] == seq[-2]:
-            return seq
-        if i < limit:
-            block = tuple(sigma.on_vector(r) for r in block)
-    if i_max is None:
-        raise AssertionError("sum sequence failed to stabilize")  # pragma: no cover
-    return seq
-
-
-def t_sequence(code: cd.LinearCode, sigma_exp: int, i_max: int | None = None,
-               method: str = "dual") -> list[int]:
+def t_sequence(code: cd.LinearCode, sigma_exp: int, i_max: int | None = None) -> list[int]:
     """[t_0, t_1, ...]; same length conventions as s_sequence."""
-    if method == "dual":
-        limit = i_max if i_max is not None else code.k + 1
-        sd = s_sequence(cd.dual(code), sigma_exp, i_max=limit)
-        seq = [code.n - v for v in sd]
-        if i_max is not None:
-            return seq
-        out = [seq[0]]
-        for v in seq[1:]:
-            out.append(v)
-            if out[-1] == out[-2]:
-                return out
-        raise AssertionError("intersection sequence failed to stabilize")  # pragma: no cover
-    if method == "direct":
-        return _t_direct(code, sigma_exp, i_max)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _t_direct(code: cd.LinearCode, sigma_exp: int, i_max: int | None) -> list[int]:
-    field = code.field
-    sigma = _sigma(code, sigma_exp)
     limit = i_max if i_max is not None else code.k + 1
-    seq = [code.k]
-    cur = code.gen
-    block = code.gen
-    for i in range(1, limit + 1):
-        block = tuple(sigma.on_vector(r) for r in block)
-        cur = la.row_space_intersection(field, cur, block, code.n)
-        seq.append(len(cur))
-        if i_max is None and seq[-1] == seq[-2]:
-            return seq
-    if i_max is None:
-        raise AssertionError("intersection sequence failed to stabilize")  # pragma: no cover
-    return seq
+    sd = s_sequence(cd.dual(code), sigma_exp, i_max=limit)
+    seq = [code.n - v for v in sd]
+    if i_max is not None:
+        return seq
+    out = [seq[0]]
+    for v in seq[1:]:
+        out.append(v)
+        if out[-1] == out[-2]:
+            return out
+    raise AssertionError("intersection sequence failed to stabilize")  # pragma: no cover
 
 
 @dataclass(frozen=True)
@@ -232,11 +170,3 @@ def fingerprint_random_triples(code: cd.LinearCode, trials: int = 100, seed: int
         pairs.append((a, b))
     return Fingerprint("random_triples", tuple(sorted(pairs)), tuple(pairs))
 
-
-def fingerprint(code: cd.LinearCode, mode: str = "consecutive",
-                trials: int = 100, seed: int = 0) -> Fingerprint:
-    if mode == "consecutive":
-        return fingerprint_consecutive(code)
-    if mode == "random_triples":
-        return fingerprint_random_triples(code, trials=trials, seed=seed)
-    raise ValueError(f"unknown fingerprint mode {mode!r}")

@@ -14,6 +14,8 @@ F_q-dimension.
 
 from __future__ import annotations
 
+import bisect
+
 from .gf import FieldTower, GaloisAut
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -76,39 +78,48 @@ def dot(field: FieldTower, u, v) -> int:
     return acc
 
 
+def _insert_row(field: FieldTower, basis: list, row):
+    """Reduce row against basis, a list of (pivot column, row) pairs sorted by
+    pivot column, each row 1 at its pivot and 0 before it.  An independent
+    row is then normalised and inserted in pivot order, so the invariant
+    holds again.  Returns (pivot column, pivot value before normalising), or
+    None when the row is dependent."""
+    add, mul, neg = field.add, field.mul, field.neg
+    cur = list(row)
+    ncols = len(cur)
+    # ascending pivots: a basis row is 0 before its pivot, so it cannot
+    # disturb the pivot columns already cleared
+    for pc, bv in basis:
+        if cur[pc]:
+            f = neg(cur[pc])
+            cur[pc] = 0
+            for j in range(pc + 1, ncols):
+                if bv[j]:
+                    cur[j] = add(cur[j], mul(f, bv[j]))
+    for pc, pv in enumerate(cur):
+        if pv:
+            break
+    else:
+        return None
+    if pv != 1:
+        pv_inv = field.inv(pv)
+        cur = [mul(pv_inv, a) for a in cur]
+    # pivot columns are distinct, so the pairs order by pivot column alone
+    bisect.insort(basis, (pc, cur))
+    return pc, pv
+
+
 def rref(field: FieldTower, rows) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form with zero rows dropped.  Returns (R, pivots)."""
-    work = [list(r) for r in rows]
-    if not work:
-        return (), ()
-    ncols = len(work[0])
-    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        pv = inv(work[r][c])
-        if pv != 1:
-            work[r] = [mul(pv, a) for a in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = neg(work[i][c])
-                ri, rr = work[i], work[r]
-                for j in range(c, ncols):
-                    if rr[j]:
-                        ri[j] = add(ri[j], mul(f, rr[j]))
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+    echelon: list = []
+    for row in rows:
+        _insert_row(field, echelon, row)
+    # back-substitution: feeding the echelon rows from the last pivot up
+    # reduces each one against the already reduced rows below it
+    reduced: list = []
+    for _, row in reversed(echelon):
+        _insert_row(field, reduced, row)
+    return tuple(tuple(row) for _, row in reduced), tuple(pc for pc, _ in reduced)
 
 
 def rank(field: FieldTower, rows) -> int:
@@ -116,32 +127,28 @@ def rank(field: FieldTower, rows) -> int:
 
 
 def det(field: FieldTower, A: Matrix) -> int:
+    """Determinant, from the elimination that IncrementalRank performs.
+
+    Feeding the rows in order subtracts from each row multiples of earlier
+    ones, so the reduced rows, before normalising, are L*A with L unit lower
+    triangular.  Sorted by pivot column they form an upper triangular matrix
+    whose diagonal holds the raw pivot values.  So det(A) is the product of
+    those values times the sign of the sorting permutation, and 0 as soon as
+    a row turns out dependent."""
     n = len(A)
     if any(len(r) != n for r in A):
         raise ValueError("determinant needs a square matrix")
-    work = [list(r) for r in A]
-    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
-    d = 1
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if work[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    basis: list = []
+    d = field.one
+    for row in A:
+        hit = _insert_row(field, basis, row)
+        if hit is None:
             return 0
-        if pivot_row != c:
-            work[c], work[pivot_row] = work[pivot_row], work[c]
-            d = neg(d)
-        pv = work[c][c]
-        d = mul(d, pv)
-        pv_inv = inv(pv)
-        for i in range(c + 1, n):
-            if work[i][c]:
-                f = neg(mul(work[i][c], pv_inv))
-                for j in range(c, n):
-                    if work[c][j]:
-                        work[i][j] = add(work[i][j], mul(f, work[c][j]))
+        pc, pv = hit
+        d = field.mul(d, pv)
+        # the rows after it in pivot order came earlier: one inversion each
+        if (len(basis) - 1 - bisect.bisect_left(basis, (pc,))) % 2:
+            d = field.neg(d)
     return d
 
 
@@ -164,10 +171,6 @@ def nullspace(field: FieldTower, rows, ncols: int | None = None) -> Matrix:
     return rref(field, basis)[0]
 
 
-def row_space_sum(field: FieldTower, A: Matrix, B: Matrix) -> Matrix:
-    return rref(field, stack(A, B))[0]
-
-
 def row_space_intersection(field: FieldTower, A: Matrix, B: Matrix, ncols: int | None = None) -> Matrix:
     """Canonical basis of rowspace(A) n rowspace(B), via orthogonal spaces:
     the intersection is the orthogon of the sum of the two orthogons."""
@@ -181,35 +184,8 @@ def row_space_intersection(field: FieldTower, A: Matrix, B: Matrix, ncols: int |
     return nullspace(field, stack(na, nb), ncols)
 
 
-def column_rank_profile(field: FieldTower, rows) -> tuple[int, ...]:
-    """Indices of the lexicographically least maximal independent row set
-    (greedy top-down elimination)."""
-    basis: list[tuple[int, list[int]]] = []  # (pivot column, reduced row)
-    add, mul, neg, inv = field.add, field.mul, field.neg, field.inv
-    kept: list[int] = []
-    for idx, row in enumerate(rows):
-        cur = list(row)
-        for pc, bv in basis:
-            if cur[pc]:
-                f = neg(cur[pc])
-                for j in range(pc, len(cur)):
-                    if bv[j]:
-                        cur[j] = add(cur[j], mul(f, bv[j]))
-        pc = next((j for j, a in enumerate(cur) if a), None)
-        if pc is None:
-            continue
-        pv = inv(cur[pc])
-        if pv != 1:
-            cur = [mul(pv, a) for a in cur]
-        basis.append((pc, cur))
-        basis.sort(key=lambda t: t[0])
-        kept.append(idx)
-    return tuple(kept)
-
-
 class IncrementalRank:
-    """Feed rows one at a time; tracks the rank so far (same greedy
-    elimination as column_rank_profile)."""
+    """Feed rows one at a time; tracks the rank so far."""
 
     def __init__(self, field: FieldTower):
         self.field = field
@@ -221,61 +197,15 @@ class IncrementalRank:
 
     def add_row(self, row) -> bool:
         """Returns True when the row increased the rank."""
-        f = self.field
-        cur = list(row)
-        for pc, bv in self._basis:
-            if cur[pc]:
-                fac = f.neg(cur[pc])
-                for j in range(pc, len(cur)):
-                    if bv[j]:
-                        cur[j] = f.add(cur[j], f.mul(fac, bv[j]))
-        pc = next((j for j, a in enumerate(cur) if a), None)
-        if pc is None:
-            return False
-        pv = f.inv(cur[pc])
-        if pv != 1:
-            cur = [f.mul(pv, a) for a in cur]
-        self._basis.append((pc, cur))
-        self._basis.sort(key=lambda t: t[0])
-        return True
+        return _insert_row(self.field, self._basis, row) is not None
 
 
 # --------------------------------------------------------------------------
 # prime-field linear algebra on digit vectors
 # --------------------------------------------------------------------------
 
-def rank_p(p: int, rows: list[list[int]]) -> int:
-    """Rank over F_p of a dense integer matrix (entries reduced mod p)."""
-    work = [[c % p for c in row] for row in rows]
-    rank_ = 0
-    ncols = len(work[0]) if work else 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(rank_, len(work)):
-            if work[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[rank_], work[pivot_row] = work[pivot_row], work[rank_]
-        inv_p = pow(work[rank_][c], p - 2, p)
-        work[rank_] = [(a * inv_p) % p for a in work[rank_]]
-        for i in range(len(work)):
-            if i != rank_ and work[i][c]:
-                f = p - work[i][c]
-                wr = work[rank_]
-                wi = work[i]
-                for j in range(c, ncols):
-                    if wr[j]:
-                        wi[j] = (wi[j] + f * wr[j]) % p
-        rank_ += 1
-        if rank_ == len(work):
-            break
-    return rank_
-
-
-def nullspace_p(p: int, rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Basis of the right kernel over F_p (as row vectors)."""
+def _rref_p(p: int, rows, ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan over F_p: (nonzero rows of the RREF, pivot columns)."""
     work = [[c % p for c in row] for row in rows]
     pivots: list[int] = []
     r = 0
@@ -302,6 +232,17 @@ def nullspace_p(p: int, rows: list[list[int]], ncols: int) -> list[list[int]]:
         r += 1
         if r == len(work):
             break
+    return work[:r], pivots
+
+
+def rank_p(p: int, rows: list[list[int]]) -> int:
+    """Rank over F_p of a dense integer matrix (entries reduced mod p)."""
+    return len(_rref_p(p, rows, len(rows[0]) if rows else 0)[1])
+
+
+def nullspace_p(p: int, rows: list[list[int]], ncols: int) -> list[list[int]]:
+    """Basis of the right kernel over F_p (as row vectors)."""
+    R, pivots = _rref_p(p, rows, ncols)
     pivot_set = set(pivots)
     basis = []
     for fc in range(ncols):
@@ -310,7 +251,7 @@ def nullspace_p(p: int, rows: list[list[int]], ncols: int) -> list[list[int]]:
         v = [0] * ncols
         v[fc] = 1
         for i, pc in enumerate(pivots):
-            v[pc] = (-work[i][fc]) % p
+            v[pc] = (-R[i][fc]) % p
         basis.append(v)
     return basis
 

@@ -3,8 +3,10 @@
 import contextlib
 import io
 import json
-import shutil
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,7 @@ from conftest import (
     WORKED_EXAMPLE_MODULUS,
 )
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 MODULUS_ARG = ":".join(str(c) for c in WORKED_EXAMPLE_MODULUS)
 G_ARG = ",".join(f"a^{e}" for e in WORKED_EXAMPLE_G_POWERS)
 ETA_ARG = f"a^{WORKED_EXAMPLE_ETA_POWER}"
@@ -216,11 +219,13 @@ def test_exit_codes(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.skipif(shutil.which("rankinv") is None,
-                    reason="console script not on PATH")
 def test_installed_console_script():
+    # the console script runs rankinv.cli as __main__; do the same from src/
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        ["rankinv", "census", "--n", "6", "--k", "2", "--ub-only"],
-        capture_output=True, text=True, timeout=120)
+        [sys.executable, "-m", "rankinv.cli", "census", "--n", "6", "--k", "2", "--ub-only"],
+        capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert "UB = 16" in proc.stdout

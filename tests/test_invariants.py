@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 import rankinv.codes as cd
 import rankinv.invariants as inv
 import rankinv.linalg as la
@@ -72,25 +73,14 @@ def test_i_max_gives_fixed_length(worked_example_codes):
     assert len(set(fixed[len(default) - 1:])) == 1
 
 
-def test_unknown_method_rejected(f16):
-    rng = DetRNG(3, "inv-method")
-    code = _random_code(f16, "Gabidulin", 3, 2, rng)
-    with pytest.raises(ValueError):
-        inv.s_sequence(code, 1, method="magic")
-    with pytest.raises(ValueError):
-        inv.t_sequence(code, 1, method="magic")
-
-
 @pytest.mark.parametrize("family,n,k", [("Gabidulin", 6, 2), ("Twisted", 5, 3)])
 def test_s_methods_agree(f2_8, family, n, k):
     rng = DetRNG(11, f"inv-fastnaive/{family}")
     for trial in range(4):
         code = _random_code(f2_8, family, n, k, rng.spawn(str(trial)))
         for r in (1, 3, 5):
-            assert inv.s_sequence(code, r, method="fast") == \
-                inv.s_sequence(code, r, method="naive")
-            assert inv.s_sequence(code, r, i_max=4, method="fast") == \
-                inv.s_sequence(code, r, i_max=4, method="naive")
+            assert inv.s_sequence(code, r) == oracles.s_naive(code, r)
+            assert inv.s_sequence(code, r, i_max=4) == oracles.s_naive(code, r, i_max=4)
 
 
 @pytest.mark.parametrize("family,n,k", [("Gabidulin", 6, 3), ("Twisted", 6, 2)])
@@ -99,10 +89,8 @@ def test_t_methods_agree(f2_8, family, n, k):
     for trial in range(4):
         code = _random_code(f2_8, family, n, k, rng.spawn(str(trial)))
         for r in (1, 3, 7):
-            assert inv.t_sequence(code, r, method="dual") == \
-                inv.t_sequence(code, r, method="direct")
-            assert inv.t_sequence(code, r, i_max=4, method="dual") == \
-                inv.t_sequence(code, r, i_max=4, method="direct")
+            assert inv.t_sequence(code, r) == oracles.t_direct(code, r)
+            assert inv.t_sequence(code, r, i_max=4) == oracles.t_direct(code, r, i_max=4)
 
 
 # --------------------------------------------------------------------------
@@ -270,14 +258,12 @@ def test_fingerprints_invariant_under_equivalence(worked_example_codes):
 def test_fingerprint_equality_semantics(f16):
     rng = DetRNG(43, "inv-fp-sem")
     code = _random_code(f16, "Gabidulin", 4, 2, rng)
-    fp1 = inv.fingerprint(code, "consecutive")
+    fp1 = inv.fingerprint_consecutive(code)
     fp2 = inv.fingerprint_consecutive(code)
     assert fp1 == fp2 and hash(fp1) == hash(fp2)
-    fp3 = inv.fingerprint(code, "random_triples", trials=10, seed=1)
+    fp3 = inv.fingerprint_random_triples(code, trials=10, seed=1)
     assert fp1 != fp3  # different modes never compare equal
     assert fp3 == inv.fingerprint_random_triples(code, trials=10, seed=1)
-    with pytest.raises(ValueError):
-        inv.fingerprint(code, "sideways")
 
 
 def test_random_triples_deterministic():

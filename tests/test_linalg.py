@@ -4,9 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from rankinv import linalg as la
 from rankinv.gf import GaloisAut, make_field
 from rankinv.rng import DetRNG
+
+# (backend, p, e, m): both field backends for p in {2, 3} and e in {1, 2}
+BACKEND_FIELDS = [(backend, p, e, m) for backend in ("table", "generic")
+                  for (p, e, m) in ((2, 1, 4), (2, 2, 2), (3, 1, 3), (3, 2, 2))]
+BACKEND_IDS = [f"{b}-p{p}e{e}m{m}" for (b, p, e, m) in BACKEND_FIELDS]
 
 
 def _matrix_strategy(field, max_rows=5, max_cols=5):
@@ -96,7 +102,7 @@ def test_row_space_sum_and_intersection_dimension_formula(f2_8):
         r = rng.spawn(str(trial))
         A = tuple(F.random_vector(n, r.spawn("A")) for _ in range(r.randint(1, 4)))
         B = tuple(F.random_vector(n, r.spawn("B")) for _ in range(r.randint(1, 4)))
-        s = la.row_space_sum(F, A, B)
+        s = la.rref(F, la.stack(A, B))[0]
         i = la.row_space_intersection(F, A, B, n)
         da, db = la.rank(F, A), la.rank(F, B)
         assert la.rank(F, s) == da + db - la.rank(F, i)
@@ -104,28 +110,6 @@ def test_row_space_sum_and_intersection_dimension_formula(f2_8):
         for v in i:
             assert la.rank(F, la.stack(A, (v,))) == da
             assert la.rank(F, la.stack(B, (v,))) == db
-
-
-def test_column_rank_profile_matches_greedy(f16):
-    rng = DetRNG(23, "crp")
-    for trial in range(15):
-        r = rng.spawn(str(trial))
-        rows = tuple(f16_vec(f16, 5, r, i) for i in range(3))
-        prof = la.column_rank_profile(f16, rows)
-        # greedy: a column joins the profile iff it raises the rank of the
-        # previously chosen columns
-        cols = [tuple(row[j] for row in rows) for j in range(5)]
-        chosen: list[tuple] = []
-        expect = []
-        for j, col in enumerate(cols):
-            if la.rank(f16, tuple(chosen) + (col,)) > len(expect):
-                chosen.append(col)
-                expect.append(j)
-        assert list(prof) == expect
-
-
-def f16_vec(field, n, rng, salt):
-    return field.random_vector(n, rng.spawn(f"v{salt}"))
 
 
 def test_incremental_rank_matches_batch(f16):
@@ -136,6 +120,48 @@ def test_incremental_rank_matches_batch(f16):
         grew = inc.add_row(row)
         assert inc.rank == la.rank(f16, rows[:i])
         assert grew == (la.rank(f16, rows[:i]) > la.rank(f16, rows[: i - 1]))
+
+
+# ---------------------------------------------------------------------------
+# differential tests against the Gauss-Jordan oracles
+# ---------------------------------------------------------------------------
+
+def _oracle_matrix(field, data, rows, cols):
+    # 0 and 1 come often, so dependent rows and singular matrices occur
+    elem = st.one_of(st.sampled_from((0, 1)), st.integers(0, field.Q - 1))
+    return tuple(data.draw(st.tuples(*([elem] * cols))) for _ in range(rows))
+
+
+@pytest.mark.parametrize("case", BACKEND_FIELDS, ids=BACKEND_IDS)
+@given(data=st.data())
+def test_elimination_matches_oracle(case, data):
+    backend, p, e, m = case
+    F = make_field(p, e, m, backend=backend)
+    ncols = data.draw(st.integers(1, 6))
+    A = _oracle_matrix(F, data, data.draw(st.integers(1, 6)), ncols)
+    assert la.rref(F, A) == oracles.rref(F, A)
+    assert la.nullspace(F, A, ncols) == oracles.rref(F, oracles.free_nullspace(F, A, ncols))[0]
+    inc = la.IncrementalRank(F)
+    for i, row in enumerate(A, start=1):
+        before = inc.rank
+        grew = inc.add_row(row)
+        assert inc.rank == len(oracles.rref(F, A[:i])[0])
+        assert grew == (inc.rank > before)
+    n = data.draw(st.integers(1, 4))
+    S = _oracle_matrix(F, data, n, n)
+    assert la.det(F, S) == oracles.det(F, S)
+
+
+@pytest.mark.parametrize("p", (2, 3))
+@given(data=st.data())
+def test_prime_field_elimination_matches_oracle(p, data):
+    Fp = make_field(p, 1, 1)
+    ncols = data.draw(st.integers(1, 6))
+    row = st.lists(st.integers(0, 2 * p - 1), min_size=ncols, max_size=ncols)
+    rows = data.draw(st.lists(row, min_size=1, max_size=6))
+    reduced = tuple(tuple(c % p for c in r) for r in rows)
+    assert la.rank_p(p, rows) == len(oracles.rref(Fp, reduced)[0])
+    assert la.nullspace_p(p, rows, ncols) == [list(v) for v in oracles.free_nullspace(Fp, reduced, ncols)]
 
 
 # ---------------------------------------------------------------------------
