@@ -260,10 +260,10 @@ def is_theta_gabidulin(code: cd.LinearCode, theta_exp: int,
     if n > m:
         raise ValueError("requires n <= m")
 
-    s = iv.s_sequence(code, theta_exp, i_max=n - k)
+    s_ext = iv.s_sequence(code, theta_exp, i_max=n - k + 1)
+    s = s_ext[: n - k + 1]
     rank_one, _ = cd.has_rank_one_codeword(code)
     d_gt_1 = not rank_one
-    delta = None  # derived below when needed
 
     crits: dict[str, Optional[bool]] = {}
 
@@ -272,7 +272,6 @@ def is_theta_gabidulin(code: cd.LinearCode, theta_exp: int,
     # endpoints only
     crits["s_endpoints"] = (s[1] == k + 1 and s[n - k] == n) and d_gt_1
     # increments all 1 then 0
-    s_ext = iv.s_sequence(code, theta_exp, i_max=n - k + 1)
     delta = tuple(s_ext[i + 1] - s_ext[i] for i in range(n - k + 1))
     crits["delta_ones"] = (delta == (1,) * (n - k) + (0,)) and d_gt_1
     # first and last nontrivial increments

@@ -80,12 +80,12 @@ def _fp_hash(key) -> str:
     return hashlib.sha256(repr(key).encode()).hexdigest()[:12]
 
 
-def _jsonify(obj, field: FieldTower | None = None):
+def _jsonify(obj, field: FieldTower):
     """Make witness dicts JSON-safe (tuples -> lists, maps -> components)."""
     if isinstance(obj, cd.SemilinearMap):
         return {
-            "lam": list((field or obj.tau.field).coeffs(obj.lam)) if field else obj.lam,
-            "A": [[list(field.coeffs(a)) for a in row] for row in obj.A] if field else obj.A,
+            "lam": list(field.coeffs(obj.lam)),
+            "A": [[list(field.coeffs(a)) for a in row] for row in obj.A],
             "tau": obj.tau.j,
         }
     if isinstance(obj, dict):

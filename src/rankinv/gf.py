@@ -262,6 +262,14 @@ def _build_tables(p: int, d: int, modulus: tuple[int, ...]):
     Qm1 = Q - 1
     neg_mod = [(-c) % p for c in modulus[:d]]
 
+    def times_alpha(digits):
+        """Digits of alpha * (the element with these digits), reduced by the modulus."""
+        top = digits[d - 1]
+        shifted = [0] + digits[: d - 1]
+        if not top:
+            return shifted
+        return [(a + top * c) % p for a, c in zip(shifted, neg_mod)]
+
     B = 1 << 16
     seed_count = min(Qm1, B + d)
     rows = []
@@ -269,16 +277,7 @@ def _build_tables(p: int, d: int, modulus: tuple[int, ...]):
     cur[0] = 1
     for _ in range(seed_count):
         rows.append(cur)
-        top = cur[d - 1]
-        new = [0] * d
-        if top:
-            new[0] = (top * neg_mod[0]) % p
-            for j in range(1, d):
-                new[j] = (cur[j - 1] + top * neg_mod[j]) % p
-        else:
-            for j in range(1, d):
-                new[j] = cur[j - 1]
-        cur = new
+        cur = times_alpha(cur)
 
     S = np.array(rows, dtype=np.int64)
     pw = p ** np.arange(d, dtype=np.int64)
@@ -299,16 +298,7 @@ def _build_tables(p: int, d: int, modulus: tuple[int, ...]):
         last_digits = rows[-1]
 
     # wrap-around: alpha**(Q-1) must be 1
-    top = last_digits[d - 1]
-    wrap = [0] * d
-    if top:
-        wrap[0] = (top * neg_mod[0]) % p
-        for j in range(1, d):
-            wrap[j] = (last_digits[j - 1] + top * neg_mod[j]) % p
-    else:
-        for j in range(1, d):
-            wrap[j] = last_digits[j - 1]
-    if pack_digits(wrap, p) != 1:
+    if pack_digits(times_alpha(last_digits), p) != 1:
         raise FieldError("modulus is not primitive (alpha**(Q-1) != 1)")
 
     if int(exp_np[0]) != 1:

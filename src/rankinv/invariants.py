@@ -7,8 +7,12 @@ For a code C of dimension k and a Galois automorphism sigma (a -> a^(q^r)):
     Delta_i = s_{i+1} - s_i                      Lambda_i = t_i - t_{i+1}
 
 Both sequences stabilize as soon as two consecutive values agree; s by step
-n-k at the latest and t by step k.  Intersections are computed through duals
-(the dual of a sum of duals), matching the duality t_i(C) = n - s_i(dual C).
+n-k at the latest and t by step k.  One routine, _ranks, gives every
+dimension: it feeds blocks of rows into one IncrementalRank and records the
+rank after each block.  A sum's blocks are Galois images of the rows of C.
+An intersection's are the images of the rows of dual(C), and its dimension
+is n minus the rank, because sigma(dual C) = dual(sigma(C)) and the dual of a
+sum of duals is the intersection.  Fingerprints compute the dual once.
 
 Fingerprints package these dimensions into equivalence-invariant keys:
 
@@ -27,7 +31,8 @@ entries fixed by every Galois automorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
+from itertools import accumulate, repeat
 
 from . import codes as cd
 from . import linalg as la
@@ -49,40 +54,44 @@ def intersect_code(code: cd.LinearCode, auts) -> cd.LinearCode:
     return cd.dual(dual_sum)
 
 
+def _ranks(field, blocks):
+    """Rank of the rows fed so far, after each block of rows (lazily)."""
+    inc = la.IncrementalRank(field)
+    for block in blocks:
+        for row in block:
+            inc.add_row(row)
+        yield inc.rank
+
+
+def _sequence(field, gen, sigma_exp: int, i_max: int | None, bound: int | None = None) -> list[int]:
+    """[dim G, dim(G + sigma(G)), ...] for the rows G: i_max+1 values when
+    i_max is given, otherwise up to and including the first repeated value,
+    which must come by index bound.  Each block is sigma applied to the block
+    before it, built only when its rank is asked for."""
+    sigma = GaloisAut(field, sigma_exp)
+    blocks = accumulate(repeat(None, i_max if i_max is not None else bound),
+                        lambda block, _: tuple(sigma.on_vector(r) for r in block), initial=gen)
+    ranks = _ranks(field, blocks)
+    if i_max is not None:
+        return list(ranks)
+    seq = [next(ranks)]
+    for v in ranks:
+        seq.append(v)
+        if v == seq[-2]:
+            return seq
+    raise AssertionError("sequence failed to stabilize")  # pragma: no cover
+
+
 def s_sequence(code: cd.LinearCode, sigma_exp: int, i_max: int | None = None) -> list[int]:
     """[s_0, s_1, ...]: fixed length i_max+1 when i_max is given, otherwise
     up to and including the first repeated value."""
-    sigma = GaloisAut(code.field, sigma_exp)
-    limit = i_max if i_max is not None else code.n - code.k + 1
-    inc = la.IncrementalRank(code.field)
-    block = code.gen
-    seq = []
-    for i in range(limit + 1):
-        for row in block:
-            inc.add_row(row)
-        seq.append(inc.rank)
-        if i_max is None and i > 0 and seq[-1] == seq[-2]:
-            return seq
-        if i < limit:
-            block = tuple(sigma.on_vector(r) for r in block)
-    if i_max is None:
-        raise AssertionError("sum sequence failed to stabilize")  # pragma: no cover
-    return seq
+    return _sequence(code.field, code.gen, sigma_exp, i_max, code.n - code.k + 1)
 
 
 def t_sequence(code: cd.LinearCode, sigma_exp: int, i_max: int | None = None) -> list[int]:
     """[t_0, t_1, ...]; same length conventions as s_sequence."""
-    limit = i_max if i_max is not None else code.k + 1
-    sd = s_sequence(cd.dual(code), sigma_exp, i_max=limit)
-    seq = [code.n - v for v in sd]
-    if i_max is not None:
-        return seq
-    out = [seq[0]]
-    for v in seq[1:]:
-        out.append(v)
-        if out[-1] == out[-2]:
-            return out
-    raise AssertionError("intersection sequence failed to stabilize")  # pragma: no cover
+    sd = _sequence(code.field, cd.dual(code).gen, sigma_exp, i_max, code.k + 1)
+    return [code.n - v for v in sd]
 
 
 @dataclass(frozen=True)
@@ -101,9 +110,13 @@ class InvariantProfile:
 
 
 def invariant_profile(code: cd.LinearCode, sigma_exp: int) -> InvariantProfile:
+    return _profile(code, cd.dual(code).gen, sigma_exp)
+
+
+def _profile(code: cd.LinearCode, dual_gen, sigma_exp: int) -> InvariantProfile:
     n, k = code.n, code.k
-    s = s_sequence(code, sigma_exp, i_max=n - k + 1)
-    t = t_sequence(code, sigma_exp, i_max=k + 1)
+    s = _sequence(code.field, code.gen, sigma_exp, n - k + 1)
+    t = [n - v for v in _sequence(code.field, dual_gen, sigma_exp, k + 1)]
     delta = tuple(s[i + 1] - s[i] for i in range(n - k + 1))
     lam = tuple(t[i] - t[i + 1] for i in range(k + 1))
     return InvariantProfile(
@@ -115,35 +128,24 @@ def invariant_profile(code: cd.LinearCode, sigma_exp: int) -> InvariantProfile:
     )
 
 
+@dataclass(frozen=True)
 class Fingerprint:
     """Equivalence-invariant key plus its per-exponent / per-trial detail.
 
-    Equality and hashing use only (mode, key): the key is the sorted multiset
-    the comparison contract is defined on, while detail keeps the
+    Equality, hashing and repr use only (mode, key): the key is the sorted
+    multiset the comparison contract is defined on, while detail keeps the
     exponent-indexed profiles (or trial-indexed dimension pairs) for witness
     extraction."""
 
-    __slots__ = ("mode", "key", "detail")
-
-    def __init__(self, mode: str, key: tuple, detail: tuple):
-        self.mode = mode
-        self.key = key
-        self.detail = detail
-
-    def __eq__(self, other):
-        return (isinstance(other, Fingerprint)
-                and self.mode == other.mode and self.key == other.key)
-
-    def __hash__(self):
-        return hash((self.mode, self.key))
-
-    def __repr__(self):
-        return f"Fingerprint(mode={self.mode!r}, key={self.key!r})"
+    mode: str
+    key: tuple
+    detail: tuple = dc_field(compare=False, repr=False)
 
 
 def fingerprint_consecutive(code: cd.LinearCode) -> Fingerprint:
     """Sorted multiset of (s-row, t-row) over all m Galois exponents."""
-    profiles = tuple(invariant_profile(code, r) for r in range(code.field.m))
+    dual_gen = cd.dual(code).gen
+    profiles = tuple(_profile(code, dual_gen, r) for r in range(code.field.m))
     key = tuple(sorted(p.key for p in profiles))
     return Fingerprint("consecutive", key, profiles)
 
@@ -162,11 +164,11 @@ def random_triples(m: int, trials: int, seed: int) -> list[tuple[int, int, int]]
 def fingerprint_random_triples(code: cd.LinearCode, trials: int = 100, seed: int = 0) -> Fingerprint:
     """Sorted (dim sum, dim intersection) pairs over seeded sigma-triples."""
     field = code.field
+    dual_gen = cd.dual(code).gen
     pairs = []
     for triple in random_triples(field.m, trials, seed):
         auts = [GaloisAut(field, r) for r in triple]
-        a = sum_code(code, auts).k
-        b = intersect_code(code, auts).k
-        pairs.append((a, b))
+        *_, a = _ranks(field, (tuple(aut.on_vector(r) for r in code.gen) for aut in auts))
+        *_, b = _ranks(field, (tuple(aut.on_vector(r) for r in dual_gen) for aut in auts))
+        pairs.append((a, code.n - b))
     return Fingerprint("random_triples", tuple(sorted(pairs)), tuple(pairs))
-

@@ -337,6 +337,27 @@ def test_subfield_subcode_dimensions(f2_8, f4_3):
         assert all(F.in_subfield_q(x) for row in rows for x in row)
 
 
+@pytest.mark.parametrize("backend", ("table", "generic"))
+@pytest.mark.parametrize("p,e,m", [(2, 2, 3), (3, 2, 2)])
+def test_subfield_kernel_words_are_codewords_over_F_q(backend, p, e, m):
+    # The code holds lam*w with w in F_q^n, so its subfield subcode is not
+    # zero.  Each word is checked on its own: subfield_subcode and
+    # has_rank_one_codeword expose only F_{q^m}-spans, which a word built
+    # from a wrong message scalar (say, one digit short) need not change.
+    F = make_field(p, e, m, backend=backend)
+    rng = DetRNG(19, f"subfield-kernel/{backend}/{p}/{e}/{m}")
+    n = 3
+    for _ in range(10):
+        w = (F.one,) + tuple(F.subfield_element(F.q, rng.randbelow(F.q)) for _ in range(n - 1))
+        lam = F.random_nonzero(rng)
+        code = cd.LinearCode.from_rows(F, (la.scale_vec(F, lam, w), F.random_vector(n, rng)))
+        words = cd._subfield_kernel(code)
+        assert words
+        for c in words:
+            assert any(c) and code.contains(c)
+            assert all(F.in_subfield_q(a) for a in c)
+
+
 # ---------------------------------------------------------------------------
 # generator uniqueness (exhaustive at tiny size)
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import oracles
 import rankinv.codes as cd
 import rankinv.invariants as inv
 import rankinv.linalg as la
-from rankinv.gf import FullAut, GaloisAut
+from rankinv.gf import FullAut, GaloisAut, make_field
 from rankinv.rng import DetRNG
 
 # Frozen dimension rows for the [8,3] pair over F_{2^15} (see conftest).
@@ -264,6 +264,71 @@ def test_fingerprint_equality_semantics(f16):
     fp3 = inv.fingerprint_random_triples(code, trials=10, seed=1)
     assert fp1 != fp3  # different modes never compare equal
     assert fp3 == inv.fingerprint_random_triples(code, trials=10, seed=1)
+
+
+# (backend, p, e, m): both field backends for p in {2, 3} and e in {1, 2},
+# with m >= 3 for the random triples
+FP_FIELDS = [(backend, p, e, m) for backend in ("table", "generic")
+             for (p, e, m) in ((2, 1, 5), (2, 2, 3), (3, 1, 4), (3, 2, 3))]
+FP_IDS = [f"{b}-p{p}e{e}m{m}" for (b, p, e, m) in FP_FIELDS]
+
+
+def _fingerprint_codes(case):
+    """A Gabidulin code, a random code and a code of deficient rank over one
+    field of FP_FIELDS."""
+    backend, p, e, m = case
+    field = make_field(p, e, m, backend=backend)
+    rng = DetRNG(47, f"inv-fp-diff/{backend}/{p}/{e}/{m}")
+    n = m
+    rows = [field.random_vector(n, rng) for _ in range(2)]
+    return field, [
+        _random_code(field, "Gabidulin", n, 2, rng),
+        cd.LinearCode.from_rows(field, rows, n),
+        _deficient_row_code(field, n, 2, n - 1, rng),
+    ]
+
+
+@pytest.mark.parametrize("case", FP_FIELDS, ids=FP_IDS)
+def test_random_triples_fingerprint_matches_code_level_dimensions(case):
+    field, codes = _fingerprint_codes(case)
+    for code in codes:
+        fp = inv.fingerprint_random_triples(code, trials=6, seed=2)
+        expected = []
+        for triple in inv.random_triples(field.m, 6, 2):
+            auts = [GaloisAut(field, r) for r in triple]
+            expected.append((inv.sum_code(code, auts).k, inv.intersect_code(code, auts).k))
+        assert fp.detail == tuple(expected)
+
+
+@pytest.mark.parametrize("case", FP_FIELDS, ids=FP_IDS)
+def test_consecutive_fingerprint_matches_oracles(case):
+    _, codes = _fingerprint_codes(case)
+    for code in codes:
+        n, k = code.n, code.k
+        for prof in inv.fingerprint_consecutive(code).detail:
+            s = oracles.s_naive(code, prof.sigma, i_max=n - k + 1)
+            t = oracles.t_direct(code, prof.sigma, i_max=k + 1)
+            assert prof.s == tuple(s[: n - k + 1]) and prof.t == tuple(t[: k + 1])
+            assert prof.delta == tuple(b - a for a, b in zip(s, s[1:]))
+            assert prof.lam == tuple(a - b for a, b in zip(t, t[1:]))
+            assert inv.s_sequence(code, prof.sigma) == oracles.s_naive(code, prof.sigma)
+            assert inv.t_sequence(code, prof.sigma) == oracles.t_direct(code, prof.sigma)
+
+
+def test_each_fingerprint_computes_the_dual_once(monkeypatch, f2_8):
+    code = _random_code(f2_8, "Twisted", 6, 3, DetRNG(53, "inv-fp-dual-once"))
+    calls = []
+    real_dual = cd.dual
+
+    def counting_dual(c):
+        calls.append(c)
+        return real_dual(c)
+
+    monkeypatch.setattr(cd, "dual", counting_dual)
+    inv.fingerprint_consecutive(code)
+    assert len(calls) == 1
+    inv.fingerprint_random_triples(code, trials=10, seed=1)
+    assert len(calls) == 2
 
 
 def test_random_triples_deterministic():
