@@ -189,13 +189,17 @@ def cmd_invariants(args) -> int:
         sigmas = list(range(1, m))
     else:
         sigmas = [int(args.sigma) % m]
+    if args.i_max is not None and args.i_max < 1:
+        raise ValueError(f"--i-max must be >= 1, got {args.i_max}")
     s_len = args.i_max if args.i_max is not None else n - k
     t_len = args.i_max if args.i_max is not None else k
 
+    # t_i = n - s_i(dual), as in iv.t_sequence, with the dual computed once
+    dual = cd.dual(code)
     profiles = []
     for r in sigmas:
         s = iv.s_sequence(code, r, i_max=s_len)
-        t = iv.t_sequence(code, r, i_max=t_len)
+        t = [n - v for v in iv.s_sequence(dual, r, i_max=t_len)]
         profiles.append((r, s[1:], t[1:]))
 
     config = ([("subcommand", "invariants"), ("file", args.file)]

@@ -20,7 +20,11 @@ Two interchangeable arithmetic backends exist:
 * ``generic`` -- direct polynomial arithmetic on packed ints; no tables.
                  Used for larger fields and to cross-check the table backend.
                  Primitivity of f is verified with an order computation
-                 (factoring Q-1 via sympy).
+                 (factoring Q-1 via sympy).  a -> a**(p**j) is F_p-linear, so
+                 it is the coefficient vector times a d x d matrix over F_p,
+                 built from alpha**(p**j) the first time j is asked for.  The
+                 inverse is Itoh-Tsujii: a**(p + ... + p**(d-1)) as a product
+                 of Frobenius images, divided by the norm of a down to F_p.
 
 The intermediate subfield F_q is generated by gamma = alpha**((Q-1)//(q-1)).
 Automorphism conventions used across the package:
@@ -372,6 +376,9 @@ class FieldTower:
                 raise FieldError("modulus is not primitive")
             self.alpha = p if self.d > 1 else (-modulus[0]) % p
             self._mod_packed = pack_digits(modulus, p)
+            self._frob_rows: dict[int, list[int]] = {}  # j -> rows of M_j, built on first use
+            # odd p: digit-lane width that holds a sum of d digit products
+            self._lane_bits = (self.d * (p - 1) ** 2).bit_length()
 
         self._half = self.Qm1 // 2  # log of -1 when p is odd
         self._norm_exp = self.Qm1 // (self.q - 1)
@@ -491,7 +498,24 @@ class FieldTower:
             raise ZeroDivisionError("field inverse of zero")
         if self._exp is not None:
             return self._exp[self.Qm1 - self._log[a]]
-        return self.pow(a, self.Qm1 - 1)
+        # Itoh-Tsujii: b = a^(p + p^2 + ... + p^(d-1)) is a product of
+        # Frobenius images, so n = a*b = a^((Q-1)/(p-1)) is the norm of a down
+        # to F_p, a nonzero constant, and a^-1 = b * n^-1 with n^-1 = n^(p-2).
+        # b = s^p for s = s_(d-1), s_k = a^(1 + p + ... + p^(k-1)), reached
+        # along the bits of d-1 by s_2k = s_k * s_k^(p^k), s_(k+1) = a * s_k^p.
+        p, d = self.p, self.d
+        b = 1
+        if d > 1:
+            s, k = a, 1
+            for bit in bin(d - 1)[3:]:
+                s, k = self.mul(s, self._frob_map(s, k)), 2 * k
+                if bit == "1":
+                    s, k = self.mul(a, self._frob_map(s, 1)), k + 1
+            b = self._frob_map(s, 1)
+        n = self.mul(a, b)
+        if not 0 < n < p:
+            raise FieldError(f"norm of {a} to F_{p} is {n}, not a nonzero constant")
+        return b if n == 1 else self.mul(b, pow(n, p - 2, p))
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -537,7 +561,53 @@ class FieldTower:
             return a
         if self._exp is not None:
             return self._exp[self._log[a] * pow(self.p, j, self.Qm1) % self.Qm1]
-        return self.pow(a, pow(self.p, j, self.Qm1))
+        return self._frob_map(a, j)
+
+    def _frob_map(self, a: int, j: int) -> int:
+        """a ** (p**j) for 0 < j < d on the generic backend, as a digit vector
+        times the matrix M_j.  Frobenius fixes F_p and is additive, so for
+        a = sum c_i alpha^i it sends a to sum c_i beta^i with beta =
+        alpha^(p^j): row i of M_j is beta^i.  At p = 2 a row is its packed
+        value and the product is the XOR of the rows at a's set bits.  At odd
+        p a row holds its digits in lanes of _lane_bits bits, wide enough
+        that the digit-weighted sum of all d rows cannot carry between lanes;
+        the sum is reduced mod p lane by lane once, at the end."""
+        rows = self._frob_rows.get(j)
+        if rows is None:
+            rows = self._frob_rows[j] = self._build_frob_rows(j)
+        p = self.p
+        if p == 2:
+            out = i = 0
+            while a:
+                if a & 1:
+                    out ^= rows[i]
+                a >>= 1
+                i += 1
+            return out
+        acc = 0
+        for row in rows:
+            a, c = divmod(a, p)
+            if c:
+                acc += c * row
+        w = self._lane_bits
+        mask = (1 << w) - 1
+        out = 0
+        for shift in range(w * (self.d - 1), -1, -w):
+            out = out * p + ((acc >> shift) & mask) % p
+        return out
+
+    def _build_frob_rows(self, j: int) -> list[int]:
+        """Rows beta^0, ..., beta^(d-1) of M_j, beta = alpha^(p^j): one pow
+        and d-1 multiplications; at odd p each row in digit lanes."""
+        p, d = self.p, self.d
+        beta = self.pow(self.alpha, p**j)
+        rows = [1]
+        for _ in range(d - 1):
+            rows.append(self.mul(rows[-1], beta))
+        if p == 2:
+            return rows
+        w = self._lane_bits
+        return [sum(c << (w * i) for i, c in enumerate(digits_of(row, p, d))) for row in rows]
 
     def frob_q(self, a: int, r: int) -> int:
         """a ** (q**r); r taken mod m."""

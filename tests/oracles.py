@@ -12,12 +12,39 @@ against.
   duals.
 * has_rank_one_codeword_all_mu: the classical eigenvector formulation, which
   solves theta(c) = mu*c for every mu of norm one.
+* frob_p / inv: a^(p^j) and a^(Q-2) by square-and-multiply through
+  field.mul, the generic backend's former Frobenius and Fermat inverse.
 """
 
 from __future__ import annotations
 
 from rankinv import linalg as la
 from rankinv.gf import GaloisAut
+
+
+def _pow(field, a: int, k: int) -> int:
+    result = 1
+    while k:
+        if k & 1:
+            result = field.mul(result, a)
+        a = field.mul(a, a)
+        k >>= 1
+    return result
+
+
+def frob_p(field, a: int, j: int) -> int:
+    """a ** (p**j), j taken mod d, by square-and-multiply."""
+    j %= field.d
+    if a == 0 or j == 0:
+        return a
+    return _pow(field, a, pow(field.p, j, field.Qm1))
+
+
+def inv(field, a: int) -> int:
+    """a ** (Q-2) = a^-1 for a != 0 (Fermat)."""
+    if a == 0:
+        raise ZeroDivisionError("field inverse of zero")
+    return _pow(field, a, field.Qm1 - 1)
 
 
 def rref(field, rows):

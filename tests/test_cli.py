@@ -113,6 +113,29 @@ def test_invariants_json_and_i_max(stored_pair):
     assert json.loads(out)["profiles"][0]["s"] == [5, 7, 8]
 
 
+@pytest.mark.parametrize("i_max", ["-1", "0"])
+def test_invariants_rejects_i_max_below_one(stored_pair, i_max):
+    gab_path, _ = stored_pair
+    rc, out, err = run_cli("invariants", "--file", gab_path, "--i-max", i_max)
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and "--i-max" in err
+
+
+def test_invariants_computes_the_dual_once(stored_pair, monkeypatch):
+    gab_path, _ = stored_pair
+    calls = []
+    dual = cd.dual
+
+    def counting_dual(code):
+        calls.append(code)
+        return dual(code)
+
+    monkeypatch.setattr(cd, "dual", counting_dual)
+    rc, out, _ = run_cli("invariants", "--file", gab_path, "--format", "csv")
+    assert rc == 0 and len(out.splitlines()) == 2 + 14  # sigma = 1..14
+    assert len(calls) == 1
+
+
 def test_compare_unknown_on_self(stored_pair):
     gab_path, _ = stored_pair
     rc, out, _ = run_cli("compare", gab_path, gab_path, "--trials", "5")

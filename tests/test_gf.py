@@ -7,6 +7,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from rankinv import gf
 from rankinv.gf import (
     FieldError,
@@ -22,6 +23,7 @@ from rankinv.gf import (
     pack_digits,
     parse_element,
 )
+from rankinv.rng import DetRNG
 from tests.conftest import WORKED_EXAMPLE_MODULUS
 
 
@@ -153,6 +155,42 @@ def test_backends_agree():
         # generic backend has no discrete log
         with pytest.raises(FieldError):
             Fg.log(3)
+
+
+@pytest.mark.parametrize("p,e,m", [(2, 1, 1), (3, 1, 1), (2, 1, 5), (3, 1, 4), (2, 2, 3), (3, 2, 2)])
+def test_generic_frobenius_and_inverse_match_oracles(p, e, m):
+    # the digit-matrix Frobenius and the Itoh-Tsujii inverse against
+    # square-and-multiply, for every Frobenius power j
+    F = make_field(p, e, m, backend="generic")
+    rng = DetRNG(0, f"gf-generic/{p}/{e}/{m}")
+    samples = {0, 1, F.alpha, *F.elements_q(), *(F.random_element(rng) for _ in range(16))}
+    for a in sorted(samples):
+        for j in range(F.d):
+            assert F.frob_p(a, j) == oracles.frob_p(F, a, j)
+        if a:
+            b = F.inv(a)
+            assert F.mul(a, b) == F.one
+            assert b == oracles.inv(F, a)
+
+
+@pytest.mark.parametrize("p,e,m", [(2, 2, 3), (3, 1, 4)])
+def test_frobenius_and_inverse_agree_across_backends(p, e, m):
+    Ft = make_field(p, e, m, backend="table")
+    Fg = make_field(p, e, m, backend="generic")
+    for a in range(Ft.Q):
+        assert [Ft.frob_p(a, j) for j in range(Ft.d)] == [Fg.frob_p(a, j) for j in range(Fg.d)]
+        if a:
+            assert Ft.inv(a) == Fg.inv(a)
+
+
+def test_generic_inverse_rejects_a_non_constant_norm():
+    # with every Frobenius map replaced by the identity, a * a^(p + ... +
+    # p^(d-1)) becomes alpha^d, which is not in F_p; a fresh instance keeps
+    # the cached field intact
+    F = gf.FieldTower(3, 1, 4, backend="generic")
+    F._frob_rows = {j: F._build_frob_rows(0) for j in range(1, F.d)}
+    with pytest.raises(FieldError):
+        F.inv(F.alpha)
 
 
 # ---------------------------------------------------------------------------
