@@ -631,14 +631,14 @@ class CensusReport:
 
 def _census_class_fingerprints(args):
     """Worker for one parameter class; module-level so a process pool can
-    pickle it.  Rebuilds the (cached per process) field from scalars."""
+    pickle it.  Rebuilds the (cached per process) field from scalars.  Both
+    fingerprints share one dual and one set of Galois image caches."""
     p, e, m, n, k, g, eta, r, t, h, trials, seed = args
     field = make_field(p, e, m)
     spec = cd.make_spec("GeneralizedTwisted", n, k, r, g, eta=(eta,), t=(t,), h=(h,))
-    code = cd.build(field, spec)
-    fp1 = iv.fingerprint_consecutive(code).key
-    fp2 = iv.fingerprint_random_triples(code, trials=trials, seed=seed).key
-    return fp1, fp2
+    images = iv._CodeImages(cd.build(field, spec))
+    return (images.fingerprint_consecutive().key,
+            images.fingerprint_random_triples(trials, seed).key)
 
 
 def census(q: int, n: int, k: int, seed: int, trials: int = 100,

@@ -210,7 +210,7 @@ _KNOWN_MODULI: dict[tuple[int, int], int] = {
     (2, 8): 29, (2, 9): 17, (2, 10): 9, (2, 12): 83, (2, 14): 43,
     (2, 15): 3, (2, 16): 45, (2, 20): 9,
     (3, 2): 5, (3, 3): 7, (3, 4): 5, (3, 5): 7, (3, 6): 5, (3, 7): 16,
-    (3, 8): 29, (3, 10): 32, (3, 12): 215, (3, 14): 5,
+    (3, 8): 29, (3, 10): 32, (3, 12): 215, (3, 14): 5, (3, 16): 116,
 }
 
 

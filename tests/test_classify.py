@@ -450,3 +450,24 @@ def test_census_guards():
         cl.census(3, 6, 1, seed=0)
     with pytest.raises(ValueError):
         cl.census(3, 6, 5, seed=0)
+
+
+def test_census_computes_each_class_dual_once(monkeypatch):
+    calls = []
+    real_dual = cd.dual
+
+    def counting_dual(c):
+        calls.append(c)
+        return real_dual(c)
+
+    monkeypatch.setattr(cd, "dual", counting_dual)
+    report, field = cl.census(2, 6, 2, seed=1, trials=4)
+    assert len(calls) == report.ub
+    monkeypatch.setattr(cd, "dual", real_dual)
+    # the shared caches give the keys the public fingerprints give
+    for (r, t, h), fp1, fp2 in zip(report.params, report.fingerprints1, report.fingerprints2):
+        spec = cd.make_spec("GeneralizedTwisted", 6, 2, r, report.g,
+                            eta=(report.eta,), t=(t,), h=(h,))
+        code = cd.build(field, spec)
+        assert fp1 == inv.fingerprint_consecutive(code).key
+        assert fp2 == inv.fingerprint_random_triples(code, trials=4, seed=1).key

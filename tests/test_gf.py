@@ -45,7 +45,7 @@ def test_default_modulus_is_irreducible_by_independent_oracle(p, d):
     assert _sympy_irreducible(mod, p)
 
 
-@pytest.mark.parametrize("p,d", [(2, 4), (2, 8), (2, 15), (3, 4), (2, 12)])
+@pytest.mark.parametrize("p,d", [(2, 4), (2, 8), (2, 15), (3, 4), (2, 12), (3, 16)])
 def test_frozen_moduli_match_fresh_search(p, d):
     # the precomputed table must agree with what the search would return
     assert default_modulus(p, d) == tuple(

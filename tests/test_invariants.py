@@ -71,6 +71,7 @@ def test_i_max_gives_fixed_length(worked_example_codes):
     assert fixed[: len(default)] == default
     # constant after stabilization
     assert len(set(fixed[len(default) - 1:])) == 1
+    assert inv.s_sequence(gab, 2, i_max=0) == inv.s_sequence(gab, 2, i_max=-1) == [gab.k]
 
 
 @pytest.mark.parametrize("family,n,k", [("Gabidulin", 6, 2), ("Twisted", 5, 3)])
@@ -313,6 +314,84 @@ def test_consecutive_fingerprint_matches_oracles(case):
             assert prof.lam == tuple(a - b for a, b in zip(t, t[1:]))
             assert inv.s_sequence(code, prof.sigma) == oracles.s_naive(code, prof.sigma)
             assert inv.t_sequence(code, prof.sigma) == oracles.t_direct(code, prof.sigma)
+
+
+# --------------------------------------------------------------------------
+# the shortcuts the fingerprints take (proofs in the invariants docstring)
+# --------------------------------------------------------------------------
+
+
+def _property_code(case, seed):
+    """Random rows, a Gabidulin code or a code of deficient rank over one
+    field of FP_FIELDS, with 2 <= n <= m and 1 <= k < n."""
+    backend, p, e, m = case
+    field = make_field(p, e, m, backend=backend)
+    rng = DetRNG(seed, f"inv-shortcut/{backend}/{p}/{e}/{m}")
+    n = 2 + rng.randbelow(m - 1)
+    k = 1 + rng.randbelow(n - 1)
+    kind = rng.randbelow(3)
+    if kind == 1:
+        return _random_code(field, "Gabidulin", n, k, rng)
+    if kind == 2:
+        return _deficient_row_code(field, n, k, 1 + rng.randbelow(n - 1), rng)
+    return cd.LinearCode.from_rows(field, [field.random_vector(n, rng) for _ in range(k)], n)
+
+
+SHORTCUT_CASES = st.sampled_from(FP_FIELDS)
+SHORTCUT_SEEDS = st.integers(min_value=0, max_value=10**6)
+EXPONENTS = st.integers(min_value=0, max_value=60)
+
+
+@given(case=SHORTCUT_CASES, seed=SHORTCUT_SEEDS,
+       triple=st.lists(EXPONENTS, min_size=3, max_size=3), shift=EXPONENTS,
+       order=st.permutations(range(3)))
+def test_triple_dimensions_ignore_common_shift_and_order(case, seed, triple, shift, order):
+    code = _property_code(case, seed)
+
+    def dims(exps):
+        auts = [GaloisAut(code.field, r) for r in exps]
+        return inv.sum_code(code, auts).k, inv.intersect_code(code, auts).k
+
+    assert dims([triple[i] + shift for i in order]) == dims(triple)
+
+
+@given(case=SHORTCUT_CASES, seed=SHORTCUT_SEEDS, r=EXPONENTS)
+def test_mirror_exponents_have_equal_rows(case, seed, r):
+    code = _property_code(case, seed)
+    m = code.field.m
+    for sequence in (inv.s_sequence, inv.t_sequence):
+        assert sequence(code, r) == sequence(code, m - r)
+        assert sequence(code, r, i_max=code.n + 1) == sequence(code, m - r, i_max=code.n + 1)
+    # the consecutive fingerprint's profiles are the directly computed ones
+    assert inv.fingerprint_consecutive(code).detail == tuple(
+        inv.invariant_profile(code, j) for j in range(m))
+
+
+@given(case=SHORTCUT_CASES, seed=SHORTCUT_SEEDS, r=EXPONENTS,
+       i_max=st.integers(min_value=0, max_value=12))
+def test_fixed_length_rows_match_oracles_past_first_repeat(case, seed, r, i_max):
+    code = _property_code(case, seed)
+    assert inv.s_sequence(code, r, i_max=i_max) == oracles.s_naive(code, r, i_max=i_max)
+    assert inv.t_sequence(code, r, i_max=i_max) == oracles.t_direct(code, r, i_max=i_max)
+
+
+def test_random_triples_build_one_rank_pair_per_translation_class(monkeypatch, f2_8):
+    code = _random_code(f2_8, "Twisted", 6, 3, DetRNG(59, "inv-fp-classes"))
+    m = f2_8.m
+    classes = {min(tuple(sorted((x - s) % m for x in triple)) for s in range(m))
+               for triple in inv.random_triples(m, 100, 3)}
+    assert len(classes) < 100
+    built = []
+
+    class CountingRank(la.IncrementalRank):
+        def __init__(self, field):
+            built.append(field)
+            super().__init__(field)
+
+    monkeypatch.setattr(la, "IncrementalRank", CountingRank)
+    fp = inv.fingerprint_random_triples(code, trials=100, seed=3)
+    assert len(built) == 2 * len(classes)
+    assert len(fp.detail) == 100
 
 
 def test_each_fingerprint_computes_the_dual_once(monkeypatch, f2_8):
