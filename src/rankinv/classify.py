@@ -469,6 +469,8 @@ def counting(q: int, k: int, n: int, m: int, field_cap: int = 1 << 22) -> CountR
     """Closed-form counts and bounds for Gabidulin / twisted codes with the
     given parameters.  Formulas outside their stated parameter ranges are
     still evaluated where they make sense but flagged applicable=False."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     phi = _euler_phi(m)
     e = _q_to_pe(q)[1]
     bounds: list[CountBound] = []
@@ -617,16 +619,6 @@ class CensusReport:
     params: tuple[tuple[int, int, int], ...]
     fingerprints1: tuple           # consecutive keys, aligned with params
     fingerprints2: tuple           # random-triple keys, aligned with params
-
-    def to_dict(self, field: FieldTower) -> dict:
-        return {
-            "q": self.q, "n": self.n, "m": self.m, "k": self.k,
-            "seed": self.seed, "trials": self.trials,
-            "g": [list(field.coeffs(a)) for a in self.g],
-            "eta": list(field.coeffs(self.eta)),
-            "UB": self.ub, "LB1": self.lb1, "LB2": self.lb2,
-            "params": [list(t) for t in self.params],
-        }
 
 
 def _census_class_fingerprints(args):

@@ -5,9 +5,9 @@ Subcommands: `code build`, `code dual`, `invariants`, `compare`,
 
 Output contract: every run first echoes its fully-resolved configuration
 (a single `# config ...` comment line; in JSON mode a "config" object), and
-identical arguments produce byte-identical output.  The only exception is
-`census --timings`, which appends a wall-clock line explicitly excluded
-from that contract.  Exit codes: 0 success, 1 domain error (bad parameters,
+identical arguments produce byte-identical output on stdout;
+`census --timings` writes its wall-clock line to stderr, so it does not
+change stdout either.  Exit codes: 0 success, 1 domain error (bad parameters,
 unreadable file, cap exceeded), 2 usage error (unknown flags/subcommands).
 
 Field elements print as little-endian coefficient vectors `c0:c1:...` and
@@ -231,7 +231,13 @@ def cmd_invariants(args) -> int:
 # compare
 # --------------------------------------------------------------------------
 
+def _check_trials(trials: int) -> None:
+    if trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {trials}")
+
+
 def cmd_compare(args) -> int:
+    _check_trials(args.trials)
     c1, _ = cd.load_code(args.file1)
     c2, _ = cd.load_code(args.file2)
     if c1.field != c2.field:
@@ -344,7 +350,15 @@ def cmd_count(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_census(args) -> int:
+    _check_trials(args.trials)
     t0 = time.time()
+    _print_census(args)
+    if args.timings:
+        print(f"runtime_s = {time.time() - t0:.3f}", file=sys.stderr)
+    return 0
+
+
+def _print_census(args) -> None:
     config = [("subcommand", "census"), ("q", args.q), ("n", args.n),
               ("m", 2 * args.n), ("k", args.k), ("seed", args.seed),
               ("trials", args.trials), ("jobs", args.jobs),
@@ -353,16 +367,11 @@ def cmd_census(args) -> int:
     if args.ub_only:
         ub = cl.census_ub(args.n, args.k)
         if args.format == "json":
-            doc = {"config": dict(config), "summary": {"UB": ub}}
-            if args.timings:
-                doc["runtime_s"] = round(time.time() - t0, 3)
-            _emit_json(doc)
-            return 0
+            _emit_json({"config": dict(config), "summary": {"UB": ub}})
+            return
         print(_config_line(config))
         print(f"UB = {ub}")
-        if args.timings:
-            print(f"runtime_s = {time.time() - t0:.3f}")
-        return 0
+        return
 
     report, field = cl.census(args.q, args.n, args.k, args.seed,
                               trials=args.trials, jobs=args.jobs)
@@ -374,35 +383,27 @@ def cmd_census(args) -> int:
     summary = {"LB1": report.lb1, "LB2": report.lb2, "UB": report.ub,
                "seed": report.seed}
     if args.format == "json":
-        doc = {
+        _emit_json({
             "config": dict(config),
             "g": [list(field.coeffs(a)) for a in report.g],
             "eta": list(field.coeffs(report.eta)),
             "classes": [{"r": r, "t": t, "h": h, "fp1": f1, "fp2": f2}
                         for (r, t, h, f1, f2) in rows],
             "summary": summary,
-        }
-        if args.timings:
-            doc["runtime_s"] = round(time.time() - t0, 3)
-        _emit_json(doc)
-        return 0
+        })
+        return
     print(_config_line(config))
     print("# columns: r,t,h,fp1,fp2")
     for row in rows:
         print(",".join(str(x) for x in row))
     if args.format == "csv":
-        if args.timings:
-            summary = dict(summary, runtime_s=round(time.time() - t0, 3))
         print(json.dumps(summary, sort_keys=True))
-        return 0
+        return
     print(f"g = {_fmt_vec(field, report.g)}")
     print(f"eta = {format_element(field, report.eta)}")
     print(f"UB = {report.ub}")
     print(f"LB1 = {report.lb1}")
     print(f"LB2 = {report.lb2}")
-    if args.timings:
-        print(f"runtime_s = {time.time() - t0:.3f}")
-    return 0
 
 
 # --------------------------------------------------------------------------
@@ -512,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     cen.add_argument("--ub-only", action="store_true",
                      help="only compute the parameter-class upper bound")
     cen.add_argument("--timings", action="store_true",
-                     help="append wall-clock runtime (breaks byte-identity)")
+                     help="print the wall-clock runtime to stderr")
     _add_format(cen)
     cen.set_defaults(func=cmd_census)
 

@@ -23,6 +23,12 @@ The classical multiplicative constraint on a Twisted code's eta
 it under strict_norm=True, because perfectly well-defined codes—including the
 reference vectors shipped with the acceptance suite—violate it over F_2,
 where no eta satisfies the constraint at all.
+
+Subfield subcodes and rank-one codewords come from one place, the largest
+Galois-stable subcode of C, which is the intersection of all its Galois images.
+By Galois descent (Giorgetti-Previtali, "Galois invariance, trace codes and
+subfield subcodes", Finite Fields Appl. 2010) that subcode is the
+F_{q^m}-span of C n F_q^n, and its RREF basis has entries in F_q.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import linalg as la
-from .gf import FieldTower, FullAut, GaloisAut, field_from_dict, field_to_dict, pack_digits
+from .gf import FieldTower, FullAut, GaloisAut, field_from_dict, field_to_dict
 
 FAMILIES = ("Gabidulin", "Twisted", "GeneralizedTwisted", "NewGabI", "NewGabII")
 
@@ -69,12 +75,6 @@ class LinearCode:
     def __post_init__(self):
         if not 0 <= self.k <= self.n:
             raise ValueError("invalid code dimension")
-
-    def contains(self, v) -> bool:
-        inc = la.IncrementalRank(self.field)
-        for row in self.gen:
-            inc.add_row(row)
-        return not inc.add_row(v)
 
     def __repr__(self):
         return f"LinearCode(n={self.n}, k={self.k}, q^m={self.field.q}^{self.field.m})"
@@ -346,61 +346,37 @@ def apply_semilinear(code: LinearCode, smap: SemilinearMap) -> LinearCode:
 # rank-one codewords, subfield subcode, minimum distance
 # --------------------------------------------------------------------------
 
-def _subfield_kernel(code: LinearCode):
-    """F_p-kernel of x -> frob_q(xG) - xG over message space coordinates;
-    basis vectors give codewords with all entries in F_q."""
+def _galois_stable_part(code: LinearCode) -> la.Matrix:
+    """RREF basis of V = the intersection of theta^j(C) over j < m, theta the
+    Frobenius a -> a^q, computed as dual(sum_j theta^j(dual C)).  Its rows
+    are an F_q-basis of the subfield subcode C n F_q^n.
+
+    theta acts entrywise and commutes with the dot product, so theta^j(dual
+    C) = dual(theta^j(C)), and the dual of a sum of duals is the intersection.
+    theta permutes the theta^j(C), so theta(V) = V.  theta maps the RREF
+    basis R of V to a basis of theta(V) = V that is again in RREF (it fixes 0
+    and 1), and that form is unique, so theta(R) = R: R has entries in F_q and
+    spans part of C n F_q^n.  Conversely a word w of C n F_q^n is fixed by
+    theta, so it lies in every theta^j(C) and in V, and its coordinates in R
+    are its own entries at the pivot columns, which lie in F_q."""
     field = code.field
-    p, d = field.p, field.d
-    k, n = code.k, code.n
-    if k == 0:
-        return []
-    equations: list[list[int]] = [[0] * (k * d) for _ in range(n * d)]
-    for i in range(k):
-        for s in range(d):
-            x = field.alpha_pow(s) if s else field.one
-            col = i * d + s
-            grow = code.gen[i]
-            for j in range(n):
-                c = field.mul(x, grow[j])
-                delta = field.sub(field.frob_q(c, 1), c)
-                if delta:
-                    coeffs = field.coeffs(delta)
-                    for dd in range(d):
-                        if coeffs[dd]:
-                            equations[j * d + dd][col] = coeffs[dd]
-    basis = la.nullspace_p(p, equations, k * d)
-    out = []
-    for vec in basis:
-        # sum_s c_s * alpha^s over s < d is the element with digits c
-        x = tuple(pack_digits(vec[i * d:(i + 1) * d], p) for i in range(k))
-        out.append(la.vec_mat(field, x, code.gen))
-    return out
+    images = [GaloisAut(field, j).on_vector(row)
+              for j in range(field.m) for row in dual(code).gen]
+    return la.nullspace(field, images, code.n)
 
 
 def subfield_subcode(code: LinearCode):
     """(dimension over F_q, F_q-basis rows) of the subcode with entries in F_q."""
-    field = code.field
-    vecs = _subfield_kernel(code)
-    if not vecs:
-        return 0, ()
-    R, _ = la.rref(field, vecs)
-    for row in R:
-        if any(not field.in_subfield_q(a) for a in row):
-            raise AssertionError("subfield subcode rows left F_q")  # pragma: no cover
-    return len(R), R
+    gen = _galois_stable_part(code)
+    return len(gen), gen
 
 
 def has_rank_one_codeword(code: LinearCode):
-    """(bool, witness codeword).  A nonzero codeword of F_q-rank one exists
-    iff the code meets F_q^n nontrivially (scale the word by any entry's
-    inverse), which is a linear condition on the message coordinates."""
-    field = code.field
-    for c in _subfield_kernel(code):
-        if any(c):
-            if la.rank_q(field, c) != 1:
-                raise AssertionError("subfield word of rank != 1")  # pragma: no cover
-            return True, tuple(c)
-    return False, None
+    """(bool, witness codeword).  A nonzero codeword of F_q-rank one is a
+    scalar times a word of F_q^n, so one exists iff the subfield subcode is
+    nonzero; the witness is the first row of its basis."""
+    gen = _galois_stable_part(code)
+    return (True, gen[0]) if gen else (False, None)
 
 
 def min_distance_bruteforce(code: LinearCode, cap: int = 1 << 24) -> int:
@@ -444,12 +420,19 @@ def code_to_dict(code: LinearCode, provenance: dict | None = None) -> dict:
 
 
 def code_from_dict(data: dict):
-    field = field_from_dict(data["field"])
-    rows = tuple(
-        tuple(field.from_coeffs(c) for c in row) for row in data["gen"]
-    )
-    code = LinearCode.from_rows(field, rows, int(data["n"]))
-    if code.k != int(data["k"]):
+    """(code, provenance) from the dict code_to_dict writes.  A value of the
+    wrong JSON type anywhere in it, the whole document included, raises
+    ValueError."""
+    try:
+        field = field_from_dict(data["field"])
+        rows = tuple(
+            tuple(field.from_coeffs(c) for c in row) for row in data["gen"]
+        )
+        n, k = int(data["n"]), int(data["k"])
+    except TypeError as exc:
+        raise ValueError(f"malformed code: {exc}") from exc
+    code = LinearCode.from_rows(field, rows, n)
+    if code.k != k:
         raise ValueError("stored dimension does not match the generator matrix")
     return code, data.get("provenance", {})
 

@@ -19,8 +19,10 @@ Two interchangeable arithmetic backends exist:
                  of alpha must enumerate every nonzero residue exactly once.
 * ``generic`` -- direct polynomial arithmetic on packed ints; no tables.
                  Used for larger fields and to cross-check the table backend.
-                 Primitivity of f is verified with an order computation
-                 (factoring Q-1 via sympy).  a -> a**(p**j) is F_p-linear, so
+                 Primitivity of f is proved by the order of x alone: x**(Q-1)
+                 = 1 and x**((Q-1)/l) != 1 for each prime l | Q-1, which also
+                 forces f irreducible (see _is_primitive); sympy is used only
+                 to factor Q-1.  a -> a**(p**j) is F_p-linear, so
                  it is the coefficient vector times a d x d matrix over F_p,
                  built from alpha**(p**j) the first time j is asked for.  The
                  inverse is Itoh-Tsujii: a**(p + ... + p**(d-1)) as a product
@@ -88,12 +90,6 @@ def pack_digits(digits, p: int) -> int:
 # dense little-endian polynomial arithmetic over F_p (search + generic backend)
 # --------------------------------------------------------------------------
 
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _poly_mod(a: list[int], mod: list[int], p: int) -> list[int]:
     """a mod mod, with mod monic.  Both little-endian; a is consumed."""
     dm = len(mod) - 1
@@ -133,24 +129,6 @@ def _poly_powmod(base: list[int], exp: int, mod: list[int], p: int) -> list[int]
     return result
 
 
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
-    while b:
-        # a mod b with b made monic
-        inv_lead = pow(b[-1], p - 2, p)
-        bm = [(c * inv_lead) % p for c in b]
-        r = list(a)
-        db = len(bm) - 1
-        for i in range(len(r) - 1, db - 1, -1):
-            c = r[i] % p
-            if c:
-                for j in range(db + 1):
-                    r[i - db + j] = (r[i - db + j] - c * bm[j]) % p
-        a, b = b, _poly_trim(r)
-    return a
-
-
 def _prime_factors(n: int) -> list[int]:
     """Distinct prime factors; sympy handles the big composites lazily."""
     from sympy import factorint
@@ -158,47 +136,21 @@ def _prime_factors(n: int) -> list[int]:
     return sorted(factorint(n).keys())
 
 
-def _is_irreducible(mod: list[int], p: int) -> bool:
-    """Rabin test for a monic polynomial (little-endian, degree >= 1)."""
-    d = len(mod) - 1
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    if mod[0] == 0:
-        return False  # x divides f
-    x = [0, 1]
-    xp = _poly_powmod(x, p**d, mod, p)
-    diff = list(xp)
-    if len(diff) < 2:
-        diff += [0] * (2 - len(diff))
-    diff[1] = (diff[1] - 1) % p
-    if _poly_trim(diff):
-        return False
-    for ell in _prime_factors(d):
-        xe = _poly_powmod(x, p ** (d // ell), mod, p)
-        diff = list(xe)
-        if len(diff) < 2:
-            diff += [0] * (2 - len(diff))
-        diff[1] = (diff[1] - 1) % p
-        g = _poly_gcd(mod, _poly_trim(diff), p)
-        if len(g) - 1 != 0:
-            return False
-    return True
-
-
 def _is_primitive(mod: list[int], p: int) -> bool:
-    """Monic f is primitive iff irreducible and x has order p**deg - 1."""
+    """Monic f of degree d >= 1 is primitive iff x has order Q - 1 = p**d - 1
+    modulo f: x**(Q-1) = 1 and x**((Q-1)/l) != 1 for each prime l | Q-1.
+
+    The order test alone also proves f irreducible.  R = F_p[x]/(f) has Q
+    elements, and 0 is not a unit, so R has at most Q - 1 units.  If x has
+    order Q - 1, its powers are Q - 1 distinct units, so every nonzero residue
+    is a unit and R is a field: f is irreducible (a proper factor of f would
+    be a nonzero non-unit), and x generates the multiplicative group."""
     d = len(mod) - 1
-    if not _is_irreducible(mod, p):
-        return False
     qm1 = p**d - 1
-    x = [0, 1]
-    for ell in _prime_factors(qm1):
-        r = _poly_powmod(x, qm1 // ell, mod, p)
-        if _poly_trim(list(r)) == [1]:
-            return False
-    return True
+    one = [1] + [0] * (d - 1)
+    if _poly_powmod([0, 1], qm1, mod, p) != one:
+        return False
+    return all(_poly_powmod([0, 1], qm1 // ell, mod, p) != one for ell in _prime_factors(qm1))
 
 
 # Lexicographically least (smallest packed value of the non-leading
@@ -231,7 +183,7 @@ def _search_default_modulus(p: int, d: int) -> int:
     if d == 1:
         # f = x - g for the least primitive root g mod p
         for g in range(1, p):
-            if _is_primitive_root(g, p):
+            if _is_primitive([(-g) % p, 1], p):
                 return (-g) % p
         raise FieldError("no primitive root found")  # pragma: no cover
     for packed in range(1, p**d):
@@ -241,13 +193,6 @@ def _search_default_modulus(p: int, d: int) -> int:
         if _is_primitive(mod, p):
             return packed
     raise FieldError(f"no primitive polynomial of degree {d} over F_{p}")  # pragma: no cover
-
-
-def _is_primitive_root(g: int, p: int) -> bool:
-    for ell in _prime_factors(p - 1):
-        if pow(g, (p - 1) // ell, p) == 1:
-            return False
-    return p > 2 or g == 1
 
 
 # --------------------------------------------------------------------------
@@ -637,10 +582,6 @@ class FieldTower:
         step = self.Qm1 // (size - 1)
         return self.alpha_pow((idx - 1) * step)
 
-    def elements_q(self):
-        """All elements of the intermediate subfield F_q (packed)."""
-        return [self.subfield_element(self.q, i) for i in range(self.q)]
-
     # -- randomness -----------------------------------------------------------
 
     def random_element(self, rng) -> int:
@@ -728,12 +669,6 @@ class GaloisAut:
     def order(self) -> int:
         return self.field.m // math.gcd(self.r, self.field.m)
 
-    def is_generator(self) -> bool:
-        return math.gcd(self.r, self.field.m) == 1
-
-    def as_full(self) -> "FullAut":
-        return FullAut(self.field, self.field.e * self.r)
-
 
 @dataclass(frozen=True)
 class FullAut:
@@ -757,9 +692,6 @@ class FullAut:
 
     def inverse(self) -> "FullAut":
         return FullAut(self.field, -self.j)
-
-    def fixes_subfield_q(self) -> bool:
-        return self.j % self.field.e == 0
 
 
 def galois_generators(m: int) -> list[int]:

@@ -12,6 +12,9 @@ against.
   duals.
 * has_rank_one_codeword_all_mu: the classical eigenvector formulation, which
   solves theta(c) = mu*c for every mu of norm one.
+* subfield_kernel: the words of C n F_q^n as the F_p-kernel of
+  x -> frob_q(xG) - xG over the (n*d) x (k*d) system of message digits, the
+  former solver behind codes.subfield_subcode.
 * frob_p / inv: a^(p^j) and a^(Q-2) by square-and-multiply through
   field.mul, the generic backend's former Frobenius and Fermat inverse.
 """
@@ -19,7 +22,7 @@ against.
 from __future__ import annotations
 
 from rankinv import linalg as la
-from rankinv.gf import GaloisAut
+from rankinv.gf import GaloisAut, pack_digits
 
 
 def _pow(field, a: int, k: int) -> int:
@@ -215,3 +218,34 @@ def has_rank_one_codeword_all_mu(code):
                 return True, tuple(c)
         mu = field.mul(mu, mu_gen)
     return False, None
+
+
+def subfield_kernel(code):
+    """F_p-kernel of x -> frob_q(xG) - xG over message space coordinates;
+    basis vectors give codewords with all entries in F_q."""
+    field = code.field
+    p, d = field.p, field.d
+    k, n = code.k, code.n
+    if k == 0:
+        return []
+    equations: list[list[int]] = [[0] * (k * d) for _ in range(n * d)]
+    for i in range(k):
+        for s in range(d):
+            x = field.alpha_pow(s) if s else field.one
+            col = i * d + s
+            grow = code.gen[i]
+            for j in range(n):
+                c = field.mul(x, grow[j])
+                delta = field.sub(field.frob_q(c, 1), c)
+                if delta:
+                    coeffs = field.coeffs(delta)
+                    for dd in range(d):
+                        if coeffs[dd]:
+                            equations[j * d + dd][col] = coeffs[dd]
+    basis = la.nullspace_p(p, equations, k * d)
+    out = []
+    for vec in basis:
+        # sum_s c_s * alpha^s over s < d is the element with digits c
+        x = tuple(pack_digits(vec[i * d:(i + 1) * d], p) for i in range(k))
+        out.append(la.vec_mat(field, x, code.gen))
+    return out

@@ -315,6 +315,7 @@ def test_criterion_4_structural_property_suite():
             dim_sub, rows = cd.subfield_subcode(stable)
             assert dim_sub == stable.k
             assert all(field.in_subfield_q(a) for row in rows for a in row)
+            assert rows == la.rref(field, oracles.subfield_kernel(stable))[0]
             if stable.k < n:
                 n_nonvacuous_plateaus += 1
             # composing sum operators adds their depths

@@ -328,7 +328,7 @@ def test_rank_one_decomposition_mixed(f2_8):
     assert code.k == 3
     c1, t, g_out = cl.rank_one_decomposition(code, 1)
     assert c1.k == 1 and t == 2 and g_out is not None
-    assert code.contains(g_out)
+    assert la.rank(f2_8, code.gen + (g_out,)) == code.k
 
 
 def test_rank_one_decomposition_guards(f2_8):
@@ -433,8 +433,6 @@ def test_census_small_run():
     assert not field.in_subfield(report.eta, 6)
     again, _ = cl.census(3, 6, 2, seed=42, trials=8)
     assert again == report
-    d = report.to_dict(field)
-    assert d["UB"] == 16 and d["LB1"] == report.lb1 and len(d["params"]) == 16
 
 
 def test_census_parallel_matches_serial():

@@ -252,3 +252,67 @@ def test_installed_console_script():
         capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0
     assert "UB = 16" in proc.stdout
+
+
+# --------------------------------------------------------------------------
+# malformed input ends in a clean error
+# --------------------------------------------------------------------------
+
+def _assert_clean_error(rc, out, err, *needles):
+    assert rc == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert all(needle in err for needle in needles)
+
+
+@pytest.mark.parametrize("argv", [
+    ("invariants", "--file", "{path}"),
+    ("compare", "{path}", "{path}"),
+    ("code", "dual", "--file", "{path}"),
+    ("classify", "gabidulin", "--file", "{path}"),
+])
+def test_code_file_holding_a_json_list_is_a_clean_error(tmp_path, argv):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2, 3]\n")
+    _assert_clean_error(*run_cli(*(a.format(path=path) for a in argv)), "malformed code")
+
+
+@pytest.mark.parametrize("patch", [
+    {"field": [2, 1, 4]},
+    {"gen": 5},
+    {"gen": [[5, 6]]},
+    {"n": [2]},
+])
+def test_code_file_with_a_mistyped_value_is_a_clean_error(tmp_path, patch):
+    field = {"p": 2, "e": 1, "m": 4, "modulus": [1, 1, 0, 0, 1]}
+    doc = {"field": field, "n": 2, "k": 1, "gen": [[[1, 0, 0, 0], [0, 1, 0, 0]]]}
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(dict(doc, **patch)))
+    _assert_clean_error(*run_cli("invariants", "--file", str(path)), "malformed code")
+
+
+def test_negative_trials_are_a_clean_error(stored_pair):
+    gab_path, tw_path = stored_pair
+    _assert_clean_error(*run_cli("census", "--n", "6", "--k", "2", "--trials", "-1"),
+                        "--trials")
+    _assert_clean_error(*run_cli("compare", gab_path, tw_path, "--trials", "-5"),
+                        "--trials")
+
+
+@pytest.mark.parametrize("m", ["-1", "0"])
+def test_count_rejects_m_below_one(m):
+    _assert_clean_error(*run_cli("count", "--q", "2", "--k", "2", "--n", "4", "--m", m),
+                        "m must be >= 1")
+
+
+@pytest.mark.parametrize("argv", [
+    ("--q", "2", "--n", "6", "--k", "2", "--seed", "1", "--trials", "4", "--format", "pretty"),
+    ("--q", "2", "--n", "6", "--k", "2", "--seed", "1", "--trials", "4", "--format", "csv"),
+    ("--q", "2", "--n", "6", "--k", "2", "--seed", "1", "--trials", "4", "--format", "json"),
+    ("--n", "6", "--k", "3", "--ub-only", "--format", "json"),
+])
+def test_census_timings_go_to_stderr(argv):
+    rc, out, err = run_cli("census", *argv)
+    assert rc == 0 and err == ""
+    rc, timed_out, timed_err = run_cli("census", *argv, "--timings")
+    assert rc == 0 and timed_out == out
+    assert timed_err.startswith("runtime_s = ") and len(timed_err.splitlines()) == 1

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 import oracles
+from conftest import FP_FIELDS, FP_IDS
 from rankinv import codes as cd
 from rankinv import linalg as la
 from rankinv.gf import FullAut, GaloisAut, make_field
@@ -298,7 +299,7 @@ def test_has_rank_one_codeword(f2_8):
     c = cd.LinearCode.from_rows(F, rows)
     found, wit = cd.has_rank_one_codeword(c)
     assert found and la.rank_q(F, wit) == 1
-    assert c.contains(wit)
+    assert la.rank(F, c.gen + (wit,)) == c.k
 
 
 def test_has_rank_one_codeword_all_mu_agrees(f16, f3_5, f4_3):
@@ -341,9 +342,9 @@ def test_subfield_subcode_dimensions(f2_8, f4_3):
 @pytest.mark.parametrize("p,e,m", [(2, 2, 3), (3, 2, 2)])
 def test_subfield_kernel_words_are_codewords_over_F_q(backend, p, e, m):
     # The code holds lam*w with w in F_q^n, so its subfield subcode is not
-    # zero.  Each word is checked on its own: subfield_subcode and
-    # has_rank_one_codeword expose only F_{q^m}-spans, which a word built
-    # from a wrong message scalar (say, one digit short) need not change.
+    # zero.  Each oracle word is checked on its own: the differential test
+    # below compares only their F_{q^m}-span, which a word built from a wrong
+    # message scalar (say, one digit short) need not change.
     F = make_field(p, e, m, backend=backend)
     rng = DetRNG(19, f"subfield-kernel/{backend}/{p}/{e}/{m}")
     n = 3
@@ -351,11 +352,47 @@ def test_subfield_kernel_words_are_codewords_over_F_q(backend, p, e, m):
         w = (F.one,) + tuple(F.subfield_element(F.q, rng.randbelow(F.q)) for _ in range(n - 1))
         lam = F.random_nonzero(rng)
         code = cd.LinearCode.from_rows(F, (la.scale_vec(F, lam, w), F.random_vector(n, rng)))
-        words = cd._subfield_kernel(code)
+        words = oracles.subfield_kernel(code)
         assert words
         for c in words:
-            assert any(c) and code.contains(c)
+            assert any(c) and la.rank(F, code.gen + (c,)) == code.k
             assert all(F.in_subfield_q(a) for a in c)
+
+
+def _subfield_oracle_codes(F, n, rng):
+    """Random codes of every dimension 1..n-1, the same with 1..k scaled
+    F_q-words planted among the rows, the zero code and the full space."""
+    codes = [cd.LinearCode(F, n, 0, ()), cd.LinearCode.from_rows(F, la.identity(F, n))]
+    for k in range(1, n):
+        codes.append(cd.LinearCode.from_rows(F, [F.random_vector(n, rng) for _ in range(k)], n))
+        for planted in range(1, k + 1):
+            rows = [la.scale_vec(F, F.random_nonzero(rng),
+                                 tuple(F.subfield_element(F.q, rng.randbelow(F.q)) for _ in range(n)))
+                    for _ in range(planted)]
+            rows += [F.random_vector(n, rng) for _ in range(k - planted)]
+            codes.append(cd.LinearCode.from_rows(F, rows, n))
+    return codes
+
+
+@pytest.mark.parametrize("case", FP_FIELDS, ids=FP_IDS)
+def test_subfield_subcode_matches_oracle(case):
+    backend, p, e, m = case
+    F = make_field(p, e, m, backend=backend)
+    rng = DetRNG(53, f"subfield-oracle/{backend}/{p}/{e}/{m}")
+    nonzero = 0
+    for c in _subfield_oracle_codes(F, m, rng):
+        R = la.rref(F, oracles.subfield_kernel(c))[0]
+        assert cd.subfield_subcode(c) == (len(R), R)
+        found, wit = cd.has_rank_one_codeword(c)
+        assert found == bool(R)
+        if found:
+            nonzero += 1
+            assert la.rank_q(F, wit) == 1
+            assert la.rank(F, c.gen + (wit,)) == c.k
+            assert all(F.in_subfield_q(a) for a in wit)
+        else:
+            assert wit is None
+    assert nonzero >= m  # the planted codes and the full space
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +481,7 @@ def test_apply_semilinear_preserves_dimension_and_is_invertible(f3_5):
     assert img.k == c.k and not cd.code_equal(img, c) or True
     # pushing every codeword through the map lands in the image code
     for row in c.gen:
-        assert img.contains(smap.apply_vector(F, row))
+        assert la.rank(F, img.gen + (smap.apply_vector(F, row),)) == img.k
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +518,7 @@ def test_linear_code_canonical_form_and_contains(f2_8):
     )
     c2 = cd.LinearCode.from_rows(F, mixed)
     assert c2.gen == c.gen
-    assert c.contains(mixed[0]) and c.contains((0,) * 6)
+    assert la.rank(F, c.gen + (mixed[0], (0,) * 6)) == c.k
     # theta^k(g) is outside (the Moore ladder grows rank)
     outside = GaloisAut(F, 1).power(3).on_vector(g)
-    assert not c.contains(outside)
+    assert la.rank(F, c.gen + (outside,)) == c.k + 1

@@ -53,6 +53,39 @@ def test_frozen_moduli_match_fresh_search(p, d):
     ) + (1,)
 
 
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("backend", ("table", "generic"))
+def test_modulus_x_rejected_at_degree_one(p, backend):
+    # f = x makes alpha = 0; x**(p-1) = 0 != 1 fails the order test
+    with pytest.raises(FieldError):
+        make_field(p, 1, 1, modulus=(0, 1), backend=backend)
+
+
+def _monic_polys(p, d):
+    for packed in range(p**d):
+        yield digits_of(packed, p, d) + [1]
+
+
+@pytest.mark.parametrize("p,d_max", [(2, 8), (3, 5), (5, 3)])
+def test_order_test_matches_table_build(p, d_max):
+    # building the exp table proves primitivity on its own: the powers of
+    # alpha must enumerate every nonzero residue once and wrap around to 1
+    for d in range(1, d_max + 1):
+        for f in _monic_polys(p, d):
+            try:
+                gf.FieldTower(p, 1, d, modulus=f, backend="table")
+                builds = True
+            except FieldError:
+                builds = False
+            assert gf._is_primitive(f, p) == builds, f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_degree_one_default_is_least_primitive_root(p):
+    g = sympy.primitive_root(p)
+    assert default_modulus(p, 1) == ((-g) % p, 1)
+
+
 def test_default_modulus_small_pins():
     assert default_modulus(2, 4) == (1, 1, 0, 0, 1)  # x^4 + x + 1
     assert default_modulus(2, 2) == (1, 1, 1)  # x^2 + x + 1
@@ -163,7 +196,8 @@ def test_generic_frobenius_and_inverse_match_oracles(p, e, m):
     # square-and-multiply, for every Frobenius power j
     F = make_field(p, e, m, backend="generic")
     rng = DetRNG(0, f"gf-generic/{p}/{e}/{m}")
-    samples = {0, 1, F.alpha, *F.elements_q(), *(F.random_element(rng) for _ in range(16))}
+    elements_q = (F.subfield_element(F.q, i) for i in range(F.q))
+    samples = {0, 1, F.alpha, *elements_q, *(F.random_element(rng) for _ in range(16))}
     for a in sorted(samples):
         for j in range(F.d):
             assert F.frob_p(a, j) == oracles.frob_p(F, a, j)
@@ -244,7 +278,7 @@ def test_subfield_membership_and_enumeration(f2_8):
 
 def test_elements_q_enumerates_the_intermediate_field(f4_3):
     F = f4_3
-    elems = list(F.elements_q())
+    elems = [F.subfield_element(F.q, i) for i in range(F.q)]
     assert len(elems) == F.q
     assert all(F.in_subfield_q(a) for a in elems)
     assert len(set(elems)) == F.q
@@ -271,8 +305,8 @@ def test_galois_aut_compose_power_inverse(f2_8):
     assert s1.power(2)(a) == s1(s1(a))
     assert s1.inverse()(s1(a)) == a
     assert s1.order == F.m // math.gcd(3, F.m)
-    assert GaloisAut(F, 3).is_generator()
-    assert not GaloisAut(F, 2).is_generator()
+    assert GaloisAut(F, 3).order == F.m  # a generator
+    assert GaloisAut(F, 2).order < F.m
     v = (a, F.one, F.zero)
     assert s1.on_vector(v) == tuple(s1(x) for x in v)
 
@@ -284,10 +318,11 @@ def test_full_aut_group_order_and_subfield_fixing(f4_3):
     assert len(images) == F.e * F.m
     assert FullAut(F, F.e * F.m % (F.e * F.m))(a) == a
     # FullAut fixes F_q iff e divides j
-    assert FullAut(F, 2).fixes_subfield_q()
-    assert not FullAut(F, 1).fixes_subfield_q()
+    elements_q = [F.subfield_element(F.q, i) for i in range(F.q)]
+    assert all(FullAut(F, 2)(x) == x for x in elements_q)
+    assert not all(FullAut(F, 1)(x) == x for x in elements_q)
     g = GaloisAut(F, 2)
-    assert g.as_full()(a) == g(a)
+    assert FullAut(F, F.e * g.r)(a) == g(a)
     t = FullAut(F, 5)
     assert t.inverse()(t(a)) == a
     assert t.compose(FullAut(F, 3))(a) == t(FullAut(F, 3)(a))
@@ -304,7 +339,7 @@ def test_digits_roundtrip(v):
 
 @pytest.mark.parametrize("backend", ("table", "generic"))
 def test_pack_digits_is_the_alpha_expansion(backend):
-    # codes._subfield_kernel relies on sum_s c_s * alpha^s == pack_digits(c, p)
+    # oracles.subfield_kernel relies on sum_s c_s * alpha^s == pack_digits(c, p)
     for p, e, m in ((2, 1, 1), (3, 1, 1), (2, 1, 4), (2, 2, 2), (3, 1, 3), (3, 2, 2)):
         F = make_field(p, e, m, backend=backend)
         for v in range(F.Q):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from conftest import FP_FIELDS, FP_IDS
 import rankinv.codes as cd
 import rankinv.invariants as inv
 import rankinv.linalg as la
@@ -220,6 +221,7 @@ def test_plateau_value_has_subfield_basis(request, make_args):
         dim_sub, rows = cd.subfield_subcode(stable)
         assert dim_sub == stable.k
         assert all(field.in_subfield_q(a) for row in rows for a in row)
+        assert rows == la.rref(field, oracles.subfield_kernel(stable))[0]
 
 
 # --------------------------------------------------------------------------
@@ -265,13 +267,6 @@ def test_fingerprint_equality_semantics(f16):
     fp3 = inv.fingerprint_random_triples(code, trials=10, seed=1)
     assert fp1 != fp3  # different modes never compare equal
     assert fp3 == inv.fingerprint_random_triples(code, trials=10, seed=1)
-
-
-# (backend, p, e, m): both field backends for p in {2, 3} and e in {1, 2},
-# with m >= 3 for the random triples
-FP_FIELDS = [(backend, p, e, m) for backend in ("table", "generic")
-             for (p, e, m) in ((2, 1, 5), (2, 2, 3), (3, 1, 4), (3, 2, 3))]
-FP_IDS = [f"{b}-p{p}e{e}m{m}" for (b, p, e, m) in FP_FIELDS]
 
 
 def _fingerprint_codes(case):
