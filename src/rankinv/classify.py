@@ -471,6 +471,10 @@ def counting(q: int, k: int, n: int, m: int, field_cap: int = 1 << 22) -> CountR
     still evaluated where they make sense but flagged applicable=False."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not 1 <= k <= n:
+        raise ValueError(f"k must lie in 1..n = 1..{n}, got {k}")
     phi = _euler_phi(m)
     e = _q_to_pe(q)[1]
     bounds: list[CountBound] = []
@@ -638,13 +642,15 @@ def census(q: int, n: int, k: int, seed: int, trials: int = 100,
     """Build one generalized-twisted code per parameter class over F_{q^m},
     m = 2n, with a shared random g (entries in the subfield F_{q^n}, full
     F_q-rank) and eta outside F_{q^n}; count distinguishable fingerprints.
-    jobs > 1 spreads the per-class work over a process pool; the report is
-    identical either way."""
+    jobs > 1 spreads the per-class work over a process pool (jobs < 1 is an
+    error); the report is identical either way."""
     m = 2 * n
     if n < 6:
         raise ValueError("census needs n >= 6")
     if not 2 <= k <= n - 2:
         raise ValueError("census needs 2 <= k <= n-2")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     p, e = _q_to_pe(q)
     field = make_field(p, e, m)
     sub_size = q**n

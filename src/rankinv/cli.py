@@ -194,12 +194,11 @@ def cmd_invariants(args) -> int:
     s_len = args.i_max if args.i_max is not None else n - k
     t_len = args.i_max if args.i_max is not None else k
 
-    # t_i = n - s_i(dual), as in iv.t_sequence, with the dual computed once
-    dual = cd.dual(code)
+    # one dual and one cache of Galois images shared by every sigma
+    images = iv._CodeImages(code)
     profiles = []
     for r in sigmas:
-        s = iv.s_sequence(code, r, i_max=s_len)
-        t = [n - v for v in iv.s_sequence(dual, r, i_max=t_len)]
+        s, t = images.rows(r, s_len, t_len)
         profiles.append((r, s[1:], t[1:]))
 
     config = ([("subcommand", "invariants"), ("file", args.file)]
@@ -351,6 +350,8 @@ def cmd_count(args) -> int:
 
 def cmd_census(args) -> int:
     _check_trials(args.trials)
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     t0 = time.time()
     _print_census(args)
     if args.timings:

@@ -156,8 +156,11 @@ def _is_primitive(mod: list[int], p: int) -> bool:
 # Lexicographically least (smallest packed value of the non-leading
 # coefficients) monic primitive polynomial per (p, degree).  These are the
 # output of default_modulus' own search, frozen for speed; tests re-derive a
-# sample and cross-check primitivity independently.
+# sample and cross-check primitivity independently.  The degree-1 entries
+# let linalg build the prime fields behind rank_p and nullspace_p without
+# the search, whose factoring of Q-1 imports sympy.
 _KNOWN_MODULI: dict[tuple[int, int], int] = {
+    (2, 1): 1, (3, 1): 1, (5, 1): 3, (7, 1): 4,
     (2, 2): 3, (2, 3): 3, (2, 4): 3, (2, 5): 5, (2, 6): 3, (2, 7): 3,
     (2, 8): 29, (2, 9): 17, (2, 10): 9, (2, 12): 83, (2, 14): 43,
     (2, 15): 3, (2, 16): 45, (2, 20): 9,
@@ -489,14 +492,6 @@ class FieldTower:
             return self._exp[k % self.Qm1]
         return self.pow(self.alpha, k)
 
-    def log(self, a: int) -> int:
-        """Discrete log base alpha (table backend only)."""
-        if a == 0:
-            raise ZeroDivisionError("log of zero")
-        if self._exp is None:
-            raise FieldError("discrete log requires the table backend")
-        return self._log[a]
-
     # -- Frobenius / norms / subfields ---------------------------------------
 
     def frob_p(self, a: int, j: int) -> int:
@@ -590,9 +585,6 @@ class FieldTower:
     def random_nonzero(self, rng) -> int:
         return 1 + rng.randbelow(self.Qm1) if self.Qm1 > 1 else 1
 
-    def random_vector(self, n: int, rng) -> tuple[int, ...]:
-        return tuple(rng.randbelow(self.Q) for _ in range(n))
-
 
 # --------------------------------------------------------------------------
 # parsing, serialization
@@ -656,18 +648,8 @@ class GaloisAut:
         f, r = self.field, self.r
         return tuple(f.frob_q(a, r) for a in v)
 
-    def compose(self, other: "GaloisAut") -> "GaloisAut":
-        return GaloisAut(self.field, self.r + other.r)
-
-    def inverse(self) -> "GaloisAut":
-        return GaloisAut(self.field, -self.r)
-
     def power(self, i: int) -> "GaloisAut":
         return GaloisAut(self.field, self.r * i)
-
-    @property
-    def order(self) -> int:
-        return self.field.m // math.gcd(self.r, self.field.m)
 
 
 @dataclass(frozen=True)
@@ -686,12 +668,6 @@ class FullAut:
     def on_vector(self, v) -> tuple[int, ...]:
         f, j = self.field, self.j
         return tuple(f.frob_p(a, j) for a in v)
-
-    def compose(self, other: "FullAut") -> "FullAut":
-        return FullAut(self.field, self.j + other.j)
-
-    def inverse(self) -> "FullAut":
-        return FullAut(self.field, -self.j)
 
 
 def galois_generators(m: int) -> list[int]:

@@ -178,10 +178,15 @@ class _CodeImages:
         self.sums = _Images(code.field, code.gen)
         self.meets = _Images(code.field, cd.dual(code).gen)
 
+    def rows(self, sigma_exp: int, s_max: int, t_max: int) -> tuple[list[int], list[int]]:
+        """Fixed-length [s_0..s_{s_max}] and [t_0..t_{t_max}] for sigma_exp."""
+        n = self.code.n
+        return (_sequence(self.sums, sigma_exp, s_max),
+                [n - v for v in _sequence(self.meets, sigma_exp, t_max)])
+
     def profile(self, sigma_exp: int) -> InvariantProfile:
         n, k = self.code.n, self.code.k
-        s = _sequence(self.sums, sigma_exp, n - k + 1)
-        t = [n - v for v in _sequence(self.meets, sigma_exp, k + 1)]
+        s, t = self.rows(sigma_exp, n - k + 1, k + 1)
         delta = tuple(s[i + 1] - s[i] for i in range(n - k + 1))
         lam = tuple(t[i] - t[i + 1] for i in range(k + 1))
         return InvariantProfile(

@@ -4,8 +4,8 @@ against.
 * rref / det: plain Gauss-Jordan and Gaussian elimination with row swaps,
   independent of rankinv.linalg's shared elimination helper.
 * free_nullspace: the kernel basis read off the oracle RREF, one vector per
-  free column (rankinv.linalg.nullspace returns its RREF, nullspace_p
-  returns it as is).
+  free column (rankinv.linalg.nullspace returns its RREF; nullspace_p, which
+  eliminates over the field F_p = make_field(p, 1, 1), returns it as is).
 * s_naive: s_i as the rank of the whole stacked generator of
   C + sigma(C) + ... + sigma^i(C), recomputed at every step.
 * t_direct: t_i from pairwise intersections C n sigma(C) n ..., not through

@@ -435,6 +435,12 @@ def test_census_small_run():
     assert again == report
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_census_rejects_jobs_below_one(jobs):
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        cl.census(3, 6, 2, seed=1, trials=1, jobs=jobs)
+
+
 def test_census_parallel_matches_serial():
     serial, _ = cl.census(2, 6, 2, seed=1, trials=4, jobs=1)
     parallel, _ = cl.census(2, 6, 2, seed=1, trials=4, jobs=2)

@@ -304,6 +304,24 @@ def test_count_rejects_m_below_one(m):
                         "m must be >= 1")
 
 
+@pytest.mark.parametrize("k,n,needle", [
+    ("2", "-1", "n must be >= 1"),
+    ("2", "0", "n must be >= 1"),
+    ("-1", "4", "k must lie in 1..n"),
+    ("0", "4", "k must lie in 1..n"),
+    ("5", "4", "k must lie in 1..n"),
+])
+def test_count_rejects_n_below_one_and_k_outside_one_to_n(k, n, needle):
+    _assert_clean_error(*run_cli("count", "--q", "2", "--k", k, "--n", n, "--m", "4"), needle)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("ub_only", [False, True])
+def test_census_rejects_jobs_below_one(jobs, ub_only):
+    argv = ["census", "--n", "6", "--k", "2", "--trials", "1", "--jobs", jobs]
+    _assert_clean_error(*run_cli(*argv, *(["--ub-only"] if ub_only else [])), "--jobs")
+
+
 @pytest.mark.parametrize("argv", [
     ("--q", "2", "--n", "6", "--k", "2", "--seed", "1", "--trials", "4", "--format", "pretty"),
     ("--q", "2", "--n", "6", "--k", "2", "--seed", "1", "--trials", "4", "--format", "csv"),

@@ -351,7 +351,7 @@ def test_subfield_kernel_words_are_codewords_over_F_q(backend, p, e, m):
     for _ in range(10):
         w = (F.one,) + tuple(F.subfield_element(F.q, rng.randbelow(F.q)) for _ in range(n - 1))
         lam = F.random_nonzero(rng)
-        code = cd.LinearCode.from_rows(F, (la.scale_vec(F, lam, w), F.random_vector(n, rng)))
+        code = cd.LinearCode.from_rows(F, (la.scale_vec(F, lam, w), _random_vector(F, n, rng)))
         words = oracles.subfield_kernel(code)
         assert words
         for c in words:
@@ -359,17 +359,21 @@ def test_subfield_kernel_words_are_codewords_over_F_q(backend, p, e, m):
             assert all(F.in_subfield_q(a) for a in c)
 
 
+def _random_vector(F, n, rng):
+    return tuple(F.random_element(rng) for _ in range(n))
+
+
 def _subfield_oracle_codes(F, n, rng):
     """Random codes of every dimension 1..n-1, the same with 1..k scaled
     F_q-words planted among the rows, the zero code and the full space."""
     codes = [cd.LinearCode(F, n, 0, ()), cd.LinearCode.from_rows(F, la.identity(F, n))]
     for k in range(1, n):
-        codes.append(cd.LinearCode.from_rows(F, [F.random_vector(n, rng) for _ in range(k)], n))
+        codes.append(cd.LinearCode.from_rows(F, [_random_vector(F, n, rng) for _ in range(k)], n))
         for planted in range(1, k + 1):
             rows = [la.scale_vec(F, F.random_nonzero(rng),
                                  tuple(F.subfield_element(F.q, rng.randbelow(F.q)) for _ in range(n)))
                     for _ in range(planted)]
-            rows += [F.random_vector(n, rng) for _ in range(k - planted)]
+            rows += [_random_vector(F, n, rng) for _ in range(k - planted)]
             codes.append(cd.LinearCode.from_rows(F, rows, n))
     return codes
 

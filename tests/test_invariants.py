@@ -276,7 +276,7 @@ def _fingerprint_codes(case):
     field = make_field(p, e, m, backend=backend)
     rng = DetRNG(47, f"inv-fp-diff/{backend}/{p}/{e}/{m}")
     n = m
-    rows = [field.random_vector(n, rng) for _ in range(2)]
+    rows = [tuple(field.random_element(rng) for _ in range(n)) for _ in range(2)]
     return field, [
         _random_code(field, "Gabidulin", n, 2, rng),
         cd.LinearCode.from_rows(field, rows, n),
@@ -329,7 +329,8 @@ def _property_code(case, seed):
         return _random_code(field, "Gabidulin", n, k, rng)
     if kind == 2:
         return _deficient_row_code(field, n, k, 1 + rng.randbelow(n - 1), rng)
-    return cd.LinearCode.from_rows(field, [field.random_vector(n, rng) for _ in range(k)], n)
+    rows = [tuple(field.random_element(rng) for _ in range(n)) for _ in range(k)]
+    return cd.LinearCode.from_rows(field, rows, n)
 
 
 SHORTCUT_CASES = st.sampled_from(FP_FIELDS)

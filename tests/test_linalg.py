@@ -1,5 +1,10 @@
 """Exact linear algebra over the extension field and its prime subfield."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -100,8 +105,9 @@ def test_row_space_sum_and_intersection_dimension_formula(f2_8):
     n = 6
     for trial in range(12):
         r = rng.spawn(str(trial))
-        A = tuple(F.random_vector(n, r.spawn("A")) for _ in range(r.randint(1, 4)))
-        B = tuple(F.random_vector(n, r.spawn("B")) for _ in range(r.randint(1, 4)))
+        ra, rb = r.spawn("A"), r.spawn("B")
+        A = tuple(tuple(F.random_element(ra) for _ in range(n)) for _ in range(r.randint(1, 4)))
+        B = tuple(tuple(F.random_element(rb) for _ in range(n)) for _ in range(r.randint(1, 4)))
         s = la.rref(F, la.stack(A, B))[0]
         i = la.row_space_intersection(F, A, B, n)
         da, db = la.rank(F, A), la.rank(F, B)
@@ -114,7 +120,8 @@ def test_row_space_sum_and_intersection_dimension_formula(f2_8):
 
 def test_incremental_rank_matches_batch(f16):
     rng = DetRNG(31, "inc")
-    rows = tuple(f16.random_vector(4, rng.spawn(str(i))) for i in range(8))
+    rows = tuple(tuple(f16.random_element(ri) for _ in range(4))
+                 for ri in (rng.spawn(str(i)) for i in range(8)))
     inc = la.IncrementalRank(f16)
     for i, row in enumerate(rows, start=1):
         grew = inc.add_row(row)
@@ -197,6 +204,58 @@ def test_rank_q_oracles(f2_8):
     lam = F.subfield_element(F.q, 1)
     a, b = F.alpha_pow(3), F.alpha_pow(11)
     assert la.rank_q(F, (a, F.mul(lam, a), b)) == 2
+
+
+@pytest.mark.parametrize("case", BACKEND_FIELDS, ids=BACKEND_IDS)
+@given(data=st.data())
+def test_rank_q_matches_moore_matrix_oracle(case, data):
+    # Write v = u*B with u an F_q-basis of the span of v's entries and B over
+    # F_q.  The Moore matrix [theta^j(v_i)], j < m, theta: a -> a^q, is then
+    # M_u*B, and M_u has full column rank (Lidl-Niederreiter, Finite Fields,
+    # Lemma 3.51), so its F_{q^m}-rank is rank B = rank_q(v).
+    backend, p, e, m = case
+    F = make_field(p, e, m, backend=backend)
+    fq = st.integers(0, F.q - 1).map(lambda i: F.subfield_element(F.q, i))
+    span = data.draw(st.lists(st.integers(0, F.Q - 1), min_size=1, max_size=m))
+    v = []
+    for _ in range(data.draw(st.integers(1, m + 2))):
+        kind = data.draw(st.sampled_from(("zero", "repeat", "multiple", "combination")))
+        if kind == "zero":
+            a = 0
+        elif kind == "repeat" and v:
+            a = data.draw(st.sampled_from(v))
+        elif kind == "multiple" and v:
+            a = F.mul(data.draw(fq), data.draw(st.sampled_from(v)))
+        else:
+            a = 0
+            for b in span:
+                a = F.add(a, F.mul(data.draw(fq), b))
+        v.append(a)
+    moore = tuple(tuple(F.frob_q(a, j) for a in v) for j in range(m))
+    assert la.rank_q(F, v) == len(oracles.rref(F, moore)[0])
+
+
+def test_prime_field_elimination_does_not_import_sympy():
+    # the prime fields behind rank_p and nullspace_p have frozen default
+    # moduli, so table-field work never reaches the modulus search
+    script = (
+        "import sys\n"
+        "from rankinv import linalg as la\n"
+        "from rankinv.gf import make_field\n"
+        "for p, e, m in ((2, 1, 4), (2, 2, 2), (3, 1, 3), (3, 2, 2)):\n"
+        "    F = make_field(p, e, m)\n"
+        "    assert F.backend == 'table'\n"
+        "    assert la.rank_q(F, (F.alpha, F.one, 0, F.alpha)) == 2\n"
+        "    assert la.rank_p(p, [[1, 2, 3], [2, 4, 6]]) == 1\n"
+        "    assert len(la.nullspace_p(p, [[1, 2, 3]], 3)) == 2\n"
+        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_rank_q_in_intermediate_field(f4_3):
