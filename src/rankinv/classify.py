@@ -249,8 +249,8 @@ def is_theta_gabidulin(code: cd.LinearCode, theta_exp: int,
 
     Evaluates several independent characterizations on the sum-dimension
     sequence, its increments, the systematic generator, and (when the
-    projective codeword count fits under dist_cap) the exact minimum
-    distance.  All evaluated criteria must agree."""
+    projective codeword count fits under dist_cap) whether the minimum
+    distance meets the Singleton bound.  All evaluated criteria must agree."""
     field = code.field
     n, k, m = code.n, code.k, field.m
     if math.gcd(theta_exp, m) != 1:
@@ -278,13 +278,15 @@ def is_theta_gabidulin(code: cd.LinearCode, theta_exp: int,
     crits["delta_ends"] = (delta[0] == 1 and delta[n - k - 1] == 1) and d_gt_1
     # systematic-form criterion
     crits["systematic"] = _systematic_criterion(code, theta_exp)
-    # MRD + s_1 = k+1 (only within the enumeration cap)
+    # MRD + s_1 = k+1 (only within the enumeration cap).  By the Singleton
+    # bound d <= n-k+1, so d = n-k+1 exactly when no codeword has rank
+    # <= n-k: the sweep stops at the first such word, and is not needed
+    # at all when s_1 != k+1
     n_words = (field.Q**k - 1) // (field.Q - 1)
-    if n_words <= dist_cap:
-        dmin = cd.min_distance_bruteforce(code, cap=dist_cap)
-        crits["mrd_plus_s1"] = (dmin == n - k + 1) and (s[1] == k + 1)
-    else:
+    if n_words > dist_cap:
         crits["mrd_plus_s1"] = None
+    else:
+        crits["mrd_plus_s1"] = s[1] == k + 1 and cd._least_rank(code, n - k) == n - k + 1
 
     values = {v for v in crits.values() if v is not None}
     if len(values) != 1:

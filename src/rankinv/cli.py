@@ -38,21 +38,42 @@ FORMATS = ("pretty", "csv", "json")
 # small helpers
 # --------------------------------------------------------------------------
 
+def _inline_modulus(value: str, p: int):
+    """The digits of `c0:c1:...:cd` or of a packed decimal integer (leading
+    term included), or None when value has neither form."""
+    if value.isdecimal():
+        packed = int(value)
+        digits = []
+        while packed:
+            digits.append(packed % p)
+            packed //= p
+        return tuple(digits)
+    parts = value.split(":")
+    if len(parts) > 1:
+        try:
+            return tuple(int(c) for c in parts)
+        except ValueError:
+            pass
+    return None
+
+
 def _parse_modulus(value: str, p: int) -> tuple[int, ...]:
-    """Inline `c0:c1:...:cd`, a packed base-p integer (leading term
-    included), or a path to a file holding either form."""
+    """An inline modulus, or else the path of a file holding one.  The inline
+    forms come first, so a file named like one never replaces it."""
     value = value.strip()
-    if os.path.exists(value):
+    digits = _inline_modulus(value, p)
+    if digits is None and os.path.isfile(value):
         with open(value, encoding="utf-8") as fh:
-            value = fh.read().strip()
-    if ":" in value:
-        return tuple(int(c) for c in value.split(":"))
-    packed = int(value)
-    digits = []
-    while packed:
-        digits.append(packed % p)
-        packed //= p
-    return tuple(digits)
+            digits = _inline_modulus(fh.read().strip(), p)
+    if digits is None:
+        raise ValueError(f"--modulus {value!r} is neither c0:c1:...:cd, a packed "
+                         "integer nor a file holding one")
+    return digits
+
+
+def _check_at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise ValueError(f"{flag} must be >= {low}, got {value}")
 
 
 def _fmt_vec(field: FieldTower, v) -> str:
@@ -189,8 +210,8 @@ def cmd_invariants(args) -> int:
         sigmas = list(range(1, m))
     else:
         sigmas = [int(args.sigma) % m]
-    if args.i_max is not None and args.i_max < 1:
-        raise ValueError(f"--i-max must be >= 1, got {args.i_max}")
+    if args.i_max is not None:
+        _check_at_least("--i-max", args.i_max, 1)
     s_len = args.i_max if args.i_max is not None else n - k
     t_len = args.i_max if args.i_max is not None else k
 
@@ -230,13 +251,9 @@ def cmd_invariants(args) -> int:
 # compare
 # --------------------------------------------------------------------------
 
-def _check_trials(trials: int) -> None:
-    if trials < 0:
-        raise ValueError(f"--trials must be >= 0, got {trials}")
-
-
 def cmd_compare(args) -> int:
-    _check_trials(args.trials)
+    _check_at_least("--trials", args.trials, 0)
+    _check_at_least("--cap", args.cap, 0)
     c1, _ = cd.load_code(args.file1)
     c2, _ = cd.load_code(args.file2)
     if c1.field != c2.field:
@@ -284,6 +301,7 @@ def cmd_compare(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_classify_gabidulin(args) -> int:
+    _check_at_least("--cap", args.cap, 0)
     code, _ = cd.load_code(args.file)
     verdict, crits = cl.is_theta_gabidulin(code, args.theta, dist_cap=args.cap)
     config = ([("subcommand", "classify-gabidulin"), ("file", args.file)]
@@ -349,9 +367,8 @@ def cmd_count(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_census(args) -> int:
-    _check_trials(args.trials)
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    _check_at_least("--trials", args.trials, 0)
+    _check_at_least("--jobs", args.jobs, 1)
     t0 = time.time()
     _print_census(args)
     if args.timings:
@@ -434,7 +451,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--e", type=int, default=1, help="[F_q : F_p] (default 1)")
     b.add_argument("--m", type=int, required=True, help="[F_{q^m} : F_q]")
     b.add_argument("--modulus", default=None,
-                   help="primitive modulus: c0:c1:...:cd, packed integer, or file path "
+                   help="primitive modulus: c0:c1:...:cd or a packed decimal integer; "
+                        "any other value is read as the path of a file holding one "
                         "(default: lexicographically least primitive polynomial)")
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--k", type=int, required=True)

@@ -29,13 +29,20 @@ Galois-stable subcode of C, which is the intersection of all its Galois images.
 By Galois descent (Giorgetti-Previtali, "Galois invariance, trace codes and
 subfield subcodes", Finite Fields Appl. 2010) that subcode is the
 F_{q^m}-span of C n F_q^n, and its RREF basis has entries in F_q.
+
+The minimum rank distance is a sweep over the projective codewords that
+walks the F_p-digits of the message in Gray order, so each word costs one
+precomputed vector addition (an XOR at p = 2) and no multiplication; the
+proof is in _projective_spreads.  A sweep can also stop at the first word
+of rank <= a floor: by the Singleton bound d <= n-k+1, so floor n-k
+decides MRD-ness without the full minimum.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -379,6 +386,61 @@ def has_rank_one_codeword(code: LinearCode):
     return (True, gen[0]) if gen else (False, None)
 
 
+def _projective_spreads(code: LinearCode):
+    """Yield la.spread(field, c) for each codeword c = sum_i m_i G_i whose
+    message m has first nonzero coordinate 1: each of the (Q^k - 1)/(Q - 1)
+    such words exactly once, with no field multiplication per word.
+
+    The spread is F_p-linear in c, and m_i = sum_j c_ij x^j over the base-p
+    digits c_ij of m_i (x^j is the element packed as p^j).  So with lead
+    coordinate L the spread is spread(G_L) + sum_(i > L, j) c_ij B_ij, where
+    B_ij = spread(x^j G_i) is computed once per sweep.  The free digits are
+    walked in modular p-ary Gray order (Knuth, TAOCP 4A, 7.2.1.1): step t has
+    digits g_r = (t_r - t_(r+1)) mod p, t_r the base-p digits of t.  From t
+    to t+1, with s = v_p(t+1), the digits t_0..t_(s-1) fall from p-1 to 0
+    and t_s rises by 1 (t_s < p-1).  So g_(s-1) turns from (p-1) - t_s into
+    0 - (t_s + 1), the same residue; g_s rises by 1; every other g_r is
+    0 - 0 or keeps both terms.  Each step therefore adds exactly one B: at
+    p = 2 that is XOR on ints, at odd p n*e field additions.  t -> g is a
+    bijection (t_r = sum of g_r' over r' >= r, mod p), so every digit vector
+    is met once."""
+    field = code.field
+    p, d = field.p, field.d
+    add = operator.xor if p == 2 else field.add
+    steps_of = [[tuple(la.spread(field, [field.mul(p**j, a) for a in row])) for j in range(d)]
+                for row in code.gen]
+    for lead, row in enumerate(code.gen):
+        word = tuple(la.spread(field, row))
+        yield word
+        steps = [b for later in steps_of[lead + 1:] for b in later]
+        for t in range(1, p ** len(steps)):
+            s, u = 0, t
+            while u % p == 0:
+                u //= p
+                s += 1
+            word = tuple(map(add, word, steps[s]))
+            yield word
+
+
+def _least_rank(code: LinearCode, floor: int) -> int:
+    """Least F_q-rank of a nonzero codeword, except that the sweep ends at the
+    first word of rank <= floor and returns that rank; so floor = 1 gives
+    the minimum distance.  Every nonzero codeword is a nonzero multiple of
+    one the walk yields, with the same rank.  A word's F_p-rank is e times
+    its F_q-rank, so reducing it stops at best * e, where it can no longer
+    beat best."""
+    field = code.field
+    e = field.e
+    best = code.n + 1
+    for word in _projective_spreads(code):
+        r = la._fp_rank(field, word, best * e) // e
+        if r < best:
+            best = r
+            if best <= floor:
+                break
+    return best
+
+
 def min_distance_bruteforce(code: LinearCode, cap: int = 1 << 24) -> int:
     """Exact minimum rank distance by projective enumeration of codewords.
     Raises BudgetExceeded when (Q^k - 1)/(Q - 1) > cap."""
@@ -391,17 +453,7 @@ def min_distance_bruteforce(code: LinearCode, cap: int = 1 << 24) -> int:
         raise BudgetExceeded(
             f"projective codeword count {n_words} exceeds cap {cap}"
         )
-    best = code.n + 1
-    # normalized messages: first nonzero coordinate equals 1
-    for lead in range(k):
-        prefix = (0,) * lead + (1,)
-        for suffix in itertools.product(range(Q), repeat=k - lead - 1):
-            r = la.rank_q(field, la.vec_mat(field, prefix + suffix, code.gen))
-            if r < best:
-                best = r
-                if best == 1:
-                    return 1
-    return best
+    return _least_rank(code, 1)
 
 
 # --------------------------------------------------------------------------

@@ -12,10 +12,13 @@ packed elements are the integers 0..p-1.  Both kernels are read off an RREF
 by one helper, one vector per free column.
 
 The F_q-rank of a vector over F_{q^m} (the dimension of the F_q-span of its
-entries) is computed by expanding entries into base-p digit vectors: the
-F_q-span of {v_i}, viewed as an F_p-space, is spanned by {gamma^j * v_i}
-for j < e with gamma a generator of F_q, so its F_p-dimension is e times the
-F_q-dimension.
+entries) is an F_p-rank: the F_q-span of {v_i}, viewed as an F_p-space, is
+spanned by the "spread" {gamma^j * v_i : j < e} with gamma a generator of
+F_q, so its F_p-dimension is e times the F_q-dimension.  A packed entry's
+base-p digits are its F_p-coordinates.  At p = 2 those digits are the bits
+of the int, so the F_2-rank is an XOR basis over plain ints and needs no
+field operation; at odd p the digit vectors go through rank_p.  Either way
+the rank can stop at a given count, which is all a distance sweep needs.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import bisect
 import functools
 
-from .gf import FieldTower, GaloisAut
+from .gf import FieldTower, GaloisAut, digits_of
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
@@ -229,9 +232,15 @@ def _prime_field(p: int) -> FieldTower:
     return FieldTower(p, 1, 1)
 
 
-def rank_p(p: int, rows: list[list[int]]) -> int:
-    """Rank over F_p of a dense integer matrix (entries reduced mod p)."""
-    return rank(_prime_field(p), [[c % p for c in row] for row in rows])
+def rank_p(p: int, rows, stop: int | None = None) -> int:
+    """Rank over F_p of a dense integer matrix (entries reduced mod p); the
+    rows stop being read once the rank reaches stop."""
+    Fp = _prime_field(p)
+    basis: list = []
+    for row in rows:
+        if _insert_row(Fp, basis, [c % p for c in row]) is not None and len(basis) == stop:
+            break
+    return len(basis)
 
 
 def nullspace_p(p: int, rows: list[list[int]], ncols: int) -> list[list[int]]:
@@ -242,20 +251,53 @@ def nullspace_p(p: int, rows: list[list[int]], ncols: int) -> list[list[int]]:
     return _free_column_basis(Fp, R, pivots, ncols)
 
 
+def spread(field: FieldTower, v) -> list[int]:
+    """The n*e entries gamma^l * v_i (l < e outer, i < n inner), whose F_p-span
+    is the F_q-span of the entries of v."""
+    out = list(v)
+    cur = out
+    for _ in range(field.e - 1):
+        cur = [field.mul(field.gamma, a) for a in cur]
+        out += cur
+    return out
+
+
+def _fp_rank(field: FieldTower, entries, stop: int | None = None) -> int:
+    """F_p-rank of the packed entries of field, or min(stop, that rank).
+
+    At p = 2 the digits of an entry are its bits, so the entries span an
+    F_2-space of ints under XOR.  x ^ b < x exactly when x has the leading
+    bit of b, so one pass over the basis clears the leading bit of each b
+    from x in turn.  A basis element was reduced against the ones before it,
+    so it lacks their leading bits and XOR with it cannot set them again:
+    after the pass x lacks every leading bit of the basis.  A nonzero
+    vector of the span has the leading bit of the first element in its
+    combination, so x ends at 0 exactly when it lies in the span, and
+    otherwise it joins the basis with a new leading bit.  At odd p the
+    digit vectors go through rank_p.  Either way, reduction stops once the
+    rank reaches stop."""
+    if field.p == 2:
+        basis: list[int] = []
+        for x in entries:
+            for b in basis:
+                y = x ^ b
+                if y < x:
+                    x = y
+            if x:
+                basis.append(x)
+                if len(basis) == stop:
+                    break
+        return len(basis)
+    p, d = field.p, field.d
+    return rank_p(p, (digits_of(a, p, d) for a in entries), stop)
+
+
 def rank_q(field: FieldTower, v) -> int:
     """dim over F_q of the span of the entries of v (entries in F_{q^m})."""
-    p, e = field.p, field.e
-    rows = []
-    for a in v:
-        b = field.check(a)
-        for j in range(e):
-            rows.append(field.coeffs(b))
-            if j + 1 < e:
-                b = field.mul(b, field.gamma)
-    r = rank_p(p, rows)
-    if r % e:
+    r = _fp_rank(field, spread(field, [field.check(a) for a in v]))
+    if r % field.e:
         raise AssertionError("F_p-rank not divisible by e")  # pragma: no cover
-    return r // e
+    return r // field.e
 
 
 def moore_matrix(field: FieldTower, v, k: int, theta: GaloisAut) -> Matrix:

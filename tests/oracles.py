@@ -17,11 +17,16 @@ against.
   former solver behind codes.subfield_subcode.
 * frob_p / inv: a^(p^j) and a^(Q-2) by square-and-multiply through
   field.mul, the generic backend's former Frobenius and Fermat inverse.
+* min_distance_bruteforce: every normalised message through vec_mat and
+  rank_q, the former sweep behind codes.min_distance_bruteforce.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from rankinv import linalg as la
+from rankinv.codes import BudgetExceeded
 from rankinv.gf import GaloisAut, pack_digits
 
 
@@ -249,3 +254,28 @@ def subfield_kernel(code):
         x = tuple(pack_digits(vec[i * d:(i + 1) * d], p) for i in range(k))
         out.append(la.vec_mat(field, x, code.gen))
     return out
+
+
+def min_distance_bruteforce(code, cap: int = 1 << 24) -> int:
+    """Exact minimum rank distance by projective enumeration of codewords.
+    Raises BudgetExceeded when (Q^k - 1)/(Q - 1) > cap."""
+    field = code.field
+    k, Q = code.k, field.Q
+    if k == 0:
+        raise ValueError("the zero code has no minimum distance")
+    n_words = (Q**k - 1) // (Q - 1)
+    if n_words > cap:
+        raise BudgetExceeded(
+            f"projective codeword count {n_words} exceeds cap {cap}"
+        )
+    best = code.n + 1
+    # normalized messages: first nonzero coordinate equals 1
+    for lead in range(k):
+        prefix = (0,) * lead + (1,)
+        for suffix in itertools.product(range(Q), repeat=k - lead - 1):
+            r = la.rank_q(field, la.vec_mat(field, prefix + suffix, code.gen))
+            if r < best:
+                best = r
+                if best == 1:
+                    return 1
+    return best

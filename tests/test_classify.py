@@ -2,6 +2,7 @@
 
 import pytest
 
+import oracles
 import rankinv.classify as cl
 import rankinv.codes as cd
 import rankinv.invariants as inv
@@ -289,6 +290,84 @@ def test_recognition_rejects_generalized_twisted():
     code = cd.build(field, spec)
     ok, crits = cl.is_theta_gabidulin(code, 1)
     assert not ok and crits["systematic"] is False
+
+
+def _recognition_against_oracle(code, theta, dist_cap=1 << 20):
+    """is_theta_gabidulin(code, theta), checked against mrd_plus_s1 computed
+    from the oracle distance and the naive s_1: every criterion dict equals
+    the tested one with that entry replaced, and the verdict is its one
+    value."""
+    verdict, crits = cl.is_theta_gabidulin(code, theta, dist_cap=dist_cap)
+    n, k, Q = code.n, code.k, code.field.Q
+    if (Q**k - 1) // (Q - 1) > dist_cap:
+        want = None
+    else:
+        s1 = oracles.s_naive(code, theta, i_max=1)[1]
+        want = oracles.min_distance_bruteforce(code) == n - k + 1 and s1 == k + 1
+    expected = dict(crits, mrd_plus_s1=want)
+    assert crits == expected
+    assert {v for v in expected.values() if v is not None} == {verdict}
+    return verdict, crits
+
+
+def test_recognition_matches_oracle_on_every_f8_code():
+    f8 = make_field(2, 1, 3)
+    rows = [((1, 0, a), (0, 1, b)) for a in range(8) for b in range(8)]
+    rows += [((1, a, 0), (0, 0, 1)) for a in range(8)] + [((0, 1, 0), (0, 0, 1))]
+    verdicts = set()
+    for r in rows:
+        code = cd.LinearCode.from_rows(f8, r, 3)
+        for theta in (1, 2):
+            verdicts.add(_recognition_against_oracle(code, theta)[0])
+    assert len(rows) == 73 and verdicts == {True, False}
+
+
+def test_recognition_matches_oracle_on_twisted_and_offset_twists():
+    seen = set()
+    for (p, e, m, n, k) in ((2, 1, 6, 5, 2), (3, 1, 4, 4, 2), (2, 2, 3, 3, 2), (2, 1, 5, 5, 3)):
+        field = make_field(p, e, m)
+        rng = DetRNG(71, f"cls-rec-oracle/{p}/{e}/{m}/{n}/{k}")
+        g = la.random_full_rank_vector(field, n, rng)
+        specs = [cd.make_spec("Gabidulin", n, k, 1, g)]
+        specs += [cd.make_spec("Twisted", n, k, 1, g, eta=_nonzero(field, rng)) for _ in range(3)]
+        specs += [cd.make_spec("GeneralizedTwisted", n, k, 1, g, eta=(_nonzero(field, rng),),
+                               t=(t,), h=(0,)) for t in range(1, n - k + 1)]
+        for spec in specs:
+            code = cd.build(field, spec)
+            for theta in galois_generators(m):
+                verdict, crits = _recognition_against_oracle(code, theta)
+                seen.add((spec.family, verdict))
+    assert ("Gabidulin", True) in seen and ("Twisted", False) in seen
+    assert ("GeneralizedTwisted", False) in seen
+
+
+def test_recognition_over_the_distance_cap_stays_none(f16):
+    code = _gab(f16, 4, 2, DetRNG(73, "cls-rec-cap"))
+    words = (f16.Q**2 - 1) // (f16.Q - 1)
+    _, crits = _recognition_against_oracle(code, 1, dist_cap=words - 1)
+    assert crits["mrd_plus_s1"] is None
+    _, crits = _recognition_against_oracle(code, 1, dist_cap=words)
+    assert crits["mrd_plus_s1"] is True
+
+
+def test_recognition_sweeps_only_when_s1_is_k_plus_1(f2_8, monkeypatch):
+    sweeps = []
+    least_rank = cd._least_rank
+
+    def counted(code, floor):
+        sweeps.append(floor)
+        return least_rank(code, floor)
+
+    monkeypatch.setattr(cd, "_least_rank", counted)
+    rng = DetRNG(79, "cls-rec-count")
+    g = la.random_full_rank_vector(f2_8, 5, rng)
+    tw = cd.build(f2_8, cd.make_spec("Twisted", 5, 2, 1, g, eta=_nonzero(f2_8, rng)))
+    assert inv.s_sequence(tw, 1, i_max=1)[1] != 3
+    ok, crits = cl.is_theta_gabidulin(tw, 1)
+    assert not ok and crits["mrd_plus_s1"] is False and sweeps == []
+    gab = cd.build(f2_8, cd.make_spec("Gabidulin", 5, 2, 1, g))
+    ok, crits = cl.is_theta_gabidulin(gab, 1)
+    assert ok and crits["mrd_plus_s1"] is True and sweeps == [3]
 
 
 def test_recognition_guards(f16):

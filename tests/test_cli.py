@@ -334,3 +334,36 @@ def test_census_timings_go_to_stderr(argv):
     rc, timed_out, timed_err = run_cli("census", *argv, "--timings")
     assert rc == 0 and timed_out == out
     assert timed_err.startswith("runtime_s = ") and len(timed_err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("cap", ["-1", "-100"])
+def test_negative_cap_is_a_clean_error(stored_pair, cap):
+    gab_path, tw_path = stored_pair
+    _assert_clean_error(*run_cli("classify", "gabidulin", "--file", gab_path, "--cap", cap),
+                        "error: --cap must be >= 0")
+    for extra in ((), ("--bruteforce",)):
+        _assert_clean_error(*run_cli("compare", gab_path, tw_path, "--cap", cap, *extra),
+                            "error: --cap must be >= 0")
+    rc, out, _ = run_cli("classify", "gabidulin", "--file", gab_path, "--cap", "0")
+    assert rc == 0 and "criterion mrd_plus_s1 = n/a" in out
+
+
+def _modulus_in_config(out):
+    return next(tok for tok in out.split() if tok.startswith("modulus="))
+
+
+def test_inline_modulus_wins_over_a_file_of_that_name(tmp_path, monkeypatch):
+    # 19 = x^4 + x + 1 and 25 = x^4 + x^3 + 1 are both primitive over F_2
+    monkeypatch.chdir(tmp_path)
+    argv = ["code", "build", "--family", "Gabidulin", "--m", "4", "--n", "3", "--k", "2",
+            "--random-g", "--modulus"]
+    (tmp_path / "19").write_text("25\n")
+    (tmp_path / "1:1:0:0:1").write_text("1:0:0:1:1\n")
+    (tmp_path / "mod.txt").write_text("25\n")
+    for value, want in (("19", "modulus=1:1:0:0:1"), ("1:1:0:0:1", "modulus=1:1:0:0:1"),
+                        ("mod.txt", "modulus=1:0:0:1:1")):
+        rc, out, _ = run_cli(*argv, value)
+        assert rc == 0 and _modulus_in_config(out) == want, value
+    (tmp_path / "junk.txt").write_text("x^4 + x + 1\n")
+    for value in ("nofile", "-19", "junk.txt"):
+        _assert_clean_error(*run_cli(*argv, value), f"--modulus '{value}' is neither")

@@ -284,6 +284,107 @@ def test_min_distance_budget_guard(f2_15, worked_example_codes):
         cd.min_distance_bruteforce(gab, cap=10_000)
 
 
+def _projective_count(F, k):
+    return (F.Q**k - 1) // (F.Q - 1)
+
+
+def _low_rank_word(F, n, r, rng):
+    """A word whose entries lie in the F_q-span of r random elements, drawn
+    until its F_q-rank is exactly r."""
+    while True:
+        span = [F.random_nonzero(rng) for _ in range(r)]
+        word = []
+        for _ in range(n):
+            acc = 0
+            for b in span:
+                acc = F.add(acc, F.mul(F.subfield_element(F.q, rng.randbelow(F.q)), b))
+            word.append(acc)
+        if la.rank_q(F, word) == r:
+            return tuple(word)
+
+
+def _distance_oracle_codes(F, rng, max_words=1100):
+    """For each n <= m and k = 1..n-1 with at most max_words projective
+    codewords: a Gabidulin code, a random code, and random codes with a
+    planted word of rank 1 and of rank 2.  Plus the full space F^n."""
+    codes = []
+    for n in range(2, F.m + 1):
+        codes.append(cd.LinearCode.from_rows(F, la.identity(F, n)))
+        for k in range(1, n):
+            if _projective_count(F, k) > max_words:
+                continue
+            g = la.random_full_rank_vector(F, n, rng)
+            codes.append(cd.build(F, cd.make_spec("Gabidulin", n, k, 1, g)))
+            codes.append(cd.LinearCode.from_rows(F, [_random_vector(F, n, rng) for _ in range(k)], n))
+            for r in (1, 2):
+                rows = [_low_rank_word(F, n, r, rng)] + [_random_vector(F, n, rng) for _ in range(k - 1)]
+                codes.append(cd.LinearCode.from_rows(F, rows, n))
+    return codes
+
+
+@pytest.mark.parametrize("case", FP_FIELDS, ids=FP_IDS)
+def test_min_distance_matches_oracle(case):
+    backend, p, e, m = case
+    F = make_field(p, e, m, backend=backend)
+    rng = DetRNG(59, f"distance-oracle/{backend}/{p}/{e}/{m}")
+    seen = set()
+    for code in _distance_oracle_codes(F, rng):
+        d = oracles.min_distance_bruteforce(code)
+        assert cd.min_distance_bruteforce(code) == d, code
+        seen.add((code.n - code.k + 1, d))
+        # the same cap decides both, with the same message
+        cap = _projective_count(F, code.k) - 1
+        with pytest.raises(cd.BudgetExceeded) as new:
+            cd.min_distance_bruteforce(code, cap=cap)
+        with pytest.raises(cd.BudgetExceeded) as old:
+            oracles.min_distance_bruteforce(code, cap=cap)
+        assert str(new.value) == str(old.value)
+        assert cd.min_distance_bruteforce(code, cap=cap + 1) == d
+    # MRD codes, codes below the Singleton bound, and rank-one words all occur
+    assert any(d == s and d > 1 for s, d in seen)
+    assert any(1 < d < s for s, d in seen)
+    assert any(d == 1 for _, d in seen)
+
+
+@pytest.mark.parametrize("case", FP_FIELDS, ids=FP_IDS)
+def test_walk_yields_each_projective_codeword_once(case):
+    backend, p, e, m = case
+    F = make_field(p, e, m, backend=backend)
+    rng = DetRNG(61, f"walk/{backend}/{p}/{e}/{m}")
+    n = 3
+    for k in (1, 2, 3) if F.Q <= 32 else (1, 2):
+        code = cd.LinearCode.from_rows(F, [_random_vector(F, n, rng) for _ in range(k)], n)
+        assert code.k == k
+        spreads = list(cd._projective_spreads(code))
+        assert len(spreads) == _projective_count(F, k)
+        words = [w[:n] for w in spreads]
+        assert all(w == tuple(la.spread(F, c)) for w, c in zip(spreads, words))
+        assert len(set(words)) == len(words)
+        expected = {
+            la.vec_mat(F, (0,) * lead + (1,) + suffix, code.gen)
+            for lead in range(k)
+            for suffix in itertools.product(range(F.Q), repeat=k - lead - 1)
+        }
+        assert set(words) == expected
+
+
+@pytest.mark.parametrize("case", FP_FIELDS, ids=FP_IDS)
+def test_fp_rank_with_stop_matches_elimination(case):
+    backend, p, e, m = case
+    F = make_field(p, e, m, backend=backend)
+    rng = DetRNG(67, f"fp-rank/{backend}/{p}/{e}/{m}")
+    for _ in range(40):
+        entries = [F.random_element(rng) for _ in range(rng.randbelow(F.d + 3))]
+        if len(entries) >= 2:
+            # planted dependencies: a sum of two entries, a repeat, a zero
+            entries.append(F.add(entries[0], entries[-1]))
+            entries.insert(rng.randbelow(len(entries)), entries[1])
+            entries.insert(rng.randbelow(len(entries)), 0)
+        full = la.rank_p(p, [F.coeffs(a) for a in entries])
+        for stop in range(1, len(entries) + 2):
+            assert la._fp_rank(F, entries, stop) == min(full, stop)
+
+
 # ---------------------------------------------------------------------------
 # rank-one codewords and subfield subcodes
 # ---------------------------------------------------------------------------
