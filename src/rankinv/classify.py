@@ -67,8 +67,10 @@ def distinguish(c1: cd.LinearCode, c2: cd.LinearCode, trials: int = 100,
         return Verdict("Inequivalent", {"invariant": "dimension", "k1": c1.k, "k2": c2.k},
                        f"dimensions differ: {c1.k} vs {c2.k}")
     m = c1.field.m
-    p1 = iv.fingerprint_consecutive(c1).detail
-    p2 = iv.fingerprint_consecutive(c2).detail
+    # one image cache per code serves both fingerprints
+    im1, im2 = iv._CodeImages(c1), iv._CodeImages(c2)
+    p1 = im1.fingerprint_consecutive().detail
+    p2 = im2.fingerprint_consecutive().detail
     for r in range(m):
         if p1[r].key != p2[r].key:
             return Verdict(
@@ -78,8 +80,8 @@ def distinguish(c1: cd.LinearCode, c2: cd.LinearCode, trials: int = 100,
                 f"sigma=q^{r}: s/t rows differ",
             )
     if trials > 0 and m >= 3:
-        f1 = iv.fingerprint_random_triples(c1, trials=trials, seed=seed)
-        f2 = iv.fingerprint_random_triples(c2, trials=trials, seed=seed)
+        f1 = im1.fingerprint_random_triples(trials, seed)
+        f2 = im2.fingerprint_random_triples(trials, seed)
         for idx, (a, b) in enumerate(zip(f1.detail, f2.detail)):
             if a != b:
                 triple = iv.random_triples(m, trials, seed)[idx]
@@ -492,7 +494,7 @@ def counting(q: int, k: int, n: int, m: int, field_cap: int = 1 << 22) -> CountR
 
     ok = 2 < k < n - 2 and n <= m
     window = (2 * m) // (n - 1) if n > 1 else None
-    lower = _ceil_div(phi * prod_gab, window) if window else None
+    lower = math.ceil(Fraction(phi * prod_gab, window)) if window else None
     upper = (phi * prod_gab) // 2
     bounds.append(CountBound("gabidulin_all_theta_lower", "lower", lower, ok,
                              "distinct Gabidulin codes over all generating theta"))
@@ -501,7 +503,7 @@ def counting(q: int, k: int, n: int, m: int, field_cap: int = 1 << 22) -> CountR
     ok = 1 <= k <= n - 1 and 2 <= n <= m - 2
     sz = Fraction(gaussian_binomial(m, n, q) * (q - 1), m * (q**m - 1))
     bounds.append(CountBound(
-        "inequivalent_mrd_lower", "lower", _ceil_fraction(sz), ok,
+        "inequivalent_mrd_lower", "lower", math.ceil(sz), ok,
         "inequivalent MRD codes (not only Gabidulin)",
     ))
 
@@ -519,10 +521,10 @@ def counting(q: int, k: int, n: int, m: int, field_cap: int = 1 << 22) -> CountR
         upper_f = Fraction(phi, 2) * prod_cls
         ok = 2 < k < n - 2
         bounds.append(CountBound("gabidulin_classes_m_gt_n_lower", "lower",
-                                 _ceil_fraction(lower_f), ok,
+                                 math.ceil(lower_f), ok,
                                  "equivalence classes of Gabidulin codes when m > n"))
         bounds.append(CountBound("gabidulin_classes_m_gt_n_upper", "upper",
-                                 _floor_fraction(upper_f), ok, ""))
+                                 math.floor(upper_f), ok, ""))
     else:
         bounds.append(CountBound("gabidulin_classes_m_gt_n_lower", "lower", None, False, "needs m > n"))
         bounds.append(CountBound("gabidulin_classes_m_gt_n_upper", "upper", None, False, "needs m > n"))
@@ -539,7 +541,7 @@ def counting(q: int, k: int, n: int, m: int, field_cap: int = 1 << 22) -> CountR
     ))
     bounds.append(CountBound(
         "twisted_all_theta_upper", "upper",
-        _floor_fraction(Fraction(phi, 2) * tw_exact_f), ok, "",
+        math.floor(Fraction(phi, 2) * tw_exact_f), ok, "",
     ))
 
     x_orbits = count_aut_orbits_eta(q, m, k, field_cap)
@@ -561,18 +563,6 @@ def counting(q: int, k: int, n: int, m: int, field_cap: int = 1 << 22) -> CountR
 
 def _euler_phi(m: int) -> int:
     return sum(1 for r in range(1, m + 1) if math.gcd(r, m) == 1)
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
-def _ceil_fraction(f: Fraction) -> int:
-    return _ceil_div(f.numerator, f.denominator)
-
-
-def _floor_fraction(f: Fraction) -> int:
-    return f.numerator // f.denominator
 
 
 def _exact_fraction(f: Fraction) -> int:

@@ -135,9 +135,6 @@ def cmd_code_build(args) -> int:
     spec = cd.make_spec(args.family, args.n, args.k, args.theta, g, eta=eta, t=t, h=h)
     code = cd.build(field, spec, strict_norm=args.strict_norm)
     provenance = cd.spec_to_provenance(spec, field)
-    if args.out:
-        cd.save_code(code, args.out, provenance)
-
     config = [("subcommand", "code-build"), ("family", args.family)]
     config += _field_config(field)
     config += [("n", args.n), ("k", args.k), ("theta", args.theta),
@@ -150,7 +147,24 @@ def cmd_code_build(args) -> int:
         config.append(("h", ",".join(map(str, h))))
     config += [("strict_norm", args.strict_norm), ("seed", args.seed),
                ("format", args.format)]
+    header = f"[code] family={args.family} n={code.n} k={code.k} theta={args.theta}"
+    return _emit_code(args, config, code, provenance, header)
 
+
+def cmd_code_dual(args) -> int:
+    code, provenance = cd.load_code(args.file)
+    dual = cd.dual(code)
+    dual_prov = {"dual_of": provenance} if provenance else {"dual_of": {}}
+    config = ([("subcommand", "code-dual")] + _field_config(code.field)
+              + [("n", code.n), ("k", code.k), ("format", args.format)])
+    return _emit_code(args, config, dual, dual_prov, f"[code] dual n={dual.n} k={dual.k}")
+
+
+def _emit_code(args, config, code, provenance, header: str) -> int:
+    """Save code to --out when given, then print it in --format; the pretty
+    form opens with header."""
+    if args.out:
+        cd.save_code(code, args.out, provenance)
     if args.format == "json":
         doc = {"config": dict(config), "code": cd.code_to_dict(code, provenance)}
         if args.out:
@@ -160,39 +174,11 @@ def cmd_code_build(args) -> int:
     print(_config_line(config))
     if args.format == "csv":
         for row in code.gen:
-            print(_fmt_vec(field, row))
+            print(_fmt_vec(code.field, row))
         return 0
-    print(f"[code] family={args.family} n={code.n} k={code.k} theta={args.theta}")
+    print(header)
     for i, row in enumerate(code.gen):
-        print(f"G[{i}] = {_fmt_vec(field, row)}")
-    if args.out:
-        print(f"saved = {args.out}")
-    return 0
-
-
-def cmd_code_dual(args) -> int:
-    code, provenance = cd.load_code(args.file)
-    field = code.field
-    dual = cd.dual(code)
-    dual_prov = {"dual_of": provenance} if provenance else {"dual_of": {}}
-    if args.out:
-        cd.save_code(dual, args.out, dual_prov)
-    config = ([("subcommand", "code-dual")] + _field_config(field)
-              + [("n", code.n), ("k", code.k), ("format", args.format)])
-    if args.format == "json":
-        doc = {"config": dict(config), "code": cd.code_to_dict(dual, dual_prov)}
-        if args.out:
-            doc["saved"] = args.out
-        _emit_json(doc)
-        return 0
-    print(_config_line(config))
-    if args.format == "csv":
-        for row in dual.gen:
-            print(_fmt_vec(field, row))
-        return 0
-    print(f"[code] dual n={dual.n} k={dual.k}")
-    for i, row in enumerate(dual.gen):
-        print(f"G[{i}] = {_fmt_vec(field, row)}")
+        print(f"G[{i}] = {_fmt_vec(code.field, row)}")
     if args.out:
         print(f"saved = {args.out}")
     return 0

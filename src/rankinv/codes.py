@@ -76,6 +76,8 @@ class LinearCode:
             if not rows:
                 raise ValueError("cannot infer the length of a zero code")
             n = len(rows[0])
+        if rows and len(rows[0]) != n:
+            raise ValueError(f"generator rows have length {len(rows[0])}, not n = {n}")
         R, _ = la.rref(field, rows)
         return cls(field, n, len(R), R)
 

@@ -17,16 +17,19 @@ Two interchangeable arithmetic backends exist:
                  selected automatically when Q <= TABLE_LIMIT.  Building the
                  exp table doubles as a proof that f is primitive: the powers
                  of alpha must enumerate every nonzero residue exactly once.
-* ``generic`` -- direct polynomial arithmetic on packed ints; no tables.
-                 Used for larger fields and to cross-check the table backend.
-                 Primitivity of f is proved by the order of x alone: x**(Q-1)
-                 = 1 and x**((Q-1)/l) != 1 for each prime l | Q-1, which also
-                 forces f irreducible (see _is_primitive); sympy is used only
-                 to factor Q-1.  a -> a**(p**j) is F_p-linear, so
-                 it is the coefficient vector times a d x d matrix over F_p,
-                 built from alpha**(p**j) the first time j is asked for.  The
-                 inverse is Itoh-Tsujii: a**(p + ... + p**(d-1)) as a product
-                 of Frobenius images, divided by the norm of a down to F_p.
+* ``generic`` -- direct arithmetic on packed ints; no tables.  Used for
+                 larger fields and to cross-check the table backend.  At
+                 p = 2 addition is XOR and multiplication shift-and-XOR.  At
+                 odd p every operation works on the digits spread into the
+                 lanes of one int (see FieldTower._init_lanes), and
+                 multiplication is one Kronecker product folded back through
+                 x**(d+j) mod f.  a -> a**(p**j) is F_p-linear: the digit
+                 vector times a d x d matrix over F_p, built from
+                 alpha**(p**j) the first time j is asked for.  The inverse is
+                 Itoh-Tsujii: a**(p + ... + p**(d-1)) as a product of
+                 Frobenius images, divided by the norm of a down to F_p.  The
+                 order of x under the field's own multiplication proves f
+                 primitive (see _x_is_primitive); sympy only factors Q-1.
 
 The intermediate subfield F_q is generated by gamma = alpha**((Q-1)//(q-1)).
 Automorphism conventions used across the package:
@@ -86,49 +89,6 @@ def pack_digits(digits, p: int) -> int:
     return v
 
 
-# --------------------------------------------------------------------------
-# dense little-endian polynomial arithmetic over F_p (search + generic backend)
-# --------------------------------------------------------------------------
-
-def _poly_mod(a: list[int], mod: list[int], p: int) -> list[int]:
-    """a mod mod, with mod monic.  Both little-endian; a is consumed."""
-    dm = len(mod) - 1
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i] % p
-        if c:
-            a[i] = 0
-            for j in range(dm):
-                a[i - dm + j] = (a[i - dm + j] - c * mod[j]) % p
-        else:
-            a[i] = 0
-    del a[dm:]
-    while len(a) < dm:
-        a.append(0)
-    return a
-
-
-def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else [0]
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_mod(out, mod, p)
-
-
-def _poly_powmod(base: list[int], exp: int, mod: list[int], p: int) -> list[int]:
-    dm = len(mod) - 1
-    result = [1] + [0] * (dm - 1)
-    cur = _poly_mod(list(base), mod, p)
-    while exp:
-        if exp & 1:
-            result = _poly_mulmod(result, cur, mod, p)
-        cur = _poly_mulmod(cur, cur, mod, p)
-        exp >>= 1
-    return result
-
-
 def _prime_factors(n: int) -> list[int]:
     """Distinct prime factors; sympy handles the big composites lazily."""
     from sympy import factorint
@@ -136,21 +96,15 @@ def _prime_factors(n: int) -> list[int]:
     return sorted(factorint(n).keys())
 
 
-def _is_primitive(mod: list[int], p: int) -> bool:
-    """Monic f of degree d >= 1 is primitive iff x has order Q - 1 = p**d - 1
-    modulo f: x**(Q-1) = 1 and x**((Q-1)/l) != 1 for each prime l | Q-1.
-
-    The order test alone also proves f irreducible.  R = F_p[x]/(f) has Q
-    elements, and 0 is not a unit, so R has at most Q - 1 units.  If x has
-    order Q - 1, its powers are Q - 1 distinct units, so every nonzero residue
-    is a unit and R is a field: f is irreducible (a proper factor of f would
-    be a nonzero non-unit), and x generates the multiplicative group."""
-    d = len(mod) - 1
-    qm1 = p**d - 1
-    one = [1] + [0] * (d - 1)
-    if _poly_powmod([0, 1], qm1, mod, p) != one:
+def _is_primitive(mod, p: int) -> bool:
+    """Whether the monic f = mod (little-endian, leading 1 included) is
+    primitive over F_p: the order test of FieldTower._x_is_primitive, run by
+    building the generic field on f."""
+    try:
+        FieldTower(p, 1, len(mod) - 1, modulus=mod, backend="generic")
+    except FieldError:
         return False
-    return all(_poly_powmod([0, 1], qm1 // ell, mod, p) != one for ell in _prime_factors(qm1))
+    return True
 
 
 # Lexicographically least (smallest packed value of the non-leading
@@ -320,13 +274,12 @@ class FieldTower:
             self._exp, self._log, self._zech = _build_tables(p, self.d, modulus)
             self.alpha = self._exp[1] if self.Qm1 > 1 else 1
         else:
-            if not _is_primitive(list(modulus), p):
-                raise FieldError("modulus is not primitive")
             self.alpha = p if self.d > 1 else (-modulus[0]) % p
             self._mod_packed = pack_digits(modulus, p)
             self._frob_rows: dict[int, list[int]] = {}  # j -> rows of M_j, built on first use
-            # odd p: digit-lane width that holds a sum of d digit products
-            self._lane_bits = (self.d * (p - 1) ** 2).bit_length()
+            self._init_lanes()
+            if not self._x_is_primitive():
+                raise FieldError("modulus is not primitive")
 
         self._half = self.Qm1 // 2  # log of -1 when p is odd
         self._norm_exp = self.Qm1 // (self.q - 1)
@@ -389,29 +342,15 @@ class FieldTower:
             if z < 0:
                 return 0
             return self._exp[la + z]
-        p = self.p
-        out = 0
-        mul = 1
-        while a or b:
-            a, ca = divmod(a, p)
-            b, cb = divmod(b, p)
-            out += ((ca + cb) % p) * mul
-            mul *= p
-        return out
+        return self._from_lanes(self._apply(self._units, a) + self._apply(self._units, b), self.d)
 
     def neg(self, a: int) -> int:
         if self.p == 2 or a == 0:
             return a
         if self._exp is not None:
             return self._exp[self._log[a] + self._half]
-        p = self.p
-        out = 0
-        mul = 1
-        while a:
-            a, c = divmod(a, p)
-            out += ((-c) % p) * mul
-            mul *= p
-        return out
+        # -c = (p - 1)c mod p
+        return self._from_lanes((self.p - 1) * self._apply(self._units, a), self.d)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -423,10 +362,13 @@ class FieldTower:
             return self._exp[self._log[a] + self._log[b]]
         if self.p == 2:
             return self._gmul2(a, b)
-        da = digits_of(a, self.p, self.d)
-        db = digits_of(b, self.p, self.d)
-        prod = _poly_mulmod(da, db, list(self.modulus), self.p)
-        return pack_digits(prod, self.p)
+        # Kronecker product of the spread operands; its lanes d..2d-2 are
+        # the digits of x^d..x^(2d-2), which fold back through _fold
+        d = self.d
+        wd = self._lane_bits * d
+        prod = self._apply(self._units, a) * self._apply(self._units, b)
+        high = self._from_lanes(prod >> wd, d - 1)
+        return self._from_lanes((prod & ((1 << wd) - 1)) + self._apply(self._fold, high), d)
 
     def _gmul2(self, a: int, b: int) -> int:
         d = self.d
@@ -476,12 +418,16 @@ class FieldTower:
         k %= self.Qm1
         if self._exp is not None:
             return self._exp[self._log[a] * k % self.Qm1]
+        return self._powmod(a, k)
+
+    def _powmod(self, a: int, k: int) -> int:
+        """a**k for k >= 0 by square-and-multiply through mul, with k not
+        reduced mod Q - 1 (so it also serves before f is known primitive)."""
         result = 1
-        cur = a
         while k:
             if k & 1:
-                result = self.mul(result, cur)
-            cur = self.mul(cur, cur)
+                result = self.mul(result, a)
+            a = self.mul(a, a)
             k >>= 1
         return result
 
@@ -491,6 +437,74 @@ class FieldTower:
         if self._exp is not None:
             return self._exp[k % self.Qm1]
         return self.pow(self.alpha, k)
+
+    # -- generic backend: digit lanes and the primitivity proof -------------
+
+    def _init_lanes(self) -> None:
+        """Digit lanes of the generic backend at odd p.
+
+        a = sum c_i x^i is spread as sum c_i 2^(w*i), one w-bit lane per
+        digit, so integer + and * act on every digit at once and lanes are
+        reduced mod p only when read back (_from_lanes).  That is exact as
+        long as no lane exceeds 2^w - 1 and carries into the next.  w is the
+        bit length of (2d - 1)(p - 1)^2, which bounds every lane formed:
+
+        * a product of two spread elements: lane k is sum_{i+j=k} a_i b_j,
+          at most d terms of at most (p - 1)^2;
+        * plus its d - 1 high lanes, read back mod p and folded through the
+          rows _fold, whose lanes are below p: (d - 1)(p - 1)^2 more;
+        * a Frobenius image, d rows times digits: d(p - 1)^2;
+        * a sum 2(p - 1) and a negation (p - 1)^2, both within the bound for
+          p >= 3, and a step of the _fold build below, (p - 1) + (p - 1)^2,
+          which only d >= 2 takes.
+
+        Lanes are nonnegative, so a shift and a mask read one.  _units[i] =
+        x^i, so _apply(_units, a) spreads a; _fold[j] = x^(d+j) mod f for
+        0 <= j < d - 1.  p = 2 keeps its XOR paths and reads none of this."""
+        p, d = self.p, self.d
+        w = self._lane_bits = ((2 * d - 1) * (p - 1) ** 2).bit_length()
+        self._units = [1 << (w * i) for i in range(d)]
+        xd = self._apply(self._units, pack_digits([-c % p for c in self.modulus[:d]], p))
+        self._fold, row = [], xd
+        for _ in range(d - 1):
+            self._fold.append(row)
+            row <<= w  # times x: lane d holds the digit of x^d, which is xd
+            row = self._apply(self._units, self._from_lanes(
+                (row & ((1 << (w * d)) - 1)) + (row >> (w * d)) * xd, d))
+
+    def _apply(self, rows, a: int) -> int:
+        """sum c_i * rows[i] over the base-p digits c_i of a."""
+        p = self.p
+        acc = 0
+        for row in rows:
+            a, c = divmod(a, p)
+            if c:
+                acc += c * row
+        return acc
+
+    def _from_lanes(self, acc: int, count: int) -> int:
+        """The packed element whose digits are lanes 0..count-1 of acc mod p."""
+        p, w = self.p, self._lane_bits
+        mask = (1 << w) - 1
+        out = 0
+        for shift in range(w * (count - 1), -1, -w):
+            out = out * p + ((acc >> shift) & mask) % p
+        return out
+
+    def _x_is_primitive(self) -> bool:
+        """Whether x = alpha has order Q - 1 modulo f, that is f is
+        primitive: x**(Q-1) = 1 and x**((Q-1)/l) != 1 for each prime l | Q-1.
+
+        The order test alone also proves f irreducible.  R = F_p[x]/(f) has Q
+        elements, and 0 is not a unit, so R has at most Q - 1 units.  If x has
+        order Q - 1, its powers are Q - 1 distinct units, so every nonzero
+        residue is a unit and R is a field: f is irreducible (a proper factor
+        of f would be a nonzero non-unit), and x generates the multiplicative
+        group.  mul and _powmod compute in R whether or not it is a field."""
+        qm1 = self.Qm1
+        if self._powmod(self.alpha, qm1) != 1:
+            return False
+        return all(self._powmod(self.alpha, qm1 // ell) != 1 for ell in _prime_factors(qm1))
 
     # -- Frobenius / norms / subfields ---------------------------------------
 
@@ -509,14 +523,12 @@ class FieldTower:
         a = sum c_i alpha^i it sends a to sum c_i beta^i with beta =
         alpha^(p^j): row i of M_j is beta^i.  At p = 2 a row is its packed
         value and the product is the XOR of the rows at a's set bits.  At odd
-        p a row holds its digits in lanes of _lane_bits bits, wide enough
-        that the digit-weighted sum of all d rows cannot carry between lanes;
-        the sum is reduced mod p lane by lane once, at the end."""
+        p a row is beta^i in lanes, and the digit-weighted sum of the rows is
+        read back mod p (see _init_lanes)."""
         rows = self._frob_rows.get(j)
         if rows is None:
             rows = self._frob_rows[j] = self._build_frob_rows(j)
-        p = self.p
-        if p == 2:
+        if self.p == 2:
             out = i = 0
             while a:
                 if a & 1:
@@ -524,21 +536,11 @@ class FieldTower:
                 a >>= 1
                 i += 1
             return out
-        acc = 0
-        for row in rows:
-            a, c = divmod(a, p)
-            if c:
-                acc += c * row
-        w = self._lane_bits
-        mask = (1 << w) - 1
-        out = 0
-        for shift in range(w * (self.d - 1), -1, -w):
-            out = out * p + ((acc >> shift) & mask) % p
-        return out
+        return self._from_lanes(self._apply(rows, a), self.d)
 
     def _build_frob_rows(self, j: int) -> list[int]:
         """Rows beta^0, ..., beta^(d-1) of M_j, beta = alpha^(p^j): one pow
-        and d-1 multiplications; at odd p each row in digit lanes."""
+        and d-1 multiplications; at odd p each row in lanes."""
         p, d = self.p, self.d
         beta = self.pow(self.alpha, p**j)
         rows = [1]
@@ -546,8 +548,7 @@ class FieldTower:
             rows.append(self.mul(rows[-1], beta))
         if p == 2:
             return rows
-        w = self._lane_bits
-        return [sum(c << (w * i) for i, c in enumerate(digits_of(row, p, d))) for row in rows]
+        return [self._apply(self._units, row) for row in rows]
 
     def frob_q(self, a: int, r: int) -> int:
         """a ** (q**r); r taken mod m."""

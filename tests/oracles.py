@@ -19,11 +19,17 @@ against.
   field.mul, the generic backend's former Frobenius and Fermat inverse.
 * min_distance_bruteforce: every normalised message through vec_mat and
   rank_q, the former sweep behind codes.min_distance_bruteforce.
+* poly_mulmod / poly_powmod / poly_is_primitive: schoolbook products mod f
+  on little-endian digit lists, square-and-multiply on them, and the order
+  test of x on them, the generic backend's former multiplication and
+  primitivity proof.
 """
 
 from __future__ import annotations
 
 import itertools
+
+import sympy
 
 from rankinv import linalg as la
 from rankinv.codes import BudgetExceeded
@@ -279,3 +285,45 @@ def min_distance_bruteforce(code, cap: int = 1 << 24) -> int:
                 if best == 1:
                     return 1
     return best
+
+
+def _poly_mod(a: list[int], mod, p: int) -> list[int]:
+    """a mod f for monic f = mod, both little-endian; a is consumed."""
+    dm = len(mod) - 1
+    for i in range(len(a) - 1, dm - 1, -1):
+        c = a[i] % p
+        a[i] = 0
+        if c:
+            for j in range(dm):
+                a[i - dm + j] = (a[i - dm + j] - c * mod[j]) % p
+    del a[dm:]
+    return a + [0] * (dm - len(a))
+
+
+def poly_mulmod(a, b, mod, p: int) -> list[int]:
+    """a * b mod f on little-endian digit lists, as a list of d digits."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return _poly_mod(out, mod, p)
+
+
+def poly_powmod(base, exp: int, mod, p: int) -> list[int]:
+    """base ** exp mod f by square-and-multiply on digit lists."""
+    result = [1] + [0] * (len(mod) - 2)
+    cur = _poly_mod(list(base), mod, p)
+    while exp:
+        if exp & 1:
+            result = poly_mulmod(result, cur, mod, p)
+        cur = poly_mulmod(cur, cur, mod, p)
+        exp >>= 1
+    return result
+
+
+def poly_is_primitive(mod, p: int) -> bool:
+    """Whether x has order p**d - 1 modulo the monic f = mod of degree d."""
+    qm1 = p ** (len(mod) - 1) - 1
+    one = poly_powmod([1], 0, mod, p)
+    return poly_powmod([0, 1], qm1, mod, p) == one and all(
+        poly_powmod([0, 1], qm1 // ell, mod, p) != one for ell in sympy.primefactors(qm1))

@@ -290,6 +290,23 @@ def test_code_file_with_a_mistyped_value_is_a_clean_error(tmp_path, patch):
     _assert_clean_error(*run_cli("invariants", "--file", str(path)), "malformed code")
 
 
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("argv", [
+    ("invariants", "--file", "{path}"),
+    ("compare", "{path}", "{path}", "--bruteforce"),
+    ("code", "dual", "--file", "{path}"),
+    ("classify", "gabidulin", "--file", "{path}"),
+])
+def test_code_file_with_rows_not_n_long_is_a_clean_error(tmp_path, argv, n):
+    # rows of 3 entries against n = 2 and n = 5
+    field = {"p": 2, "e": 1, "m": 4, "modulus": [1, 1, 0, 0, 1]}
+    doc = {"field": field, "n": n, "k": 1, "gen": [[[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0]]]}
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(doc))
+    _assert_clean_error(*run_cli(*(a.format(path=path) for a in argv)),
+                        f"generator rows have length 3, not n = {n}")
+
+
 def test_negative_trials_are_a_clean_error(stored_pair):
     gab_path, tw_path = stored_pair
     _assert_clean_error(*run_cli("census", "--n", "6", "--k", "2", "--trials", "-1"),

@@ -77,7 +77,7 @@ def test_order_test_matches_table_build(p, d_max):
                 builds = True
             except FieldError:
                 builds = False
-            assert gf._is_primitive(f, p) == builds, f
+            assert gf._is_primitive(f, p) == builds == oracles.poly_is_primitive(f, p), f
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
@@ -213,6 +213,28 @@ def test_frobenius_and_inverse_agree_across_backends(p, e, m):
         assert [Ft.frob_p(a, j) for j in range(Ft.d)] == [Fg.frob_p(a, j) for j in range(Fg.d)]
         if a:
             assert Ft.inv(a) == Fg.inv(a)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+@pytest.mark.parametrize("d", range(1, 17))
+def test_generic_lane_arithmetic_matches_digit_list_oracles(p, d):
+    # add, neg, mul, pow and inv of the generic backend, which all run on
+    # digit lanes, against schoolbook arithmetic on digit lists; Q - 1 has
+    # every digit p - 1, which loads the lanes the most
+    F = make_field(p, 1, d, backend="generic")
+    mod = F.modulus
+    rng = DetRNG(0, f"gf-lanes/{p}/{d}")
+    samples = [0, 1, F.alpha, F.Q - 1, *(F.random_element(rng) for _ in range(8))]
+    digits = {a: digits_of(a, p, d) for a in samples}
+    for a in samples:
+        assert F.neg(a) == pack_digits([-c % p for c in digits[a]], p)
+        for b in samples:
+            assert F.add(a, b) == pack_digits([(x + y) % p for x, y in zip(digits[a], digits[b])], p)
+            assert F.mul(a, b) == pack_digits(oracles.poly_mulmod(digits[a], digits[b], mod, p), p)
+        k = rng.randbelow(F.Q)
+        assert F.pow(a, k) == pack_digits(oracles.poly_powmod(digits[a], k, mod, p), p)
+        if a:
+            assert F.inv(a) == pack_digits(oracles.poly_powmod(digits[a], F.Q - 2, mod, p), p)
 
 
 def test_generic_inverse_rejects_a_non_constant_norm():
