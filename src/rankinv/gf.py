@@ -13,10 +13,14 @@ on packed ints.
 
 Two interchangeable arithmetic backends exist:
 
-* ``table``   -- exp/log/Zech-log tables (built once with numpy and cached);
-                 selected automatically when Q <= TABLE_LIMIT.  Building the
-                 exp table doubles as a proof that f is primitive: the powers
-                 of alpha must enumerate every nonzero residue exactly once.
+* ``table``   -- exp/log/Zech-log tables in int32 arrays, cached; selected
+                 automatically when Q <= TABLE_LIMIT, and refused above it.
+                 numpy builds them block by block straight into those arrays,
+                 each block of powers of alpha the one before it times a fixed
+                 power, by split lookups (see _build_tables); p = 2 keeps no
+                 Zech table, since addition there is XOR.  Building the exp
+                 table doubles as a proof that f is primitive: the powers of
+                 alpha must enumerate every nonzero residue exactly once.
 * ``generic`` -- direct arithmetic on packed ints; no tables.  Used for
                  larger fields and to cross-check the table backend.  At
                  p = 2 addition is XOR and multiplication shift-and-XOR.  At
@@ -29,7 +33,8 @@ Two interchangeable arithmetic backends exist:
                  Itoh-Tsujii: a**(p + ... + p**(d-1)) as a product of
                  Frobenius images, divided by the norm of a down to F_p.  The
                  order of x under the field's own multiplication proves f
-                 primitive (see _x_is_primitive); sympy only factors Q-1.
+                 primitive (see _x_is_primitive), with Q-1 factored by
+                 trial division and Pollard-Brent (_prime_factors).
 
 The intermediate subfield F_q is generated by gamma = alpha**((Q-1)//(q-1)).
 Automorphism conventions used across the package:
@@ -59,17 +64,87 @@ class FieldError(ValueError):
 # small helpers
 # --------------------------------------------------------------------------
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, 2015); above it _is_prime runs Baillie-PSW.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n is prime, decided as sympy.isprime decides it: Miller-Rabin
+    on _MR_BASES below _MR_EXACT_BELOW, where it is exact, and above that
+    Baillie-PSW: a strong base-2 test and a strong Lucas test, which no known
+    composite passes both of."""
+    if n < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+    for f in _MR_BASES:
+        if n % f == 0:
+            return n == f
+    odd, s = n - 1, 0
+    while not odd & 1:
+        odd, s = odd >> 1, s + 1
+
+    def strong(a: int) -> bool:
+        x = pow(a, odd, n)
+        if x == 1 or x == n - 1:
+            return True
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                return True
+        return False
+
+    if n < _MR_EXACT_BELOW:
+        return all(strong(a) for a in _MR_BASES)
+    return strong(2) and _is_strong_lucas_prp(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _is_strong_lucas_prp(n: int) -> bool:
+    """Strong Lucas probable-prime test of an odd n > 41 with no factor in
+    _MR_BASES, with Selfridge's parameters: D the first of 5, -7, 9, -11, ...
+    with (D/n) = -1, P = 1, Q = (1 - D)/4.  U_k, V_k and Q^k go up the bits of
+    the odd part of n + 1 by the doubling and +1 steps of the Lucas sequences."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D with (D/n) = -1 exists
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # gcd(D, n) > 1 and |D| < n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    odd, s = n + 1, 0
+    while not odd & 1:
+        odd, s = odd >> 1, s + 1
+    U, V, Qk = 1, 1, Q % n  # k = 1
+    for bit in bin(odd)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = (U + V) % n, (D * U + V) % n
+            U, V = (U + n if U & 1 else U) >> 1, (V + n if V & 1 else V) >> 1
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def digits_of(value: int, p: int, d: int) -> list[int]:
@@ -90,10 +165,56 @@ def pack_digits(digits, p: int) -> int:
 
 
 def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors; sympy handles the big composites lazily."""
-    from sympy import factorint
+    """Distinct prime factors of n >= 1: trial division below 1000, then
+    Pollard-Brent splits of what is left until every part is prime."""
+    found = set()
+    f = 2
+    while f < 1000 and f * f <= n:
+        if n % f == 0:
+            found.add(f)
+            while n % f == 0:
+                n //= f
+        f += 1 + (f > 2)
+    parts = [n] if n > 1 else []
+    while parts:
+        n = parts.pop()
+        if _is_prime(n):
+            found.add(n)
+        else:
+            f = _rho_factor(n)
+            parts += [f, n // f]
+    return sorted(found)
 
-    return sorted(factorint(n).keys())
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of the odd composite n: Pollard's rho on y -> y^2 + c
+    in Brent's form (Brent, "An improved Monte Carlo factorization
+    algorithm", BIT 20, 1980), with the gcds taken over runs of 128 steps and
+    c = 1, 2, ... tried in turn until one splits n."""
+    c = 0
+    while True:
+        c += 1
+        y, r, g, acc = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * (x - y) % n
+                g = math.gcd(acc, n)
+                k += 128
+            r *= 2
+        if g == n:  # the run overshot: step again from its start one by one
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 def _is_primitive(mod, p: int) -> bool:
@@ -112,7 +233,7 @@ def _is_primitive(mod, p: int) -> bool:
 # output of default_modulus' own search, frozen for speed; tests re-derive a
 # sample and cross-check primitivity independently.  The degree-1 entries
 # let linalg build the prime fields behind rank_p and nullspace_p without
-# the search, whose factoring of Q-1 imports sympy.
+# the search.
 _KNOWN_MODULI: dict[tuple[int, int], int] = {
     (2, 1): 1, (3, 1): 1, (5, 1): 3, (7, 1): 4,
     (2, 2): 3, (2, 3): 3, (2, 4): 3, (2, 5): 5, (2, 6): 3, (2, 7): 3,
@@ -156,13 +277,29 @@ def _search_default_modulus(p: int, d: int) -> int:
 # table construction
 # --------------------------------------------------------------------------
 
+_BLOCK = 1 << 14  # powers per step of the table build
+
+
 def _build_tables(p: int, d: int, modulus: tuple[int, ...]):
     """exp/log/zech arrays for F_p[x]/(modulus); proves primitivity.
 
     Returns (exp2, log, zech) as array('i'): exp2 has length 2*(Q-1) (the
     exponent table repeated so products of logs need no reduction), log has
     length Q with log[0] = -1, zech[l] = log(alpha**l + 1) with -1 when
-    alpha**l + 1 = 0.
+    alpha**l + 1 = 0.  zech is None at p = 2, where addition is XOR.
+
+    The first B + d powers (B = _BLOCK) come from times_alpha.  Each later
+    block of B powers is the block B places back times alpha**B, an F_p-linear
+    map on digits, applied by split lookups: a packed v = lo + p**h * hi with
+    h = ceil(d/2) maps to t_lo[lo] + t_hi[hi], the reduced images of lo and of
+    x**h * hi with digit j in lane j of w bits.  A lane of the sum is at most
+    2(p - 1) < 2**w, and a chunk table of at most 2**16 entries reads c lanes
+    at a time back to base p.  Every block is written straight into the
+    array('i') buffers the field keeps, through numpy views.
+
+    Primitivity: alpha**(Q-1) = 1, and every exp[i] is nonzero with
+    log[exp[i]] = i, so the Q - 1 powers are distinct nonzero residues, that
+    is every nonzero residue exactly once.
     """
     Q = p**d
     Qm1 = Q - 1
@@ -176,61 +313,82 @@ def _build_tables(p: int, d: int, modulus: tuple[int, ...]):
             return shifted
         return [(a + top * c) % p for a, c in zip(shifted, neg_mod)]
 
-    B = 1 << 16
-    seed_count = min(Qm1, B + d)
+    exp2 = array("i", [0]) * (2 * Qm1)
+    log = array("i", [-1]) * Q
+    exp2_v = np.frombuffer(exp2, dtype=np.int32)
+    exp_v = exp2_v[:Qm1]
+    log_v = np.frombuffer(log, dtype=np.int32)
+
+    seed_count = min(Qm1, _BLOCK + d)
     rows = []
     cur = [0] * d
     cur[0] = 1
     for _ in range(seed_count):
         rows.append(cur)
         cur = times_alpha(cur)
+    seed = np.array(rows, dtype=np.int64)
+    exp_v[:seed_count] = seed @ p ** np.arange(d, dtype=np.int64)
 
-    S = np.array(rows, dtype=np.int64)
-    pw = p ** np.arange(d, dtype=np.int64)
-    exp_np = np.empty(Qm1, dtype=np.int64)
-    exp_np[:seed_count] = S @ pw
     if Qm1 > seed_count:
-        MT = S[B : B + d, :]  # row j = digits(alpha**(B+j))
-        D = S[:B, :]
-        pos = B
+        h = (d + 1) // 2
+        w = (2 * (p - 1)).bit_length()
+        lane_of_digit = np.int64(1) << (w * np.arange(d, dtype=np.int64))
+
+        def split_table(count: int, first: int) -> np.ndarray:
+            """Lanes of (sum c_j x**(first+j)) * alpha**B for every c < p**count."""
+            v = np.arange(p**count, dtype=np.int64)[:, None]
+            digits = v // p ** np.arange(count, dtype=np.int64) % p
+            return digits @ seed[_BLOCK + first : _BLOCK + first + count] % p @ lane_of_digit
+
+        t_lo, t_hi = split_table(h, 0), split_table(d - h, h)
+        c = 16 // w  # lanes per chunk-table lookup
+        mask = (1 << (c * w)) - 1
+        if c:
+            v = np.arange(mask + 1, dtype=np.int64)
+            chunk = sum((v >> (w * j)) % (1 << w) % p * p**j for j in range(c)).astype(np.int32)
+
+        def to_packed(lanes: np.ndarray) -> np.ndarray:
+            if not c:  # one lane wider than 16 bits: d = 1 and p > 2**15
+                return lanes % p
+            out = chunk[lanes & mask]
+            for k in range(c, d, c):
+                out += chunk[(lanes >> (k * w)) & mask] * p**k
+            return out
+
+        pos = seed_count
         while pos < Qm1:
-            D = (D @ MT) % p
-            cnt = min(B, Qm1 - pos)
-            exp_np[pos : pos + cnt] = D[:cnt] @ pw
+            cnt = min(_BLOCK, Qm1 - pos)
+            hi, lo = np.divmod(exp_v[pos - _BLOCK : pos - _BLOCK + cnt], p**h)
+            exp_v[pos : pos + cnt] = to_packed(t_lo[lo] + t_hi[hi])
             pos += cnt
-        # digits of alpha**(Q-2) for the wrap-around check
-        last_digits = [int(x) for x in digits_of(int(exp_np[Qm1 - 1]), p, d)]
-    else:
-        last_digits = rows[-1]
 
     # wrap-around: alpha**(Q-1) must be 1
-    if pack_digits(times_alpha(last_digits), p) != 1:
+    if pack_digits(times_alpha(digits_of(exp2[Qm1 - 1], p, d)), p) != 1:
         raise FieldError("modulus is not primitive (alpha**(Q-1) != 1)")
 
-    if int(exp_np[0]) != 1:
-        raise FieldError("internal table error")  # pragma: no cover
-    counts = np.bincount(exp_np, minlength=Q)
-    if counts[0] != 0 or not bool(np.all(counts[1:] == 1)):
-        raise FieldError(
-            "modulus is not primitive over F_{}: powers of alpha do not "
-            "enumerate all nonzero residues".format(p)
-        )
+    steps = np.arange(_BLOCK, dtype=np.int32)
+    for s in range(0, Qm1, _BLOCK):
+        block = exp_v[s : s + _BLOCK]
+        log_v[block] = steps[: len(block)] + s
+    for s in range(0, Qm1, _BLOCK):
+        block = exp_v[s : s + _BLOCK]
+        if not block.all() or (log_v[block] != steps[: len(block)] + s).any():
+            raise FieldError(
+                "modulus is not primitive over F_{}: powers of alpha do not "
+                "enumerate all nonzero residues".format(p)
+            )
 
-    log_np = np.full(Q, -1, dtype=np.int64)
-    log_np[exp_np] = np.arange(Qm1, dtype=np.int64)
+    zech = None
+    if p > 2:
+        zech = array("i", [0]) * Qm1
+        zech_v = np.frombuffer(zech, dtype=np.int32)
+        for s in range(0, Qm1, _BLOCK):
+            block = exp_v[s : s + _BLOCK]
+            # alpha**l + 1 adds 1 to digit 0 mod p; log[0] = -1 marks it zero
+            zech_v[s : s + len(block)] = log_v[np.where(block % p == p - 1, block + 1 - p, block + 1)]
 
-    r = exp_np % p
-    plus_one = exp_np - r + (r + 1) % p
-    zech_np = np.where(plus_one == 0, -1, log_np[plus_one])
-
-    exp2_np = np.concatenate([exp_np, exp_np])
-
-    def as_int_array(a: np.ndarray) -> array:
-        out = array("i")
-        out.frombytes(a.astype(np.int32).tobytes())
-        return out
-
-    return as_int_array(exp2_np), as_int_array(log_np), as_int_array(zech_np)
+    exp2_v[Qm1:] = exp_v
+    return exp2, log, zech
 
 
 # --------------------------------------------------------------------------
@@ -253,6 +411,14 @@ class FieldTower:
         self.Q = p**self.d
         self.Qm1 = self.Q - 1
 
+        if backend is None:
+            backend = "table" if self.Q <= TABLE_LIMIT else "generic"
+        if backend not in ("table", "generic"):
+            raise FieldError(f"unknown backend {backend!r}")
+        if backend == "table" and self.Q > TABLE_LIMIT:
+            raise FieldError(f"table backend needs p**d <= {TABLE_LIMIT}, not {p}**{self.d}")
+        self.backend = backend
+
         if modulus is None:
             modulus = default_modulus(p, self.d)
         modulus = tuple(int(c) % p for c in modulus)
@@ -262,12 +428,6 @@ class FieldTower:
                 f"(little-endian coefficient list of length {self.d + 1})"
             )
         self.modulus = modulus
-
-        if backend is None:
-            backend = "table" if self.Q <= TABLE_LIMIT else "generic"
-        if backend not in ("table", "generic"):
-            raise FieldError(f"unknown backend {backend!r}")
-        self.backend = backend
 
         self._exp = self._log = self._zech = None
         if backend == "table":

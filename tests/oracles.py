@@ -23,17 +23,22 @@ against.
   on little-endian digit lists, square-and-multiply on them, and the order
   test of x on them, the generic backend's former multiplication and
   primitivity proof.
+* build_tables: the exp/log/zech tables from an int64 (B x d)(d x d) block
+  product with a bincount primitivity check, the table backend's former
+  builder.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 
+import numpy as np
 import sympy
 
 from rankinv import linalg as la
 from rankinv.codes import BudgetExceeded
-from rankinv.gf import GaloisAut, pack_digits
+from rankinv.gf import FieldError, GaloisAut, digits_of, pack_digits
 
 
 def _pow(field, a: int, k: int) -> int:
@@ -327,3 +332,80 @@ def poly_is_primitive(mod, p: int) -> bool:
     one = poly_powmod([1], 0, mod, p)
     return poly_powmod([0, 1], qm1, mod, p) == one and all(
         poly_powmod([0, 1], qm1 // ell, mod, p) != one for ell in sympy.primefactors(qm1))
+
+
+def build_tables(p: int, d: int, modulus: tuple[int, ...]):
+    """exp/log/zech arrays for F_p[x]/(modulus); proves primitivity.
+
+    Returns (exp2, log, zech) as array('i'): exp2 has length 2*(Q-1) (the
+    exponent table repeated so products of logs need no reduction), log has
+    length Q with log[0] = -1, zech[l] = log(alpha**l + 1) with -1 when
+    alpha**l + 1 = 0.
+    """
+    Q = p**d
+    Qm1 = Q - 1
+    neg_mod = [(-c) % p for c in modulus[:d]]
+
+    def times_alpha(digits):
+        """Digits of alpha * (the element with these digits), reduced by the modulus."""
+        top = digits[d - 1]
+        shifted = [0] + digits[: d - 1]
+        if not top:
+            return shifted
+        return [(a + top * c) % p for a, c in zip(shifted, neg_mod)]
+
+    B = 1 << 16
+    seed_count = min(Qm1, B + d)
+    rows = []
+    cur = [0] * d
+    cur[0] = 1
+    for _ in range(seed_count):
+        rows.append(cur)
+        cur = times_alpha(cur)
+
+    S = np.array(rows, dtype=np.int64)
+    pw = p ** np.arange(d, dtype=np.int64)
+    exp_np = np.empty(Qm1, dtype=np.int64)
+    exp_np[:seed_count] = S @ pw
+    if Qm1 > seed_count:
+        MT = S[B : B + d, :]  # row j = digits(alpha**(B+j))
+        D = S[:B, :]
+        pos = B
+        while pos < Qm1:
+            D = (D @ MT) % p
+            cnt = min(B, Qm1 - pos)
+            exp_np[pos : pos + cnt] = D[:cnt] @ pw
+            pos += cnt
+        # digits of alpha**(Q-2) for the wrap-around check
+        last_digits = [int(x) for x in digits_of(int(exp_np[Qm1 - 1]), p, d)]
+    else:
+        last_digits = rows[-1]
+
+    # wrap-around: alpha**(Q-1) must be 1
+    if pack_digits(times_alpha(last_digits), p) != 1:
+        raise FieldError("modulus is not primitive (alpha**(Q-1) != 1)")
+
+    if int(exp_np[0]) != 1:
+        raise FieldError("internal table error")  # pragma: no cover
+    counts = np.bincount(exp_np, minlength=Q)
+    if counts[0] != 0 or not bool(np.all(counts[1:] == 1)):
+        raise FieldError(
+            "modulus is not primitive over F_{}: powers of alpha do not "
+            "enumerate all nonzero residues".format(p)
+        )
+
+    log_np = np.full(Q, -1, dtype=np.int64)
+    log_np[exp_np] = np.arange(Qm1, dtype=np.int64)
+
+    r = exp_np % p
+    plus_one = exp_np - r + (r + 1) % p
+    zech_np = np.where(plus_one == 0, -1, log_np[plus_one])
+
+    exp2_np = np.concatenate([exp_np, exp_np])
+
+    def as_int_array(a: np.ndarray) -> array:
+        out = array("i")
+        out.frombytes(a.astype(np.int32).tobytes())
+        return out
+
+    return as_int_array(exp2_np), as_int_array(log_np), as_int_array(zech_np)

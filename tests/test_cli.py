@@ -384,3 +384,14 @@ def test_inline_modulus_wins_over_a_file_of_that_name(tmp_path, monkeypatch):
     (tmp_path / "junk.txt").write_text("x^4 + x + 1\n")
     for value in ("nofile", "-19", "junk.txt"):
         _assert_clean_error(*run_cli(*argv, value), f"--modulus '{value}' is neither")
+
+
+@pytest.mark.parametrize("p,packed", [(2, 2**15 + 111), (2, 2**15 + 1), (3, 3**9 + 68), (3, 3**9 + 1)])
+def test_non_primitive_modulus_is_a_clean_error(p, packed):
+    # irreducible but not primitive, then reducible, on fields whose table
+    # build runs past its seed block
+    m = 15 if p == 2 else 9
+    rc, out, err = run_cli("code", "build", "--family", "Gabidulin", "--p", str(p),
+                           "--m", str(m), "--n", "3", "--k", "2", "--random-g",
+                           "--modulus", str(packed))
+    _assert_clean_error(rc, out, err, "not primitive")

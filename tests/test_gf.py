@@ -1,6 +1,10 @@
 """Field-tower arithmetic: laws, Frobenius/norm, moduli, parsing, backends."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import sympy
@@ -25,6 +29,18 @@ from rankinv.gf import (
 )
 from rankinv.rng import DetRNG
 from tests.conftest import WORKED_EXAMPLE_MODULUS
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# non-primitive irreducible and reducible moduli of block-path fields (more
+# powers than the seed of the table build): x^15 + x^6 + x^5 + x^3 + x^2 + x
+# + 1 and x^15 + 1 over F_2, x^9 + 2x^3 + x^2 + x + 2 and x^9 + 1 over F_3
+NON_PRIMITIVE_MODULI = [
+    (2, (1, 1, 1, 1, 0, 1, 1) + (0,) * 8 + (1,), True),
+    (2, (1,) + (0,) * 14 + (1,), False),
+    (3, (2, 1, 1, 2, 0, 0, 0, 0, 0, 1), True),
+    (3, (1,) + (0,) * 8 + (1,), False),
+]
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +125,103 @@ def test_reducible_modulus_rejected():
     # non-monic / wrong length
     with pytest.raises(FieldError):
         make_field(2, 1, 4, modulus=(1, 1, 0, 1))
+
+
+@pytest.mark.parametrize("p,d", [(2, 11), (3, 7), (2, 16), (3, 12), (5, 7), (7, 6),
+                                 (2, 1), (3, 1), (5, 1), (7, 1), (65537, 1)])
+def test_tables_match_oracle_builder(p, d):
+    # the split-lookup build against the former (B x d)(d x d) block product;
+    # F_{5^7}, F_{7^6}, F_{2^16}, F_{3^12} and F_65537 take the block path,
+    # the last with a lane wider than a chunk table
+    mod = default_modulus(p, d)
+    exp2, log, zech = gf._build_tables(p, d, mod)
+    want_exp2, want_log, want_zech = oracles.build_tables(p, d, mod)
+    assert exp2 == want_exp2 and log == want_log
+    assert exp2.itemsize == log.itemsize == 4
+    if p == 2:
+        assert zech is None  # addition is XOR; no Zech table is read
+    else:
+        assert zech == want_zech
+
+
+@pytest.mark.parametrize("p,mod,irreducible", NON_PRIMITIVE_MODULI)
+def test_both_builders_reject_non_primitive_block_path_moduli(p, mod, irreducible):
+    d = len(mod) - 1
+    assert p**d - 1 > gf._BLOCK + d
+    assert _sympy_irreducible(mod, p) == irreducible
+    assert not oracles.poly_is_primitive(mod, p)
+    for build in (gf._build_tables, oracles.build_tables):
+        with pytest.raises(FieldError):
+            build(p, d, mod)
+
+
+def test_table_backend_refused_above_the_table_limit():
+    # 2^24 > TABLE_LIMIT: refused before any modulus search or allocation
+    assert 2**24 > gf.TABLE_LIMIT
+    with pytest.raises(FieldError, match="table backend"):
+        gf.FieldTower(2, 1, 24, backend="table")
+
+
+def _run_python(code: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_table_build_peak_memory_stays_within_twice_the_tables():
+    # F_{3^14} keeps 76 MB of tables; the build's temporaries must not double that
+    out = _run_python(
+        "import resource\n"
+        "import numpy\n"
+        "from rankinv import gf\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "F = gf.make_field(3, 1, 14)\n"
+        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "kept = sum(len(t) * t.itemsize for t in (F._exp, F._log, F._zech))\n"
+        "print((after - before) * 1024, kept)\n")
+    grown, kept = map(int, out.split())
+    assert kept == 4 * (2 * (3**14 - 1) + 3**14 + (3**14 - 1))
+    assert grown <= 2 * kept
+
+
+def test_generic_field_build_does_not_import_sympy():
+    out = _run_python(
+        "import sys\n"
+        "from rankinv import gf\n"
+        "F = gf.make_field(3, 1, 16)\n"
+        "print(F.backend, 'sympy' in sys.modules)\n")
+    assert out.split() == ["generic", "False"]
+
+
+def test_prime_factors_match_sympy_factorint():
+    cases = [p**d - 1 for (p, d) in gf._KNOWN_MODULI]
+    rng = DetRNG(0, "gf-factor")
+    cases += [rng.randbelow(1 << 64) + 1 for _ in range(200)]
+    # above the exact Miller-Rabin bound, where primality is Baillie-PSW
+    cases += [3**60 - 1, 2**89 - 1, 2**107 - 1, 5**40 - 1, (2**61 - 1) * (2**31 - 1) ** 2]
+    for n in cases:
+        assert gf._prime_factors(n) == sorted(sympy.factorint(n)), n
+
+
+def test_primality_matches_sympy_isprime():
+    from sympy.ntheory.primetest import is_strong_lucas_prp
+
+    # strong pseudoprimes to the first 1, 4, 9 and 12 prime bases, and
+    # numbers on both sides of the exact Miller-Rabin bound
+    hard = [2047, 3215031751, 3825123056546413051, 318665857834031151167461,
+            gf._MR_EXACT_BELOW - 2, gf._MR_EXACT_BELOW + 2, 2**89 - 1, 2**89 + 1,
+            (2**61 - 1) * (2**89 - 1), 2**127 - 1, (2**64 + 13) ** 2]
+    rng = DetRNG(0, "gf-prime")
+    rand = [rng.randbelow(1 << 96) | 1 for _ in range(200)]
+    for n in [*range(-2, 3000), *hard, *rand]:
+        assert gf._is_prime(n) == sympy.isprime(n), n
+    # the Lucas half of Baillie-PSW on its own, where its pseudoprimes are small
+    for n in range(43, 30000, 2):
+        if all(n % f for f in gf._MR_BASES):
+            assert gf._is_strong_lucas_prp(n) == is_strong_lucas_prp(n), n
 
 
 def test_table_backend_exp_is_bijective(f3_5):
