@@ -2,14 +2,12 @@
 
 Two codes C1, C2 <= F_{q^m}^n are equivalent when C2 = lam * tau(C1) * A for
 some nonzero lam, full-field automorphism tau, and A in GL_n(F_q).  The tools
-here sit on three rungs:
+here sit on two rungs:
 
 * distinguish()            invariant comparison; can prove *in*equivalence
                            (never equivalence) and otherwise answers Unknown.
 * bruteforce_equivalent()  exact decision by exhausting tau and solving an
                            F_p-linear system for A; capped.
-* orbit_of_code()          closure of one code under the full equivalence
-                           group, for exhaustive small-parameter partitions.
 
 is_theta_gabidulin() recognizes Gabidulin codes for a *fixed* generator theta
 through several independent published criteria evaluated simultaneously; they
@@ -67,8 +65,8 @@ def distinguish(c1: cd.LinearCode, c2: cd.LinearCode, trials: int = 100,
         return Verdict("Inequivalent", {"invariant": "dimension", "k1": c1.k, "k2": c2.k},
                        f"dimensions differ: {c1.k} vs {c2.k}")
     m = c1.field.m
-    # one image cache per code serves both fingerprints
-    im1, im2 = iv._CodeImages(c1), iv._CodeImages(c2)
+    # one cache of differences per code serves both fingerprints
+    im1, im2 = iv._CodeInvariants(c1), iv._CodeInvariants(c2)
     p1 = im1.fingerprint_consecutive().detail
     p2 = im2.fingerprint_consecutive().detail
     for r in range(m):
@@ -192,55 +190,6 @@ def _digits_to_matrix(field: FieldTower, digits, n: int, e: int, gamma_pows) -> 
     return tuple(rows)
 
 
-def orbit_of_code(code: cd.LinearCode, gl_generators=None, cap: int = 200000):
-    """Set of canonical generator matrices of the orbit of `code` under the
-    full equivalence group <GL_n(F_q) column action, full Frobenius>."""
-    field = code.field
-    n = code.n
-    if gl_generators is None:
-        gl_generators = gl_n_q_generators(field, n)
-    tau1 = FullAut(field, 1)
-    start = code.gen
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        if len(seen) > cap:
-            raise cd.BudgetExceeded(f"orbit exceeded cap {cap}")
-        nxt = []
-        for gen in frontier:
-            c = cd.LinearCode(field, n, len(gen), gen)
-            images = [cd.apply_full_aut(c, tau1).gen]
-            for A in gl_generators:
-                rows = tuple(la.vec_mat(field, r, A) for r in gen)
-                images.append(la.rref(field, rows)[0])
-            for img in images:
-                if img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return seen
-
-
-def gl_n_q_generators(field: FieldTower, n: int) -> list[la.Matrix]:
-    """Standard generating set of GL_n(F_q) as matrices over the subfield:
-    a cyclic permutation, one transvection, and one diagonal scaling."""
-    if n == 1:
-        return [((field.gamma,),)] if field.q > 2 else [((1,),)]
-    perm = tuple(tuple(1 if j == (i + 1) % n else 0 for j in range(n)) for i in range(n))
-    transv = tuple(
-        tuple(1 if i == j else (1 if (i, j) == (0, 1) else 0) for j in range(n))
-        for i in range(n)
-    )
-    gens = [perm, transv]
-    if field.q > 2:
-        diag = tuple(
-            tuple((field.gamma if i == 0 else 1) if i == j else 0 for j in range(n))
-            for i in range(n)
-        )
-        gens.append(diag)
-    return gens
-
-
 # --------------------------------------------------------------------------
 # Gabidulin recognition
 # --------------------------------------------------------------------------
@@ -301,28 +250,15 @@ def is_theta_gabidulin(code: cd.LinearCode, theta_exp: int,
 
 def _systematic_criterion(code: cd.LinearCode, theta_exp: int) -> bool:
     """After permuting pivot columns to the front (a rank-preserving F_q
-    equivalence), write the generator as (I_k | X) and test:
-      (a) theta(X) - X has rank one over F_{q^m},
+    equivalence), write the generator as (I_k | X) and test, for the
+    difference Y = theta(X) - X (codes.Differences):
+      (a) Y has rank one over F_{q^m},
       (b) its first row has F_q-rank n-k,
       (c) its first column has F_q-rank k."""
-    field = code.field
     n, k = code.n, code.k
-    theta = GaloisAut(field, theta_exp)
-    R, pivots = la.rref(field, code.gen)
-    order = list(pivots) + [c for c in range(n) if c not in set(pivots)]
-    X = tuple(tuple(row[c] for c in order[k:]) for row in R)
-    Y = tuple(
-        tuple(field.sub(theta(a), a) for a in row)
-        for row in X
-    )
-    if la.rank(field, Y) != 1:
-        return False
-    if la.rank_q(field, Y[0]) != n - k:
-        return False
-    first_col = tuple(row[0] for row in Y)
-    if la.rank_q(field, first_col) != k:
-        return False
-    return True
+    Y = cd.Differences(code).rows(theta_exp)
+    return (la.rank(code.field, Y) == 1 and la.rank_q(code.field, Y[0]) == n - k
+            and la.rank_q(code.field, [row[0] for row in Y]) == k)
 
 
 def rank_one_decomposition(code: cd.LinearCode, theta_exp: int):
@@ -620,13 +556,13 @@ class CensusReport:
 def _census_class_fingerprints(args):
     """Worker for one parameter class; module-level so a process pool can
     pickle it.  Rebuilds the (cached per process) field from scalars.  Both
-    fingerprints share one dual and one set of Galois image caches."""
+    fingerprints share one cache of differences."""
     p, e, m, n, k, g, eta, r, t, h, trials, seed = args
     field = make_field(p, e, m)
     spec = cd.make_spec("GeneralizedTwisted", n, k, r, g, eta=(eta,), t=(t,), h=(h,))
-    images = iv._CodeImages(cd.build(field, spec))
-    return (images.fingerprint_consecutive().key,
-            images.fingerprint_random_triples(trials, seed).key)
+    invariants = iv._CodeInvariants(cd.build(field, spec))
+    return (invariants.fingerprint_consecutive().key,
+            invariants.fingerprint_random_triples(trials, seed).key)
 
 
 def census(q: int, n: int, k: int, seed: int, trials: int = 100,

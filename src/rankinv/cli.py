@@ -201,12 +201,9 @@ def cmd_invariants(args) -> int:
     s_len = args.i_max if args.i_max is not None else n - k
     t_len = args.i_max if args.i_max is not None else k
 
-    # one dual and one cache of Galois images shared by every sigma
-    images = iv._CodeImages(code)
-    profiles = []
-    for r in sigmas:
-        s, t = images.rows(r, s_len, t_len)
-        profiles.append((r, s[1:], t[1:]))
+    # one cache of differences shared by every sigma
+    invariants = iv._CodeInvariants(code)
+    profiles = [(r, invariants.s(r, s_len)[1:], invariants.t(r, t_len)[1:]) for r in sigmas]
 
     config = ([("subcommand", "invariants"), ("file", args.file)]
               + _field_config(field)

@@ -89,6 +89,50 @@ class LinearCode:
         return f"LinearCode(n={self.n}, k={self.k}, q^m={self.field.q}^{self.field.m})"
 
 
+class Differences:
+    """The systematic differences D_j = theta^j(A) - A of one code, theta the
+    Frobenius a -> a^q and A the k x (n-k) block of its RREF generator R off
+    the pivot columns, indexed by j mod m; each D_j and its transpose is
+    computed on first use.
+
+    theta^j acts entrywise and fixes 0 and 1, so theta^j(R) is R with A
+    replaced by theta^j(A): the rows of theta^j(R) - R are the rows of D_j,
+    padded with zeros at the pivots, and xR lies in theta^j(C) exactly when
+    x D_j = 0."""
+
+    def __init__(self, code: LinearCode):
+        self.code = code
+        pivots = {next(c for c, a in enumerate(row) if a) for row in code.gen}
+        self._A = tuple(tuple(a for c, a in enumerate(row) if c not in pivots)
+                        for row in code.gen)
+        self._rows: dict[int, la.Matrix] = {}
+        self._cols: dict[int, la.Matrix] = {}
+
+    def rows(self, j: int) -> la.Matrix:
+        """D_j: k rows, n-k wide."""
+        j %= self.code.field.m
+        D = self._rows.get(j)
+        if D is None:
+            aut, sub = GaloisAut(self.code.field, j), self.code.field.sub
+            D = self._rows[j] = tuple(tuple(map(sub, aut.on_vector(a), a)) for a in self._A)
+        return D
+
+    def cols(self, j: int) -> la.Matrix:
+        """The transpose of D_j: n-k rows, k wide (no rows when k = 0)."""
+        j %= self.code.field.m
+        T = self._cols.get(j)
+        if T is None:
+            T = self._cols[j] = tuple(zip(*self.rows(j)))
+        return T
+
+    def meet(self, exps) -> la.Matrix:
+        """RREF basis of C n theta^j(C) over j in exps: the rows xR for x in
+        the kernel of the stacked D_j transposes."""
+        field = self.code.field
+        kernel = la.nullspace(field, [row for j in exps for row in self.cols(j)], self.code.k)
+        return la.rref(field, [la.vec_mat(field, x, self.code.gen) for x in kernel])[0]
+
+
 def code_equal(c1: LinearCode, c2: LinearCode) -> bool:
     return c1.field == c2.field and c1.n == c2.n and c1.gen == c2.gen
 
@@ -357,21 +401,17 @@ def apply_semilinear(code: LinearCode, smap: SemilinearMap) -> LinearCode:
 
 def _galois_stable_part(code: LinearCode) -> la.Matrix:
     """RREF basis of V = the intersection of theta^j(C) over j < m, theta the
-    Frobenius a -> a^q, computed as dual(sum_j theta^j(dual C)).  Its rows
-    are an F_q-basis of the subfield subcode C n F_q^n.
+    Frobenius a -> a^q, read off the differences D_1..D_(m-1) (see
+    Differences).  Its rows are an F_q-basis of the subfield subcode
+    C n F_q^n.
 
-    theta acts entrywise and commutes with the dot product, so theta^j(dual
-    C) = dual(theta^j(C)), and the dual of a sum of duals is the intersection.
     theta permutes the theta^j(C), so theta(V) = V.  theta maps the RREF
     basis R of V to a basis of theta(V) = V that is again in RREF (it fixes 0
     and 1), and that form is unique, so theta(R) = R: R has entries in F_q and
     spans part of C n F_q^n.  Conversely a word w of C n F_q^n is fixed by
     theta, so it lies in every theta^j(C) and in V, and its coordinates in R
     are its own entries at the pivot columns, which lie in F_q."""
-    field = code.field
-    images = [GaloisAut(field, j).on_vector(row)
-              for j in range(field.m) for row in dual(code).gen]
-    return la.nullspace(field, images, code.n)
+    return Differences(code).meet(range(1, code.field.m))
 
 
 def subfield_subcode(code: LinearCode):

@@ -852,6 +852,10 @@ def make_field(p: int, e: int, m: int, modulus=None, backend: str | None = None)
     """
     if modulus is not None:
         modulus = tuple(int(c) for c in modulus)
+    if backend is None:
+        # the choice FieldTower makes, so both spellings share one object
+        # (FieldTower refuses e or m below 1, and p = 0, with its own error)
+        backend = "table" if p ** max(e * m, 0) <= TABLE_LIMIT else "generic"
     key = (p, e, m, modulus, backend)
     cached = _FIELD_CACHE.get(key)
     if cached is None:

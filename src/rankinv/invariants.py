@@ -7,24 +7,32 @@ For a code C of dimension k and a Galois automorphism sigma (a -> a^(q^r)):
     Delta_i = s_{i+1} - s_i                      Lambda_i = t_i - t_{i+1}
 
 Both sequences stabilize as soon as two consecutive values agree; s by step
-n-k at the latest and t by step k.  One routine, _ranks, gives every
-dimension: it feeds blocks of rows into one IncrementalRank and records the
-rank after each block.  A sum's blocks are Galois images of the rows of C.
-An intersection's are the images of the rows of dual(C), and its dimension
-is n minus the rank, because sigma(dual C) = dual(sigma(C)) and the dual of a
-sum of duals is the intersection.  Fingerprints compute the dual once.
+n-k at the latest and t by step k.  Every dimension comes from the
+systematic differences D_j = sigma^j(A) - A of the code (codes.Differences:
+R = (I_k | A) up to the order of columns, and one cache per code indexed by
+j mod m).  For a set J of exponents that contains 0, as every sequence and
+every triple class key does:
 
-Every block is taken from an image cache, one per generator matrix, that
-maps j (mod m) to theta^j(rows), theta the Frobenius a -> a^q, and computes
-each image on first use.  Block i for exponent r is image r*i mod m, so each
-matrix has at most m images to compute, however many sequences use them.
+    dim sum_{j in J} sigma^j(C)  = k + rank(D_j stacked, j in J, j != 0)
+    dim  n_{j in J}  sigma^j(C)  = k - rank(D_j^T stacked, j in J, j != 0)
 
-Three shortcuts rest on these facts, each proved here:
+Galois automorphisms act entrywise and fix 0 and 1, so sigma^j(R) - R has
+the rows of D_j off the pivots and zeros on them, and R with those rows spans
+the sum.  The pivot entries of a word y sigma^j(R) are y, so xR lies in
+sigma^j(C) exactly when xR = x sigma^j(R), that is when x D_j = 0; the
+intersection is R times the common left kernel of the D_j.  One routine,
+_ranks, feeds blocks of D_j (n-k wide) or D_j^T (k wide) into one
+IncrementalRank and records the rank after each block; block i for exponent
+r is D_(r*i), so each code has at most m differences to compute, however
+many sequences use them.
+
+Three shortcuts rest on these facts, each proved here; they are statements
+about subspaces, so they hold whichever matrices the ranks are taken of:
 
 * Fixed-length rows stop at the first repeat and pad.  S_i is contained in
   S_{i+1} = C + sigma(S_i), so s_i = s_{i+1} means S_i = S_{i+1}; then
   S_{i+2} = C + sigma(S_{i+1}) = C + sigma(S_i) = S_{i+1}, and by induction
-  every later value is s_i.  The same holds for the sums of duals behind t.
+  every later value is s_i.  Likewise T_{i+1} = C n sigma(T_i) for t.
 * Mirror exponents.  S_i(sigma^-1) = sum_{j<=i} sigma^-j(C)
   = sigma^-i(sum_{j<=i} sigma^(i-j)(C)) = sigma^-i(S_i(sigma)), and a Galois
   automorphism applied to a whole subspace keeps its dimension (it is a
@@ -35,6 +43,8 @@ Three shortcuts rest on these facts, each proved here:
   intersection, so the pair of dimensions depends only on the set {a, b, c}
   up to a common shift mod m.  Its key is the least of sorted((x - s) % m)
   over s in the triple, the shifts that put a 0 first.
+
+Rows stop being fed at full rank: n-k for sums and k for intersections.
 
 Fingerprints package these dimensions into equivalence-invariant keys:
 
@@ -58,7 +68,6 @@ from functools import lru_cache
 
 from . import codes as cd
 from . import linalg as la
-from .gf import GaloisAut
 from .rng import DetRNG
 
 
@@ -71,26 +80,11 @@ def sum_code(code: cd.LinearCode, auts) -> cd.LinearCode:
 
 
 def intersect_code(code: cd.LinearCode, auts) -> cd.LinearCode:
-    """The code intersect(aut(C) for aut in auts), via duals."""
-    dual_sum = sum_code(cd.dual(code), auts)
-    return cd.dual(dual_sum)
-
-
-class _Images:
-    """theta^j(rows) of one generator matrix, indexed by j and taken mod m;
-    each image is computed on first use."""
-
-    def __init__(self, field, rows):
-        self.field = field
-        self._blocks = {0: tuple(rows)}
-
-    def __getitem__(self, j: int) -> tuple:
-        j %= self.field.m
-        block = self._blocks.get(j)
-        if block is None:
-            aut = GaloisAut(self.field, j)
-            block = self._blocks[j] = tuple(aut.on_vector(r) for r in self._blocks[0])
-        return block
+    """The code intersect(aut(C) for aut in auts): the first aut applied to
+    the intersection of C with its images under the others relative to it."""
+    first, *rest = auts
+    rows = cd.Differences(code).meet([aut.r - first.r for aut in rest])
+    return cd.LinearCode.from_rows(code.field, map(first.on_vector, rows), code.n)
 
 
 def _ranks(field, blocks):
@@ -101,19 +95,20 @@ def _ranks(field, blocks):
         for row in block:
             if inc.rank == len(row):
                 break
-            inc.add_row(row)
+            if any(row):
+                inc.add_row(row)
         yield inc.rank
 
 
-def _sequence(images: _Images, sigma_exp: int, i_max: int | None, bound: int | None = None) -> list[int]:
-    """[dim G, dim(G + sigma(G)), ...] for the rows G = images[0]: i_max+1
-    values when i_max is given (a negative i_max counts as 0), otherwise up
-    to and including the first repeated value, which must come by index
-    bound.  No block past the first repeat is built; a fixed-length row
-    repeats that value to its end."""
+def _sequence(field, blocks, sigma_exp: int, i_max: int | None, bound: int) -> list[int]:
+    """Ranks of blocks(0), then with blocks(sigma_exp) added, and so on:
+    i_max+1 values when i_max is given (a negative i_max counts as 0),
+    otherwise up to and including the first repeated value, which must come
+    by index bound.  No block past the first repeat is built; a fixed-length
+    row repeats that value to its end."""
     length = (bound if i_max is None else max(i_max, 0)) + 1
     seq: list[int] = []
-    for v in _ranks(images.field, (images[sigma_exp * i] for i in range(length))):
+    for v in _ranks(field, (blocks(sigma_exp * i) for i in range(length))):
         if seq and v == seq[-1]:
             # every later value is v (see the module docstring)
             return seq + [v] * (1 if i_max is None else length - len(seq))
@@ -126,13 +121,12 @@ def _sequence(images: _Images, sigma_exp: int, i_max: int | None, bound: int | N
 def s_sequence(code: cd.LinearCode, sigma_exp: int, i_max: int | None = None) -> list[int]:
     """[s_0, s_1, ...]: fixed length i_max+1 when i_max is given, otherwise
     up to and including the first repeated value."""
-    return _sequence(_Images(code.field, code.gen), sigma_exp, i_max, code.n - code.k + 1)
+    return _CodeInvariants(code).s(sigma_exp, i_max)
 
 
 def t_sequence(code: cd.LinearCode, sigma_exp: int, i_max: int | None = None) -> list[int]:
     """[t_0, t_1, ...]; same length conventions as s_sequence."""
-    sd = _sequence(_Images(code.field, cd.dual(code).gen), sigma_exp, i_max, code.k + 1)
-    return [code.n - v for v in sd]
+    return _CodeInvariants(code).t(sigma_exp, i_max)
 
 
 @dataclass(frozen=True)
@@ -151,7 +145,7 @@ class InvariantProfile:
 
 
 def invariant_profile(code: cd.LinearCode, sigma_exp: int) -> InvariantProfile:
-    return _CodeImages(code).profile(sigma_exp)
+    return _CodeInvariants(code).profile(sigma_exp)
 
 
 @dataclass(frozen=True)
@@ -168,33 +162,33 @@ class Fingerprint:
     detail: tuple = dc_field(compare=False, repr=False)
 
 
-class _CodeImages:
-    """One code with the image caches of its rows and of its dual's rows.
-    The fingerprints of one code share it, so the dual and each Galois image
-    are computed once."""
+class _CodeInvariants:
+    """One code with its cache of differences, which every sequence and both
+    fingerprints of the code read."""
 
     def __init__(self, code: cd.LinearCode):
         self.code = code
-        self.sums = _Images(code.field, code.gen)
-        self.meets = _Images(code.field, cd.dual(code).gen)
+        self.diffs = cd.Differences(code)
 
-    def rows(self, sigma_exp: int, s_max: int, t_max: int) -> tuple[list[int], list[int]]:
-        """Fixed-length [s_0..s_{s_max}] and [t_0..t_{t_max}] for sigma_exp."""
-        n = self.code.n
-        return (_sequence(self.sums, sigma_exp, s_max),
-                [n - v for v in _sequence(self.meets, sigma_exp, t_max)])
+    def s(self, sigma_exp: int, i_max: int | None = None) -> list[int]:
+        code = self.code
+        return [code.k + v for v in _sequence(code.field, self.diffs.rows, sigma_exp,
+                                              i_max, code.n - code.k + 1)]
+
+    def t(self, sigma_exp: int, i_max: int | None = None) -> list[int]:
+        code = self.code
+        return [code.k - v for v in _sequence(code.field, self.diffs.cols, sigma_exp,
+                                              i_max, code.k + 1)]
 
     def profile(self, sigma_exp: int) -> InvariantProfile:
         n, k = self.code.n, self.code.k
-        s, t = self.rows(sigma_exp, n - k + 1, k + 1)
-        delta = tuple(s[i + 1] - s[i] for i in range(n - k + 1))
-        lam = tuple(t[i] - t[i + 1] for i in range(k + 1))
+        s, t = self.s(sigma_exp, n - k + 1), self.t(sigma_exp, k + 1)
         return InvariantProfile(
             sigma=sigma_exp % self.code.field.m,
             s=tuple(s[: n - k + 1]),
             t=tuple(t[: k + 1]),
-            delta=delta,
-            lam=lam,
+            delta=tuple(b - a for a, b in zip(s, s[1:])),
+            lam=tuple(a - b for a, b in zip(t, t[1:])),
         )
 
     def fingerprint_consecutive(self) -> Fingerprint:
@@ -207,24 +201,20 @@ class _CodeImages:
         return Fingerprint("consecutive", key, tuple(profiles))
 
     def fingerprint_random_triples(self, trials: int, seed: int) -> Fingerprint:
-        field, n, m = self.code.field, self.code.n, self.code.field.m
-        by_class: dict[tuple, tuple[int, int]] = {}
-        pairs = []
-        for triple in random_triples(m, trials, seed):
-            # one pair per translation class (see above)
-            cls = min(tuple(sorted((x - s) % m for x in triple)) for s in triple)
-            pair = by_class.get(cls)
-            if pair is None:
-                *_, a = _ranks(field, (self.sums[x] for x in cls))
-                *_, b = _ranks(field, (self.meets[x] for x in cls))
-                pair = by_class[cls] = (a, n - b)
-            pairs.append(pair)
-        return Fingerprint("random_triples", tuple(sorted(pairs)), tuple(pairs))
+        field, k = self.code.field, self.code.k
+        classes = _translation_classes(random_triples(field.m, trials, seed), field.m)
+        by_class = {}
+        for cls in dict.fromkeys(classes):
+            *_, a = _ranks(field, map(self.diffs.rows, cls))
+            *_, b = _ranks(field, map(self.diffs.cols, cls))
+            by_class[cls] = (k + a, k - b)
+        pairs = tuple(by_class[cls] for cls in classes)
+        return Fingerprint("random_triples", tuple(sorted(pairs)), pairs)
 
 
 def fingerprint_consecutive(code: cd.LinearCode) -> Fingerprint:
     """Sorted multiset of (s-row, t-row) over all m Galois exponents."""
-    return _CodeImages(code).fingerprint_consecutive()
+    return _CodeInvariants(code).fingerprint_consecutive()
 
 
 @lru_cache(maxsize=32)
@@ -237,6 +227,15 @@ def random_triples(m: int, trials: int, seed: int) -> tuple[tuple[int, int, int]
                  for idx in range(trials))
 
 
+@lru_cache(maxsize=32)
+def _translation_classes(triples, m: int) -> tuple[tuple[int, int, int], ...]:
+    """The translation class key of each triple (cached per triple set, so
+    every class of a census keys them once): the least of sorted((x - s) % m)
+    over s in the triple (see above)."""
+    return tuple(min(tuple(sorted((x - s) % m for x in triple)) for s in triple)
+                 for triple in triples)
+
+
 def fingerprint_random_triples(code: cd.LinearCode, trials: int = 100, seed: int = 0) -> Fingerprint:
     """Sorted (dim sum, dim intersection) pairs over seeded sigma-triples."""
-    return _CodeImages(code).fingerprint_random_triples(trials, seed)
+    return _CodeInvariants(code).fingerprint_random_triples(trials, seed)

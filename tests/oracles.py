@@ -26,6 +26,14 @@ against.
 * build_tables: the exp/log/zech tables from an int64 (B x d)(d x d) block
   product with a bincount primitivity check, the table backend's former
   builder.
+* galois_stable_part_via_duals: the intersection of all Galois images of C
+  as the dual of the sum of the images of dual(C), the former solver behind
+  codes.subfield_subcode.
+* sum_dims / intersection_dims: dimensions of sums and intersections of
+  arbitrary Galois images from n-wide images, not from the systematic
+  differences that rankinv.invariants ranks.
+* orbit_of_code / gl_n_q_generators: the closure of one code under the full
+  equivalence group, for exhaustive small-parameter partitions.
 """
 
 from __future__ import annotations
@@ -37,8 +45,8 @@ import numpy as np
 import sympy
 
 from rankinv import linalg as la
-from rankinv.codes import BudgetExceeded
-from rankinv.gf import FieldError, GaloisAut, digits_of, pack_digits
+from rankinv.codes import BudgetExceeded, LinearCode, apply_full_aut, dual
+from rankinv.gf import FieldError, FullAut, GaloisAut, digits_of, pack_digits
 
 
 def _pow(field, a: int, k: int) -> int:
@@ -409,3 +417,78 @@ def build_tables(p: int, d: int, modulus: tuple[int, ...]):
         return out
 
     return as_int_array(exp2_np), as_int_array(log_np), as_int_array(zech_np)
+
+
+def galois_stable_part_via_duals(code):
+    """RREF basis of the intersection of theta^j(C) over j < m as
+    dual(sum_j theta^j(dual C)): m*(n-k) n-wide dual images and a kernel, the
+    former codes._galois_stable_part."""
+    field = code.field
+    images = [GaloisAut(field, j).on_vector(row)
+              for j in range(field.m) for row in dual(code).gen]
+    return la.nullspace(field, images, code.n)
+
+
+def intersection_dims(code, exps) -> int:
+    """dim of the intersection of sigma^r(C) over r in exps, by pairwise
+    oracle intersections of n-wide images."""
+    cur = None
+    for r in exps:
+        block = tuple(GaloisAut(code.field, r).on_vector(row) for row in code.gen)
+        cur = block if cur is None else _intersection(code.field, cur, block, code.n)
+    return len(rref(code.field, cur)[0])
+
+
+def sum_dims(code, exps) -> int:
+    """dim of the sum of sigma^r(C) over r in exps, one rank of all images."""
+    rows = [GaloisAut(code.field, r).on_vector(row) for r in exps for row in code.gen]
+    return len(rref(code.field, rows)[0])
+
+
+def orbit_of_code(code, gl_generators=None, cap: int = 200000):
+    """Set of canonical generator matrices of the orbit of `code` under the
+    full equivalence group <GL_n(F_q) column action, full Frobenius>."""
+    field = code.field
+    n = code.n
+    if gl_generators is None:
+        gl_generators = gl_n_q_generators(field, n)
+    tau1 = FullAut(field, 1)
+    start = code.gen
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        if len(seen) > cap:
+            raise BudgetExceeded(f"orbit exceeded cap {cap}")
+        nxt = []
+        for gen in frontier:
+            c = LinearCode(field, n, len(gen), gen)
+            images = [apply_full_aut(c, tau1).gen]
+            for A in gl_generators:
+                rows = tuple(la.vec_mat(field, r, A) for r in gen)
+                images.append(la.rref(field, rows)[0])
+            for img in images:
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return seen
+
+
+def gl_n_q_generators(field, n: int):
+    """Standard generating set of GL_n(F_q) as matrices over the subfield:
+    a cyclic permutation, one transvection, and one diagonal scaling."""
+    if n == 1:
+        return [((field.gamma,),)] if field.q > 2 else [((1,),)]
+    perm = tuple(tuple(1 if j == (i + 1) % n else 0 for j in range(n)) for i in range(n))
+    transv = tuple(
+        tuple(1 if i == j else (1 if (i, j) == (0, 1) else 0) for j in range(n))
+        for i in range(n)
+    )
+    gens = [perm, transv]
+    if field.q > 2:
+        diag = tuple(
+            tuple((field.gamma if i == 0 else 1) if i == j else 0 for j in range(n))
+            for i in range(n)
+        )
+        gens.append(diag)
+    return gens

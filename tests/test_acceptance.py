@@ -386,7 +386,7 @@ def test_criterion_6_exhaustive_counts():
     # single equivalence class: the orbit of one member under the full
     # equivalence group covers the whole family
     one = cd.build(field, cd.make_spec("Gabidulin", 4, 2, 1, (1, 2, 4, 8)))
-    orbit = cl.orbit_of_code(one)
+    orbit = oracles.orbit_of_code(one)
     assert set(orbit) == codes_theta1
     n_classes = 1
     assert n_classes == len(galois_generators(4)) // 2  # phi(4) / 2
@@ -512,7 +512,7 @@ def test_criterion_8_soundness():
         unassigned = set(by_gen)
         orbits = []
         while unassigned:
-            orb = cl.orbit_of_code(by_gen[next(iter(unassigned))])
+            orb = oracles.orbit_of_code(by_gen[next(iter(unassigned))])
             assert orb <= unassigned
             orbits.append([by_gen[x] for x in orb])
             unassigned -= orb

@@ -235,13 +235,13 @@ def test_bruteforce_trivial_and_budget(f16):
 def test_orbit_size_and_membership(f16):
     rng = DetRNG(11, "cls-orbit")
     code = _gab(f16, 4, 2, rng.spawn("code"))
-    orbit = cl.orbit_of_code(code)
+    orbit = oracles.orbit_of_code(code)
     # all Gabidulin codes at m = n = 4 form a single class of size 1344
     assert len(orbit) == 1344
     image = cd.apply_semilinear(code, _random_smap(f16, 4, rng.spawn("map")))
     assert image.gen in orbit
     with pytest.raises(cd.BudgetExceeded):
-        cl.orbit_of_code(code, cap=10)
+        oracles.orbit_of_code(code, cap=10)
 
 
 # --------------------------------------------------------------------------
@@ -535,7 +535,7 @@ def test_census_guards():
         cl.census(3, 6, 5, seed=0)
 
 
-def test_census_computes_each_class_dual_once(monkeypatch):
+def test_census_never_computes_a_dual(monkeypatch):
     calls = []
     real_dual = cd.dual
 
@@ -545,7 +545,7 @@ def test_census_computes_each_class_dual_once(monkeypatch):
 
     monkeypatch.setattr(cd, "dual", counting_dual)
     report, field = cl.census(2, 6, 2, seed=1, trials=4)
-    assert len(calls) == report.ub
+    assert calls == []
     monkeypatch.setattr(cd, "dual", real_dual)
     # the shared caches give the keys the public fingerprints give
     for (r, t, h), fp1, fp2 in zip(report.params, report.fingerprints1, report.fingerprints2):

@@ -500,6 +500,20 @@ def test_subfield_subcode_matches_oracle(case):
     assert nonzero >= m  # the planted codes and the full space
 
 
+@pytest.mark.parametrize("case", FP_FIELDS, ids=FP_IDS)
+def test_galois_stable_part_matches_dual_oracle(case):
+    backend, p, e, m = case
+    F = make_field(p, e, m, backend=backend)
+    rng = DetRNG(61, f"stable-part-oracle/{backend}/{p}/{e}/{m}")
+    codes = _subfield_oracle_codes(F, m, rng)
+    # pivots that are not the leading columns: a zero first column
+    codes += [cd.LinearCode.from_rows(F, [(0,) + row[1:] for row in c.gen], m)
+              for c in codes if 0 < c.k < m]
+    assert any(c.k and c.gen[0][0] == 0 for c in codes)
+    for c in codes:
+        assert cd._galois_stable_part(c) == oracles.galois_stable_part_via_duals(c)
+
+
 # ---------------------------------------------------------------------------
 # generator uniqueness (exhaustive at tiny size)
 # ---------------------------------------------------------------------------

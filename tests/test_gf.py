@@ -523,3 +523,10 @@ def test_make_field_rejects_bad_parameters():
 
 def test_make_field_caches():
     assert make_field(2, 1, 6) is make_field(2, 1, 6)
+
+
+def test_make_field_caches_by_the_resolved_backend():
+    assert make_field(2, 1, 11) is make_field(2, 1, 11, backend="table")
+    generic = make_field(2, 1, 11, backend="generic")
+    assert generic is not make_field(2, 1, 11) and generic.backend == "generic"
+    assert make_field(3, 1, 16) is make_field(3, 1, 16, backend="generic")

@@ -311,6 +311,61 @@ def test_consecutive_fingerprint_matches_oracles(case):
             assert inv.t_sequence(code, prof.sigma) == oracles.t_direct(code, prof.sigma)
 
 
+def _difference_codes(field, rng):
+    """Codes of length n = m whose RREF is not (I | A) without a column
+    permutation, plus the zero code and the full space, where A is empty.
+    One kind has a zero first column, the other a second column that is
+    alpha times the first (alpha is not in F_q), so it is no pivot."""
+    n = field.m
+    codes = [cd.LinearCode.from_rows(field, [], n), cd.LinearCode.from_rows(field, la.identity(field, n))]
+    for k in range(1, n):
+        for zero_first in (True, False):
+            rows = []
+            for _ in range(k):
+                row = [field.random_element(rng) for _ in range(n)]
+                if zero_first:
+                    row[0] = 0
+                row[1 + zero_first] = field.mul(field.alpha, row[zero_first])
+                rows.append(row)
+            codes.append(cd.LinearCode.from_rows(field, rows, n))
+    return codes
+
+
+@pytest.mark.parametrize("case", FP_FIELDS, ids=FP_IDS)
+def test_differences_match_image_ranks_and_oracles(case):
+    backend, p, e, m = case
+    field = make_field(p, e, m, backend=backend)
+    rng = DetRNG(67, f"inv-diff/{backend}/{p}/{e}/{m}")
+    codes = _difference_codes(field, rng)
+    assert {c.k for c in codes} >= {0, 1, m - 1, m}
+    leading = [c for c in codes
+               if [next(j for j, a in enumerate(row) if a) for row in c.gen] == list(range(c.k))]
+    assert len(leading) <= 3  # k = 0, k = n and at most the k = 1 alpha code
+    for code in codes:
+        n, k = code.n, code.k
+        i_max = n + 2  # past both stabilisation indices: the rows are padded
+        for r in range(m):
+            s = inv.s_sequence(code, r, i_max=i_max)
+            t = inv.t_sequence(code, r, i_max=i_max)
+            assert s == oracles.s_naive(code, r, i_max=i_max)
+            assert t == oracles.t_direct(code, r, i_max=i_max)
+            assert inv.s_sequence(code, r) == oracles.s_naive(code, r)
+            assert inv.t_sequence(code, r) == oracles.t_direct(code, r)
+            for i in range(i_max + 1):
+                auts = _sigma_powers(field, r, i)
+                assert inv.sum_code(code, auts).k == s[i]
+                assert inv.intersect_code(code, auts).k == t[i]
+            prof = inv.invariant_profile(code, r)
+            assert prof.s == tuple(s[: n - k + 1]) and prof.t == tuple(t[: k + 1])
+            assert prof.delta == tuple(b - a for a, b in zip(s[: n - k + 1], s[1:]))
+            assert prof.lam == tuple(a - b for a, b in zip(t[: k + 1], t[1:]))
+        fp = inv.fingerprint_random_triples(code, trials=8, seed=5)
+        for triple, pair in zip(inv.random_triples(m, 8, 5), fp.detail):
+            auts = [GaloisAut(field, x) for x in triple]
+            assert pair == (oracles.sum_dims(code, triple), oracles.intersection_dims(code, triple))
+            assert pair == (inv.sum_code(code, auts).k, inv.intersect_code(code, auts).k)
+
+
 # --------------------------------------------------------------------------
 # the shortcuts the fingerprints take (proofs in the invariants docstring)
 # --------------------------------------------------------------------------
@@ -390,7 +445,21 @@ def test_random_triples_build_one_rank_pair_per_translation_class(monkeypatch, f
     assert len(fp.detail) == 100
 
 
-def test_each_fingerprint_computes_the_dual_once(monkeypatch, f2_8):
+def test_translation_classes_are_keyed_once_per_triple_set(f2_8):
+    rng = DetRNG(71, "inv-fp-class-keys")
+    codes = [_random_code(f2_8, "Twisted", 6, 3, rng), _random_code(f2_8, "Gabidulin", 6, 2, rng)]
+    inv._translation_classes.cache_clear()
+    fps = [inv.fingerprint_random_triples(code, trials=20, seed=8) for code in codes]
+    info = inv._translation_classes.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    m = f2_8.m
+    triples = inv.random_triples(m, 20, 8)
+    assert inv._translation_classes(triples, m) == tuple(
+        min(tuple(sorted((x - s) % m for x in triple)) for s in range(m)) for triple in triples)
+    assert all(len(fp.detail) == 20 for fp in fps)
+
+
+def test_sequences_and_fingerprints_never_compute_the_dual(monkeypatch, f2_8):
     code = _random_code(f2_8, "Twisted", 6, 3, DetRNG(53, "inv-fp-dual-once"))
     calls = []
     real_dual = cd.dual
@@ -401,9 +470,10 @@ def test_each_fingerprint_computes_the_dual_once(monkeypatch, f2_8):
 
     monkeypatch.setattr(cd, "dual", counting_dual)
     inv.fingerprint_consecutive(code)
-    assert len(calls) == 1
     inv.fingerprint_random_triples(code, trials=10, seed=1)
-    assert len(calls) == 2
+    inv.t_sequence(code, 1)
+    inv.intersect_code(code, [GaloisAut(f2_8, 1), GaloisAut(f2_8, 3)])
+    assert calls == []
 
 
 def test_random_triples_deterministic():
