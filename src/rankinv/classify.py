@@ -65,10 +65,8 @@ def distinguish(c1: cd.LinearCode, c2: cd.LinearCode, trials: int = 100,
         return Verdict("Inequivalent", {"invariant": "dimension", "k1": c1.k, "k2": c2.k},
                        f"dimensions differ: {c1.k} vs {c2.k}")
     m = c1.field.m
-    # one cache of differences per code serves both fingerprints
-    im1, im2 = iv._CodeInvariants(c1), iv._CodeInvariants(c2)
-    p1 = im1.fingerprint_consecutive().detail
-    p2 = im2.fingerprint_consecutive().detail
+    p1 = iv.fingerprint_consecutive(c1).detail
+    p2 = iv.fingerprint_consecutive(c2).detail
     for r in range(m):
         if p1[r].key != p2[r].key:
             return Verdict(
@@ -78,8 +76,8 @@ def distinguish(c1: cd.LinearCode, c2: cd.LinearCode, trials: int = 100,
                 f"sigma=q^{r}: s/t rows differ",
             )
     if trials > 0 and m >= 3:
-        f1 = im1.fingerprint_random_triples(trials, seed)
-        f2 = im2.fingerprint_random_triples(trials, seed)
+        f1 = iv.fingerprint_random_triples(c1, trials, seed)
+        f2 = iv.fingerprint_random_triples(c2, trials, seed)
         for idx, (a, b) in enumerate(zip(f1.detail, f2.detail)):
             if a != b:
                 triple = iv.random_triples(m, trials, seed)[idx]
@@ -251,12 +249,12 @@ def is_theta_gabidulin(code: cd.LinearCode, theta_exp: int,
 def _systematic_criterion(code: cd.LinearCode, theta_exp: int) -> bool:
     """After permuting pivot columns to the front (a rank-preserving F_q
     equivalence), write the generator as (I_k | X) and test, for the
-    difference Y = theta(X) - X (codes.Differences):
+    difference Y = theta(X) - X (read from LinearCode.diffs):
       (a) Y has rank one over F_{q^m},
       (b) its first row has F_q-rank n-k,
       (c) its first column has F_q-rank k."""
     n, k = code.n, code.k
-    Y = cd.Differences(code).rows(theta_exp)
+    Y = code.diffs.rows(theta_exp)
     return (la.rank(code.field, Y) == 1 and la.rank_q(code.field, Y[0]) == n - k
             and la.rank_q(code.field, [row[0] for row in Y]) == k)
 
@@ -266,7 +264,17 @@ def rank_one_decomposition(code: cd.LinearCode, theta_exp: int):
 
     Returns (C1, t, g) with C1 spanned by rank-one codewords (dimension k-t),
     t the dimension of the Gabidulin summand, and g its generator vector
-    (None when t = 0).  Verifies the recomposition before returning."""
+    (None when t = 0).  Verifies the recomposition before returning.
+
+    The intersections T_i = C n theta(C) n ... n theta^i(C) fall until they
+    stabilize, and they stabilize at the Galois-stable part V of C
+    (codes._galois_stable_part), which is C1.  V lies in every T_i.  Once
+    T_i = T_(i+1) = C n theta(T_i), T_i lies in theta(T_i), which has the
+    same dimension, so theta(T_i) = T_i; theta generates the Galois group,
+    so T_i is stable under every automorphism, lies in each image of C and
+    hence in V.  Both C1 and T_(t-1) are read off the code's differences
+    (LinearCode.diffs), and a vector of T_(t-1) outside C1, shifted back by
+    theta^-(t-1), generates the Gabidulin part."""
     field = code.field
     n, k, m = code.n, code.k, field.m
     if math.gcd(theta_exp, m) != 1:
@@ -276,18 +284,7 @@ def rank_one_decomposition(code: cd.LinearCode, theta_exp: int):
     if s1 > k + 1:
         raise ValueError(f"decomposition needs s_1 <= k+1 (got s_1 = {s1}, k = {k})")
 
-    # iterated intersections T_0 = C >= T_1 >= ... stabilize at C1
-    iterates = [code.gen]
-    block = code.gen
-    while True:
-        block = tuple(theta.on_vector(r) for r in block)
-        nxt = la.row_space_intersection(field, iterates[-1], block, n)
-        if len(nxt) == len(iterates[-1]):
-            break
-        iterates.append(nxt)
-        if len(iterates) > k + 1:
-            raise AssertionError("intersection failed to stabilize")  # pragma: no cover
-    c1_gen = iterates[-1]
+    c1_gen = cd._galois_stable_part(code)
     t = k - len(c1_gen)
     c1 = cd.LinearCode(field, n, len(c1_gen), c1_gen)
 
@@ -296,7 +293,7 @@ def rank_one_decomposition(code: cd.LinearCode, theta_exp: int):
         return c1, 0, None
 
     # pick v in T_{t-1} \ C1 and shift it back to a generator
-    prev = iterates[t - 1]
+    prev = code.diffs.meet([theta_exp * i for i in range(1, t)])
     inc = la.IncrementalRank(field)
     for row in c1_gen:
         inc.add_row(row)
@@ -556,13 +553,13 @@ class CensusReport:
 def _census_class_fingerprints(args):
     """Worker for one parameter class; module-level so a process pool can
     pickle it.  Rebuilds the (cached per process) field from scalars.  Both
-    fingerprints share one cache of differences."""
+    fingerprints read the code's one cache of differences."""
     p, e, m, n, k, g, eta, r, t, h, trials, seed = args
     field = make_field(p, e, m)
     spec = cd.make_spec("GeneralizedTwisted", n, k, r, g, eta=(eta,), t=(t,), h=(h,))
-    invariants = iv._CodeInvariants(cd.build(field, spec))
-    return (invariants.fingerprint_consecutive().key,
-            invariants.fingerprint_random_triples(trials, seed).key)
+    code = cd.build(field, spec)
+    return (iv.fingerprint_consecutive(code).key,
+            iv.fingerprint_random_triples(code, trials, seed).key)
 
 
 def census(q: int, n: int, k: int, seed: int, trials: int = 100,

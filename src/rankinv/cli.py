@@ -201,9 +201,8 @@ def cmd_invariants(args) -> int:
     s_len = args.i_max if args.i_max is not None else n - k
     t_len = args.i_max if args.i_max is not None else k
 
-    # one cache of differences shared by every sigma
-    invariants = iv._CodeInvariants(code)
-    profiles = [(r, invariants.s(r, s_len)[1:], invariants.t(r, t_len)[1:]) for r in sigmas]
+    profiles = [(r, iv.s_sequence(code, r, s_len)[1:], iv.t_sequence(code, r, t_len)[1:])
+                for r in sigmas]
 
     config = ([("subcommand", "invariants"), ("file", args.file)]
               + _field_config(field)

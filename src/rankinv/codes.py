@@ -2,18 +2,23 @@
 
 A LinearCode is an F_{q^m}-subspace of F_{q^m}^n stored by its canonical
 (RREF) generator matrix, so two codes are equal iff their stored generators
-are equal.  CodeSpec describes a member of one of five parametric families:
+are equal.  CodeSpec describes a member of one of five parametric families
+(Sheekey, "A new family of linear maximum rank distance codes", AMC 2016;
+Puchinger, Rosenkilde and Sheekey, "Further generalisations of twisted
+Gabidulin codes", 2017), which all follow one row rule.  A member has k
+rows; row j is theta^j(g) + c_j*theta^(e_j)(g) when j is in the family's
+twist map {j: (c_j, e_j)}, and theta^j(g) otherwise.  The twist maps are
 
-* Gabidulin              rows theta^j(g), j = 0..k-1
-* Twisted                rows g + eta*theta^k(g), theta(g), ..., theta^(k-1)(g)
-* GeneralizedTwisted     k rows theta^j(g) of which the rows j in h are
-                         replaced by theta^(h_i)(g) + eta_i*theta^(k-1+t_i)(g)
-* NewGabI  (m-k > k)     rows theta^i(g) + theta^i(eta)*theta^(k+i)(g), i < k
-* NewGabII (m-k <= k)    the same rows for i < m-k, plus theta^i(g) for
-                         m-k <= i < k
+* Gabidulin              {}
+* Twisted                {0: (eta, k)}
+* GeneralizedTwisted     {h_i: (eta_i, k-1+t_i mod m)}
+* NewGabI  (m-k > k)     {i: (theta^i(eta), k+i mod m) for i < k}
+* NewGabII (m-k <= k)    {i: (theta^i(eta), k+i mod m) for i < m-k}
 
-with g of full F_q-rank n and theta a generating Galois automorphism.  For
-the GeneralizedTwisted family the twist offsets t_i must either all lie in
+with g of full F_q-rank n and theta a generating Galois automorphism.
+build() checks a spec's family preconditions, forms its twist map and reads
+every row off one Moore matrix theta^j(g), j < max(k, e_j + 1).  For the
+GeneralizedTwisted family the twist offsets t_i must either all lie in
 [1, n-k] or all lie in [m-n+1, m-k]; mixed ranges are rejected.  In every
 family the construction is checked to produce dimension exactly k.
 
@@ -44,6 +49,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from . import linalg as la
@@ -85,6 +91,12 @@ class LinearCode:
         if not 0 <= self.k <= self.n:
             raise ValueError("invalid code dimension")
 
+    @cached_property
+    def diffs(self) -> "Differences":
+        """The code's one cache of systematic differences, which every
+        sequence, fingerprint and Galois intersection of it reads."""
+        return Differences(self)
+
     def __repr__(self):
         return f"LinearCode(n={self.n}, k={self.k}, q^m={self.field.q}^{self.field.m})"
 
@@ -93,7 +105,7 @@ class Differences:
     """The systematic differences D_j = theta^j(A) - A of one code, theta the
     Frobenius a -> a^q and A the k x (n-k) block of its RREF generator R off
     the pivot columns, indexed by j mod m; each D_j and its transpose is
-    computed on first use.
+    computed on first use.  LinearCode.diffs makes the one instance a code has.
 
     theta^j acts entrywise and fixes 0 and 1, so theta^j(R) is R with A
     replaced by theta^j(A): the rows of theta^j(R) - R are the rows of D_j,
@@ -203,91 +215,63 @@ def _validate_common(field: FieldTower, spec: CodeSpec) -> GaloisAut:
 def build(field: FieldTower, spec: CodeSpec, strict_norm: bool = False) -> LinearCode:
     theta = _validate_common(field, spec)
     n, k, m = spec.n, spec.k, field.m
-    g = tuple(field.check(a) for a in spec.g)
+    family, eta = spec.family, spec.eta
 
-    if spec.family == "Gabidulin":
-        rows = la.moore_matrix(field, g, k, theta)
+    # the twist map {j: (c, e)}: row j is theta^j(g) + c*theta^e(g)
+    if family == "Gabidulin":
+        twists = {}
 
-    elif spec.family == "Twisted":
-        if spec.eta is None or len(spec.eta) != 1:
+    elif family == "Twisted":
+        if eta is None or len(eta) != 1:
             raise BuildError("Twisted requires a single eta")
-        eta = field.check(spec.eta[0])
+        eta0 = field.check(eta[0])
         if k > n - 1:
             raise BuildError("Twisted requires k <= n-1")
-        if strict_norm and not norm_condition_ok(field, k, eta):
+        if strict_norm and not norm_condition_ok(field, k, eta0):
             raise BuildError("norm(eta) == (-1)^(k*m); the twisted code is not MRD "
                              "(build with strict_norm=False to construct it anyway)")
-        moore = la.moore_matrix(field, g, k + 1, theta)
-        first = la.add_vec(field, moore[0], la.scale_vec(field, eta, moore[k]))
-        rows = (first,) + moore[1:k]
+        twists = {0: (eta0, k)}
 
-    elif spec.family == "GeneralizedTwisted":
-        rows = _gtw_rows(field, spec, theta)
+    elif family == "GeneralizedTwisted":
+        t, h = spec.t, spec.h
+        if eta is None or t is None or h is None:
+            raise BuildError("GeneralizedTwisted requires eta, t and h tuples")
+        ell = len(eta)
+        if not (len(t) == len(h) == ell >= 1):
+            raise BuildError("eta, t, h must have equal length >= 1")
+        if len(set(h)) != ell or any(not 0 <= hi <= k - 1 for hi in h):
+            raise BuildError("h entries must be distinct in [0, k-1]")
+        if len(set(t)) != ell:
+            raise BuildError("t entries must be distinct")
+        low = all(1 <= ti <= n - k for ti in t)
+        high = all(m - n + 1 <= ti <= m - k for ti in t)
+        if not (low or high):
+            raise BuildError(
+                f"t entries must all lie in [1, {n - k}] or all in [{m - n + 1}, {m - k}] "
+                "(mixed ranges are not part of the family)"
+            )
+        twists = {hi: (field.check(ei), (k - 1 + ti) % m) for ei, ti, hi in zip(eta, t, h)}
 
-    elif spec.family in ("NewGabI", "NewGabII"):
-        rows = _newgab_rows(field, spec, theta)
+    else:  # NewGabI, NewGabII
+        if eta is None or len(eta) != 1:
+            raise BuildError(f"{family} requires a single eta")
+        eta0 = field.check(eta[0])
+        if family == "NewGabI" and not m - k > k:
+            raise BuildError("NewGabI requires m - k > k")
+        if family == "NewGabII" and not m - k <= k:
+            raise BuildError("NewGabII requires m - k <= k")
+        twists = {i: (theta.power(i)(eta0), (k + i) % m) for i in range(min(k, m - k))}
 
+    moore = la.moore_matrix(field, spec.g, max([k] + [e + 1 for _, e in twists.values()]), theta)
+    rows = list(moore[:k])
+    for j, (c, e) in twists.items():
+        rows[j] = la.add_vec(field, rows[j], la.scale_vec(field, c, moore[e]))
     code = LinearCode.from_rows(field, rows, n)
     if code.k != k:
         raise BuildError(
             f"internal: construction degenerated to dimension {code.k} != k={k}"
         )
     return code
-
-
-def _gtw_rows(field: FieldTower, spec: CodeSpec, theta: GaloisAut) -> la.Matrix:
-    n, k, m = spec.n, spec.k, field.m
-    if spec.eta is None or spec.t is None or spec.h is None:
-        raise BuildError("GeneralizedTwisted requires eta, t and h tuples")
-    eta, t, h = spec.eta, spec.t, spec.h
-    ell = len(eta)
-    if not (len(t) == len(h) == ell >= 1):
-        raise BuildError("eta, t, h must have equal length >= 1")
-    if len(set(h)) != ell or any(not 0 <= hi <= k - 1 for hi in h):
-        raise BuildError("h entries must be distinct in [0, k-1]")
-    if len(set(t)) != ell:
-        raise BuildError("t entries must be distinct")
-    low = all(1 <= ti <= n - k for ti in t)
-    high = all(m - n + 1 <= ti <= m - k for ti in t)
-    if not (low or high):
-        raise BuildError(
-            f"t entries must all lie in [1, {n - k}] or all in [{m - n + 1}, {m - k}] "
-            "(mixed ranges are not part of the family)"
-        )
-    powers = la.moore_matrix(field, spec.g, m, theta)
-    rows = []
-    h_to_i = {hi: i for i, hi in enumerate(h)}
-    for j in range(k):
-        if j in h_to_i:
-            i = h_to_i[j]
-            twist_exp = (k - 1 + t[i]) % m
-            rows.append(la.add_vec(field, powers[j],
-                                   la.scale_vec(field, field.check(eta[i]), powers[twist_exp])))
-        else:
-            rows.append(powers[j])
-    return tuple(rows)
-
-
-def _newgab_rows(field: FieldTower, spec: CodeSpec, theta: GaloisAut) -> la.Matrix:
-    n, k, m = spec.n, spec.k, field.m
-    if spec.eta is None or len(spec.eta) != 1:
-        raise BuildError(f"{spec.family} requires a single eta")
-    eta = field.check(spec.eta[0])
-    if spec.family == "NewGabI" and not m - k > k:
-        raise BuildError("NewGabI requires m - k > k")
-    if spec.family == "NewGabII" and not m - k <= k:
-        raise BuildError("NewGabII requires m - k <= k")
-    twisted_count = k if spec.family == "NewGabI" else m - k
-    powers = la.moore_matrix(field, spec.g, m, theta)
-    rows = []
-    for i in range(k):
-        if i < twisted_count:
-            coef = theta.power(i)(eta)  # theta^i(eta)
-            rows.append(la.add_vec(field, powers[i],
-                                   la.scale_vec(field, coef, powers[(k + i) % m])))
-        else:
-            rows.append(powers[i])
-    return tuple(rows)
 
 
 # --------------------------------------------------------------------------
@@ -374,11 +358,6 @@ class SemilinearMap:
         return w
 
 
-def apply_full_aut(code: LinearCode, tau: FullAut) -> LinearCode:
-    rows = tuple(tau.on_vector(r) for r in code.gen)
-    return LinearCode.from_rows(code.field, rows, code.n)
-
-
 def apply_semilinear(code: LinearCode, smap: SemilinearMap) -> LinearCode:
     field = code.field
     if smap.lam == 0:
@@ -411,7 +390,7 @@ def _galois_stable_part(code: LinearCode) -> la.Matrix:
     spans part of C n F_q^n.  Conversely a word w of C n F_q^n is fixed by
     theta, so it lies in every theta^j(C) and in V, and its coordinates in R
     are its own entries at the pivot columns, which lie in F_q."""
-    return Differences(code).meet(range(1, code.field.m))
+    return code.diffs.meet(range(1, code.field.m))
 
 
 def subfield_subcode(code: LinearCode):

@@ -9,9 +9,11 @@ For a code C of dimension k and a Galois automorphism sigma (a -> a^(q^r)):
 Both sequences stabilize as soon as two consecutive values agree; s by step
 n-k at the latest and t by step k.  Every dimension comes from the
 systematic differences D_j = sigma^j(A) - A of the code (codes.Differences:
-R = (I_k | A) up to the order of columns, and one cache per code indexed by
-j mod m).  For a set J of exponents that contains 0, as every sequence and
-every triple class key does:
+R = (I_k | A) up to the order of columns).  LinearCode.diffs is the one
+cache of them per code, indexed by j mod m: every sequence, profile,
+fingerprint and intersection here reads it, and so do the subfield subcode
+and Gabidulin recognition.  For a set J of exponents that contains 0, as
+every sequence and every triple class key does:
 
     dim sum_{j in J} sigma^j(C)  = k + rank(D_j stacked, j in J, j != 0)
     dim  n_{j in J}  sigma^j(C)  = k - rank(D_j^T stacked, j in J, j != 0)
@@ -24,7 +26,7 @@ intersection is R times the common left kernel of the D_j.  One routine,
 _ranks, feeds blocks of D_j (n-k wide) or D_j^T (k wide) into one
 IncrementalRank and records the rank after each block; block i for exponent
 r is D_(r*i), so each code has at most m differences to compute, however
-many sequences use them.
+many sequences and fingerprints of it are asked for.
 
 Three shortcuts rest on these facts, each proved here; they are statements
 about subspaces, so they hold whichever matrices the ranks are taken of:
@@ -83,7 +85,7 @@ def intersect_code(code: cd.LinearCode, auts) -> cd.LinearCode:
     """The code intersect(aut(C) for aut in auts): the first aut applied to
     the intersection of C with its images under the others relative to it."""
     first, *rest = auts
-    rows = cd.Differences(code).meet([aut.r - first.r for aut in rest])
+    rows = code.diffs.meet([aut.r - first.r for aut in rest])
     return cd.LinearCode.from_rows(code.field, map(first.on_vector, rows), code.n)
 
 
@@ -91,13 +93,14 @@ def _ranks(field, blocks):
     """Rank of the rows fed so far, after each block of rows (lazily).  Rows
     met at full rank (rank = row length) are skipped: they cannot add to it."""
     inc = la.IncrementalRank(field)
+    rank = 0
     for block in blocks:
         for row in block:
-            if inc.rank == len(row):
+            if rank == len(row):
                 break
             if any(row):
-                inc.add_row(row)
-        yield inc.rank
+                rank += inc.add_row(row)
+        yield rank
 
 
 def _sequence(field, blocks, sigma_exp: int, i_max: int | None, bound: int) -> list[int]:
@@ -121,12 +124,14 @@ def _sequence(field, blocks, sigma_exp: int, i_max: int | None, bound: int) -> l
 def s_sequence(code: cd.LinearCode, sigma_exp: int, i_max: int | None = None) -> list[int]:
     """[s_0, s_1, ...]: fixed length i_max+1 when i_max is given, otherwise
     up to and including the first repeated value."""
-    return _CodeInvariants(code).s(sigma_exp, i_max)
+    return [code.k + v for v in _sequence(code.field, code.diffs.rows, sigma_exp,
+                                          i_max, code.n - code.k + 1)]
 
 
 def t_sequence(code: cd.LinearCode, sigma_exp: int, i_max: int | None = None) -> list[int]:
     """[t_0, t_1, ...]; same length conventions as s_sequence."""
-    return _CodeInvariants(code).t(sigma_exp, i_max)
+    return [code.k - v for v in _sequence(code.field, code.diffs.cols, sigma_exp,
+                                          i_max, code.k + 1)]
 
 
 @dataclass(frozen=True)
@@ -145,7 +150,15 @@ class InvariantProfile:
 
 
 def invariant_profile(code: cd.LinearCode, sigma_exp: int) -> InvariantProfile:
-    return _CodeInvariants(code).profile(sigma_exp)
+    n, k = code.n, code.k
+    s, t = s_sequence(code, sigma_exp, n - k + 1), t_sequence(code, sigma_exp, k + 1)
+    return InvariantProfile(
+        sigma=sigma_exp % code.field.m,
+        s=tuple(s[: n - k + 1]),
+        t=tuple(t[: k + 1]),
+        delta=tuple(b - a for a, b in zip(s, s[1:])),
+        lam=tuple(a - b for a, b in zip(t, t[1:])),
+    )
 
 
 @dataclass(frozen=True)
@@ -162,59 +175,16 @@ class Fingerprint:
     detail: tuple = dc_field(compare=False, repr=False)
 
 
-class _CodeInvariants:
-    """One code with its cache of differences, which every sequence and both
-    fingerprints of the code read."""
-
-    def __init__(self, code: cd.LinearCode):
-        self.code = code
-        self.diffs = cd.Differences(code)
-
-    def s(self, sigma_exp: int, i_max: int | None = None) -> list[int]:
-        code = self.code
-        return [code.k + v for v in _sequence(code.field, self.diffs.rows, sigma_exp,
-                                              i_max, code.n - code.k + 1)]
-
-    def t(self, sigma_exp: int, i_max: int | None = None) -> list[int]:
-        code = self.code
-        return [code.k - v for v in _sequence(code.field, self.diffs.cols, sigma_exp,
-                                              i_max, code.k + 1)]
-
-    def profile(self, sigma_exp: int) -> InvariantProfile:
-        n, k = self.code.n, self.code.k
-        s, t = self.s(sigma_exp, n - k + 1), self.t(sigma_exp, k + 1)
-        return InvariantProfile(
-            sigma=sigma_exp % self.code.field.m,
-            s=tuple(s[: n - k + 1]),
-            t=tuple(t[: k + 1]),
-            delta=tuple(b - a for a, b in zip(s, s[1:])),
-            lam=tuple(a - b for a, b in zip(t, t[1:])),
-        )
-
-    def fingerprint_consecutive(self) -> Fingerprint:
-        m = self.code.field.m
-        profiles: list[InvariantProfile] = []
-        for r in range(m):
-            # the rows at m-r equal those at r (mirror exponents, see above)
-            profiles.append(replace(profiles[m - r], sigma=r) if m - r < r else self.profile(r))
-        key = tuple(sorted(p.key for p in profiles))
-        return Fingerprint("consecutive", key, tuple(profiles))
-
-    def fingerprint_random_triples(self, trials: int, seed: int) -> Fingerprint:
-        field, k = self.code.field, self.code.k
-        classes = _translation_classes(random_triples(field.m, trials, seed), field.m)
-        by_class = {}
-        for cls in dict.fromkeys(classes):
-            *_, a = _ranks(field, map(self.diffs.rows, cls))
-            *_, b = _ranks(field, map(self.diffs.cols, cls))
-            by_class[cls] = (k + a, k - b)
-        pairs = tuple(by_class[cls] for cls in classes)
-        return Fingerprint("random_triples", tuple(sorted(pairs)), pairs)
-
-
 def fingerprint_consecutive(code: cd.LinearCode) -> Fingerprint:
     """Sorted multiset of (s-row, t-row) over all m Galois exponents."""
-    return _CodeInvariants(code).fingerprint_consecutive()
+    m = code.field.m
+    profiles: list[InvariantProfile] = []
+    for r in range(m):
+        # the rows at m-r equal those at r (mirror exponents, see above)
+        profiles.append(replace(profiles[m - r], sigma=r) if m - r < r
+                        else invariant_profile(code, r))
+    key = tuple(sorted(p.key for p in profiles))
+    return Fingerprint("consecutive", key, tuple(profiles))
 
 
 @lru_cache(maxsize=32)
@@ -238,4 +208,12 @@ def _translation_classes(triples, m: int) -> tuple[tuple[int, int, int], ...]:
 
 def fingerprint_random_triples(code: cd.LinearCode, trials: int = 100, seed: int = 0) -> Fingerprint:
     """Sorted (dim sum, dim intersection) pairs over seeded sigma-triples."""
-    return _CodeInvariants(code).fingerprint_random_triples(trials, seed)
+    field, k, diffs = code.field, code.k, code.diffs
+    classes = _translation_classes(random_triples(field.m, trials, seed), field.m)
+    by_class = {}
+    for cls in dict.fromkeys(classes):
+        *_, a = _ranks(field, map(diffs.rows, cls))
+        *_, b = _ranks(field, map(diffs.cols, cls))
+        by_class[cls] = (k + a, k - b)
+    pairs = tuple(by_class[cls] for cls in classes)
+    return Fingerprint("random_triples", tuple(sorted(pairs)), pairs)

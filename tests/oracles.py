@@ -32,7 +32,13 @@ against.
 * sum_dims / intersection_dims: dimensions of sums and intersections of
   arbitrary Galois images from n-wide images, not from the systematic
   differences that rankinv.invariants ranks.
-* orbit_of_code / gl_n_q_generators: the closure of one code under the full
+* family_rows: the generator rows of every code family from one builder per
+  family, the former row construction behind codes.build.
+* rank_one_iterates: the intersections C n theta(C) n ... n theta^i(C) from
+  n-wide images, one row_space_intersection per step until they stabilize,
+  the former iterate loop behind classify.rank_one_decomposition.
+* apply_full_aut / orbit_of_code / gl_n_q_generators: the image of a code
+  under a full automorphism, and the closure of one code under the full
   equivalence group, for exhaustive small-parameter partitions.
 """
 
@@ -45,7 +51,7 @@ import numpy as np
 import sympy
 
 from rankinv import linalg as la
-from rankinv.codes import BudgetExceeded, LinearCode, apply_full_aut, dual
+from rankinv.codes import BudgetExceeded, BuildError, LinearCode, dual
 from rankinv.gf import FieldError, FullAut, GaloisAut, digits_of, pack_digits
 
 
@@ -443,6 +449,104 @@ def sum_dims(code, exps) -> int:
     """dim of the sum of sigma^r(C) over r in exps, one rank of all images."""
     rows = [GaloisAut(code.field, r).on_vector(row) for r in exps for row in code.gen]
     return len(rref(code.field, rows)[0])
+
+
+def family_rows(field, spec):
+    """Generator rows (not reduced) of the code that spec describes; spec is
+    assumed to pass codes.build's validation."""
+    k = spec.k
+    theta = GaloisAut(field, spec.theta_exp)
+    g = tuple(field.check(a) for a in spec.g)
+    if spec.family == "Gabidulin":
+        return la.moore_matrix(field, g, k, theta)
+    if spec.family == "Twisted":
+        eta = field.check(spec.eta[0])
+        moore = la.moore_matrix(field, g, k + 1, theta)
+        first = la.add_vec(field, moore[0], la.scale_vec(field, eta, moore[k]))
+        return (first,) + moore[1:k]
+    if spec.family == "GeneralizedTwisted":
+        return _gtw_rows(field, spec, theta)
+    return _newgab_rows(field, spec, theta)
+
+
+def _gtw_rows(field, spec, theta):
+    n, k, m = spec.n, spec.k, field.m
+    if spec.eta is None or spec.t is None or spec.h is None:
+        raise BuildError("GeneralizedTwisted requires eta, t and h tuples")
+    eta, t, h = spec.eta, spec.t, spec.h
+    ell = len(eta)
+    if not (len(t) == len(h) == ell >= 1):
+        raise BuildError("eta, t, h must have equal length >= 1")
+    if len(set(h)) != ell or any(not 0 <= hi <= k - 1 for hi in h):
+        raise BuildError("h entries must be distinct in [0, k-1]")
+    if len(set(t)) != ell:
+        raise BuildError("t entries must be distinct")
+    low = all(1 <= ti <= n - k for ti in t)
+    high = all(m - n + 1 <= ti <= m - k for ti in t)
+    if not (low or high):
+        raise BuildError(
+            f"t entries must all lie in [1, {n - k}] or all in [{m - n + 1}, {m - k}] "
+            "(mixed ranges are not part of the family)"
+        )
+    powers = la.moore_matrix(field, spec.g, m, theta)
+    rows = []
+    h_to_i = {hi: i for i, hi in enumerate(h)}
+    for j in range(k):
+        if j in h_to_i:
+            i = h_to_i[j]
+            twist_exp = (k - 1 + t[i]) % m
+            rows.append(la.add_vec(field, powers[j],
+                                   la.scale_vec(field, field.check(eta[i]), powers[twist_exp])))
+        else:
+            rows.append(powers[j])
+    return tuple(rows)
+
+
+def _newgab_rows(field, spec, theta):
+    n, k, m = spec.n, spec.k, field.m
+    if spec.eta is None or len(spec.eta) != 1:
+        raise BuildError(f"{spec.family} requires a single eta")
+    eta = field.check(spec.eta[0])
+    if spec.family == "NewGabI" and not m - k > k:
+        raise BuildError("NewGabI requires m - k > k")
+    if spec.family == "NewGabII" and not m - k <= k:
+        raise BuildError("NewGabII requires m - k <= k")
+    twisted_count = k if spec.family == "NewGabI" else m - k
+    powers = la.moore_matrix(field, spec.g, m, theta)
+    rows = []
+    for i in range(k):
+        if i < twisted_count:
+            coef = theta.power(i)(eta)  # theta^i(eta)
+            rows.append(la.add_vec(field, powers[i],
+                                   la.scale_vec(field, coef, powers[(k + i) % m])))
+        else:
+            rows.append(powers[i])
+    return tuple(rows)
+
+
+def rank_one_iterates(code, theta_exp: int):
+    """[T_0 = C, T_1, ..., T_L] as RREF bases, T_i the intersection of the
+    theta^j(C) over j <= i, up to and including the first T_L with
+    dim T_(L+1) = dim T_L."""
+    field, n, k = code.field, code.n, code.k
+    theta = GaloisAut(field, theta_exp)
+    iterates = [code.gen]
+    block = code.gen
+    while True:
+        block = tuple(theta.on_vector(r) for r in block)
+        nxt = la.row_space_intersection(field, iterates[-1], block, n)
+        if len(nxt) == len(iterates[-1]):
+            break
+        iterates.append(nxt)
+        if len(iterates) > k + 1:
+            raise AssertionError("intersection failed to stabilize")
+    return iterates
+
+
+def apply_full_aut(code, tau):
+    """The image tau(C) of a code under a full automorphism."""
+    rows = tuple(tau.on_vector(r) for r in code.gen)
+    return LinearCode.from_rows(code.field, rows, code.n)
 
 
 def orbit_of_code(code, gl_generators=None, cap: int = 200000):

@@ -1,11 +1,15 @@
 """The names the benchmark's tracer wraps (bench/tracer.py TARGETS and
-COUNTED) must keep resolving, or a refactor silently breaks traced runs."""
+COUNTED) must keep resolving, or a refactor silently breaks traced runs, and
+the work they name must go through them."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
-from rankinv.gf import FieldTower
+import rankinv.classify as cl
+import rankinv.codes as cd
+from rankinv import linalg as la
+from rankinv.gf import FieldTower, FullAut, make_field
 
 _TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 _spec = importlib.util.spec_from_file_location("bench_tracer", _TRACER)
@@ -31,3 +35,24 @@ def test_traced_targets_resolve():
 def test_counted_field_methods_resolve():
     missing = [attr for _, attr in tracer.COUNTED if not callable(vars(FieldTower).get(attr))]
     assert not missing, f"COUNTED names FieldTower methods that are gone: {missing}"
+
+
+def test_census_and_distinguish_fingerprints_are_traced():
+    with tracer.Tracer() as t:
+        report, _ = cl.census(3, 6, 2, 1, trials=10)
+    spans = t.summary()["spans"]
+    assert report.ub == 16
+    assert spans["invariants.fingerprint_consecutive"]["calls"] == 16
+    assert spans["invariants.fingerprint_random_triples"]["calls"] == 16
+
+    field = make_field(3, 1, 12)
+    r, t_off, h = report.params[0]
+    code = cd.build(field, cd.make_spec("GeneralizedTwisted", 6, 2, r, report.g,
+                                        eta=(report.eta,), t=(t_off,), h=(h,)))
+    swap = cd.SemilinearMap(1, la.identity(field, 6)[::-1], FullAut(field, 0))
+    with tracer.Tracer() as t:
+        verdict = cl.distinguish(code, cd.apply_semilinear(code, swap), trials=10)
+    spans = t.summary()["spans"]
+    assert verdict.status == "Unknown"
+    assert spans["invariants.fingerprint_consecutive"]["calls"] == 2
+    assert spans["invariants.fingerprint_random_triples"]["calls"] == 2

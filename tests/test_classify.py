@@ -3,6 +3,7 @@
 import pytest
 
 import oracles
+from conftest import FP_FIELDS, FP_IDS
 import rankinv.classify as cl
 import rankinv.codes as cd
 import rankinv.invariants as inv
@@ -410,6 +411,38 @@ def test_rank_one_decomposition_mixed(f2_8):
     assert la.rank(f2_8, code.gen + (g_out,)) == code.k
 
 
+@pytest.mark.parametrize("case", FP_FIELDS, ids=FP_IDS)
+def test_rank_one_decomposition_matches_iterate_oracle(case):
+    """F_q-rows plus a t-row Gabidulin part, for every generator theta: C1,
+    t and the chosen generator g are those of the iterated intersections."""
+    backend, p, e, m = case
+    F = make_field(p, e, m, backend=backend)
+    rng = DetRNG(79, f"rank-one-iterates/{backend}/{p}/{e}/{m}")
+    seen_t = set()
+    for r in galois_generators(m):
+        theta = GaloisAut(F, r)
+        for n in range(2, m + 1):
+            flat = la.random_invertible_matrix_q(F, n, rng.spawn(f"A/{r}/{n}"))
+            g = la.random_full_rank_vector(F, n, rng.spawn(f"g/{r}/{n}"))
+            for k in range(1, n + 1):
+                for t in range(k + 1):
+                    code = cd.LinearCode.from_rows(
+                        F, flat[: k - t] + la.moore_matrix(F, g, t, theta), n)
+                    iterates = oracles.rank_one_iterates(code, r)
+                    c1, t_out, g_out = cl.rank_one_decomposition(code, r)
+                    assert c1.gen == iterates[-1]
+                    assert t_out == code.k - c1.k == len(iterates) - 1
+                    seen_t.add(t_out)
+                    if t_out == 0:
+                        assert g_out is None
+                        continue
+                    # the first row of T_(t-1) outside C1, shifted back
+                    v = next(row for row in iterates[t_out - 1]
+                             if la.rank(F, c1.gen + (row,)) > c1.k)
+                    assert g_out == theta.power(-(t_out - 1)).on_vector(v)
+    assert seen_t == set(range(m))
+
+
 def test_rank_one_decomposition_guards(f2_8):
     rng = DetRNG(37, "cls-dec-guards")
     g = la.random_full_rank_vector(f2_8, 6, rng)
@@ -554,3 +587,33 @@ def test_census_never_computes_a_dual(monkeypatch):
         code = cd.build(field, spec)
         assert fp1 == inv.fingerprint_consecutive(code).key
         assert fp2 == inv.fingerprint_random_triples(code, trials=4, seed=1).key
+
+
+def test_each_code_computes_its_differences_once(monkeypatch, f2_8):
+    made = []
+    real_init = cd.Differences.__init__
+
+    def counting_init(self, code):
+        made.append(code)
+        real_init(self, code)
+
+    monkeypatch.setattr(cd.Differences, "__init__", counting_init)
+    rng = DetRNG(83, "diffs-once")
+    gab = _gab(f2_8, 6, 3, rng.spawn("gab"))
+    g = la.random_full_rank_vector(f2_8, 6, rng.spawn("g"))
+    tw = cd.build(f2_8, cd.make_spec("Twisted", 6, 3, 1, g, eta=f2_8.alpha))
+    assert made == []
+    # the s-row, the stable part and the systematic criterion share one cache
+    cl.is_theta_gabidulin(gab, 1)
+    assert made == [gab]
+    cl.distinguish(gab, tw, trials=10)
+    image = cd.apply_semilinear(tw, _random_smap(f2_8, 6, rng.spawn("map")))
+    assert cl.distinguish(tw, image, trials=10).status == "Unknown"
+    cl.rank_one_decomposition(gab, 1)
+    assert len(made) == 3 and all(c is d for c, d in zip(made, (gab, tw, image)))
+    # C1 of a mixed code is a new code, which gets its own cache
+    rows = ((1, 1, 0, 0, 0, 0),) + la.moore_matrix(f2_8, g, 2, GaloisAut(f2_8, 1))
+    mixed = cd.LinearCode.from_rows(f2_8, rows, 6)
+    c1, _, _ = cl.rank_one_decomposition(mixed, 1)
+    assert made[3] is mixed and made[4] is c1 and len(made) == 5
+    assert len({id(c) for c in made}) == len(made)

@@ -8,7 +8,7 @@ import oracles
 from conftest import FP_FIELDS, FP_IDS
 from rankinv import codes as cd
 from rankinv import linalg as la
-from rankinv.gf import FullAut, GaloisAut, make_field
+from rankinv.gf import FullAut, GaloisAut, galois_generators, make_field
 from rankinv.rng import DetRNG
 
 
@@ -103,6 +103,67 @@ def test_all_families_have_the_requested_dimension(f2_8, f3_5):
                     continue
                 c = _random_code(F, family, n, k, rng.spawn(f"{F.m}/{family}/{k}"))
                 assert c.k == k and c.n == n
+
+
+def _family_specs(field, rng):
+    """Specs of every family for each 1 <= k < n <= m: each single twist (t, h)
+    of the generalized-twisted family with t in either range, and a two-row
+    twist in each range with two offsets."""
+    m = field.m
+    gens = galois_generators(m)
+    specs = []
+    for n in range(2, m + 1):
+        g = la.random_full_rank_vector(field, n, rng.spawn(f"g/{n}"))
+        for k in range(1, n):
+            r = gens[(n + k) % len(gens)]
+            eta, eta2 = (field.alpha_pow(rng.randbelow(field.Qm1)) for _ in range(2))
+            specs.append(cd.make_spec("Gabidulin", n, k, r, g))
+            specs.append(cd.make_spec("Twisted", n, k, r, g, eta=eta))
+            newgab = "NewGabI" if m - k > k else "NewGabII"
+            specs.append(cd.make_spec(newgab, n, k, r, g, eta=eta))
+            low, high = range(1, n - k + 1), range(m - n + 1, m - k + 1)
+            for t in sorted(set(low) | set(high)):
+                specs += [cd.make_spec("GeneralizedTwisted", n, k, r, g, eta=eta, t=t, h=h)
+                          for h in range(k)]
+            for t_range in (low, high):
+                if k >= 2 and len(t_range) >= 2:
+                    specs.append(cd.make_spec("GeneralizedTwisted", n, k, r, g, eta=(eta, eta2),
+                                              t=(t_range[-1], t_range[0]), h=(0, k - 1)))
+    return specs
+
+
+@pytest.mark.parametrize("case", FP_FIELDS + [("table", 2, 1, 8)],
+                         ids=FP_IDS + ["table-p2e1m8"])
+def test_build_matches_the_family_row_oracle(case):
+    backend, p, e, m = case
+    F = make_field(p, e, m, backend=backend)
+    specs = _family_specs(F, DetRNG(71, f"family-rows/{backend}/{p}/{e}/{m}"))
+    built = set()
+    for spec in specs:
+        expected = cd.LinearCode.from_rows(F, oracles.family_rows(F, spec), spec.n)
+        if expected.k < spec.k:
+            with pytest.raises(cd.BuildError, match="degenerated"):
+                cd.build(F, spec)
+            continue
+        assert cd.build(F, spec).gen == expected.gen, spec
+        # the high range of offsets, t in [m-n+1, m-k] above n-k
+        built.add("high t" if spec.t and spec.t[0] > spec.n - spec.k else spec.family)
+    assert built == set(cd.FAMILIES) | {"high t"}
+
+
+@pytest.mark.parametrize("case", FP_FIELDS, ids=FP_IDS)
+def test_twisted_is_generalized_twisted_with_one_twist(case):
+    backend, p, e, m = case
+    F = make_field(p, e, m, backend=backend)
+    rng = DetRNG(73, f"twisted-as-gtw/{backend}/{p}/{e}/{m}")
+    for n in range(2, m + 1):
+        g = la.random_full_rank_vector(F, n, rng.spawn(f"g/{n}"))
+        for k in range(1, n):
+            eta = F.random_element(rng)
+            tw = cd.build(F, cd.make_spec("Twisted", n, k, 1, g, eta=eta))
+            gtw = cd.build(F, cd.make_spec("GeneralizedTwisted", n, k, 1, g,
+                                           eta=eta, t=1, h=0))
+            assert cd.code_equal(tw, gtw)
 
 
 def test_norm_condition(f3_5, f2_8):
@@ -581,7 +642,7 @@ def test_apply_galois_and_full_aut(f2_8):
     img = cd.LinearCode.from_rows(F, tuple(sigma.on_vector(r) for r in c.gen))
     assert img.k == c.k
     # over e=1 the full automorphism group is the Galois group
-    assert cd.code_equal(cd.apply_full_aut(c, FullAut(F, 3)), img)
+    assert cd.code_equal(oracles.apply_full_aut(c, FullAut(F, 3)), img)
     # identity semilinear map fixes the code
     ident = cd.SemilinearMap(F.one, la.identity(F, 6), FullAut(F, 0))
     assert cd.code_equal(cd.apply_semilinear(c, ident), c)
