@@ -58,7 +58,8 @@ class Verdict:
 def distinguish(c1: cd.LinearCode, c2: cd.LinearCode, trials: int = 100,
                 seed: int = 0) -> Verdict:
     """Invariant-based comparison.  Sound for inequivalence; never claims
-    equivalence (equal inputs still return Unknown)."""
+    equivalence (equal inputs still return Unknown).  `rankinv compare`
+    prints each witness's keys after "invariant" in the order built here."""
     if c1.field != c2.field or c1.n != c2.n:
         raise ValueError("codes live in different ambient spaces")
     if c1.k != c2.k:
@@ -412,7 +413,7 @@ def counting(q: int, k: int, n: int, m: int, field_cap: int = 1 << 22) -> CountR
         raise ValueError(f"n must be >= 1, got {n}")
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in 1..n = 1..{n}, got {k}")
-    phi = _euler_phi(m)
+    phi = len(galois_generators(m))  # Euler's phi(m), with phi(1) = 1
     e = _q_to_pe(q)[1]
     bounds: list[CountBound] = []
 
@@ -492,10 +493,6 @@ def counting(q: int, k: int, n: int, m: int, field_cap: int = 1 << 22) -> CountR
     bounds.append(CountBound("twisted_classes_m_eq_n", "exact", value, ok, note))
 
     return CountResult(q, k, n, m, tuple(bounds))
-
-
-def _euler_phi(m: int) -> int:
-    return sum(1 for r in range(1, m + 1) if math.gcd(r, m) == 1)
 
 
 def _exact_fraction(f: Fraction) -> int:

@@ -3,12 +3,16 @@
 Subcommands: `code build`, `code dual`, `invariants`, `compare`,
 `classify gabidulin`, `count`, `census`.
 
-Output contract: every run first echoes its fully-resolved configuration
-(a single `# config ...` comment line; in JSON mode a "config" object), and
-identical arguments produce byte-identical output on stdout;
-`census --timings` writes its wall-clock line to stderr, so it does not
-change stdout either.  Exit codes: 0 success, 1 domain error (bad parameters,
-unreadable file, cap exceeded), 2 usage error (unknown flags/subcommands).
+Output contract: every subcommand hands its result to `_emit`, the one
+writer of stdout.  In JSON mode that prints a single object whose "config"
+member is the run's fully-resolved configuration; otherwise it prints a
+`# config ...` comment line and then the csv or pretty lines.  Identical
+arguments produce byte-identical output on stdout; `census --timings`
+writes its wall-clock line to stderr, so it does not change stdout either.
+In pretty mode, `compare` adds a `witness: key=value ...` line naming what
+separated the codes.  Exit codes: 0 success, 1 domain error (bad
+parameters, unreadable file, cap exceeded), 2 usage error (unknown
+flags/subcommands).
 
 Field elements print as little-endian coefficient vectors `c0:c1:...` and
 parse as that, `0`, `1`, `a`, or `a^K` (`a` the primitive root used for the
@@ -80,8 +84,8 @@ def _fmt_vec(field: FieldTower, v) -> str:
     return ",".join(format_element(field, a) for a in v)
 
 
-def _config_line(pairs) -> str:
-    return "# config " + " ".join(f"{key}={val}" for key, val in pairs)
+def _join(values) -> str:
+    return ",".join(map(str, values))
 
 
 def _field_config(field: FieldTower):
@@ -93,8 +97,16 @@ def _field_config(field: FieldTower):
     ]
 
 
-def _emit_json(doc) -> None:
-    print(json.dumps(doc, indent=1, sort_keys=True))
+def _emit(args, config, doc, csv_lines, pretty_lines) -> int:
+    """Write a run's result to stdout: `{"config": ..., **doc}` in JSON mode,
+    otherwise the `# config` line and then the lines of --format."""
+    if args.format == "json":
+        print(json.dumps({"config": dict(config), **doc}, indent=1, sort_keys=True))
+        return 0
+    print("# config " + " ".join(f"{key}={val}" for key, val in config))
+    for line in csv_lines if args.format == "csv" else pretty_lines:
+        print(line)
+    return 0
 
 
 def _fp_hash(key) -> str:
@@ -142,9 +154,9 @@ def cmd_code_build(args) -> int:
     if eta is not None:
         config.append(("eta", _fmt_vec(field, eta)))
     if t is not None:
-        config.append(("t", ",".join(map(str, t))))
+        config.append(("t", _join(t)))
     if h is not None:
-        config.append(("h", ",".join(map(str, h))))
+        config.append(("h", _join(h)))
     config += [("strict_norm", args.strict_norm), ("seed", args.seed),
                ("format", args.format)]
     header = f"[code] family={args.family} n={code.n} k={code.k} theta={args.theta}"
@@ -163,25 +175,14 @@ def cmd_code_dual(args) -> int:
 def _emit_code(args, config, code, provenance, header: str) -> int:
     """Save code to --out when given, then print it in --format; the pretty
     form opens with header."""
+    rows = [_fmt_vec(code.field, row) for row in code.gen]
+    doc = {"code": cd.code_to_dict(code, provenance)}
+    pretty_lines = [header, *(f"G[{i}] = {row}" for i, row in enumerate(rows))]
     if args.out:
         cd.save_code(code, args.out, provenance)
-    if args.format == "json":
-        doc = {"config": dict(config), "code": cd.code_to_dict(code, provenance)}
-        if args.out:
-            doc["saved"] = args.out
-        _emit_json(doc)
-        return 0
-    print(_config_line(config))
-    if args.format == "csv":
-        for row in code.gen:
-            print(_fmt_vec(code.field, row))
-        return 0
-    print(header)
-    for i, row in enumerate(code.gen):
-        print(f"G[{i}] = {_fmt_vec(code.field, row)}")
-    if args.out:
-        print(f"saved = {args.out}")
-    return 0
+        doc["saved"] = args.out
+        pretty_lines.append(f"saved = {args.out}")
+    return _emit(args, config, doc, rows, pretty_lines)
 
 
 # --------------------------------------------------------------------------
@@ -209,24 +210,12 @@ def cmd_invariants(args) -> int:
               + [("n", n), ("k", k), ("sigma", args.sigma),
                  ("i_max", args.i_max if args.i_max is not None else "default"),
                  ("format", args.format)])
-    if args.format == "json":
-        _emit_json({
-            "config": dict(config),
-            "profiles": [{"sigma": r, "s": list(s), "t": list(t)}
-                         for (r, s, t) in profiles],
-        })
-        return 0
-    print(_config_line(config))
-    if args.format == "csv":
-        print(f"# columns: sigma,s_1..s_{s_len},t_1..t_{t_len}")
-        for (r, s, t) in profiles:
-            print(",".join(str(x) for x in (r, *s, *t)))
-        return 0
-    for (r, s, t) in profiles:
-        print(f"sigma = {r}")
-        print("s = " + ",".join(map(str, s)))
-        print("t = " + ",".join(map(str, t)))
-    return 0
+    doc = {"profiles": [{"sigma": r, "s": list(s), "t": list(t)} for (r, s, t) in profiles]}
+    csv_lines = [f"# columns: sigma,s_1..s_{s_len},t_1..t_{t_len}"]
+    csv_lines += [_join((r, *s, *t)) for (r, s, t) in profiles]
+    pretty_lines = [line for (r, s, t) in profiles
+                    for line in (f"sigma = {r}", f"s = {_join(s)}", f"t = {_join(t)}")]
+    return _emit(args, config, doc, csv_lines, pretty_lines)
 
 
 # --------------------------------------------------------------------------
@@ -241,41 +230,22 @@ def cmd_compare(args) -> int:
     if c1.field != c2.field:
         raise cd.BuildError("codes live over different fields")
     verdict = cl.distinguish(c1, c2, trials=args.trials, seed=args.seed)
-    brute = None
-    if args.bruteforce:
-        brute = cl.bruteforce_equivalent(c1, c2, cap=args.cap)
+    brute = cl.bruteforce_equivalent(c1, c2, cap=args.cap) if args.bruteforce else None
 
     config = ([("subcommand", "compare"), ("file1", args.file1), ("file2", args.file2)]
               + _field_config(c1.field)
               + [("n", c1.n), ("k", c1.k), ("trials", args.trials), ("seed", args.seed),
                  ("bruteforce", args.bruteforce), ("format", args.format)])
-    if args.format == "json":
-        doc = {
-            "config": dict(config),
-            "verdict": {"status": verdict.status, "detail": verdict.detail,
-                        "witness": _jsonify(verdict.witness, c1.field)},
-        }
-        if brute is not None:
-            doc["bruteforce"] = {"status": brute.status, "detail": brute.detail,
-                                 "witness": _jsonify(brute.witness, c1.field)}
-        _emit_json(doc)
-        return 0
-    print(_config_line(config))
-    print(str(verdict))
-    if verdict.witness and args.format == "pretty":
-        w = verdict.witness
-        if w.get("invariant") == "consecutive":
-            print(f"witness: sigma={w['sigma']} "
-                  f"s1={','.join(map(str, w['s1']))} t1={','.join(map(str, w['t1']))} "
-                  f"s2={','.join(map(str, w['s2']))} t2={','.join(map(str, w['t2']))}")
-        elif w.get("invariant") == "random_triples":
-            print(f"witness: trial={w['trial']} triple={','.join(map(str, w['triple']))} "
-                  f"dims1={','.join(map(str, w['dims1']))} dims2={','.join(map(str, w['dims2']))}")
-        elif w.get("invariant") == "dimension":
-            print(f"witness: k1={w['k1']} k2={w['k2']}")
-    if brute is not None:
-        print(f"bruteforce: {brute}")
-    return 0
+    doc = {key: {"status": v.status, "detail": v.detail,
+                 "witness": _jsonify(v.witness, c1.field)}
+           for key, v in (("verdict", verdict), ("bruteforce", brute)) if v is not None}
+    brute_lines = [] if brute is None else [f"bruteforce: {brute}"]
+    # distinguish() lists each witness's keys in print order, "invariant" first
+    witness_lines = [] if not verdict.witness else ["witness: " + " ".join(
+        f"{key}={_join(val) if isinstance(val, tuple) else val}"
+        for key, val in verdict.witness.items() if key != "invariant")]
+    return _emit(args, config, doc, [str(verdict), *brute_lines],
+                 [str(verdict), *witness_lines, *brute_lines])
 
 
 # --------------------------------------------------------------------------
@@ -290,24 +260,13 @@ def cmd_classify_gabidulin(args) -> int:
               + _field_config(code.field)
               + [("n", code.n), ("k", code.k), ("theta", args.theta),
                  ("cap", args.cap), ("format", args.format)])
-    if args.format == "json":
-        _emit_json({
-            "config": dict(config),
-            "is_gabidulin": verdict,
-            "criteria": {name: val for name, val in crits.items()},
-        })
-        return 0
-    print(_config_line(config))
-    if args.format == "csv":
-        print("# columns: criterion,value")
-        print(f"is_gabidulin,{str(verdict).lower()}")
-        for name, val in crits.items():
-            print(f"{name},{'n/a' if val is None else str(val).lower()}")
-        return 0
-    print(f"is_gabidulin = {str(verdict).lower()}")
-    for name, val in crits.items():
-        print(f"criterion {name} = {'n/a' if val is None else str(val).lower()}")
-    return 0
+    shown = {name: "n/a" if val is None else str(val).lower() for name, val in crits.items()}
+    verdict_str = str(verdict).lower()
+    return _emit(args, config, {"is_gabidulin": verdict, "criteria": dict(crits)},
+                 ["# columns: criterion,value", f"is_gabidulin,{verdict_str}",
+                  *(f"{name},{val}" for name, val in shown.items())],
+                 [f"is_gabidulin = {verdict_str}",
+                  *(f"criterion {name} = {val}" for name, val in shown.items())])
 
 
 # --------------------------------------------------------------------------
@@ -318,30 +277,23 @@ def cmd_count(args) -> int:
     result = cl.counting(args.q, args.k, args.n, args.m, field_cap=args.field_cap)
     config = [("subcommand", "count"), ("q", args.q), ("k", args.k),
               ("n", args.n), ("m", args.m), ("format", args.format)]
-    if args.format == "json":
-        _emit_json({
-            "config": dict(config),
-            "q": result.q, "k": result.k, "n": result.n, "m": result.m,
-            "bounds": [
-                {"name": b.name, "kind": b.kind, "value": b.value,
-                 "applicable": b.applicable, "note": b.note}
-                for b in result.bounds
-            ],
-        })
-        return 0
-    print(_config_line(config))
-    if args.format == "csv":
-        print("# columns: name,kind,value,applicable,note")
-        for b in result.bounds:
-            value = "" if b.value is None else str(b.value)
-            print(f"{b.name},{b.kind},{value},{str(b.applicable).lower()},{b.note!r}")
-        return 0
+    doc = {
+        "q": result.q, "k": result.k, "n": result.n, "m": result.m,
+        "bounds": [
+            {"name": b.name, "kind": b.kind, "value": b.value,
+             "applicable": b.applicable, "note": b.note}
+            for b in result.bounds
+        ],
+    }
+    csv_lines = ["# columns: name,kind,value,applicable,note"]
+    pretty_lines = []
     for b in result.bounds:
-        value = "n/a" if b.value is None else str(b.value)
+        value = "" if b.value is None else str(b.value)
+        csv_lines.append(f"{b.name},{b.kind},{value},{str(b.applicable).lower()},{b.note!r}")
         flag = "" if b.applicable else "  [outside stated range]"
         note = f"  ({b.note})" if b.note else ""
-        print(f"{b.name} [{b.kind}] = {value}{flag}{note}")
-    return 0
+        pretty_lines.append(f"{b.name} [{b.kind}] = {value or 'n/a'}{flag}{note}")
+    return _emit(args, config, doc, csv_lines, pretty_lines)
 
 
 # --------------------------------------------------------------------------
@@ -352,13 +304,6 @@ def cmd_census(args) -> int:
     _check_at_least("--trials", args.trials, 0)
     _check_at_least("--jobs", args.jobs, 1)
     t0 = time.time()
-    _print_census(args)
-    if args.timings:
-        print(f"runtime_s = {time.time() - t0:.3f}", file=sys.stderr)
-    return 0
-
-
-def _print_census(args) -> None:
     config = [("subcommand", "census"), ("q", args.q), ("n", args.n),
               ("m", 2 * args.n), ("k", args.k), ("seed", args.seed),
               ("trials", args.trials), ("jobs", args.jobs),
@@ -366,44 +311,28 @@ def _print_census(args) -> None:
 
     if args.ub_only:
         ub = cl.census_ub(args.n, args.k)
-        if args.format == "json":
-            _emit_json({"config": dict(config), "summary": {"UB": ub}})
-            return
-        print(_config_line(config))
-        print(f"UB = {ub}")
-        return
-
-    report, field = cl.census(args.q, args.n, args.k, args.seed,
-                              trials=args.trials, jobs=args.jobs)
-    rows = [
-        (r, t, h, _fp_hash(f1), _fp_hash(f2))
-        for (r, t, h), f1, f2 in zip(report.params, report.fingerprints1,
-                                     report.fingerprints2)
-    ]
-    summary = {"LB1": report.lb1, "LB2": report.lb2, "UB": report.ub,
-               "seed": report.seed}
-    if args.format == "json":
-        _emit_json({
-            "config": dict(config),
-            "g": [list(field.coeffs(a)) for a in report.g],
-            "eta": list(field.coeffs(report.eta)),
-            "classes": [{"r": r, "t": t, "h": h, "fp1": f1, "fp2": f2}
-                        for (r, t, h, f1, f2) in rows],
-            "summary": summary,
-        })
-        return
-    print(_config_line(config))
-    print("# columns: r,t,h,fp1,fp2")
-    for row in rows:
-        print(",".join(str(x) for x in row))
-    if args.format == "csv":
-        print(json.dumps(summary, sort_keys=True))
-        return
-    print(f"g = {_fmt_vec(field, report.g)}")
-    print(f"eta = {format_element(field, report.eta)}")
-    print(f"UB = {report.ub}")
-    print(f"LB1 = {report.lb1}")
-    print(f"LB2 = {report.lb2}")
+        doc = {"summary": {"UB": ub}}
+        csv_lines = pretty_lines = [f"UB = {ub}"]
+    else:
+        report, field = cl.census(args.q, args.n, args.k, args.seed,
+                                  trials=args.trials, jobs=args.jobs)
+        classes = [{"r": r, "t": t, "h": h, "fp1": _fp_hash(f1), "fp2": _fp_hash(f2)}
+                   for (r, t, h), f1, f2 in zip(report.params, report.fingerprints1,
+                                                report.fingerprints2)]
+        summary = {"LB1": report.lb1, "LB2": report.lb2, "UB": report.ub,
+                   "seed": report.seed}
+        doc = {"g": [list(field.coeffs(a)) for a in report.g],
+               "eta": list(field.coeffs(report.eta)),
+               "classes": classes, "summary": summary}
+        rows = ["# columns: r,t,h,fp1,fp2", *(_join(c.values()) for c in classes)]
+        csv_lines = [*rows, json.dumps(summary, sort_keys=True)]
+        pretty_lines = [*rows, f"g = {_fmt_vec(field, report.g)}",
+                        f"eta = {format_element(field, report.eta)}",
+                        f"UB = {report.ub}", f"LB1 = {report.lb1}", f"LB2 = {report.lb2}"]
+    _emit(args, config, doc, csv_lines, pretty_lines)
+    if args.timings:
+        print(f"runtime_s = {time.time() - t0:.3f}", file=sys.stderr)
+    return 0
 
 
 # --------------------------------------------------------------------------

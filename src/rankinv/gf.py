@@ -15,12 +15,13 @@ Two interchangeable arithmetic backends exist:
 
 * ``table``   -- exp/log/Zech-log tables in int32 arrays, cached; selected
                  automatically when Q <= TABLE_LIMIT, and refused above it.
-                 numpy builds them block by block straight into those arrays,
-                 each block of powers of alpha the one before it times a fixed
-                 power, by split lookups (see _build_tables); p = 2 keeps no
-                 Zech table, since addition there is XOR.  Building the exp
-                 table doubles as a proof that f is primitive: the powers of
-                 alpha must enumerate every nonzero residue exactly once.
+                 numpy (imported by the build alone) fills them block by
+                 block straight into those arrays, each block of powers of
+                 alpha the one before it times a fixed power, by split
+                 lookups (see _build_tables); p = 2 keeps no Zech table,
+                 since addition there is XOR.  Building the exp table doubles
+                 as a proof that f is primitive: the powers of alpha must
+                 enumerate every nonzero residue exactly once.
 * ``generic`` -- direct arithmetic on packed ints; no tables.  Used for
                  larger fields and to cross-check the table backend.  At
                  p = 2 addition is XOR and multiplication shift-and-XOR.  At
@@ -51,9 +52,13 @@ import math
 from array import array
 from dataclasses import dataclass
 
-import numpy as np
-
 TABLE_LIMIT = 1 << 23
+
+
+def _default_backend(p: int, d: int) -> str:
+    """The backend of a field with p**d elements when none is asked for (d
+    is clamped at 0, so invalid input reaches FieldTower's own checks)."""
+    return "table" if p ** max(d, 0) <= TABLE_LIMIT else "generic"
 
 
 class FieldError(ValueError):
@@ -301,6 +306,8 @@ def _build_tables(p: int, d: int, modulus: tuple[int, ...]):
     log[exp[i]] = i, so the Q - 1 powers are distinct nonzero residues, that
     is every nonzero residue exactly once.
     """
+    import numpy as np  # here only, so runs that build no table never load it
+
     Q = p**d
     Qm1 = Q - 1
     neg_mod = [(-c) % p for c in modulus[:d]]
@@ -412,7 +419,7 @@ class FieldTower:
         self.Qm1 = self.Q - 1
 
         if backend is None:
-            backend = "table" if self.Q <= TABLE_LIMIT else "generic"
+            backend = _default_backend(p, self.d)
         if backend not in ("table", "generic"):
             raise FieldError(f"unknown backend {backend!r}")
         if backend == "table" and self.Q > TABLE_LIMIT:
@@ -854,8 +861,7 @@ def make_field(p: int, e: int, m: int, modulus=None, backend: str | None = None)
         modulus = tuple(int(c) for c in modulus)
     if backend is None:
         # the choice FieldTower makes, so both spellings share one object
-        # (FieldTower refuses e or m below 1, and p = 0, with its own error)
-        backend = "table" if p ** max(e * m, 0) <= TABLE_LIMIT else "generic"
+        backend = _default_backend(p, e * m)
     key = (p, e, m, modulus, backend)
     cached = _FIELD_CACHE.get(key)
     if cached is None:

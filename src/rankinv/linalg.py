@@ -205,15 +205,12 @@ def row_space_intersection(field: FieldTower, A: Matrix, B: Matrix, ncols: int |
 
 
 class IncrementalRank:
-    """Feed rows one at a time; tracks the rank so far."""
+    """Feed rows one at a time; the rank so far is the number of add_row
+    calls that returned True."""
 
     def __init__(self, field: FieldTower):
         self.field = field
         self._basis: list[tuple[int, list[int]]] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self._basis)
 
     def add_row(self, row) -> bool:
         """Returns True when the row increased the rank."""

@@ -242,16 +242,30 @@ def test_exit_codes(tmp_path):
     assert rc == 2
 
 
+def _src_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_installed_console_script():
     # the console script runs rankinv.cli as __main__; do the same from src/
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "rankinv.cli", "census", "--n", "6", "--k", "2", "--ub-only"],
-        capture_output=True, text=True, timeout=120, env=env)
+        capture_output=True, text=True, timeout=120, env=_src_env())
     assert proc.returncode == 0
     assert "UB = 16" in proc.stdout
+
+
+def test_cli_import_and_ub_only_census_leave_numpy_unloaded():
+    # numpy is imported by the table build alone; a fresh process shows it
+    script = ("import sys, rankinv.cli as cli\n"
+              "assert 'numpy' not in sys.modules, 'import'\n"
+              "assert cli.main(['census', '--n', '6', '--k', '2', '--ub-only']) == 0\n"
+              "assert 'numpy' not in sys.modules, 'census'\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
 
 
 # --------------------------------------------------------------------------
