@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -100,7 +101,12 @@ def bruteforce_equivalent(c1: cd.LinearCode, c2: cd.LinearCode,
     and enumerate its kernel for an A invertible over F_q.  Any hit gives
     tau(C1)*A = C2 by dimensions, so every possible witness lies in one of
     the swept kernels and a clean sweep is a proof of inequivalence.  Raises
-    BudgetExceeded when a kernel has more than cap elements."""
+    BudgetExceeded when a kernel has more than cap elements.
+
+    The F_p-unknowns are the units gamma^s * E_uv (u, v < n, s < e) of
+    `units`.  A unit's column holds the digits of each entry gamma^s *
+    G_tau[i][u] * H[l][v] of G_tau * (gamma^s * E_uv) * H^T; a kernel
+    combination (first coefficient fastest) sums digit * gamma^s into A[u][v]."""
     field = c1.field
     if field != c2.field or c1.n != c2.n:
         raise ValueError("codes live in different ambient spaces")
@@ -111,55 +117,29 @@ def bruteforce_equivalent(c1: cd.LinearCode, c2: cd.LinearCode,
         ident = cd.SemilinearMap(1, la.identity(field, c1.n), FullAut(field, 0))
         return Verdict("Equivalent", {"lam": 1, "A": ident.A, "tau": 0, "map": ident},
                        "trivial code")
-    n, k = c1.n, c1.k
-    p, e, d = field.p, field.e, field.d
+    n, p = c1.n, field.p
     H = cd.dual(c2).gen
-    unknowns = n * n * e  # digits of A over the gamma-basis of F_q
-    gamma_pows = [field.pow(field.gamma, j) for j in range(e)]
-    for j_tau in range(d):
+    gammas = [field.pow(field.gamma, s) for s in range(field.e)]
+    units = [(u, v, g) for u in range(n) for v in range(n) for g in gammas]
+    for j_tau in range(field.d):
         tau = FullAut(field, j_tau)
-        G1 = tuple(tau.on_vector(r) for r in c1.gen)
-        equations: list[list[int]] = []
-        for gi in range(k):
-            for hi in range(n - k):
-                row_eqs = [[0] * unknowns for _ in range(d)]
-                for u in range(n):
-                    gval = G1[gi][u]
-                    if not gval:
-                        continue
-                    for v in range(n):
-                        hval = H[hi][v]
-                        if not hval:
-                            continue
-                        base = field.mul(gval, hval)
-                        for su in range(e):
-                            coeff = field.mul(base, gamma_pows[su])
-                            digs = field.coeffs(coeff)
-                            col = (u * n + v) * e + su
-                            for dd in range(d):
-                                if digs[dd]:
-                                    row_eqs[dd][col] = digs[dd]
-                equations.extend(row_eqs)
-        kernel = la.nullspace_p(p, equations, unknowns)
+        G1 = [tau.on_vector(r) for r in c1.gen]
+        columns = [[c for row in G1 for h in H
+                    for c in field.coeffs(field.mul(g, field.mul(row[u], h[v])))]
+                   for (u, v, g) in units]
+        kernel = la.nullspace_p(p, list(zip(*columns)), len(units))
         nu = len(kernel)
-        if nu == 0:
-            continue
-        total = p**nu
-        if total > cap:
-            raise cd.BudgetExceeded(
-                f"kernel of size {p}^{nu} exceeds enumeration cap {cap}"
-            )
-        # nonzero combinations, the first counter varying fastest
+        if nu and p**nu > cap:  # a zero kernel has no combination to walk
+            raise cd.BudgetExceeded(f"kernel of size {p}^{nu} exceeds enumeration cap {cap}")
+        per_unit = list(zip(*kernel))
         for rev in itertools.islice(itertools.product(range(p), repeat=nu), 1, None):
             counters = rev[::-1]
-            digits = [0] * unknowns
-            for bi, cnt in enumerate(counters):
-                if cnt:
-                    kb = kernel[bi]
-                    for col in range(unknowns):
-                        if kb[col]:
-                            digits[col] = (digits[col] + cnt * kb[col]) % p
-            A = _digits_to_matrix(field, digits, n, e, gamma_pows)
+            A = [[0] * n for _ in range(n)]
+            for (u, v, g), col in zip(units, per_unit):
+                digit = sum(map(operator.mul, counters, col)) % p
+                if digit:
+                    A[u][v] = field.add(A[u][v], field.mul(digit, g))
+            A = tuple(map(tuple, A))
             if la.det(field, A) != 0:
                 smap = cd.SemilinearMap(1, A, tau)
                 if cd.code_equal(cd.apply_semilinear(c1, smap), c2):
@@ -169,24 +149,6 @@ def bruteforce_equivalent(c1: cd.LinearCode, c2: cd.LinearCode,
                 raise AssertionError("kernel solution failed recheck")  # pragma: no cover
     return Verdict("Inequivalent", {"invariant": "exhaustive-sweep"},
                    "no (A, tau) maps one onto the other")
-
-
-def _digits_to_matrix(field: FieldTower, digits, n: int, e: int, gamma_pows) -> la.Matrix:
-    rows = []
-    for u in range(n):
-        row = []
-        for v in range(n):
-            acc = 0
-            for su in range(e):
-                c = digits[(u * n + v) * e + su]
-                if c:
-                    term = gamma_pows[su]
-                    if c != 1:
-                        term = field.mul(term, c)
-                    acc = field.add(acc, term)
-            row.append(acc)
-        rows.append(tuple(row))
-    return tuple(rows)
 
 
 # --------------------------------------------------------------------------

@@ -166,13 +166,9 @@ class CodeSpec:
     k: int
     theta_exp: int = 1
     g: tuple[int, ...] = ()
-    eta: Optional[tuple[int, ...]] = None  # length ell for GeneralizedTwisted, else length 1
+    eta: Optional[tuple[int, ...]] = None  # one per twist for GeneralizedTwisted, else length 1
     t: Optional[tuple[int, ...]] = None
     h: Optional[tuple[int, ...]] = None
-
-    @property
-    def ell(self) -> int:
-        return len(self.eta) if self.eta else 0
 
 
 def _as_tuple(x) -> Optional[tuple[int, ...]]:

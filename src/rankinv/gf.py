@@ -233,12 +233,13 @@ def _is_primitive(mod, p: int) -> bool:
     return True
 
 
-# Lexicographically least (smallest packed value of the non-leading
-# coefficients) monic primitive polynomial per (p, degree).  These are the
-# output of default_modulus' own search, frozen for speed; tests re-derive a
-# sample and cross-check primitivity independently.  The degree-1 entries
-# let linalg build the prime fields behind rank_p and nullspace_p without
-# the search.
+# default_modulus per (p, degree): at degree >= 2 the lexicographically
+# least (smallest packed value of the non-leading coefficients) monic
+# primitive polynomial, at degree 1 x - g for the least primitive root g.
+# These are the output of default_modulus' own search, frozen for speed;
+# tests re-derive a sample and cross-check primitivity independently.  The
+# degree-1 entries let linalg build the prime fields behind rank_p and
+# nullspace_p without the search.
 _KNOWN_MODULI: dict[tuple[int, int], int] = {
     (2, 1): 1, (3, 1): 1, (5, 1): 3, (7, 1): 4,
     (2, 2): 3, (2, 3): 3, (2, 4): 3, (2, 5): 5, (2, 6): 3, (2, 7): 3,
@@ -250,9 +251,10 @@ _KNOWN_MODULI: dict[tuple[int, int], int] = {
 
 
 def default_modulus(p: int, d: int) -> tuple[int, ...]:
-    """Deterministic default: the monic primitive polynomial of degree d over
-    F_p whose packed non-leading coefficient vector (c_0 + c_1 p + ...) is
-    least.  Returned little-endian with the leading 1 included."""
+    """Deterministic default: at d = 1, x - g for the least primitive root g
+    mod p; at d >= 2, the monic primitive polynomial of degree d over F_p
+    whose packed non-leading coefficient vector (c_0 + c_1 p + ...) is least.
+    Returned little-endian with the leading 1 included."""
     if d < 1:
         raise FieldError("extension degree must be >= 1")
     packed = _KNOWN_MODULI.get((p, d))
@@ -855,7 +857,7 @@ def make_field(p: int, e: int, m: int, modulus=None, backend: str | None = None)
 
     modulus: optional little-endian coefficient list of a monic primitive
     polynomial of degree e*m (leading 1 included).  Default: the
-    lexicographically least primitive polynomial, see default_modulus().
+    primitive polynomial that default_modulus() picks.
     """
     if modulus is not None:
         modulus = tuple(int(c) for c in modulus)

@@ -40,6 +40,10 @@ against.
 * apply_full_aut / orbit_of_code / gl_n_q_generators: the image of a code
   under a full automorphism, and the closure of one code under the full
   equivalence group, for exhaustive small-parameter partitions.
+* bruteforce_equivalent / _digits_to_matrix: the exact equivalence search
+  with one zero-skipping scatter of each product's digits into the equations
+  and a separate decoder of kernel digits into A, the former search behind
+  classify.bruteforce_equivalent.
 """
 
 from __future__ import annotations
@@ -50,9 +54,11 @@ from array import array
 import numpy as np
 import sympy
 
+from rankinv import codes as cd
 from rankinv import linalg as la
+from rankinv.classify import Verdict
 from rankinv.codes import BudgetExceeded, BuildError, LinearCode, dual
-from rankinv.gf import FieldError, FullAut, GaloisAut, digits_of, pack_digits
+from rankinv.gf import FieldError, FieldTower, FullAut, GaloisAut, digits_of, pack_digits
 
 
 def _pow(field, a: int, k: int) -> int:
@@ -596,3 +602,101 @@ def gl_n_q_generators(field, n: int):
         )
         gens.append(diag)
     return gens
+
+
+def bruteforce_equivalent(c1: cd.LinearCode, c2: cd.LinearCode,
+                          cap: int = 1 << 22) -> Verdict:
+    """Exact equivalence decision.
+
+    For each full automorphism tau, the matrices A with tau(C1)*A <= C2 form
+    an F_p-linear space: solve G_tau * A * H^T = 0 (H a dual generator of C2)
+    and enumerate its kernel for an A invertible over F_q.  Any hit gives
+    tau(C1)*A = C2 by dimensions, so every possible witness lies in one of
+    the swept kernels and a clean sweep is a proof of inequivalence.  Raises
+    BudgetExceeded when a kernel has more than cap elements."""
+    field = c1.field
+    if field != c2.field or c1.n != c2.n:
+        raise ValueError("codes live in different ambient spaces")
+    if c1.k != c2.k:
+        return Verdict("Inequivalent", {"invariant": "dimension", "k1": c1.k, "k2": c2.k},
+                       f"dimensions differ: {c1.k} vs {c2.k}")
+    if c1.k in (0, c1.n):
+        ident = cd.SemilinearMap(1, la.identity(field, c1.n), FullAut(field, 0))
+        return Verdict("Equivalent", {"lam": 1, "A": ident.A, "tau": 0, "map": ident},
+                       "trivial code")
+    n, k = c1.n, c1.k
+    p, e, d = field.p, field.e, field.d
+    H = cd.dual(c2).gen
+    unknowns = n * n * e  # digits of A over the gamma-basis of F_q
+    gamma_pows = [field.pow(field.gamma, j) for j in range(e)]
+    for j_tau in range(d):
+        tau = FullAut(field, j_tau)
+        G1 = tuple(tau.on_vector(r) for r in c1.gen)
+        equations: list[list[int]] = []
+        for gi in range(k):
+            for hi in range(n - k):
+                row_eqs = [[0] * unknowns for _ in range(d)]
+                for u in range(n):
+                    gval = G1[gi][u]
+                    if not gval:
+                        continue
+                    for v in range(n):
+                        hval = H[hi][v]
+                        if not hval:
+                            continue
+                        base = field.mul(gval, hval)
+                        for su in range(e):
+                            coeff = field.mul(base, gamma_pows[su])
+                            digs = field.coeffs(coeff)
+                            col = (u * n + v) * e + su
+                            for dd in range(d):
+                                if digs[dd]:
+                                    row_eqs[dd][col] = digs[dd]
+                equations.extend(row_eqs)
+        kernel = la.nullspace_p(p, equations, unknowns)
+        nu = len(kernel)
+        if nu == 0:
+            continue
+        total = p**nu
+        if total > cap:
+            raise cd.BudgetExceeded(
+                f"kernel of size {p}^{nu} exceeds enumeration cap {cap}"
+            )
+        # nonzero combinations, the first counter varying fastest
+        for rev in itertools.islice(itertools.product(range(p), repeat=nu), 1, None):
+            counters = rev[::-1]
+            digits = [0] * unknowns
+            for bi, cnt in enumerate(counters):
+                if cnt:
+                    kb = kernel[bi]
+                    for col in range(unknowns):
+                        if kb[col]:
+                            digits[col] = (digits[col] + cnt * kb[col]) % p
+            A = _digits_to_matrix(field, digits, n, e, gamma_pows)
+            if la.det(field, A) != 0:
+                smap = cd.SemilinearMap(1, A, tau)
+                if cd.code_equal(cd.apply_semilinear(c1, smap), c2):
+                    return Verdict("Equivalent",
+                                   {"lam": 1, "A": A, "tau": j_tau, "map": smap},
+                                   f"tau = p^{j_tau}")
+                raise AssertionError("kernel solution failed recheck")  # pragma: no cover
+    return Verdict("Inequivalent", {"invariant": "exhaustive-sweep"},
+                   "no (A, tau) maps one onto the other")
+
+
+def _digits_to_matrix(field: FieldTower, digits, n: int, e: int, gamma_pows) -> la.Matrix:
+    rows = []
+    for u in range(n):
+        row = []
+        for v in range(n):
+            acc = 0
+            for su in range(e):
+                c = digits[(u * n + v) * e + su]
+                if c:
+                    term = gamma_pows[su]
+                    if c != 1:
+                        term = field.mul(term, c)
+                    acc = field.add(acc, term)
+            row.append(acc)
+        rows.append(tuple(row))
+    return tuple(rows)

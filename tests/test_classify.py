@@ -228,6 +228,42 @@ def test_bruteforce_trivial_and_budget(f16):
         cl.bruteforce_equivalent(code, image, cap=1)
 
 
+def _search_outcome(search, c1, c2, cap):
+    """(status, detail, A, tau) of one search, or its BudgetExceeded message."""
+    try:
+        v = search(c1, c2, cap=cap)
+    except cd.BudgetExceeded as exc:
+        return "BudgetExceeded", str(exc)
+    return v.status, v.detail, v.witness.get("A"), v.witness.get("tau")
+
+
+@pytest.mark.parametrize("case", FP_FIELDS, ids=FP_IDS)
+def test_bruteforce_matches_former_search(case):
+    """Semilinear images, random pairs and the trivial dimensions 0 and n,
+    under the default cap and under caps of 0 and 1: the same verdict,
+    detail, witness A and tau, or the same BudgetExceeded message, as the
+    former search."""
+    backend, p, e, m = case
+    F = make_field(p, e, m, backend=backend)
+    rng = DetRNG(83, f"bf-oracle/{backend}/{p}/{e}/{m}")
+    n = 3
+    seen = set()
+    for k in range(n + 1):
+        r = rng.spawn(f"k{k}")
+        rows = [[F.random_element(r) for _ in range(n)] for _ in range(2 * k)]
+        c1 = cd.LinearCode.from_rows(F, rows[:k], n)
+        # a row over F_q gives c2 a rank-one word, which c1 mostly lacks
+        flat = list(la.random_invertible_matrix_q(F, n, r)[:1])
+        c2 = cd.LinearCode.from_rows(F, (flat + rows[k + 1:])[:k], n)
+        image = cd.apply_semilinear(c1, _random_smap(F, n, r))
+        for pair in ((c1, image), (c1, c2)):
+            for cap in (1 << 22, 0, 1):
+                got = _search_outcome(cl.bruteforce_equivalent, *pair, cap)
+                assert got == _search_outcome(oracles.bruteforce_equivalent, *pair, cap)
+                seen.add(got[0])
+    assert seen == {"Equivalent", "Inequivalent", "BudgetExceeded"}
+
+
 # --------------------------------------------------------------------------
 # orbits
 # --------------------------------------------------------------------------

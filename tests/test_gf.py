@@ -28,7 +28,7 @@ from rankinv.gf import (
     parse_element,
 )
 from rankinv.rng import DetRNG
-from tests.conftest import WORKED_EXAMPLE_MODULUS
+from conftest import WORKED_EXAMPLE_MODULUS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -98,8 +98,12 @@ def test_order_test_matches_table_build(p, d_max):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_degree_one_default_is_least_primitive_root(p):
+    # frozen up to p = 7; at p = 11 and 13 default_modulus runs the search,
+    # which gives x + 9 and x + 11 though x + 3 and x + 2 are primitive too
+    assert ((p, 1) in gf._KNOWN_MODULI) == (p <= 7)
     g = sympy.primitive_root(p)
     assert default_modulus(p, 1) == ((-g) % p, 1)
+    assert gf._search_default_modulus(p, 1) == (-g) % p
 
 
 def test_default_modulus_small_pins():
