@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -121,6 +120,14 @@ def bruteforce_equivalent(c1: cd.LinearCode, c2: cd.LinearCode,
     H = cd.dual(c2).gen
     gammas = [field.pow(field.gamma, s) for s in range(field.e)]
     units = [(u, v, g) for u in range(n) for v in range(n) for g in gammas]
+
+    def matrix(digits) -> la.Matrix:
+        A = [[0] * n for _ in range(n)]
+        for (u, v, g), digit in zip(units, digits):
+            if digit:
+                A[u][v] = field.add(A[u][v], field.mul(digit, g))
+        return tuple(map(tuple, A))
+
     for j_tau in range(field.d):
         tau = FullAut(field, j_tau)
         G1 = [tau.on_vector(r) for r in c1.gen]
@@ -131,15 +138,31 @@ def bruteforce_equivalent(c1: cd.LinearCode, c2: cd.LinearCode,
         nu = len(kernel)
         if nu and p**nu > cap:  # a zero kernel has no combination to walk
             raise cd.BudgetExceeded(f"kernel of size {p}^{nu} exceeds enumeration cap {cap}")
-        per_unit = list(zip(*kernel))
-        for rev in itertools.islice(itertools.product(range(p), repeat=nu), 1, None):
-            counters = rev[::-1]
-            A = [[0] * n for _ in range(n)]
-            for (u, v, g), col in zip(units, per_unit):
-                digit = sum(map(operator.mul, counters, col)) % p
-                if digit:
-                    A[u][v] = field.add(A[u][v], field.mul(digit, g))
-            A = tuple(map(tuple, A))
+        # Every A walked below is an F_p-combination of the kernel's basis
+        # matrices B_1..B_nu.  If they share a nonzero x with B_i x = 0 for
+        # all i, then A x = 0 for every combination, so no A is invertible;
+        # likewise for an x with x^T B_i = 0.  Such an x exists exactly when
+        # the B_i stacked on top of each other (or their transposes) have
+        # rank below n, and then the walk is skipped.
+        basis = [matrix(vec) for vec in kernel]
+        if (la.rank(field, [row for B in basis for row in B]) < n
+                or la.rank(field, [col for B in basis for col in zip(*B)]) < n):
+            continue
+        # Combinations in odometer order, the first coefficient fastest: when
+        # counters 0..i-1 wrap from p-1 to 0 and counter i steps up, each
+        # adds 1 mod p, so the digits step by kernel[0] + ... + kernel[i].
+        steps = list(itertools.accumulate(
+            kernel, lambda acc, vec: [(a + b) % p for a, b in zip(acc, vec)]))
+        counters = [0] * nu
+        digits = [0] * len(units)
+        for _ in range(p**nu - 1):
+            i = 0
+            while counters[i] == p - 1:
+                counters[i] = 0
+                i += 1
+            counters[i] += 1
+            digits = [(a + b) % p for a, b in zip(digits, steps[i])]
+            A = matrix(digits)
             if la.det(field, A) != 0:
                 smap = cd.SemilinearMap(1, A, tau)
                 if cd.code_equal(cd.apply_semilinear(c1, smap), c2):

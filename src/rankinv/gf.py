@@ -454,6 +454,12 @@ class FieldTower:
         self._norm_exp = self.Qm1 // (self.q - 1)
         self.gamma = self.alpha_pow(self._norm_exp) if self.e >= 1 else 1
 
+        # the row kernel of linalg._insert_row, chosen once per field
+        if backend == "table":
+            self.row_reduce = self._reduce_logs_xor if p == 2 else self._reduce_logs_zech
+        else:
+            self.row_reduce = self._reduce_gf2 if p == 2 else self._reduce_lanes
+
         self.zero = 0
         self.one = 1
 
@@ -531,13 +537,16 @@ class FieldTower:
             return self._exp[self._log[a] + self._log[b]]
         if self.p == 2:
             return self._gmul2(a, b)
-        # Kronecker product of the spread operands; its lanes d..2d-2 are
-        # the digits of x^d..x^(2d-2), which fold back through _fold
+        return self._lane_product(self._apply(self._units, a) * self._apply(self._units, b))
+
+    def _lane_product(self, prod: int, acc: int = 0) -> int:
+        """The packed element of a Kronecker product of two spread operands
+        plus the spread acc.  Lanes d..2d-2 of prod are the digits of
+        x^d..x^(2d-2); they are read back and fold through _fold."""
         d = self.d
         wd = self._lane_bits * d
-        prod = self._apply(self._units, a) * self._apply(self._units, b)
         high = self._from_lanes(prod >> wd, d - 1)
-        return self._from_lanes((prod & ((1 << wd) - 1)) + self._apply(self._fold, high), d)
+        return self._from_lanes((prod & ((1 << wd) - 1)) + self._apply(self._fold, high) + acc, d)
 
     def _gmul2(self, a: int, b: int) -> int:
         d = self.d
@@ -616,22 +625,28 @@ class FieldTower:
         digit, so integer + and * act on every digit at once and lanes are
         reduced mod p only when read back (_from_lanes).  That is exact as
         long as no lane exceeds 2^w - 1 and carries into the next.  w is the
-        bit length of (2d - 1)(p - 1)^2, which bounds every lane formed:
+        bit length of L = (2d - 1)(p - 1)^2 + (p - 1), so every lane value
+        up to L is below 2^w, and L bounds every lane formed:
 
         * a product of two spread elements: lane k is sum_{i+j=k} a_i b_j,
           at most d terms of at most (p - 1)^2;
         * plus its d - 1 high lanes, read back mod p and folded through the
           rows _fold, whose lanes are below p: (d - 1)(p - 1)^2 more;
+        * plus, in the row kernel _reduce_lanes, the spread of one element,
+          whose lanes are digits: p - 1 more, L in all (_lane_product);
         * a Frobenius image, d rows times digits: d(p - 1)^2;
         * a sum 2(p - 1) and a negation (p - 1)^2, both within the bound for
           p >= 3, and a step of the _fold build below, (p - 1) + (p - 1)^2,
           which only d >= 2 takes.
 
+        Each read-back takes every lane mod p, and a lane below 2^w holds
+        its exact value whatever w is, so no result depends on w.
+
         Lanes are nonnegative, so a shift and a mask read one.  _units[i] =
         x^i, so _apply(_units, a) spreads a; _fold[j] = x^(d+j) mod f for
         0 <= j < d - 1.  p = 2 keeps its XOR paths and reads none of this."""
         p, d = self.p, self.d
-        w = self._lane_bits = ((2 * d - 1) * (p - 1) ** 2).bit_length()
+        w = self._lane_bits = ((2 * d - 1) * (p - 1) ** 2 + (p - 1)).bit_length()
         self._units = [1 << (w * i) for i in range(d)]
         xd = self._apply(self._units, pack_digits([-c % p for c in self.modulus[:d]], p))
         self._fold, row = [], xd
@@ -674,6 +689,75 @@ class FieldTower:
         if self._powmod(self.alpha, qm1) != 1:
             return False
         return all(self._powmod(self.alpha, qm1 // ell) != 1 for ell in _prime_factors(qm1))
+
+    # -- row kernels of linalg._insert_row -----------------------------------
+
+    def row_entry(self, row, pc: int):
+        """What row_reduce keeps of a basis row whose pivot pv, its first
+        nonzero entry, is at pc: (pivot datum, [(j, datum of row[j]) for the
+        nonzero row[j], j > pc]).  The table backend keeps log pv and the
+        logs of the entries; the generic backend inv(pv) and the entries at
+        p = 2, and at odd p -inv(pv) and the entries spread into lanes."""
+        tail = range(pc + 1, len(row))
+        if self._exp is not None:
+            log = self._log
+            return log[row[pc]], [(j, log[row[j]]) for j in tail if row[j]]
+        pv_inv = self.inv(row[pc])
+        if self.p == 2:
+            return pv_inv, [(j, row[j]) for j in tail if row[j]]
+        units = self._units
+        return (self._apply(units, self.neg(pv_inv)),
+                [(j, self._apply(units, row[j])) for j in tail if row[j]])
+
+    # Each row_reduce(cur, c, entry) subtracts f * row from cur for the basis
+    # row of entry, with f = c / pv and c = cur[pc] != 0, which the caller has
+    # already set to 0; row is 0 before pc, so only its tail changes.  On the
+    # table backend the term f * row[j] is exp[lf + lb_j] with lf = log(-f)
+    # taken once (exp repeats, so the index needs no reduction).
+
+    def _reduce_logs_xor(self, cur: list, c: int, entry) -> None:
+        """Table backend, p = 2: -f = f, and the sum is XOR."""
+        lpv, tail = entry
+        exp = self._exp
+        lf = (self._log[c] - lpv) % self.Qm1
+        for j, lb in tail:
+            cur[j] ^= exp[lf + lb]
+
+    def _reduce_logs_zech(self, cur: list, c: int, entry) -> None:
+        """Table backend, odd p: -1 = alpha^half, and a + alpha^lt for
+        a = alpha^la is alpha^(la + zech[(lt - la) mod Q-1]), or 0 when that
+        Zech log is -1."""
+        lpv, tail = entry
+        exp, log, zech, qm1 = self._exp, self._log, self._zech, self.Qm1
+        lf = (log[c] - lpv + self._half) % qm1
+        for j, lb in tail:
+            lt = lf + lb
+            a = cur[j]
+            if a:
+                la = log[a]
+                z = zech[(lt - la) % qm1]
+                cur[j] = exp[la + z] if z >= 0 else 0
+            else:
+                cur[j] = exp[lt]
+
+    def _reduce_gf2(self, cur: list, c: int, entry) -> None:
+        """Generic backend, p = 2: shift-and-XOR products, XOR sums."""
+        ipv, tail = entry
+        gmul = self._gmul2
+        f = gmul(c, ipv)
+        for j, b in tail:
+            cur[j] ^= gmul(f, b)
+
+    def _reduce_lanes(self, cur: list, c: int, entry) -> None:
+        """Generic backend, odd p: -f spread once, then per entry one
+        Kronecker product with the stored spread row[j], its high lanes
+        folded, the spread cur[j] added, and one read-back (the lane bound is
+        in _init_lanes)."""
+        nipv, tail = entry
+        units, apply, product = self._units, self._apply, self._lane_product
+        neg_f = apply(units, product(apply(units, c) * nipv))
+        for j, b in tail:
+            cur[j] = product(neg_f * b, apply(units, cur[j]))
 
     # -- Frobenius / norms / subfields ---------------------------------------
 

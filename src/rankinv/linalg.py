@@ -11,6 +11,15 @@ rank_p and nullspace_p, because F_p is the field make_field(p, 1, 1), whose
 packed elements are the integers 0..p-1.  Both kernels are read off an RREF
 by one helper, one vector per free column.
 
+Its basis rows are echelon rows that are never normalised: each is 0 before
+its pivot column and keeps its raw pivot value there, next to what the
+field's row kernel needs of it (FieldTower.row_entry: logs on the table
+backend, spread lanes on the generic one at odd p).  The kernel
+(FieldTower.row_reduce) subtracts (c/pv) times a basis row to clear an entry
+c, which leaves the same row as subtracting c times the normalised basis row
+would, and it makes no per-element FieldTower call.  rref divides each row by
+its pivot once, after back-substitution; det reads the raw pivots.
+
 The F_q-rank of a vector over F_{q^m} (the dimension of the F_q-span of its
 entries) is an F_p-rank: the F_q-span of {v_i}, viewed as an F_p-space, is
 spanned by the "spread" {gamma^j * v_i : j < e} with gamma a generator of
@@ -89,33 +98,31 @@ def dot(field: FieldTower, u, v) -> int:
 
 
 def _insert_row(field: FieldTower, basis: list, row):
-    """Reduce row against basis, a list of (pivot column, row) pairs sorted by
-    pivot column, each row 1 at its pivot and 0 before it.  An independent
-    row is then normalised and inserted in pivot order, so the invariant
-    holds again.  Returns (pivot column, pivot value before normalising), or
-    None when the row is dependent."""
-    add, mul, neg = field.add, field.mul, field.neg
+    """Reduce row against basis, a list of (pivot column, row, entry) triples
+    sorted by pivot column: each row is 0 before its pivot column and holds
+    its raw pivot value there, not necessarily 1, and entry is what the
+    field's row kernel keeps of it (FieldTower.row_entry).  Subtracting
+    (c/pv) times a row with pivot value pv clears c at its pivot column and
+    leaves the same row as subtracting c times the normalised row would.  An
+    independent row is inserted as it stands, in pivot order, so the
+    invariant holds again.  Returns (pivot column, pivot value), or None when
+    the row is dependent."""
+    reduce = field.row_reduce
     cur = list(row)
-    ncols = len(cur)
     # ascending pivots: a basis row is 0 before its pivot, so it cannot
     # disturb the pivot columns already cleared
-    for pc, bv in basis:
-        if cur[pc]:
-            f = neg(cur[pc])
+    for pc, _, entry in basis:
+        c = cur[pc]
+        if c:
             cur[pc] = 0
-            for j in range(pc + 1, ncols):
-                if bv[j]:
-                    cur[j] = add(cur[j], mul(f, bv[j]))
+            reduce(cur, c, entry)
     for pc, pv in enumerate(cur):
         if pv:
             break
     else:
         return None
-    if pv != 1:
-        pv_inv = field.inv(pv)
-        cur = [mul(pv_inv, a) for a in cur]
-    # pivot columns are distinct, so the pairs order by pivot column alone
-    bisect.insort(basis, (pc, cur))
+    # pivot columns are distinct, so the triples order by pivot column alone
+    bisect.insort(basis, (pc, cur, field.row_entry(cur, pc)))
     return pc, pv
 
 
@@ -127,9 +134,17 @@ def rref(field: FieldTower, rows) -> tuple[Matrix, tuple[int, ...]]:
     # back-substitution: feeding the echelon rows from the last pivot up
     # reduces each one against the already reduced rows below it
     reduced: list = []
-    for _, row in reversed(echelon):
+    for _, row, _ in reversed(echelon):
         _insert_row(field, reduced, row)
-    return tuple(tuple(row) for _, row in reduced), tuple(pc for pc, _ in reduced)
+    # then each row is divided by its pivot value, once
+    mul = field.mul
+    R = []
+    for pc, row, _ in reduced:
+        if row[pc] != 1:
+            s = field.inv(row[pc])
+            row = [mul(s, a) for a in row]
+        R.append(tuple(row))
+    return tuple(R), tuple(pc for pc, _, _ in reduced)
 
 
 def rank(field: FieldTower, rows) -> int:
@@ -142,11 +157,11 @@ def det(field: FieldTower, A: Matrix) -> int:
     """Determinant, from the elimination that IncrementalRank performs.
 
     Feeding the rows in order subtracts from each row multiples of earlier
-    ones, so the reduced rows, before normalising, are L*A with L unit lower
-    triangular.  Sorted by pivot column they form an upper triangular matrix
-    whose diagonal holds the raw pivot values.  So det(A) is the product of
-    those values times the sign of the sorting permutation, and 0 as soon as
-    a row turns out dependent."""
+    ones, so the reduced rows, which are never normalised, are L*A with L
+    unit lower triangular.  Sorted by pivot column they form an upper
+    triangular matrix whose diagonal holds their pivot values.  So det(A) is
+    the product of those values times the sign of the sorting permutation,
+    and 0 as soon as a row turns out dependent."""
     n = len(A)
     if any(len(r) != n for r in A):
         raise ValueError("determinant needs a square matrix")
@@ -210,7 +225,7 @@ class IncrementalRank:
 
     def __init__(self, field: FieldTower):
         self.field = field
-        self._basis: list[tuple[int, list[int]]] = []
+        self._basis: list = []  # _insert_row's (pivot column, row, entry) triples
 
     def add_row(self, row) -> bool:
         """Returns True when the row increased the rank."""

@@ -237,6 +237,16 @@ def _search_outcome(search, c1, c2, cap):
     return v.status, v.detail, v.witness.get("A"), v.witness.get("tau")
 
 
+def _random_pair(F, n, k, r):
+    """A random [n, k] code c1 and a random [n, k] code c2 with an F_q row."""
+    rows = [[F.random_element(r) for _ in range(n)] for _ in range(2 * k)]
+    c1 = cd.LinearCode.from_rows(F, rows[:k], n)
+    # a row over F_q gives c2 a rank-one word, which c1 mostly lacks
+    flat = list(la.random_invertible_matrix_q(F, n, r)[:1])
+    c2 = cd.LinearCode.from_rows(F, (flat + rows[k + 1:])[:k], n)
+    return c1, c2
+
+
 @pytest.mark.parametrize("case", FP_FIELDS, ids=FP_IDS)
 def test_bruteforce_matches_former_search(case):
     """Semilinear images, random pairs and the trivial dimensions 0 and n,
@@ -250,11 +260,7 @@ def test_bruteforce_matches_former_search(case):
     seen = set()
     for k in range(n + 1):
         r = rng.spawn(f"k{k}")
-        rows = [[F.random_element(r) for _ in range(n)] for _ in range(2 * k)]
-        c1 = cd.LinearCode.from_rows(F, rows[:k], n)
-        # a row over F_q gives c2 a rank-one word, which c1 mostly lacks
-        flat = list(la.random_invertible_matrix_q(F, n, r)[:1])
-        c2 = cd.LinearCode.from_rows(F, (flat + rows[k + 1:])[:k], n)
+        c1, c2 = _random_pair(F, n, k, r)
         image = cd.apply_semilinear(c1, _random_smap(F, n, r))
         for pair in ((c1, image), (c1, c2)):
             for cap in (1 << 22, 0, 1):
@@ -262,6 +268,23 @@ def test_bruteforce_matches_former_search(case):
                 assert got == _search_outcome(oracles.bruteforce_equivalent, *pair, cap)
                 seen.add(got[0])
     assert seen == {"Equivalent", "Inequivalent", "BudgetExceeded"}
+
+
+def test_bruteforce_skips_kernels_of_singular_matrices(monkeypatch):
+    # c2 is spanned by an F_q-rational word, and for every tau the kernel
+    # basis matrices of this pair share a right null vector: no combination
+    # is invertible, so the search decides without a determinant
+    F = make_field(3, 2, 3, backend="table")
+    c1, c2 = _random_pair(F, 3, 1, DetRNG(83, "bf-oracle/table/3/2/3").spawn("k1"))
+    calls = []
+    det = la.det
+    monkeypatch.setattr(la, "det", lambda field, A: calls.append(A) or det(field, A))
+    v = cl.bruteforce_equivalent(c1, c2)
+    assert v.status == "Inequivalent"
+    assert calls == []
+    # the skip keeps the budget: the kernels are still sized first
+    with pytest.raises(cd.BudgetExceeded):
+        cl.bruteforce_equivalent(c1, c2, cap=1)
 
 
 # --------------------------------------------------------------------------

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 import oracles
 from rankinv import linalg as la
-from rankinv.gf import GaloisAut, make_field
+from rankinv.gf import FieldTower, GaloisAut, make_field
 from rankinv.rng import DetRNG
 
-# (backend, p, e, m): both field backends for p in {2, 3} and e in {1, 2}
+# (backend, p, e, m): both field backends for p in {2, 3} and e in {1, 2},
+# and the table row kernels on the large fields F_{2^16} and F_{3^7}
 BACKEND_FIELDS = [(backend, p, e, m) for backend in ("table", "generic")
                   for (p, e, m) in ((2, 1, 4), (2, 2, 2), (3, 1, 3), (3, 2, 2))]
+BACKEND_FIELDS += [("table", 2, 2, 8), ("table", 3, 1, 7)]
 BACKEND_IDS = [f"{b}-p{p}e{e}m{m}" for (b, p, e, m) in BACKEND_FIELDS]
 
 
@@ -133,19 +135,30 @@ def test_incremental_rank_matches_batch(f16):
 # differential tests against the Gauss-Jordan oracles
 # ---------------------------------------------------------------------------
 
-def _oracle_matrix(field, data, rows, cols):
-    # 0 and 1 come often, so dependent rows and singular matrices occur
-    elem = st.one_of(st.sampled_from((0, 1)), st.integers(0, field.Q - 1))
-    return tuple(data.draw(st.tuples(*([elem] * cols))) for _ in range(rows))
+def _oracle_matrix(field, data, rows, cols, lead=0):
+    """lead zero columns, so pivots need not lead, then entries 0, 1, random
+    or with every digit p - 1 (the largest lanes of the generic backend);
+    zero rows and dependent rows are mixed in, and with 0 and 1 coming often
+    singular matrices occur too."""
+    top = field.Q - 1
+    elem = st.one_of(st.sampled_from((0, 1, top)), st.integers(0, top))
+    A = [[0] * lead + list(data.draw(st.tuples(*([elem] * (cols - lead))))) for _ in range(rows)]
+    for _ in range(data.draw(st.integers(0, 2))):
+        at = data.draw(st.integers(0, len(A)))
+        if data.draw(st.booleans()):
+            A.insert(at, [0] * cols)
+        else:
+            u, v = data.draw(st.sampled_from(A)), data.draw(st.sampled_from(A))
+            A.insert(at, [field.add(field.mul(top, a), b) for a, b in zip(u, v)])
+    return tuple(map(tuple, A))
 
 
-@pytest.mark.parametrize("case", BACKEND_FIELDS, ids=BACKEND_IDS)
-@given(data=st.data())
-def test_elimination_matches_oracle(case, data):
-    backend, p, e, m = case
-    F = make_field(p, e, m, backend=backend)
-    ncols = data.draw(st.integers(1, 6))
-    A = _oracle_matrix(F, data, data.draw(st.integers(1, 6)), ncols)
+def _check_elimination(F, data, max_rows: int, max_cols: int, max_n: int):
+    """rank, rref, nullspace, IncrementalRank and det against the oracles."""
+    ncols = data.draw(st.integers(1, max_cols))
+    A = _oracle_matrix(F, data, data.draw(st.integers(1, max_rows)), ncols,
+                       data.draw(st.integers(0, ncols - 1)))
+    assert la.rank(F, A) == len(oracles.rref(F, A)[0])
     assert la.rref(F, A) == oracles.rref(F, A)
     assert la.nullspace(F, A, ncols) == oracles.rref(F, oracles.free_nullspace(F, A, ncols))[0]
     inc = la.IncrementalRank(F)
@@ -153,9 +166,48 @@ def test_elimination_matches_oracle(case, data):
     for i, row in enumerate(A, start=1):
         rank += inc.add_row(row)
         assert rank == len(oracles.rref(F, A[:i])[0])
-    n = data.draw(st.integers(1, 4))
-    S = _oracle_matrix(F, data, n, n)
+    n = data.draw(st.integers(1, max_n))
+    S = _oracle_matrix(F, data, n, n)[:n]
     assert la.det(F, S) == oracles.det(F, S)
+
+
+@pytest.mark.parametrize("case", BACKEND_FIELDS, ids=BACKEND_IDS)
+@given(data=st.data())
+def test_elimination_matches_oracle(case, data):
+    backend, p, e, m = case
+    _check_elimination(make_field(p, e, m, backend=backend), data, 6, 6, 4)
+
+
+@pytest.mark.parametrize("p, d", [(3, 1), (3, 16), (5, 16), (7, 4), (7, 16)])
+@given(data=st.data())
+def test_lane_row_kernel_matches_oracle(p, d, data):
+    # the generic row kernel at odd p; (7, 4) is where the proven lane bound
+    # (2d-1)(p-1)^2 + (p-1) = 258 needs one bit more than (2d-1)(p-1)^2
+    _check_elimination(make_field(p, 1, d, backend="generic"), data, 4, 5, 3)
+
+
+@pytest.mark.parametrize("case", [c for c in BACKEND_FIELDS if c[0] == "table"],
+                         ids=[i for c, i in zip(BACKEND_FIELDS, BACKEND_IDS) if c[0] == "table"])
+def test_table_rank_passes_invert_nothing(case, monkeypatch):
+    # the table kernel divides by a pivot in the log domain, so rank passes
+    # (and det, which reads the raw pivots) never call FieldTower.inv
+    _, p, e, m = case
+    F = make_field(p, e, m, backend="table")
+    rng = DetRNG(5, f"no-inv/{p}/{e}/{m}")
+    A = tuple(tuple(F.random_element(rng) for _ in range(4)) for _ in range(4))
+    calls = []
+    inv = FieldTower.inv
+    monkeypatch.setattr(FieldTower, "inv", lambda self, a: calls.append(a) or inv(self, a))
+    inc = la.IncrementalRank(F)
+    for row in A + A:
+        inc.add_row(row)
+    la.rank(F, A)
+    la.det(F, A)
+    la.rank_q(F, A[0])
+    la.rank_p(p, [[1, 2, 3], [2, 4, 6], [0, 1, 1]])
+    assert calls == []
+    la.rref(F, A)  # normalises once at the end, so the guard sees inv
+    assert calls
 
 
 @pytest.mark.parametrize("p", (2, 3))
