@@ -364,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--modulus", default=None,
                    help="primitive modulus: c0:c1:...:cd or a packed decimal integer; "
                         "any other value is read as the path of a file holding one "
-                        "(default: lexicographically least primitive polynomial)")
+                        "(default: the lexicographically least primitive polynomial, "
+                        "or x - g for the least primitive root g mod p when e*m = 1)")
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--k", type=int, required=True)
     b.add_argument("--theta", type=int, default=1,

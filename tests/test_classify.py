@@ -410,24 +410,42 @@ def test_recognition_over_the_distance_cap_stays_none(f16):
     assert crits["mrd_plus_s1"] is True
 
 
+def _counted_mrd_decisions(monkeypatch):
+    """The list that each MRD decision of is_theta_gabidulin appends its walk
+    to: "words" for codes._least_rank, "subspaces" for the subspace walk."""
+    decisions = []
+    for walk, name in (("words", "_least_rank"), ("subspaces", "_is_mrd_by_subspaces")):
+        def counted(*args, walk=walk, decide=getattr(cd, name)):
+            decisions.append(walk)
+            return decide(*args)
+        monkeypatch.setattr(cd, name, counted)
+    return decisions
+
+
 def test_recognition_sweeps_only_when_s1_is_k_plus_1(f2_8, monkeypatch):
-    sweeps = []
-    least_rank = cd._least_rank
-
-    def counted(code, floor):
-        sweeps.append(floor)
-        return least_rank(code, floor)
-
-    monkeypatch.setattr(cd, "_least_rank", counted)
+    decisions = _counted_mrd_decisions(monkeypatch)
     rng = DetRNG(79, "cls-rec-count")
     g = la.random_full_rank_vector(f2_8, 5, rng)
     tw = cd.build(f2_8, cd.make_spec("Twisted", 5, 2, 1, g, eta=_nonzero(f2_8, rng)))
     assert inv.s_sequence(tw, 1, i_max=1)[1] != 3
     ok, crits = cl.is_theta_gabidulin(tw, 1)
-    assert not ok and crits["mrd_plus_s1"] is False and sweeps == []
+    assert not ok and crits["mrd_plus_s1"] is False and decisions == []
     gab = cd.build(f2_8, cd.make_spec("Gabidulin", 5, 2, 1, g))
     ok, crits = cl.is_theta_gabidulin(gab, 1)
-    assert ok and crits["mrd_plus_s1"] is True and sweeps == [3]
+    assert ok and crits["mrd_plus_s1"] is True and len(decisions) == 1
+
+
+def test_recognition_takes_the_shorter_mrd_walk(f2_8, f3_5, monkeypatch):
+    # [n choose k]_q subspaces against (Q^k-1)/(Q-1) words: 15 against 1 at
+    # k = 1, 1,210 against 244 for [5,2] over F_{3^5}, 155 against 257 for
+    # [5,2] over F_{2^8}
+    decisions = _counted_mrd_decisions(monkeypatch)
+    rng = DetRNG(83, "cls-rec-walk")
+    for field, n, k, walk in ((f2_8, 4, 1, "words"), (f3_5, 5, 2, "words"),
+                              (f2_8, 5, 2, "subspaces")):
+        decisions.clear()
+        ok, crits = cl.is_theta_gabidulin(_gab(field, n, k, rng), 1)
+        assert ok and crits["mrd_plus_s1"] is True and decisions == [walk]
 
 
 def test_recognition_guards(f16):

@@ -409,3 +409,13 @@ def test_non_primitive_modulus_is_a_clean_error(p, packed):
                            "--m", str(m), "--n", "3", "--k", "2", "--random-g",
                            "--modulus", str(packed))
     _assert_clean_error(rc, out, err, "not primitive")
+
+
+def test_modulus_help_names_the_degree_one_default():
+    rc, out, _ = run_cli("code", "build", "--help")
+    assert rc == 0
+    assert "or x - g for the least primitive root g mod p when e*m = 1" in " ".join(out.split())
+    # the least primitive root mod 7 is 3, so the default is x - 3 = 4 + x
+    rc, out, _ = run_cli("code", "build", "--family", "Gabidulin", "--p", "7", "--m", "1",
+                         "--n", "1", "--k", "1", "--random-g")
+    assert rc == 0 and _modulus_in_config(out) == "modulus=4:1"

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from conftest import FP_FIELDS, FP_IDS
+from rankinv import classify as cl
 from rankinv import codes as cd
 from rankinv import linalg as la
 from rankinv.gf import FullAut, GaloisAut, galois_generators, make_field
@@ -427,6 +428,52 @@ def test_walk_yields_each_projective_codeword_once(case):
             for suffix in itertools.product(range(F.Q), repeat=k - lead - 1)
         }
         assert set(words) == expected
+
+
+@pytest.mark.parametrize("case", FP_FIELDS, ids=FP_IDS)
+def test_subspace_walk_matches_oracle(case):
+    # the walk is called directly, for every 1 <= k < n <= m, on a Gabidulin
+    # code, a random code, and codes with a planted row of F_q-rank n-k (the
+    # largest rank that breaks MRD) or 1
+    backend, p, e, m = case
+    F = make_field(p, e, m, backend=backend)
+    rng = DetRNG(89, f"subspace-oracle/{backend}/{p}/{e}/{m}")
+    seen = set()
+    for n in range(2, m + 1):
+        for k in range(1, n):
+            g = la.random_full_rank_vector(F, n, rng)
+            codes = [cd.build(F, cd.make_spec("Gabidulin", n, k, 1, g)),
+                     cd.LinearCode.from_rows(F, [_random_vector(F, n, rng) for _ in range(k)], n)]
+            for r in {n - k, 1}:
+                rows = [_low_rank_word(F, n, r, rng)] + [_random_vector(F, n, rng) for _ in range(k - 1)]
+                codes.append(cd.LinearCode.from_rows(F, rows, n))
+            for code in codes:
+                mrd = oracles.min_distance_bruteforce(code) == n - code.k + 1
+                assert cd._is_mrd_by_subspaces(code) is mrd, (n, code.k)
+                seen.add((code.k, mrd))
+    assert {mrd for _, mrd in seen} == {True, False}
+    assert {k for k, _ in seen} == set(range(1, m))
+
+
+@pytest.mark.parametrize("case", FP_FIELDS, ids=FP_IDS)
+def test_subspace_walk_meets_each_subspace_once(case):
+    # over F_q^3 the lines are the spans of the nonzero vectors and the
+    # planes their orthogonal complements.  The dual of a Gabidulin [3, k]
+    # code is MRD of distance k+1 >= 2, so no nonzero b in F_q^3 has G b^T = 0
+    # and each basis B is told apart by its product B G^T
+    backend, p, e, m = case
+    F = make_field(p, e, m, backend=backend)
+    rng = DetRNG(97, f"subspace-walk/{backend}/{p}/{e}/{m}")
+    subfield = [F.subfield_element(F.q, i) for i in range(F.q)]
+    lines = {la.rref(F, [v])[0] for v in itertools.product(subfield, repeat=3) if any(v)}
+    planes = {la.nullspace(F, B, 3) for B in lines}
+    g = la.random_full_rank_vector(F, 3, rng)
+    for k, subspaces in ((1, lines), (2, planes)):
+        code = cd.build(F, cd.make_spec("Gabidulin", 3, k, 1, g))
+        walked = list(cd._subspace_products(code))
+        assert len(walked) == len(subspaces) == cl.gaussian_binomial(3, k, F.q)
+        gt = tuple(zip(*code.gen))
+        assert set(walked) == {la.matmul(F, B, gt) for B in subspaces}
 
 
 @pytest.mark.parametrize("case", FP_FIELDS, ids=FP_IDS)
