@@ -129,7 +129,13 @@ class Differences:
     theta^j acts entrywise and fixes 0 and 1, so theta^j(R) is R with A
     replaced by theta^j(A): the rows of theta^j(R) - R are the rows of D_j,
     padded with zeros at the pivots, and xR lies in theta^j(C) exactly when
-    x D_j = 0."""
+    x D_j = 0.
+
+    It also holds the code's elimination trie, which invariants._ranks alone
+    reads and grows: trie[side] for side "rows" (blocks D_j) or "cols"
+    (blocks D_j^T) is the root node (rank, IncrementalRank, children) of no
+    block fed, and children[j] is the node after one more block at exponent
+    j mod m.  A node's IncrementalRank is never fed again once stored."""
 
     def __init__(self, code: LinearCode):
         self.code = code
@@ -138,14 +144,15 @@ class Differences:
                         for row in code.gen)
         self._rows: dict[int, la.Matrix] = {}
         self._cols: dict[int, la.Matrix] = {}
+        self.trie = {side: (0, la.IncrementalRank(code.field), {}) for side in ("rows", "cols")}
 
     def rows(self, j: int) -> la.Matrix:
         """D_j: k rows, n-k wide."""
         j %= self.code.field.m
         D = self._rows.get(j)
         if D is None:
-            aut, sub = GaloisAut(self.code.field, j), self.code.field.sub
-            D = self._rows[j] = tuple(tuple(map(sub, aut.on_vector(a), a)) for a in self._A)
+            diffs = self.code.field.frob_q_diffs
+            D = self._rows[j] = tuple(diffs(a, j) for a in self._A)
         return D
 
     def cols(self, j: int) -> la.Matrix:

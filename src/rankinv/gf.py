@@ -634,7 +634,9 @@ class FieldTower:
           rows _fold, whose lanes are below p: (d - 1)(p - 1)^2 more;
         * plus, in the row kernel _reduce_lanes, the spread of one element,
           whose lanes are digits: p - 1 more, L in all (_lane_product);
-        * a Frobenius image, d rows times digits: d(p - 1)^2;
+        * a Frobenius image, d rows times digits: d(p - 1)^2, and (d + 1)(p - 1)^2
+          with (p - 1) times a spread element added (frob_q_diffs), which
+          only d >= 2 forms, where d + 1 <= 2d - 1;
         * a sum 2(p - 1) and a negation (p - 1)^2, both within the bound for
           p >= 3, and a step of the _fold build below, (p - 1) + (p - 1)^2,
           which only d >= 2 takes.
@@ -778,9 +780,7 @@ class FieldTower:
         value and the product is the XOR of the rows at a's set bits.  At odd
         p a row is beta^i in lanes, and the digit-weighted sum of the rows is
         read back mod p (see _init_lanes)."""
-        rows = self._frob_rows.get(j)
-        if rows is None:
-            rows = self._frob_rows[j] = self._build_frob_rows(j)
+        rows = self._frob_matrix(j)
         if self.p == 2:
             out = i = 0
             while a:
@@ -790,6 +790,13 @@ class FieldTower:
                 i += 1
             return out
         return self._from_lanes(self._apply(rows, a), self.d)
+
+    def _frob_matrix(self, j: int) -> list[int]:
+        """The rows of M_j (see _frob_map), built the first time j is asked for."""
+        rows = self._frob_rows.get(j)
+        if rows is None:
+            rows = self._frob_rows[j] = self._build_frob_rows(j)
+        return rows
 
     def _build_frob_rows(self, j: int) -> list[int]:
         """Rows beta^0, ..., beta^(d-1) of M_j, beta = alpha^(p^j): one pow
@@ -806,6 +813,48 @@ class FieldTower:
     def frob_q(self, a: int, r: int) -> int:
         """a ** (q**r); r taken mod m."""
         return self.frob_p(a, (self.e * (r % self.m)) % self.d)
+
+    def frob_q_diffs(self, row, r: int) -> tuple[int, ...]:
+        """The row (a^(q^r) - a for a in row), r taken mod m, with one kernel
+        per backend and no per-entry FieldTower call (the rows of the
+        systematic differences, codes.Differences).  a^(q^r) = a^(p^j) with
+        j = e*r mod d, and j = 0 gives zeros.
+
+        * table: log a^(p^j) = log a * p^j mod Q-1.  At p = 2 the difference
+          is the XOR.  At odd p, -a = alpha^(la + half) with la = log a, and
+          b + alpha^ln for b = alpha^lb is alpha^(ln + zech[(lb - ln) mod Q-1]),
+          or 0 when that Zech log is -1: one lookup per entry.
+        * generic, p = 2: the Frobenius image XOR a.
+        * generic, odd p: a^(p^j) - a = a^(p^j) + (p-1)a, formed in lanes as
+          the digit-weighted rows of M_j plus (p-1) times the spread a, and
+          read back once.  A lane of the first part is at most d(p-1)^2 (d
+          rows, lanes below p, digits below p), of the second (p-1)^2, so
+          (d+1)(p-1)^2 in all.  Only 0 < j < d gets here, so d >= 2, and then
+          d + 1 <= 2d - 1: the sum stays within the bound L of _init_lanes."""
+        j = self.e * (r % self.m) % self.d
+        if j == 0:
+            return (0,) * len(row)
+        if self._exp is not None:
+            exp, log, qm1 = self._exp, self._log, self.Qm1
+            t = pow(self.p, j, qm1)
+            if self.p == 2:
+                return tuple(exp[log[a] * t % qm1] ^ a if a else 0 for a in row)
+            zech, half = self._zech, self._half
+            out = []
+            for a in row:
+                if a:
+                    la = log[a]
+                    ln = (la + half) % qm1
+                    z = zech[(la * t - ln) % qm1]
+                    a = exp[ln + z] if z >= 0 else 0
+                out.append(a)
+            return tuple(out)
+        if self.p == 2:
+            return tuple(self._frob_map(a, j) ^ a for a in row)
+        rows, units, apply, d = self._frob_matrix(j), self._units, self._apply, self.d
+        pm1 = self.p - 1
+        return tuple(self._from_lanes(apply(rows, a) + pm1 * apply(units, a), d) if a else 0
+                     for a in row)
 
     def norm_q(self, a: int) -> int:
         """Norm of F_{q^m} over F_q: a ** ((q^m - 1)/(q - 1)).  norm(0) = 0."""

@@ -23,12 +23,14 @@ the rows of D_j off the pivots and zeros on them, and R with those rows spans
 the sum.  The pivot entries of a word y sigma^j(R) are y, so xR lies in
 sigma^j(C) exactly when xR = x sigma^j(R), that is when x D_j = 0; the
 intersection is R times the common left kernel of the D_j.  One routine,
-_ranks, feeds blocks of D_j (n-k wide) or D_j^T (k wide) into one
-IncrementalRank and records the rank after each block; block i for exponent
-r is D_(r*i), so each code has at most m differences to compute, however
-many sequences and fingerprints of it are asked for.
+_ranks, takes a side, D_j (n-k wide) or D_j^T (k wide), and a sequence of
+exponents: J = (0, r, 2r, ...) for the s- or t-row at exponent r, and a
+triple's class key (0, a, b) for the triples.  It feeds the blocks at those
+exponents into an IncrementalRank and records the rank after each block.
+Blocks are indexed by j mod m, so each code has at most m differences to
+compute, however many sequences and fingerprints of it are asked for.
 
-Three shortcuts rest on these facts, each proved here; they are statements
+Four shortcuts rest on these facts, each proved here; they are statements
 about subspaces, so they hold whichever matrices the ranks are taken of:
 
 * Fixed-length rows stop at the first repeat and pad.  S_i is contained in
@@ -45,8 +47,20 @@ about subspaces, so they hold whichever matrices the ranks are taken of:
   intersection, so the pair of dimensions depends only on the set {a, b, c}
   up to a common shift mod m.  Its key is the least of sorted((x - s) % m)
   over s in the triple, the shifts that put a 0 first.
+* Shared elimination prefixes.  The rank after the blocks at j_1, ..., j_i
+  is the dimension of the span of their stacked rows, so it depends only on
+  the sequence (j_1, ..., j_i) mod m, and the basis an IncrementalRank holds
+  after them spans exactly that space.  Feeding further blocks to a copy of
+  it therefore gives the ranks a fresh pass over the whole sequence would
+  give, and the copy is a list copy because basis rows are immutable
+  (linalg).  So each code keeps a trie of eliminated prefixes per side
+  (code.diffs.trie), and every pass starts from the longest prefix of its
+  sequence already fed: the triple key (0, a, b) reuses the state after
+  (0, a), which is also the start of the row at exponent a, and a row asked
+  for again, with or without a fixed length, feeds nothing new.
 
-Rows stop being fed at full rank: n-k for sums and k for intersections.
+Rows stop being fed at full rank, n-k for sums and k for intersections, and
+no block is formed there: the span is the whole space, so no row adds to it.
 
 Fingerprints package these dimensions into equivalence-invariant keys:
 
@@ -89,29 +103,41 @@ def intersect_code(code: cd.LinearCode, auts) -> cd.LinearCode:
     return cd.LinearCode.from_rows(code.field, map(first.on_vector, rows), code.n)
 
 
-def _ranks(field, blocks):
-    """Rank of the rows fed so far, after each block of rows (lazily).  Rows
-    met at full rank (rank = row length) are skipped: they cannot add to it."""
-    inc = la.IncrementalRank(field)
-    rank = 0
-    for block in blocks:
-        for row in block:
-            if rank == len(row):
-                break
-            if any(row):
-                rank += inc.add_row(row)
+def _ranks(code: cd.LinearCode, side: str, exps):
+    """Rank of the stacked blocks at exponents exps, after each block
+    (lazily), with blocks D_j on side "rows" and D_j^T on side "cols".  The
+    pass starts from the longest prefix of exps already fed for this code
+    and side, and stores a node in code.diffs.trie for each block it feeds
+    (see the module docstring)."""
+    diffs, m = code.diffs, code.field.m
+    blocks, width = (diffs.rows, code.n - code.k) if side == "rows" else (diffs.cols, code.k)
+    rank, inc, children = diffs.trie[side]
+    for j in exps:
+        j %= m
+        node = children.get(j)
+        if node is None:
+            if rank < width:
+                inc = inc.copy()  # the stored node's basis stays as it is
+                for row in blocks(j):
+                    if any(row):
+                        rank += inc.add_row(row)
+                        if rank == width:
+                            break
+            node = children[j] = (rank, inc, {})
+        rank, inc, children = node
         yield rank
 
 
-def _sequence(field, blocks, sigma_exp: int, i_max: int | None, bound: int) -> list[int]:
-    """Ranks of blocks(0), then with blocks(sigma_exp) added, and so on:
-    i_max+1 values when i_max is given (a negative i_max counts as 0),
+def _sequence(code: cd.LinearCode, side: str, sigma_exp: int, i_max: int | None,
+              bound: int) -> list[int]:
+    """Ranks of the block at 0, then with the block at sigma_exp added, and so
+    on: i_max+1 values when i_max is given (a negative i_max counts as 0),
     otherwise up to and including the first repeated value, which must come
-    by index bound.  No block past the first repeat is built; a fixed-length
+    by index bound.  No block past the first repeat is fed; a fixed-length
     row repeats that value to its end."""
     length = (bound if i_max is None else max(i_max, 0)) + 1
     seq: list[int] = []
-    for v in _ranks(field, (blocks(sigma_exp * i) for i in range(length))):
+    for v in _ranks(code, side, (sigma_exp * i for i in range(length))):
         if seq and v == seq[-1]:
             # every later value is v (see the module docstring)
             return seq + [v] * (1 if i_max is None else length - len(seq))
@@ -124,14 +150,12 @@ def _sequence(field, blocks, sigma_exp: int, i_max: int | None, bound: int) -> l
 def s_sequence(code: cd.LinearCode, sigma_exp: int, i_max: int | None = None) -> list[int]:
     """[s_0, s_1, ...]: fixed length i_max+1 when i_max is given, otherwise
     up to and including the first repeated value."""
-    return [code.k + v for v in _sequence(code.field, code.diffs.rows, sigma_exp,
-                                          i_max, code.n - code.k + 1)]
+    return [code.k + v for v in _sequence(code, "rows", sigma_exp, i_max, code.n - code.k + 1)]
 
 
 def t_sequence(code: cd.LinearCode, sigma_exp: int, i_max: int | None = None) -> list[int]:
     """[t_0, t_1, ...]; same length conventions as s_sequence."""
-    return [code.k - v for v in _sequence(code.field, code.diffs.cols, sigma_exp,
-                                          i_max, code.k + 1)]
+    return [code.k - v for v in _sequence(code, "cols", sigma_exp, i_max, code.k + 1)]
 
 
 @dataclass(frozen=True)
@@ -208,12 +232,12 @@ def _translation_classes(triples, m: int) -> tuple[tuple[int, int, int], ...]:
 
 def fingerprint_random_triples(code: cd.LinearCode, trials: int = 100, seed: int = 0) -> Fingerprint:
     """Sorted (dim sum, dim intersection) pairs over seeded sigma-triples."""
-    field, k, diffs = code.field, code.k, code.diffs
-    classes = _translation_classes(random_triples(field.m, trials, seed), field.m)
+    m, k = code.field.m, code.k
+    classes = _translation_classes(random_triples(m, trials, seed), m)
     by_class = {}
     for cls in dict.fromkeys(classes):
-        *_, a = _ranks(field, map(diffs.rows, cls))
-        *_, b = _ranks(field, map(diffs.cols, cls))
+        *_, a = _ranks(code, "rows", cls)
+        *_, b = _ranks(code, "cols", cls)
         by_class[cls] = (k + a, k - b)
     pairs = tuple(by_class[cls] for cls in classes)
     return Fingerprint("random_triples", tuple(sorted(pairs)), pairs)

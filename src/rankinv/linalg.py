@@ -20,6 +20,13 @@ c, which leaves the same row as subtracting c times the normalised basis row
 would, and it makes no per-element FieldTower call.  rref divides each row by
 its pivot once, after back-substitution; det reads the raw pivots.
 
+Basis rows are immutable: _insert_row only reduces the row it is given (a
+copy of it), inserts that copy as it stands, and never writes to a row or an
+entry already in the basis.  So a list copy of a basis continues it without
+disturbing the original (IncrementalRank.copy), which is what lets the
+invariants share one elimination of a common block prefix among many rank
+passes of a code.
+
 The F_q-rank of a vector over F_{q^m} (the dimension of the F_q-span of its
 entries) is an F_p-rank: the F_q-span of {v_i}, viewed as an F_p-space, is
 spanned by the "spread" {gamma^j * v_i : j < e} with gamma a generator of
@@ -255,6 +262,14 @@ class IncrementalRank:
     def add_row(self, row) -> bool:
         """Returns True when the row increased the rank."""
         return _insert_row(self.field, self._basis, row) is not None
+
+    def copy(self) -> "IncrementalRank":
+        """An IncrementalRank holding the same rows, which add_row on either
+        leaves unchanged for the other: the basis is copied as a list, and
+        its rows are immutable (see the module docstring)."""
+        other = IncrementalRank(self.field)
+        other._basis = self._basis.copy()
+        return other
 
 
 # --------------------------------------------------------------------------

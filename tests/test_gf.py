@@ -28,7 +28,7 @@ from rankinv.gf import (
     parse_element,
 )
 from rankinv.rng import DetRNG
-from conftest import WORKED_EXAMPLE_MODULUS
+from conftest import FP_FIELDS, FP_IDS, WORKED_EXAMPLE_MODULUS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -386,6 +386,24 @@ def test_frob_q_is_frob_p_iterated(f4_3, data):
     a = data.draw(_elem(F))
     r = data.draw(st.integers(0, F.m - 1))
     assert F.frob_q(a, r) == F.frob_p(a, (F.e * r) % (F.e * F.m))
+
+
+@pytest.mark.parametrize("case", FP_FIELDS + [("generic", 3, 1, 16)],
+                         ids=FP_IDS + ["generic-p3e1m16"])
+def test_frob_q_diffs_match_the_per_entry_path(case):
+    # the one-kernel difference row against GaloisAut.on_vector and sub per
+    # entry; F_{3^16} takes the fused lane read-back at d = 16, and Q - 1,
+    # with every digit p - 1, loads its lanes the most
+    backend, p, e, m = case
+    F = make_field(p, e, m, backend=backend)
+    assert F.backend == backend
+    rng = DetRNG(0, f"gf-frob-diffs/{backend}/{p}/{e}/{m}")
+    row = (0, 1, F.alpha, F.Q - 1, F.gamma, F.neg(F.alpha),
+           *(F.random_element(rng) for _ in range(12)))
+    for j in range(-1, m + 1):
+        expected = tuple(map(F.sub, GaloisAut(F, j).on_vector(row), row))
+        assert F.frob_q_diffs(row, j) == expected
+    assert F.frob_q_diffs((), 1) == ()
 
 
 @given(st.data())

@@ -1,5 +1,7 @@
 """Tests for the sum/intersection dimension sequences and fingerprints."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -426,23 +428,77 @@ def test_fixed_length_rows_match_oracles_past_first_repeat(case, seed, r, i_max)
     assert inv.t_sequence(code, r, i_max=i_max) == oracles.t_direct(code, r, i_max=i_max)
 
 
+def _fed_rows(field, width, blocks, prefix):
+    """The rows an elimination of the blocks at prefix[:-1], continued by the
+    block at prefix[-1], feeds for that last block: its nonzero rows until
+    the rank reaches width, or none when the earlier blocks reach it."""
+    earlier = [row for j in prefix[:-1] for row in blocks(j)]
+    rank, fed = la.rank(field, earlier), []
+    for row in blocks(prefix[-1]):
+        if rank == width:
+            break
+        if any(row):
+            fed.append(tuple(row))
+            rank = la.rank(field, earlier + fed)
+    return fed
+
+
 def test_random_triples_build_one_rank_pair_per_translation_class(monkeypatch, f2_8):
+    # each translation class's (sum, intersection) pair is eliminated once:
+    # every (side, exponent prefix) of the class keys gets its own
+    # IncrementalRank, fed exactly the rows of its last block that a fresh
+    # elimination continued from the prefix before it would feed, and a
+    # second fingerprint of the code feeds no row at all
     code = _random_code(f2_8, "Twisted", 6, 3, DetRNG(59, "inv-fp-classes"))
-    m = f2_8.m
+    m, n, k = f2_8.m, code.n, code.k
     classes = {min(tuple(sorted((x - s) % m for x in triple)) for s in range(m))
                for triple in inv.random_triples(m, 100, 3)}
     assert len(classes) < 100
-    built = []
+    fed = {}
+    real_add_row = la.IncrementalRank.add_row
 
-    class CountingRank(la.IncrementalRank):
-        def __init__(self, field):
-            built.append(field)
-            super().__init__(field)
+    def counting_add_row(self, row):
+        fed.setdefault(id(self), []).append(tuple(row))
+        return real_add_row(self, row)
 
-    monkeypatch.setattr(la, "IncrementalRank", CountingRank)
+    monkeypatch.setattr(la.IncrementalRank, "add_row", counting_add_row)
     fp = inv.fingerprint_random_triples(code, trials=100, seed=3)
-    assert len(built) == 2 * len(classes)
     assert len(fp.detail) == 100
+    diffs = code.diffs
+    prefixes = {cls[:i] for cls in classes for i in range(1, 4)}
+    expected = []
+    for blocks, width in ((diffs.rows, n - k), (diffs.cols, k)):
+        expected += [rows for prefix in prefixes
+                     if (rows := _fed_rows(f2_8, width, blocks, prefix))]
+    assert len({cls[:2] for cls in classes}) < len(classes)  # prefixes are shared
+    assert sorted(fed.values()) == sorted(expected)
+    fed.clear()
+    assert inv.fingerprint_random_triples(code, trials=100, seed=3) == fp
+    assert fed == {}
+
+
+@pytest.mark.parametrize("case", FP_FIELDS, ids=FP_IDS)
+@given(data=st.data())
+def test_prefix_shared_ranks_equal_fresh_ranks(case, data):
+    # one code answers many exponent sequences, some only partly consumed,
+    # in any order; every rank read off its elimination trie equals the rank
+    # of the stacked blocks computed from scratch
+    backend, p, e, m = case
+    field = make_field(p, e, m, backend=backend)
+    n = data.draw(st.integers(1, m), label="n")
+    elem = st.integers(0, field.Q - 1)
+    rows = data.draw(st.lists(st.lists(elem, min_size=n, max_size=n), max_size=n), label="rows")
+    code = cd.LinearCode.from_rows(field, rows, n)
+    passes = data.draw(st.lists(st.tuples(st.sampled_from(("rows", "cols")),
+                                          st.lists(st.integers(-m, 2 * m), min_size=1, max_size=5),
+                                          st.integers(1, 5)),
+                                min_size=1, max_size=8), label="passes")
+    for side, exps, take in passes:
+        blocks = code.diffs.rows if side == "rows" else code.diffs.cols
+        got = list(itertools.islice(inv._ranks(code, side, exps), take))
+        fresh = [la.rank(field, [row for j in exps[: i + 1] for row in blocks(j)])
+                 for i in range(len(exps))]
+        assert got == fresh[:take]
 
 
 def test_translation_classes_are_keyed_once_per_triple_set(f2_8):

@@ -1,5 +1,6 @@
 """Exact linear algebra over the extension field and its prime subfield."""
 
+import copy
 import os
 import subprocess
 import sys
@@ -176,6 +177,46 @@ def _check_elimination(F, data, max_rows: int, max_cols: int, max_n: int):
 def test_elimination_matches_oracle(case, data):
     backend, p, e, m = case
     _check_elimination(make_field(p, e, m, backend=backend), data, 6, 6, 4)
+
+
+@pytest.mark.parametrize("case", BACKEND_FIELDS, ids=BACKEND_IDS)
+@given(data=st.data())
+def test_insert_row_never_mutates_an_inserted_basis_row(case, data):
+    # prefix sharing in the invariants continues a list copy of a basis,
+    # which is sound only because a (pivot, row, entry) triple is left as it
+    # is once inserted, and the caller's row is not written to either
+    backend, p, e, m = case
+    F = make_field(p, e, m, backend=backend)
+    ncols = data.draw(st.integers(1, 6))
+    A = _oracle_matrix(F, data, data.draw(st.integers(1, 8)), ncols,
+                       data.draw(st.integers(0, ncols - 1)))
+    basis, seen = [], {}
+    for row in A:
+        given_row = list(row)
+        la._insert_row(F, basis, given_row)
+        assert given_row == list(row)
+        for triple in basis:
+            seen.setdefault(id(triple), (triple, copy.deepcopy(triple)))
+    assert len(seen) == len(basis) == la.rank(F, A)
+    for triple, snapshot in seen.values():
+        assert triple == snapshot and any(t is triple for t in basis)
+
+
+@pytest.mark.parametrize("case", BACKEND_FIELDS, ids=BACKEND_IDS)
+@given(data=st.data())
+def test_incremental_rank_copy_continues_independently(case, data):
+    backend, p, e, m = case
+    F = make_field(p, e, m, backend=backend)
+    ncols = data.draw(st.integers(1, 5))
+    A, B, C = (_oracle_matrix(F, data, data.draw(st.integers(1, 4)), ncols) for _ in range(3))
+    inc = la.IncrementalRank(F)
+    rank_a = sum(inc.add_row(row) for row in A)
+    left, right = inc.copy(), inc.copy()
+    assert rank_a + sum(left.add_row(row) for row in B) == la.rank(F, A + B)
+    assert rank_a + sum(right.add_row(row) for row in C) == la.rank(F, A + C)
+    # feeding the copies left the original at A alone
+    assert rank_a + sum(inc.add_row(row) for row in B + C) == la.rank(F, A + B + C)
+    assert left.field is F and sum(left.add_row(row) for row in C) == la.rank(F, A + B + C) - la.rank(F, A + B)
 
 
 @pytest.mark.parametrize("p, d", [(3, 1), (3, 16), (5, 16), (7, 4), (7, 16)])
