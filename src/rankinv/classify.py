@@ -55,16 +55,23 @@ class Verdict:
         return self.status
 
 
-def distinguish(c1: cd.LinearCode, c2: cd.LinearCode, trials: int = 100,
-                seed: int = 0) -> Verdict:
-    """Invariant-based comparison.  Sound for inequivalence; never claims
-    equivalence (equal inputs still return Unknown).  `rankinv compare`
-    prints each witness's keys after "invariant" in the order built here."""
+def _dimension_verdict(c1: cd.LinearCode, c2: cd.LinearCode) -> Optional[Verdict]:
+    """The Inequivalent verdict when the dimensions differ, else None; raises
+    ValueError when the codes live in different ambient spaces."""
     if c1.field != c2.field or c1.n != c2.n:
         raise ValueError("codes live in different ambient spaces")
     if c1.k != c2.k:
         return Verdict("Inequivalent", {"invariant": "dimension", "k1": c1.k, "k2": c2.k},
                        f"dimensions differ: {c1.k} vs {c2.k}")
+
+
+def distinguish(c1: cd.LinearCode, c2: cd.LinearCode, trials: int = 100,
+                seed: int = 0) -> Verdict:
+    """Invariant-based comparison.  Sound for inequivalence; never claims
+    equivalence (equal inputs still return Unknown).  `rankinv compare`
+    prints each witness's keys after "invariant" in the order built here."""
+    if verdict := _dimension_verdict(c1, c2):
+        return verdict
     m = c1.field.m
     p1 = iv.fingerprint_consecutive(c1).detail
     p2 = iv.fingerprint_consecutive(c2).detail
@@ -106,12 +113,9 @@ def bruteforce_equivalent(c1: cd.LinearCode, c2: cd.LinearCode,
     `units`.  A unit's column holds the digits of each entry gamma^s *
     G_tau[i][u] * H[l][v] of G_tau * (gamma^s * E_uv) * H^T; a kernel
     combination (first coefficient fastest) sums digit * gamma^s into A[u][v]."""
+    if verdict := _dimension_verdict(c1, c2):
+        return verdict
     field = c1.field
-    if field != c2.field or c1.n != c2.n:
-        raise ValueError("codes live in different ambient spaces")
-    if c1.k != c2.k:
-        return Verdict("Inequivalent", {"invariant": "dimension", "k1": c1.k, "k2": c2.k},
-                       f"dimensions differ: {c1.k} vs {c2.k}")
     if c1.k in (0, c1.n):
         ident = cd.SemilinearMap(1, la.identity(field, c1.n), FullAut(field, 0))
         return Verdict("Equivalent", {"lam": 1, "A": ident.A, "tau": 0, "map": ident},
@@ -148,19 +152,13 @@ def bruteforce_equivalent(c1: cd.LinearCode, c2: cd.LinearCode,
         if (la.rank(field, [row for B in basis for row in B]) < n
                 or la.rank(field, [col for B in basis for col in zip(*B)]) < n):
             continue
-        # Combinations in odometer order, the first coefficient fastest: when
-        # counters 0..i-1 wrap from p-1 to 0 and counter i steps up, each
-        # adds 1 mod p, so the digits step by kernel[0] + ... + kernel[i].
+        # Combinations in odometer order, the first coefficient fastest: at
+        # step t counter i = v_p(t) (codes._gray_steps) steps up and 0..i-1
+        # wrap to 0, each adding 1 mod p: the digits step by kernel[0..i].
         steps = list(itertools.accumulate(
             kernel, lambda acc, vec: [(a + b) % p for a, b in zip(acc, vec)]))
-        counters = [0] * nu
         digits = [0] * len(units)
-        for _ in range(p**nu - 1):
-            i = 0
-            while counters[i] == p - 1:
-                counters[i] = 0
-                i += 1
-            counters[i] += 1
+        for i in cd._gray_steps(p, nu):
             digits = [(a + b) % p for a, b in zip(digits, steps[i])]
             A = matrix(digits)
             if la.det(field, A) != 0:
@@ -292,14 +290,7 @@ def rank_one_decomposition(code: cd.LinearCode, theta_exp: int):
 
     # pick v in T_{t-1} \ C1 and shift it back to a generator
     prev = code.diffs.meet([theta_exp * i for i in range(1, t)])
-    inc = la.IncrementalRank(field)
-    for row in c1_gen:
-        inc.add_row(row)
-    v = None
-    for row in prev:
-        if inc.add_row(row):
-            v = row
-            break
+    v = next((row for row in prev if la.rank(field, (*c1_gen, row)) > len(c1_gen)), None)
     if v is None:
         raise AssertionError("no vector found outside the stable intersection")  # pragma: no cover
     g = theta.power(-(t - 1)).on_vector(v)
@@ -382,13 +373,10 @@ def count_aut_orbits_eta(q: int, m: int, k: int, field_cap: int = 1 << 22) -> Op
     if q**m > field_cap:
         return None
     field = make_field(p, e, m)
-    target = field.one if (k * m) % 2 == 0 else field.neg(field.one)
     seen = set()
     orbits = 0
     for a in range(field.Q):
-        if a in seen:
-            continue
-        if field.norm_q(a) == target:
+        if a in seen or not cd.norm_condition_ok(field, k, a):
             continue
         orbits += 1
         b = a

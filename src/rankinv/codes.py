@@ -131,11 +131,14 @@ class Differences:
     padded with zeros at the pivots, and xR lies in theta^j(C) exactly when
     x D_j = 0.
 
-    It also holds the code's elimination trie, which invariants._ranks alone
-    reads and grows: trie[side] for side "rows" (blocks D_j) or "cols"
-    (blocks D_j^T) is the root node (rank, IncrementalRank, children) of no
-    block fed, and children[j] is the node after one more block at exponent
-    j mod m.  A node's IncrementalRank is never fed again once stored."""
+    Every elimination of stacked blocks grows the code's private trie:
+    _trie[side] for side "rows" (blocks D_j) or "cols" (blocks D_j^T) is the
+    root node (rank, IncrementalRank, children) of no block fed, children[j]
+    the node after one more block at exponent j mod m.  A stored node is
+    never fed again, and its basis spans the stacked blocks on its path:
+    each row fed keeps the span, and rows are skipped only at full rank.
+    linalg.nullspace is canonical RREF for a span, so the kernel meet reads
+    off a node is the one the stacked blocks give."""
 
     def __init__(self, code: LinearCode):
         self.code = code
@@ -144,7 +147,7 @@ class Differences:
                         for row in code.gen)
         self._rows: dict[int, la.Matrix] = {}
         self._cols: dict[int, la.Matrix] = {}
-        self.trie = {side: (0, la.IncrementalRank(code.field), {}) for side in ("rows", "cols")}
+        self._trie = {side: (0, la.IncrementalRank(code.field), {}) for side in ("rows", "cols")}
 
     def rows(self, j: int) -> la.Matrix:
         """D_j: k rows, n-k wide."""
@@ -163,11 +166,40 @@ class Differences:
             T = self._cols[j] = tuple(zip(*self.rows(j)))
         return T
 
+    def ranks(self, side: str, exps):
+        """Rank of the stacked blocks at exponents exps after each block
+        (lazily), from the longest prefix already fed.  At full rank, n-k on
+        side "rows" and k on side "cols", no block is formed or fed."""
+        m = self.code.field.m
+        blocks, width = (self.rows, self.code.n - self.code.k) if side == "rows" \
+            else (self.cols, self.code.k)
+        rank, inc, children = self._trie[side]
+        for j in exps:
+            j %= m
+            node = children.get(j)
+            if node is None:
+                if rank < width:
+                    inc = inc.copy()  # the stored node's basis stays as it is
+                    for row in blocks(j):
+                        if any(row):
+                            rank += inc.add_row(row)
+                            if rank == width:
+                                break
+                node = children[j] = (rank, inc, {})
+            rank, inc, children = node
+            yield rank
+
     def meet(self, exps) -> la.Matrix:
         """RREF basis of C n theta^j(C) over j in exps: the rows xR for x in
-        the kernel of the stacked D_j transposes."""
-        field = self.code.field
-        kernel = la.nullspace(field, [row for j in exps for row in self.cols(j)], self.code.k)
+        the kernel of the stacked D_j transposes, read off the basis of the
+        trie node for (0, *exps)."""
+        field, m, path = self.code.field, self.code.field.m, (0, *exps)
+        for _ in self.ranks("cols", path):  # grows the trie along the path
+            pass
+        node = self._trie["cols"]
+        for j in path:
+            node = node[2][j % m]
+        kernel = la.nullspace(field, node[1].rows(), self.code.k)
         return la.rref(field, [la.vec_mat(field, x, self.code.gen) for x in kernel])[0]
 
 
@@ -411,8 +443,13 @@ def _galois_stable_part(code: LinearCode) -> la.Matrix:
     and 1), and that form is unique, so theta(R) = R: R has entries in F_q and
     spans part of C n F_q^n.  Conversely a word w of C n F_q^n is fixed by
     theta, so it lies in every theta^j(C) and in V, and its coordinates in R
-    are its own entries at the pivot columns, which lie in F_q."""
-    return code.diffs.meet(range(1, code.field.m))
+    are its own entries at the pivot columns, which lie in F_q.  V is T_(m-1)
+    of the t-row at exponent 1, equal to T_i at its first repeat
+    (invariants), so the walk stops there, sharing t_sequence's eliminations."""
+    m = code.field.m
+    pairs = itertools.pairwise(code.diffs.ranks("cols", range(m)))
+    top = next((i for i, (a, b) in enumerate(pairs) if a == b), m - 1)
+    return code.diffs.meet(range(1, top + 1))
 
 
 def subfield_subcode(code: LinearCode):
@@ -440,7 +477,9 @@ def _gray_steps(p: int, count: int):
     (p-1) - t_s into 0 - (t_s + 1), the same residue; g_s rises by 1; every
     other g_r is 0 - 0 or keeps both terms.  t -> g is a bijection
     (t_r = sum of g_r' over r' >= r, mod p), so every digit vector is met
-    once."""
+    once.  The same s is the counter an odometer over t steps up, the ones
+    below it wrapping to 0: the Gray walks here add one B_s per step, and
+    classify.bruteforce_equivalent adds prefix sums in odometer order."""
     for t in range(1, p ** count):
         s, u = 0, t
         while u % p == 0:

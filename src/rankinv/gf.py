@@ -19,9 +19,7 @@ Two interchangeable arithmetic backends exist:
                  block straight into those arrays, each block of powers of
                  alpha the one before it times a fixed power, by split
                  lookups (see _build_tables); p = 2 keeps no Zech table,
-                 since addition there is XOR.  Building the exp table doubles
-                 as a proof that f is primitive: the powers of alpha must
-                 enumerate every nonzero residue exactly once.
+                 since addition there is XOR.
 * ``generic`` -- direct arithmetic on packed ints; no tables.  Used for
                  larger fields and to cross-check the table backend.  At
                  p = 2 addition is XOR and multiplication shift-and-XOR.  At
@@ -32,10 +30,12 @@ Two interchangeable arithmetic backends exist:
                  vector times a d x d matrix over F_p, built from
                  alpha**(p**j) the first time j is asked for.  The inverse is
                  Itoh-Tsujii: a**(p + ... + p**(d-1)) as a product of
-                 Frobenius images, divided by the norm of a down to F_p.  The
-                 order of x under the field's own multiplication proves f
-                 primitive (see _x_is_primitive), with Q-1 factored by
-                 trial division and Pollard-Brent (_prime_factors).
+                 Frobenius images, divided by the norm of a down to F_p.
+
+Both backends take one proof that f is primitive: the order test of x
+(FieldTower._x_is_primitive, Q-1 factored by trial division and Pollard-Brent
+in _prime_factors), which a table field runs through _is_primitive before it
+builds its tables, as the modulus search does.
 
 The intermediate subfield F_q is generated by gamma = alpha**((Q-1)//(q-1)).
 Automorphism conventions used across the package:
@@ -288,7 +288,7 @@ _BLOCK = 1 << 14  # powers per step of the table build
 
 
 def _build_tables(p: int, d: int, modulus: tuple[int, ...]):
-    """exp/log/zech arrays for F_p[x]/(modulus); proves primitivity.
+    """exp/log/zech arrays for F_p[x]/(modulus), which must be primitive.
 
     Returns (exp2, log, zech) as array('i'): exp2 has length 2*(Q-1) (the
     exponent table repeated so products of logs need no reduction), log has
@@ -304,9 +304,9 @@ def _build_tables(p: int, d: int, modulus: tuple[int, ...]):
     at a time back to base p.  Every block is written straight into the
     array('i') buffers the field keeps, through numpy views.
 
-    Primitivity: alpha**(Q-1) = 1, and every exp[i] is nonzero with
-    log[exp[i]] = i, so the Q - 1 powers are distinct nonzero residues, that
-    is every nonzero residue exactly once.
+    The build checks no primitivity: the order test (_is_primitive), the one
+    proof for both backends, comes first in FieldTower.  It makes the Q - 1
+    powers of alpha every nonzero residue exactly once, so log inverts exp.
     """
     import numpy as np  # here only, so runs that build no table never load it
 
@@ -371,21 +371,10 @@ def _build_tables(p: int, d: int, modulus: tuple[int, ...]):
             exp_v[pos : pos + cnt] = to_packed(t_lo[lo] + t_hi[hi])
             pos += cnt
 
-    # wrap-around: alpha**(Q-1) must be 1
-    if pack_digits(times_alpha(digits_of(exp2[Qm1 - 1], p, d)), p) != 1:
-        raise FieldError("modulus is not primitive (alpha**(Q-1) != 1)")
-
     steps = np.arange(_BLOCK, dtype=np.int32)
     for s in range(0, Qm1, _BLOCK):
         block = exp_v[s : s + _BLOCK]
         log_v[block] = steps[: len(block)] + s
-    for s in range(0, Qm1, _BLOCK):
-        block = exp_v[s : s + _BLOCK]
-        if not block.all() or (log_v[block] != steps[: len(block)] + s).any():
-            raise FieldError(
-                "modulus is not primitive over F_{}: powers of alpha do not "
-                "enumerate all nonzero residues".format(p)
-            )
 
     zech = None
     if p > 2:
@@ -440,6 +429,8 @@ class FieldTower:
 
         self._exp = self._log = self._zech = None
         if backend == "table":
+            if not _is_primitive(modulus, p):
+                raise FieldError("modulus is not primitive")
             self._exp, self._log, self._zech = _build_tables(p, self.d, modulus)
             self.alpha = self._exp[1] if self.Qm1 > 1 else 1
         else:

@@ -23,10 +23,11 @@ the rows of D_j off the pivots and zeros on them, and R with those rows spans
 the sum.  The pivot entries of a word y sigma^j(R) are y, so xR lies in
 sigma^j(C) exactly when xR = x sigma^j(R), that is when x D_j = 0; the
 intersection is R times the common left kernel of the D_j.  One routine,
-_ranks, takes a side, D_j (n-k wide) or D_j^T (k wide), and a sequence of
-exponents: J = (0, r, 2r, ...) for the s- or t-row at exponent r, and a
-triple's class key (0, a, b) for the triples.  It feeds the blocks at those
-exponents into an IncrementalRank and records the rank after each block.
+Differences.ranks, takes a side, D_j (n-k wide) or D_j^T (k wide), and a
+sequence of exponents: J = (0, r, 2r, ...) for the s- or t-row at exponent
+r, and a triple's class key (0, a, b) for the triples.  It feeds the blocks
+at those exponents into an IncrementalRank and records the rank after each
+block.
 Blocks are indexed by j mod m, so each code has at most m differences to
 compute, however many sequences and fingerprints of it are asked for.
 
@@ -53,8 +54,8 @@ about subspaces, so they hold whichever matrices the ranks are taken of:
   after them spans exactly that space.  Feeding further blocks to a copy of
   it therefore gives the ranks a fresh pass over the whole sequence would
   give, and the copy is a list copy because basis rows are immutable
-  (linalg).  So each code keeps a trie of eliminated prefixes per side
-  (code.diffs.trie), and every pass starts from the longest prefix of its
+  (linalg).  So each code keeps a private trie of eliminated prefixes per
+  side in code.diffs, and every pass starts from the longest prefix of its
   sequence already fed: the triple key (0, a, b) reuses the state after
   (0, a), which is also the start of the row at exponent a, and a row asked
   for again, with or without a fixed length, feeds nothing new.
@@ -103,31 +104,6 @@ def intersect_code(code: cd.LinearCode, auts) -> cd.LinearCode:
     return cd.LinearCode.from_rows(code.field, map(first.on_vector, rows), code.n)
 
 
-def _ranks(code: cd.LinearCode, side: str, exps):
-    """Rank of the stacked blocks at exponents exps, after each block
-    (lazily), with blocks D_j on side "rows" and D_j^T on side "cols".  The
-    pass starts from the longest prefix of exps already fed for this code
-    and side, and stores a node in code.diffs.trie for each block it feeds
-    (see the module docstring)."""
-    diffs, m = code.diffs, code.field.m
-    blocks, width = (diffs.rows, code.n - code.k) if side == "rows" else (diffs.cols, code.k)
-    rank, inc, children = diffs.trie[side]
-    for j in exps:
-        j %= m
-        node = children.get(j)
-        if node is None:
-            if rank < width:
-                inc = inc.copy()  # the stored node's basis stays as it is
-                for row in blocks(j):
-                    if any(row):
-                        rank += inc.add_row(row)
-                        if rank == width:
-                            break
-            node = children[j] = (rank, inc, {})
-        rank, inc, children = node
-        yield rank
-
-
 def _sequence(code: cd.LinearCode, side: str, sigma_exp: int, i_max: int | None,
               bound: int) -> list[int]:
     """Ranks of the block at 0, then with the block at sigma_exp added, and so
@@ -137,7 +113,7 @@ def _sequence(code: cd.LinearCode, side: str, sigma_exp: int, i_max: int | None,
     row repeats that value to its end."""
     length = (bound if i_max is None else max(i_max, 0)) + 1
     seq: list[int] = []
-    for v in _ranks(code, side, (sigma_exp * i for i in range(length))):
+    for v in code.diffs.ranks(side, (sigma_exp * i for i in range(length))):
         if seq and v == seq[-1]:
             # every later value is v (see the module docstring)
             return seq + [v] * (1 if i_max is None else length - len(seq))
@@ -236,8 +212,8 @@ def fingerprint_random_triples(code: cd.LinearCode, trials: int = 100, seed: int
     classes = _translation_classes(random_triples(m, trials, seed), m)
     by_class = {}
     for cls in dict.fromkeys(classes):
-        *_, a = _ranks(code, "rows", cls)
-        *_, b = _ranks(code, "cols", cls)
+        *_, a = code.diffs.ranks("rows", cls)
+        *_, b = code.diffs.ranks("cols", cls)
         by_class[cls] = (k + a, k - b)
     pairs = tuple(by_class[cls] for cls in classes)
     return Fingerprint("random_triples", tuple(sorted(pairs)), pairs)

@@ -263,6 +263,10 @@ class IncrementalRank:
         """Returns True when the row increased the rank."""
         return _insert_row(self.field, self._basis, row) is not None
 
+    def rows(self) -> list:
+        """The basis rows, in pivot order: echelon rows spanning the rows fed."""
+        return [row for _, row, _ in self._basis]
+
     def copy(self) -> "IncrementalRank":
         """An IncrementalRank holding the same rows, which add_row on either
         leaves unchanged for the other: the basis is copied as a list, and

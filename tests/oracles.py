@@ -29,6 +29,9 @@ against.
 * galois_stable_part_via_duals: the intersection of all Galois images of C
   as the dual of the sum of the images of dual(C), the former solver behind
   codes.subfield_subcode.
+* meet_stacked: the intersection of C with its Galois images from one fresh
+  kernel of all the stacked D_j transposes, the former
+  codes.Differences.meet.
 * sum_dims / intersection_dims: dimensions of sums and intersections of
   arbitrary Galois images from n-wide images, not from the systematic
   differences that rankinv.invariants ranks.
@@ -439,6 +442,15 @@ def galois_stable_part_via_duals(code):
     images = [GaloisAut(field, j).on_vector(row)
               for j in range(field.m) for row in dual(code).gen]
     return la.nullspace(field, images, code.n)
+
+
+def meet_stacked(code, exps):
+    """RREF basis of C n theta^j(C) over j in exps: the rows xR for x in the
+    kernel of the D_j transposes stacked and eliminated afresh, the former
+    codes.Differences.meet."""
+    field = code.field
+    kernel = la.nullspace(field, [row for j in exps for row in code.diffs.cols(j)], code.k)
+    return la.rref(field, [la.vec_mat(field, x, code.gen) for x in kernel])[0]
 
 
 def intersection_dims(code, exps) -> int:

@@ -8,6 +8,7 @@ import oracles
 from conftest import FP_FIELDS, FP_IDS
 from rankinv import classify as cl
 from rankinv import codes as cd
+from rankinv import invariants as iv
 from rankinv import linalg as la
 from rankinv.gf import FullAut, GaloisAut, galois_generators, make_field
 from rankinv.rng import DetRNG
@@ -620,6 +621,80 @@ def test_galois_stable_part_matches_dual_oracle(case):
     assert any(c.k and c.gen[0][0] == 0 for c in codes)
     for c in codes:
         assert cd._galois_stable_part(c) == oracles.galois_stable_part_via_duals(c)
+
+
+def _meet_cases(F, m, rng):
+    """The subfield oracle codes plus a Galois-stable code of dimension
+    m - 1 with F_q entries off its pivots, and exponent sets that are
+    empty, repeated, out of range, shared prefixes of each other, and all
+    of 1..m-1, which reaches full rank on most codes."""
+    codes = _subfield_oracle_codes(F, m, rng)
+    stable = [tuple(F.subfield_element(F.q, rng.randbelow(F.q)) for _ in range(m))
+              for _ in range(m - 1)]
+    codes.append(cd.LinearCode.from_rows(F, [row[:i] + (1,) + row[i + 1:]
+                                             for i, row in enumerate(stable)], m))
+    every = tuple(range(1, m))
+    exps = [(), (0,), (1,), (1, 1), (m - 1, 1, m + 1), every[:2], every, every + every,
+            (-1,) + every, ()]
+    return codes, exps
+
+
+@pytest.mark.parametrize("case", FP_FIELDS, ids=FP_IDS)
+def test_meet_matches_stacked_kernel(case):
+    # the kernel read off the trie node for (0, *exps) is the kernel of the
+    # stacked blocks, asked in an order where later sets continue or repeat
+    # earlier ones
+    backend, p, e, m = case
+    F = make_field(p, e, m, backend=backend)
+    codes, exps = _meet_cases(F, m, DetRNG(67, f"meet-oracle/{backend}/{p}/{e}/{m}"))
+    stable = codes[-1]
+    assert stable.k == m - 1 and cd._galois_stable_part(stable) == stable.gen
+    seen = set()
+    for c in codes:
+        for js in exps:
+            got = c.diffs.meet(js)
+            assert got == oracles.meet_stacked(c, js), (c, js)
+            seen.add((0 < len(got) < c.k, not got and c.k > 0))
+    assert (True, False) in seen and (False, True) in seen  # proper and full rank
+
+
+@pytest.mark.parametrize("case", FP_FIELDS, ids=FP_IDS)
+def test_meet_and_stable_part_share_the_t_row_eliminations(monkeypatch, case):
+    # meet feeds its blocks through the trie the t-rows grow: a second meet
+    # on the same exponents feeds no row, nor do the t-ranks of (0, *exps)
+    # after it, and the Galois-stable part feeds none after t_sequence(code,
+    # 1) nor that t-row after the stable part
+    backend, p, e, m = case
+    F = make_field(p, e, m, backend=backend)
+    codes, exps = _meet_cases(F, m, DetRNG(71, f"meet-trie/{backend}/{p}/{e}/{m}"))
+    fed = []
+    real_add_row = la.IncrementalRank.add_row
+
+    def counting_add_row(self, row):
+        fed.append(tuple(row))
+        return real_add_row(self, row)
+
+    monkeypatch.setattr(la.IncrementalRank, "add_row", counting_add_row)
+    first_fed = 0
+    for c in codes:
+        for js in exps:
+            fed.clear()
+            first = c.diffs.meet(js)
+            first_fed += len(fed)
+            fed.clear()
+            assert c.diffs.meet(js) == first
+            list(c.diffs.ranks("cols", (0, *js)))
+            assert fed == [], (c, js)
+        want = oracles.galois_stable_part_via_duals(c)
+        for calls in ((lambda x: iv.t_sequence(x, 1), cd._galois_stable_part),
+                      (cd._galois_stable_part, lambda x: iv.t_sequence(x, 1))):
+            fresh = cd.LinearCode(F, c.n, c.k, c.gen)
+            calls[0](fresh)
+            fed.clear()
+            calls[1](fresh)
+            assert fed == [], c
+            assert cd._galois_stable_part(fresh) == want
+    assert first_fed > 0  # a first meet eliminates through the trie
 
 
 # ---------------------------------------------------------------------------

@@ -84,8 +84,9 @@ def _monic_polys(p, d):
 
 @pytest.mark.parametrize("p,d_max", [(2, 8), (3, 5), (5, 3)])
 def test_order_test_matches_table_build(p, d_max):
-    # building the exp table proves primitivity on its own: the powers of
-    # alpha must enumerate every nonzero residue once and wrap around to 1
+    # the order test is the table backend's proof of primitivity: a table
+    # field builds exactly when it passes, and both agree with the
+    # schoolbook order test of the oracle
     for d in range(1, d_max + 1):
         for f in _monic_polys(p, d):
             try:
@@ -154,9 +155,37 @@ def test_both_builders_reject_non_primitive_block_path_moduli(p, mod, irreducibl
     assert p**d - 1 > gf._BLOCK + d
     assert _sympy_irreducible(mod, p) == irreducible
     assert not oracles.poly_is_primitive(mod, p)
-    for build in (gf._build_tables, oracles.build_tables):
-        with pytest.raises(FieldError):
-            build(p, d, mod)
+    with pytest.raises(FieldError):
+        gf.FieldTower(p, 1, d, modulus=mod, backend="table")
+    with pytest.raises(FieldError):
+        oracles.build_tables(p, d, mod)
+
+
+@pytest.mark.parametrize("case", FP_FIELDS + [(b, p, 1, 1) for b in ("table", "generic")
+                                              for p in (2, 3, 5)],
+                         ids=FP_IDS + [f"{b}-p{p}e1m1" for b in ("table", "generic")
+                                       for p in (2, 3, 5)])
+def test_every_construction_runs_the_order_test_once(monkeypatch, case):
+    # one primitivity proof for both backends: a table field runs the order
+    # test (through a generic field on its modulus) before it builds its
+    # tables, a generic field runs it on itself, and a modulus it rejects
+    # is rejected by that one run
+    backend, p, e, m = case
+    calls = []
+    real = gf.FieldTower._x_is_primitive
+
+    def counting(self):
+        calls.append((self.p, self.d, self.modulus))
+        return real(self)
+
+    monkeypatch.setattr(gf.FieldTower, "_x_is_primitive", counting)
+    F = gf.FieldTower(p, e, m, backend=backend)
+    assert calls == [(p, e * m, F.modulus)]
+    calls.clear()
+    reducible = (1,) + (0,) * (e * m - 1) + (1,) if e * m > 1 else (0, 1)  # x^d + 1, or x
+    with pytest.raises(FieldError, match="not primitive"):
+        gf.FieldTower(p, e, m, modulus=reducible, backend=backend)
+    assert calls == [(p, e * m, reducible)]
 
 
 def test_table_backend_refused_above_the_table_limit():
