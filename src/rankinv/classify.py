@@ -33,7 +33,7 @@ from typing import Optional
 from . import codes as cd
 from . import invariants as iv
 from . import linalg as la
-from .gf import FieldTower, FullAut, GaloisAut, galois_generators, make_field
+from .gf import FieldTower, FullAut, GaloisAut, _is_prime, galois_generators, make_field
 from .rng import DetRNG
 
 
@@ -352,16 +352,16 @@ class CountResult:
 
 
 def _q_to_pe(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            v = q
-            while v % p == 0:
-                v //= p
-                e += 1
-            if v != 1:
-                raise ValueError(f"q = {q} is not a prime power")
-            return p, e
+    """(p, e) with q = p**e, decided without factoring q, so a composite q
+    with large prime factors is rejected as fast as any other: for each e
+    from log2(q) down to 1, q is a prime power when its integer e-th root r
+    has r**e == q and r is prime by gf._is_prime."""
+    for e in range(q.bit_length() if q > 1 else 0, 0, -1):
+        r = 1 << -(-q.bit_length() // e)  # >= the e-th root; Newton from above
+        while (s := ((e - 1) * r + q // r ** (e - 1)) // e) < r:
+            r = s
+        if r ** e == q and _is_prime(r):
+            return r, e
     raise ValueError(f"q = {q} is not a prime power")
 
 

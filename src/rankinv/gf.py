@@ -34,8 +34,8 @@ Two interchangeable arithmetic backends exist:
 
 Both backends take one proof that f is primitive: the order test of x
 (FieldTower._x_is_primitive, Q-1 factored by trial division and Pollard-Brent
-in _prime_factors), which a table field runs through _is_primitive before it
-builds its tables, as the modulus search does.
+in _prime_factors).  Every tower runs it on itself, with the generic kernels,
+before it builds any table; the modulus search runs it through _is_primitive.
 
 The intermediate subfield F_q is generated by gamma = alpha**((Q-1)//(q-1)).
 Automorphism conventions used across the package:
@@ -224,8 +224,9 @@ def _rho_factor(n: int) -> int:
 
 def _is_primitive(mod, p: int) -> bool:
     """Whether the monic f = mod (little-endian, leading 1 included) is
-    primitive over F_p: the order test of FieldTower._x_is_primitive, run by
-    building the generic field on f."""
+    primitive over F_p, for the modulus search: the order test of
+    FieldTower._x_is_primitive, run by building the generic field on f.  A
+    tower given its modulus runs that test on itself first in __init__."""
     try:
         FieldTower(p, 1, len(mod) - 1, modulus=mod, backend="generic")
     except FieldError:
@@ -304,9 +305,10 @@ def _build_tables(p: int, d: int, modulus: tuple[int, ...]):
     at a time back to base p.  Every block is written straight into the
     array('i') buffers the field keeps, through numpy views.
 
-    The build checks no primitivity: the order test (_is_primitive), the one
-    proof for both backends, comes first in FieldTower.  It makes the Q - 1
-    powers of alpha every nonzero residue exactly once, so log inverts exp.
+    The build checks no primitivity: the order test (_x_is_primitive), the
+    one proof for both backends, runs first in FieldTower.__init__, on the
+    tower being built.  It makes the Q - 1 powers of alpha every nonzero
+    residue exactly once, so log inverts exp.
     """
     import numpy as np  # here only, so runs that build no table never load it
 
@@ -427,23 +429,20 @@ class FieldTower:
             )
         self.modulus = modulus
 
-        self._exp = self._log = self._zech = None
+        # x mod f, packed: the digit 1 in place 1, or -f_0 at d = 1
+        self.alpha = p if self.d > 1 else (-modulus[0]) % p
+        self._mod_packed = pack_digits(modulus, p)
+        self._frob_rows: dict[int, list[int]] = {}  # j -> rows of M_j, built on first use
+        self._init_lanes()
+        self._exp = self._log = self._zech = None  # mul takes the generic kernels until tables exist
+        if not self._x_is_primitive():
+            raise FieldError("modulus is not primitive")
         if backend == "table":
-            if not _is_primitive(modulus, p):
-                raise FieldError("modulus is not primitive")
             self._exp, self._log, self._zech = _build_tables(p, self.d, modulus)
-            self.alpha = self._exp[1] if self.Qm1 > 1 else 1
-        else:
-            self.alpha = p if self.d > 1 else (-modulus[0]) % p
-            self._mod_packed = pack_digits(modulus, p)
-            self._frob_rows: dict[int, list[int]] = {}  # j -> rows of M_j, built on first use
-            self._init_lanes()
-            if not self._x_is_primitive():
-                raise FieldError("modulus is not primitive")
 
         self._half = self.Qm1 // 2  # log of -1 when p is odd
         self._norm_exp = self.Qm1 // (self.q - 1)
-        self.gamma = self.alpha_pow(self._norm_exp) if self.e >= 1 else 1
+        self.gamma = self.alpha_pow(self._norm_exp)
 
         # the row kernel of linalg._insert_row, chosen once per field
         if backend == "table":

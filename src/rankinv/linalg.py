@@ -211,12 +211,8 @@ def cofactor_det(field: FieldTower, k: int):
     return det3
 
 
-def nullspace(field: FieldTower, rows, ncols: int | None = None) -> Matrix:
+def nullspace(field: FieldTower, rows, ncols: int) -> Matrix:
     """Canonical (RREF'd) basis of {x : rows @ x^T = 0} as row vectors."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("cannot infer the column count of an empty matrix")
-        ncols = len(rows[0])
     R, pivots = rref(field, rows)
     return rref(field, _free_column_basis(field, R, pivots, ncols))[0]
 
@@ -238,14 +234,9 @@ def _free_column_basis(field: FieldTower, R, pivots, ncols: int) -> list[list[in
     return basis
 
 
-def row_space_intersection(field: FieldTower, A: Matrix, B: Matrix, ncols: int | None = None) -> Matrix:
+def row_space_intersection(field: FieldTower, A: Matrix, B: Matrix, ncols: int) -> Matrix:
     """Canonical basis of rowspace(A) n rowspace(B), via orthogonal spaces:
     the intersection is the orthogon of the sum of the two orthogons."""
-    if ncols is None:
-        src = A if A else B
-        if not src:
-            raise ValueError("cannot infer the column count")
-        ncols = len(src[0])
     na = nullspace(field, A, ncols) if A else identity(field, ncols)
     nb = nullspace(field, B, ncols) if B else identity(field, ncols)
     return nullspace(field, stack(na, nb), ncols)

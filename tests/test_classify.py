@@ -1,6 +1,7 @@
 """Tests for recognition, equivalence decisions, counting, and the census."""
 
 import pytest
+import sympy
 
 import oracles
 from conftest import FP_FIELDS, FP_IDS
@@ -140,6 +141,26 @@ def test_eta_orbit_count():
     assert cl.count_aut_orbits_eta(2, 30, 1) is None  # beyond the field cap
     with pytest.raises(ValueError):
         cl.count_aut_orbits_eta(6, 2, 1)
+
+
+def test_q_to_pe_matches_sympy_factorint():
+    for q in [*range(-2, 3001), 2**31 - 1, 2**61 - 1, (2**31 - 1) ** 2, 3**40, 2**89 - 1]:
+        factors = sympy.factorint(q) if q > 1 else {}
+        if len(factors) == 1:
+            assert cl._q_to_pe(q) == next(iter(factors.items())), q
+        else:
+            with pytest.raises(ValueError, match=rf"^q = {q} is not a prime power$"):
+                cl._q_to_pe(q)
+
+
+def test_q_to_pe_rejects_a_hard_composite_without_factoring_it():
+    # a small factor beside two 81-bit primes: splitting the cofactor by
+    # Pollard rho would take about 2^40 steps
+    p1, p2 = sympy.nextprime(2**80), sympy.nextprime(2**80 + 2**40)
+    for q in [2 * p1 * p2, p1 * p2, (p1 * p2) ** 2, p1**3 * p2]:
+        with pytest.raises(ValueError, match=rf"^q = {q} is not a prime power$"):
+            cl._q_to_pe(q)
+    assert cl._q_to_pe(p1**3) == (p1, 3)
 
 
 # --------------------------------------------------------------------------

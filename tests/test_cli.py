@@ -335,6 +335,26 @@ def test_count_rejects_m_below_one(m):
                         "m must be >= 1")
 
 
+def test_count_with_a_huge_prime_q_answers_instead_of_hanging():
+    # q = 2^31 - 1 splits through the order test's factoriser; a factoring
+    # loop over 2..q would stall here, so a fresh process with a timeout
+    # turns that into a failure
+    base = [sys.executable, "-m", "rankinv.cli", "count", "--k", "2", "--n", "4", "--m", "6"]
+    proc = subprocess.run(base + ["--q", "2147483647", "--format", "pretty"],
+                          capture_output=True, text=True, timeout=30, env=_src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert any(line.startswith("eta_orbit_count [exact] = n/a")
+               for line in proc.stdout.splitlines())
+    # 2 * P1 * P2 with P1, P2 the first primes above 2^80 and 2^80 + 2^40: a
+    # full factorisation of q would stall on the cofactor P1 * P2
+    hard = 2 * 1208925819614629174706189 * 1208925819615728686334053
+    for q in ["6", str(hard)]:
+        proc = subprocess.run(base + ["--q", q], capture_output=True, text=True, timeout=30,
+                              env=_src_env())
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == f"error: q = {q} is not a prime power\n"
+
+
 @pytest.mark.parametrize("k,n,needle", [
     ("2", "-1", "n must be >= 1"),
     ("2", "0", "n must be >= 1"),

@@ -166,26 +166,29 @@ def test_both_builders_reject_non_primitive_block_path_moduli(p, mod, irreducibl
                          ids=FP_IDS + [f"{b}-p{p}e1m1" for b in ("table", "generic")
                                        for p in (2, 3, 5)])
 def test_every_construction_runs_the_order_test_once(monkeypatch, case):
-    # one primitivity proof for both backends: a table field runs the order
-    # test (through a generic field on its modulus) before it builds its
-    # tables, a generic field runs it on itself, and a modulus it rejects
-    # is rejected by that one run
+    # one primitivity proof for both backends: every tower runs the order
+    # test on itself, a table field before it builds its tables, and a
+    # modulus it rejects is rejected by that one run.  The call must run on
+    # the returned tower itself: a second tower on the same modulus compares
+    # equal to it by key, so only identity tells them apart.
     backend, p, e, m = case
     calls = []
     real = gf.FieldTower._x_is_primitive
 
     def counting(self):
-        calls.append((self.p, self.d, self.modulus))
+        calls.append((self, self.p, self.d, self.modulus))
         return real(self)
 
     monkeypatch.setattr(gf.FieldTower, "_x_is_primitive", counting)
     F = gf.FieldTower(p, e, m, backend=backend)
-    assert calls == [(p, e * m, F.modulus)]
+    assert [c[1:] for c in calls] == [(p, e * m, F.modulus)]
+    assert calls[0][0] is F
     calls.clear()
     reducible = (1,) + (0,) * (e * m - 1) + (1,) if e * m > 1 else (0, 1)  # x^d + 1, or x
     with pytest.raises(FieldError, match="not primitive"):
         gf.FieldTower(p, e, m, modulus=reducible, backend=backend)
-    assert calls == [(p, e * m, reducible)]
+    assert [c[1:] for c in calls] == [(p, e * m, reducible)]
+    assert calls[0][0].backend == backend
 
 
 def test_table_backend_refused_above_the_table_limit():
