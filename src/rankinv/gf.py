@@ -20,17 +20,21 @@ Two interchangeable arithmetic backends exist:
                  alpha the one before it times a fixed power, by split
                  lookups (see _build_tables); p = 2 keeps no Zech table,
                  since addition there is XOR.
-* ``generic`` -- direct arithmetic on packed ints; no tables.  Used for
-                 larger fields and to cross-check the table backend.  At
-                 p = 2 addition is XOR and multiplication shift-and-XOR.  At
-                 odd p every operation works on the digits spread into the
-                 lanes of one int (see FieldTower._init_lanes), and
-                 multiplication is one Kronecker product folded back through
-                 x**(d+j) mod f.  a -> a**(p**j) is F_p-linear: the digit
-                 vector times a d x d matrix over F_p, built from
-                 alpha**(p**j) the first time j is asked for.  The inverse is
-                 Itoh-Tsujii: a**(p + ... + p**(d-1)) as a product of
-                 Frobenius images, divided by the norm of a down to F_p.
+* ``generic`` -- direct arithmetic on packed ints; no field-sized tables.
+                 Used for larger fields and to cross-check the table
+                 backend.  At p = 2 addition is XOR and multiplication
+                 shift-and-XOR.  At odd p every operation works on the
+                 digits spread into the lanes of one int (see
+                 FieldTower._init_lanes), and multiplication is one
+                 Kronecker product folded back through x**(d+j) mod f.
+                 Every F_p-linear map on digits (the spread itself, the
+                 fold, and a -> a**(p**j), built from alpha**(p**j) the
+                 first time j is asked for) is applied a chunk of digits at
+                 a time through small tables, and lanes are read back a few
+                 at a time through one table per (p, lane width).  The
+                 inverse is Itoh-Tsujii: a**(p + ... + p**(d-1)) as a
+                 product of Frobenius images, divided by the norm of a down
+                 to F_p; the row kernel of the elimination never takes one.
 
 Both backends take one proof that f is primitive: the order test of x
 (FieldTower._x_is_primitive, Q-1 factored by trial division and Pollard-Brent
@@ -48,6 +52,7 @@ Automorphism conventions used across the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -392,6 +397,56 @@ def _build_tables(p: int, d: int, modulus: tuple[int, ...]):
 
 
 # --------------------------------------------------------------------------
+# chunk tables of the generic backend at odd p
+# --------------------------------------------------------------------------
+
+# A spread chunk takes the most digits k with p**k <= _CHUNK_ENTRIES (four
+# at p = 3, 81 entries per table); a read-back lookup takes
+# _READ_BITS // w lanes of w bits, the rule _build_tables uses, but no more
+# than the d lanes an element has.
+_CHUNK_ENTRIES = 1 << 7
+_READ_BITS = 16
+
+
+class _Multiples:
+    """The chunk table of one digit when p > _CHUNK_ENTRIES, too large to
+    tabulate: entry c is c * row."""
+
+    __slots__ = ("row",)
+
+    def __init__(self, row: int):
+        self.row = row
+
+    def __getitem__(self, c: int) -> int:
+        return c * self.row
+
+
+class _Residues:
+    """The read-back table of one lane wider than _READ_BITS, too wide to
+    tabulate: entry v is v mod p."""
+
+    __slots__ = ("p",)
+
+    def __init__(self, p: int):
+        self.p = p
+
+    def __getitem__(self, v: int) -> int:
+        return v % self.p
+
+
+@functools.cache
+def _lane_reader(p: int, w: int, lanes: int) -> list[int]:
+    """The table that reads `lanes` lanes of w bits back per lookup: entry v
+    is sum (lane i of v mod p) * p**i over them.  Built once per (p, w,
+    lanes) and shared by every field with them."""
+    digit = [v % p for v in range(1 << w)]
+    table = digit
+    for i in range(1, lanes):
+        table = [hi + lo for hi in [c * p**i for c in digit] for lo in table]
+    return table
+
+
+# --------------------------------------------------------------------------
 # the tower
 # --------------------------------------------------------------------------
 
@@ -432,8 +487,9 @@ class FieldTower:
         # x mod f, packed: the digit 1 in place 1, or -f_0 at d = 1
         self.alpha = p if self.d > 1 else (-modulus[0]) % p
         self._mod_packed = pack_digits(modulus, p)
-        self._frob_rows: dict[int, list[int]] = {}  # j -> rows of M_j, built on first use
-        self._init_lanes()
+        self._frob_rows: dict[int, list] = {}  # j -> M_j, built on first use
+        if p > 2:
+            self._init_lanes()
         self._exp = self._log = self._zech = None  # mul takes the generic kernels until tables exist
         if not self._x_is_primitive():
             raise FieldError("modulus is not primitive")
@@ -444,11 +500,13 @@ class FieldTower:
         self._norm_exp = self.Qm1 // (self.q - 1)
         self.gamma = self.alpha_pow(self._norm_exp)
 
-        # the row kernel of linalg._insert_row, chosen once per field
+        # the row kernel of linalg._insert_row, chosen once per field, and
+        # whether it scales the reduced row by each pivot (fraction-free)
         if backend == "table":
             self.row_reduce = self._reduce_logs_xor if p == 2 else self._reduce_logs_zech
         else:
             self.row_reduce = self._reduce_gf2 if p == 2 else self._reduce_lanes
+        self.row_scales = backend == "generic" and p > 2
 
         self.zero = 0
         self.one = 1
@@ -529,14 +587,13 @@ class FieldTower:
             return self._gmul2(a, b)
         return self._lane_product(self._apply(self._units, a) * self._apply(self._units, b))
 
-    def _lane_product(self, prod: int, acc: int = 0) -> int:
-        """The packed element of a Kronecker product of two spread operands
-        plus the spread acc.  Lanes d..2d-2 of prod are the digits of
-        x^d..x^(2d-2); they are read back and fold through _fold."""
+    def _lane_product(self, prod: int) -> int:
+        """The packed element of a Kronecker product of spread operands, or
+        of a sum of two (_reduce_lanes).  Lanes d..2d-2 of prod are the
+        digits of x^d..x^(2d-2); they are read back and fold through _fold."""
         d = self.d
-        wd = self._lane_bits * d
-        high = self._from_lanes(prod >> wd, d - 1)
-        return self._from_lanes((prod & ((1 << wd) - 1)) + self._apply(self._fold, high) + acc, d)
+        high = self._from_lanes(prod >> self._lane_bits * d, d - 1)
+        return self._from_lanes((prod & self._low_mask) + self._apply(self._fold, high), d)
 
     def _gmul2(self, a: int, b: int) -> int:
         d = self.d
@@ -615,56 +672,91 @@ class FieldTower:
         digit, so integer + and * act on every digit at once and lanes are
         reduced mod p only when read back (_from_lanes).  That is exact as
         long as no lane exceeds 2^w - 1 and carries into the next.  w is the
-        bit length of L = (2d - 1)(p - 1)^2 + (p - 1), so every lane value
-        up to L is below 2^w, and L bounds every lane formed:
+        bit length of L = (3d - 1)(p - 1)^2, so every lane value up to L is
+        below 2^w, and L bounds every lane formed:
 
-        * a product of two spread elements: lane k is sum_{i+j=k} a_i b_j,
-          at most d terms of at most (p - 1)^2;
-        * plus its d - 1 high lanes, read back mod p and folded through the
-          rows _fold, whose lanes are below p: (d - 1)(p - 1)^2 more;
-        * plus, in the row kernel _reduce_lanes, the spread of one element,
-          whose lanes are digits: p - 1 more, L in all (_lane_product);
-        * a Frobenius image, d rows times digits: d(p - 1)^2, and (d + 1)(p - 1)^2
-          with (p - 1) times a spread element added (frob_q_diffs), which
-          only d >= 2 forms, where d + 1 <= 2d - 1;
-        * a sum 2(p - 1) and a negation (p - 1)^2, both within the bound for
-          p >= 3, and a step of the _fold build below, (p - 1) + (p - 1)^2,
-          which only d >= 2 takes.
+        * a Kronecker product of two spread elements: lane k is
+          sum_{i+j=k} a_i b_j, at most d terms of at most (p - 1)^2;
+        * the fraction-free row step of _reduce_lanes sums two such
+          products, pv * cur[j] and c * (-row[j]) with -row[j] kept spread,
+          before one fold: at most 2d(p - 1)^2;
+        * the fold (_lane_product) reads the d - 1 high lanes back mod p
+          and adds them times the rows of _fold, whose lanes are below p:
+          (d - 1)(p - 1)^2 more, so (2d - 1)(p - 1)^2 after one product
+          (mul) and (3d - 1)(p - 1)^2 = L after the sum of two;
+        * a Frobenius image, d rows times digits: d(p - 1)^2, and
+          (d + 1)(p - 1)^2 with (p - 1) times a spread element added
+          (frob_q_diffs), at most L since d >= 1;
+        * a sum 2(p - 1), a negation (p - 1)^2 and a step of the _fold build
+          below, (p - 1) + (p - 1)^2: each at most 2(p - 1)^2 <= L.
 
         Each read-back takes every lane mod p, and a lane below 2^w holds
         its exact value whatever w is, so no result depends on w.
 
-        Lanes are nonnegative, so a shift and a mask read one.  _units[i] =
-        x^i, so _apply(_units, a) spreads a; _fold[j] = x^(d+j) mod f for
-        0 <= j < d - 1.  p = 2 keeps its XOR paths and reads none of this."""
+        Lanes are nonnegative, so a shift and a mask read one, and a lookup
+        in the table of _lane_reader reads min(_READ_BITS // w, d) of them
+        at once (one lane mod p when w > _READ_BITS).  Every F_p-linear map
+        applied to digits is kept as chunk tables (_chunk_tables) of its rows: _units of the rows x^i, so
+        _apply(_units, a) spreads a; _fold of the rows x^(d+j) mod f,
+        0 <= j < d - 1; and each Frobenius matrix M_j (_frob_matrix).  p = 2
+        keeps its XOR paths and builds none of this."""
         p, d = self.p, self.d
-        w = self._lane_bits = ((2 * d - 1) * (p - 1) ** 2 + (p - 1)).bit_length()
-        self._units = [1 << (w * i) for i in range(d)]
+        w = self._lane_bits = ((3 * d - 1) * (p - 1) ** 2).bit_length()
+        lanes = min(_READ_BITS // w, d)
+        if lanes:
+            read = _lane_reader(p, w, lanes)
+        else:  # a lane wider than _READ_BITS is read alone
+            read, lanes = _Residues(p), 1
+        self._reader = (read, lanes, lanes * w, p**lanes, (1 << lanes * w) - 1)
+        k = 1
+        while p ** (k + 1) <= _CHUNK_ENTRIES:
+            k += 1
+        self._chunk = (k, p**k)
+        low = self._low_mask = (1 << w * d) - 1
+        self._units = self._chunk_tables([1 << (w * i) for i in range(d)])
         xd = self._apply(self._units, pack_digits([-c % p for c in self.modulus[:d]], p))
-        self._fold, row = [], xd
+        fold, row = [], xd
         for _ in range(d - 1):
-            self._fold.append(row)
+            fold.append(row)
             row <<= w  # times x: lane d holds the digit of x^d, which is xd
-            row = self._apply(self._units, self._from_lanes(
-                (row & ((1 << (w * d)) - 1)) + (row >> (w * d)) * xd, d))
+            row = self._apply(self._units, self._from_lanes((row & low) + (row >> w * d) * xd, d))
+        self._fold = self._chunk_tables(fold)
 
-    def _apply(self, rows, a: int) -> int:
-        """sum c_i * rows[i] over the base-p digits c_i of a."""
-        p = self.p
+    def _chunk_tables(self, rows: list[int]) -> list:
+        """The F_p-linear map sending digit i to rows[i] as chunk tables, k
+        digits per chunk (see _CHUNK_ENTRIES): entry c < p**k of table t is
+        the sum of the digits c_i of c times rows[k*t + i].  Past
+        _CHUNK_ENTRIES a chunk is one digit and its table multiplies."""
+        p, k = self.p, self._chunk[0]
+        if p > _CHUNK_ENTRIES:
+            return [_Multiples(row) for row in rows]
+        tables = []
+        for s in range(0, len(rows), k):
+            table = [0]
+            for row in rows[s : s + k]:
+                table = [c * row + t for c in range(p) for t in table]
+            tables.append(table)
+        return tables
+
+    def _apply(self, tables: list, a: int) -> int:
+        """sum c_i * rows[i] over the base-p digits c_i of a, for the chunk
+        tables of rows: one divmod and one lookup per chunk of digits."""
+        base = self._chunk[1]
         acc = 0
-        for row in rows:
-            a, c = divmod(a, p)
+        for table in tables:
+            a, c = divmod(a, base)
             if c:
-                acc += c * row
+                acc += table[c]
         return acc
 
     def _from_lanes(self, acc: int, count: int) -> int:
-        """The packed element whose digits are lanes 0..count-1 of acc mod p."""
-        p, w = self.p, self._lane_bits
-        mask = (1 << w) - 1
+        """The packed element whose digits are lanes 0..count-1 of acc mod
+        p; acc has no lane set from count on.  Lanes are read from the top
+        in groups of `lanes` (_lane_reader), one lookup per group."""
+        read, lanes, bits, base, mask = self._reader
         out = 0
-        for shift in range(w * (count - 1), -1, -w):
-            out = out * p + ((acc >> shift) & mask) % p
+        for shift in range(bits * ((count - 1) // lanes), -1, -bits):
+            out = out * base + read[(acc >> shift) & mask]
         return out
 
     def _x_is_primitive(self) -> bool:
@@ -689,23 +781,27 @@ class FieldTower:
         nonzero entry, is at pc: (pivot datum, [(j, datum of row[j]) for the
         nonzero row[j], j > pc]).  The table backend keeps log pv and the
         logs of the entries; the generic backend inv(pv) and the entries at
-        p = 2, and at odd p -inv(pv) and the entries spread into lanes."""
+        p = 2, and at odd p pv and the negated entries -row[j], spread into
+        lanes, so that its fraction-free kernel takes no inverse."""
         tail = range(pc + 1, len(row))
         if self._exp is not None:
             log = self._log
             return log[row[pc]], [(j, log[row[j]]) for j in tail if row[j]]
-        pv_inv = self.inv(row[pc])
         if self.p == 2:
-            return pv_inv, [(j, row[j]) for j in tail if row[j]]
-        units = self._units
-        return (self._apply(units, self.neg(pv_inv)),
-                [(j, self._apply(units, row[j])) for j in tail if row[j]])
+            return self.inv(row[pc]), [(j, row[j]) for j in tail if row[j]]
+        units, apply, neg = self._units, self._apply, self.neg
+        return apply(units, row[pc]), [(j, apply(units, neg(row[j]))) for j in tail if row[j]]
 
-    # Each row_reduce(cur, c, entry) subtracts f * row from cur for the basis
-    # row of entry, with f = c / pv and c = cur[pc] != 0, which the caller has
-    # already set to 0; row is 0 before pc, so only its tail changes.  On the
-    # table backend the term f * row[j] is exp[lf + lb_j] with lf = log(-f)
-    # taken once (exp repeats, so the index needs no reduction).
+    # Each row_reduce(cur, c, entry) clears c = cur[pc] != 0, which the
+    # caller has already set to 0, with the basis row of entry; that row is
+    # 0 before pc, so only its tail enters.  The table and p = 2 kernels
+    # subtract f * row with f = c / pv and leave the rest of cur as it was.
+    # On the table backend the term f * row[j] is exp[lf + lb_j] with
+    # lf = log(-f) taken once (exp repeats, so the index needs no reduction).
+    # The generic kernel at odd p is fraction-free instead (Bareiss, Math.
+    # Comp. 1968): cur <- pv * cur - c * row.  pv != 0, so cur and row span
+    # the same space as before, and no inverse is taken; cur comes out
+    # scaled by pv (row_scales), which linalg.det divides out once.
 
     def _reduce_logs_xor(self, cur: list, c: int, entry) -> None:
         """Table backend, p = 2: -f = f, and the sum is XOR."""
@@ -741,15 +837,18 @@ class FieldTower:
             cur[j] ^= gmul(f, b)
 
     def _reduce_lanes(self, cur: list, c: int, entry) -> None:
-        """Generic backend, odd p: -f spread once, then per entry one
-        Kronecker product with the stored spread row[j], its high lanes
-        folded, the spread cur[j] added, and one read-back (the lane bound is
-        in _init_lanes)."""
-        nipv, tail = entry
+        """Generic backend, odd p, fraction-free: cur <- pv * cur - c * row.
+        Every nonzero entry of cur is scaled, also those before pc in
+        non-pivot columns, and in the tail of row the Kronecker products
+        pv * cur[j] and c * (-row[j]) are summed before one fold and one
+        read-back (the lane bound is in _init_lanes)."""
+        spv, tail = entry
         units, apply, product = self._units, self._apply, self._lane_product
-        neg_f = apply(units, product(apply(units, c) * nipv))
-        for j, b in tail:
-            cur[j] = product(neg_f * b, apply(units, cur[j]))
+        sums = [spv * apply(units, a) if a else 0 for a in cur]
+        sc = apply(units, c)
+        for j, nb in tail:
+            sums[j] += sc * nb
+        cur[:] = [product(s) if s else 0 for s in sums]
 
     # -- Frobenius / norms / subfields ---------------------------------------
 
@@ -768,8 +867,8 @@ class FieldTower:
         a = sum c_i alpha^i it sends a to sum c_i beta^i with beta =
         alpha^(p^j): row i of M_j is beta^i.  At p = 2 a row is its packed
         value and the product is the XOR of the rows at a's set bits.  At odd
-        p a row is beta^i in lanes, and the digit-weighted sum of the rows is
-        read back mod p (see _init_lanes)."""
+        p the rows beta^i in lanes are kept as chunk tables, and the
+        digit-weighted sum of the rows is read back mod p (see _init_lanes)."""
         rows = self._frob_matrix(j)
         if self.p == 2:
             out = i = 0
@@ -781,16 +880,16 @@ class FieldTower:
             return out
         return self._from_lanes(self._apply(rows, a), self.d)
 
-    def _frob_matrix(self, j: int) -> list[int]:
-        """The rows of M_j (see _frob_map), built the first time j is asked for."""
+    def _frob_matrix(self, j: int) -> list:
+        """M_j (see _frob_map), built the first time j is asked for."""
         rows = self._frob_rows.get(j)
         if rows is None:
             rows = self._frob_rows[j] = self._build_frob_rows(j)
         return rows
 
-    def _build_frob_rows(self, j: int) -> list[int]:
+    def _build_frob_rows(self, j: int) -> list:
         """Rows beta^0, ..., beta^(d-1) of M_j, beta = alpha^(p^j): one pow
-        and d-1 multiplications; at odd p each row in lanes."""
+        and d-1 multiplications; at odd p the rows in lanes, as chunk tables."""
         p, d = self.p, self.d
         beta = self.pow(self.alpha, p**j)
         rows = [1]
@@ -798,7 +897,7 @@ class FieldTower:
             rows.append(self.mul(rows[-1], beta))
         if p == 2:
             return rows
-        return [self._apply(self._units, row) for row in rows]
+        return self._chunk_tables([self._apply(self._units, row) for row in rows])
 
     def frob_q(self, a: int, r: int) -> int:
         """a ** (q**r); r taken mod m."""
@@ -819,8 +918,7 @@ class FieldTower:
           the digit-weighted rows of M_j plus (p-1) times the spread a, and
           read back once.  A lane of the first part is at most d(p-1)^2 (d
           rows, lanes below p, digits below p), of the second (p-1)^2, so
-          (d+1)(p-1)^2 in all.  Only 0 < j < d gets here, so d >= 2, and then
-          d + 1 <= 2d - 1: the sum stays within the bound L of _init_lanes."""
+          (d+1)(p-1)^2 in all, within the bound L of _init_lanes."""
         j = self.e * (r % self.m) % self.d
         if j == 0:
             return (0,) * len(row)

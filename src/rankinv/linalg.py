@@ -15,10 +15,15 @@ Its basis rows are echelon rows that are never normalised: each is 0 before
 its pivot column and keeps its raw pivot value there, next to what the
 field's row kernel needs of it (FieldTower.row_entry: logs on the table
 backend, spread lanes on the generic one at odd p).  The kernel
-(FieldTower.row_reduce) subtracts (c/pv) times a basis row to clear an entry
-c, which leaves the same row as subtracting c times the normalised basis row
-would, and it makes no per-element FieldTower call.  rref divides each row by
-its pivot once, after back-substitution; det reads the raw pivots.
+(FieldTower.row_reduce) clears an entry c at a basis row's pivot column and
+makes no per-element FieldTower call.  The table and p = 2 kernels subtract
+(c/pv) times the basis row, which leaves the same row as subtracting c times
+the normalised basis row would.  The generic kernel at odd p is
+fraction-free: it sets the row to pv times itself minus c times the basis
+row, so it takes no inverse, and the row comes out scaled by pv
+(FieldTower.row_scales).  Neither changes the row space.  rref divides each
+row by its pivot once, after back-substitution; det reads the raw pivots and
+divides out the scales.
 
 Basis rows are immutable: _insert_row only reduces the row it is given (a
 copy of it), inserts that copy as it stands, and never writes to a row or an
@@ -105,25 +110,30 @@ def dot(field: FieldTower, u, v) -> int:
     return acc
 
 
-def _insert_row(field: FieldTower, basis: list, row):
+def _insert_row(field: FieldTower, basis: list, row, scales: list | None = None):
     """Reduce row against basis, a list of (pivot column, row, entry) triples
     sorted by pivot column: each row is 0 before its pivot column and holds
     its raw pivot value there, not necessarily 1, and entry is what the
-    field's row kernel keeps of it (FieldTower.row_entry).  Subtracting
-    (c/pv) times a row with pivot value pv clears c at its pivot column and
-    leaves the same row as subtracting c times the normalised row would.  An
-    independent row is inserted as it stands, in pivot order, so the
-    invariant holds again.  Returns (pivot column, pivot value), or None when
-    the row is dependent."""
+    field's row kernel keeps of it (FieldTower.row_entry).  The kernel clears
+    c at the pivot column of a row with pivot value pv: by subtracting (c/pv)
+    times that row, which leaves the same row as subtracting c times the
+    normalised row would, or fraction-free, by taking pv times the reduced
+    row minus c times that row, which scales it by pv
+    (FieldTower.row_scales).  When scales is a list, the pv of every basis
+    row used is appended to it.  An independent row is inserted as it
+    stands, in pivot order, so the invariant holds again.  Returns (pivot
+    column, pivot value), or None when the row is dependent."""
     reduce = field.row_reduce
     cur = list(row)
     # ascending pivots: a basis row is 0 before its pivot, so it cannot
     # disturb the pivot columns already cleared
-    for pc, _, entry in basis:
+    for pc, brow, entry in basis:
         c = cur[pc]
         if c:
             cur[pc] = 0
             reduce(cur, c, entry)
+            if scales is not None:
+                scales.append(brow[pc])
     for pc, pv in enumerate(cur):
         if pv:
             break
@@ -164,26 +174,34 @@ def rank(field: FieldTower, rows) -> int:
 def det(field: FieldTower, A: Matrix) -> int:
     """Determinant, from the elimination that IncrementalRank performs.
 
-    Feeding the rows in order subtracts from each row multiples of earlier
-    ones, so the reduced rows, which are never normalised, are L*A with L
-    unit lower triangular.  Sorted by pivot column they form an upper
+    Feeding the rows in order takes each row to a multiple of itself minus
+    multiples of earlier ones, so the reduced rows, which are never
+    normalised, are L*A with L lower triangular.  L's diagonal is 1 where
+    the row kernel divides by pivots, and on a field with row_scales (the
+    fraction-free kernel) entry i is the product of the pivot values row i
+    was scaled by.  Sorted by pivot column the reduced rows form an upper
     triangular matrix whose diagonal holds their pivot values.  So det(A) is
     the product of those values times the sign of the sorting permutation,
-    and 0 as soon as a row turns out dependent."""
+    divided by det(L) through one field inverse, and 0 as soon as a row
+    turns out dependent."""
     n = len(A)
     if any(len(r) != n for r in A):
         raise ValueError("determinant needs a square matrix")
     basis: list = []
+    scales = [] if field.row_scales else None
+    mul = field.mul
     d = field.one
     for row in A:
-        hit = _insert_row(field, basis, row)
+        hit = _insert_row(field, basis, row, scales)
         if hit is None:
             return 0
         pc, pv = hit
-        d = field.mul(d, pv)
+        d = mul(d, pv)
         # the rows after it in pivot order came earlier: one inversion each
         if (len(basis) - 1 - bisect.bisect_left(basis, (pc,))) % 2:
             d = field.neg(d)
+    if scales:
+        d = mul(d, field.inv(functools.reduce(mul, scales)))
     return d
 
 

@@ -285,6 +285,22 @@ def test_gabidulin_dual_closed_form(f2_8, theta_exp):
     assert cd.code_equal(cd.dual(cd.build(F, spec)), cd.build(F, dspec))
 
 
+@pytest.mark.parametrize("field_args,n,k", [((3, 1, 5), 5, 2), ((3, 2, 4), 4, 2)])
+def test_twisted_dual_params_agree_across_backends(field_args, n, k):
+    # twisted_dual_params reads the value of det, not only whether it is 0;
+    # the generic backend at odd p takes it from the fraction-free
+    # elimination, dividing out the row scales, the table one from pivots
+    Ft, Fg = (make_field(*field_args, backend=b) for b in ("table", "generic"))
+    rng = DetRNG(12, f"tdual-backends{field_args}{n}{k}")
+    g = la.random_full_rank_vector(Ft, n, rng)
+    eta = Ft.alpha_pow(1 + rng.randbelow(Ft.Qm1 - 1))
+    spec = cd.make_spec("Twisted", n, k, 1, g, eta=eta)
+    theta = GaloisAut(Ft, 1)
+    D = la.det(Ft, la.moore_matrix(Ft, g, n, theta))
+    assert D not in (0, 1) and la.det(Fg, la.moore_matrix(Fg, g, n, GaloisAut(Fg, 1))) == D
+    assert cd.twisted_dual_params(Fg, spec) == cd.twisted_dual_params(Ft, spec)
+
+
 @pytest.mark.parametrize("field_args,n,k", [((2, 1, 8), 6, 2), ((3, 1, 5), 5, 2), ((2, 1, 8), 5, 3)])
 def test_twisted_dual_closed_form_and_eta_norm(field_args, n, k):
     F = make_field(*field_args)

@@ -386,6 +386,42 @@ def test_generic_lane_arithmetic_matches_digit_list_oracles(p, d):
             assert F.inv(a) == pack_digits(oracles.poly_powmod(digits[a], F.Q - 2, mod, p), p)
 
 
+@pytest.mark.parametrize("p", (3, 5, 7))
+@pytest.mark.parametrize("d", (1, 2, 16))
+def test_lane_read_back_at_the_lane_bound(p, d):
+    # every lane at L = (3d-1)(p-1)^2, the largest value the proof in
+    # _init_lanes admits, then lanes counting down from L and random lanes
+    # up to L, read back a group of lanes per lookup, as d and as d - 1
+    # digits (the fold's high part), against one lane at a time mod p
+    F = make_field(p, 1, d, backend="generic")
+    w, L = F._lane_bits, (3 * d - 1) * (p - 1) ** 2
+    assert L < 1 << w
+    rng = DetRNG(0, f"gf-read-back/{p}/{d}")
+    for lanes in ([L] * d, list(range(L, L - d, -1)), [rng.randbelow(L + 1) for _ in range(d)]):
+        acc = sum(v << (w * i) for i, v in enumerate(lanes))
+        assert F._from_lanes(acc, d) == pack_digits([v % p for v in lanes], p)
+        assert F._from_lanes(acc >> w, d - 1) == pack_digits([v % p for v in lanes[1:]], p)
+
+
+@pytest.mark.parametrize("p,d", [(131, 2), (257, 1), (257, 2)])
+def test_generic_lanes_past_the_chunk_tables(p, d):
+    # p > _CHUNK_ENTRIES spreads one digit at a time by multiplication, and a
+    # lane wider than _READ_BITS is read back alone; arithmetic is unchanged
+    F = make_field(p, 1, d, backend="generic")
+    assert p > gf._CHUNK_ENTRIES and F._lane_bits > gf._READ_BITS
+    mod = F.modulus
+    rng = DetRNG(0, f"gf-wide-lanes/{p}/{d}")
+    samples = [1, F.alpha, F.Q - 1, *(F.random_element(rng) or 1 for _ in range(6))]
+    for a in samples:
+        da = digits_of(a, p, d)
+        for b in samples:
+            db = digits_of(b, p, d)
+            assert F.add(a, b) == pack_digits([(x + y) % p for x, y in zip(da, db)], p)
+            assert F.mul(a, b) == pack_digits(oracles.poly_mulmod(da, db, mod, p), p)
+        assert F.mul(a, F.inv(a)) == 1
+        assert F.frob_p(a, 1) == F.pow(a, p)
+
+
 def test_generic_inverse_rejects_a_non_constant_norm():
     # with every Frobenius map replaced by the identity, a * a^(p + ... +
     # p^(d-1)) becomes alpha^d, which is not in F_p; a fresh instance keeps

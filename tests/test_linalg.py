@@ -11,6 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from rankinv import codes as cd
+from rankinv import invariants as iv
 from rankinv import linalg as la
 from rankinv.gf import FieldTower, GaloisAut, make_field
 from rankinv.rng import DetRNG
@@ -222,8 +224,10 @@ def test_incremental_rank_copy_continues_independently(case, data):
 @pytest.mark.parametrize("p, d", [(3, 1), (3, 16), (5, 16), (7, 4), (7, 16)])
 @given(data=st.data())
 def test_lane_row_kernel_matches_oracle(p, d, data):
-    # the generic row kernel at odd p; (7, 4) is where the proven lane bound
-    # (2d-1)(p-1)^2 + (p-1) = 258 needs one bit more than (2d-1)(p-1)^2
+    # the fraction-free generic row kernel at odd p; at (3, 1) its sum of
+    # two products reaches the proven lane bound L = (3d-1)(p-1)^2 = 8, one
+    # bit more than 7, and at (3, 16) L = 188 takes w = 8 where the former
+    # bound (2d-1)(p-1)^2 + (p-1) = 126 took 7
     _check_elimination(make_field(p, 1, d, backend="generic"), data, 4, 5, 3)
 
 
@@ -279,6 +283,39 @@ def test_table_rank_passes_invert_nothing(case, monkeypatch):
     assert calls == []
     la.rref(F, A)  # normalises once at the end, so the guard sees inv
     assert calls
+
+
+GENERIC_ODD_FIELDS = [(3, 1, 4), (3, 2, 2), (5, 1, 3), (7, 1, 3), (3, 1, 16)]
+
+
+@pytest.mark.parametrize("p, e, m", GENERIC_ODD_FIELDS,
+                         ids=[f"p{p}e{e}m{m}" for p, e, m in GENERIC_ODD_FIELDS])
+def test_generic_odd_p_rank_passes_invert_nothing(p, e, m, monkeypatch):
+    # the fraction-free lane kernel keeps pv and -row[j] instead of an
+    # inverse pivot, so rank passes (the fingerprints' Differences.ranks
+    # among them) never call FieldTower.inv; det divides out the row scales
+    # with exactly one inversion, and rref still normalises at the end
+    F = make_field(p, e, m, backend="generic")
+    assert F.row_scales
+    rng = DetRNG(5, f"no-inv/generic/{p}/{e}/{m}")
+    A = tuple(tuple(F.random_element(rng) for _ in range(4)) for _ in range(4))
+    n = min(4, F.m)
+    code = cd.build(F, cd.make_spec("Gabidulin", n, n // 2, 1, la.random_full_rank_vector(F, n, rng)))
+    want_det, want_rref = oracles.det(F, A), oracles.rref(F, A)
+    calls = []
+    inv = FieldTower.inv
+    monkeypatch.setattr(FieldTower, "inv", lambda self, a: calls.append(a) or inv(self, a))
+    inc = la.IncrementalRank(F)
+    for row in A + A:
+        inc.add_row(row)
+    la.rank(F, A)
+    la.rank_q(F, A[0])
+    iv.fingerprint_consecutive(code)
+    if m >= 3:
+        iv.fingerprint_random_triples(code, trials=4)
+    assert calls == []
+    assert la.det(F, A) == want_det != 0 and len(calls) == 1
+    assert la.rref(F, A) == want_rref and len(calls) > 1
 
 
 @pytest.mark.parametrize("p", (2, 3))
