@@ -16,10 +16,10 @@ rank_one_decomposition() splits a code with s_1 <= k+1 into a part spanned by
 rank-one codewords plus a Gabidulin part.
 
 counting() evaluates closed-form counts/bounds for Gabidulin and twisted
-families; census() builds the one-twist generalized-twisted codes over a
-doubled field (m = 2n) for every parameter class and counts how many the
-invariant fingerprints distinguish (lower bounds LB1/LB2 vs the parameter
-upper bound UB).
+families; census() counts how many parameter classes of one-twist
+generalized-twisted codes over a doubled field (m = 2n) the invariant
+fingerprints distinguish (lower bounds LB1/LB2 vs the parameter upper bound
+UB), reading each code's dimensions off a gain graph instead of building it.
 """
 
 from __future__ import annotations
@@ -532,25 +532,105 @@ class CensusReport:
     fingerprints2: tuple           # random-triple keys, aligned with params
 
 
-def _census_class_fingerprints(args):
-    """Worker for one parameter class; module-level so a process pool can
-    pickle it.  Rebuilds the (cached per process) field from scalars.  Both
-    fingerprints read the code's one cache of differences."""
-    p, e, m, n, k, g, eta, r, t, h, trials, seed = args
+def _frame_add(field: FieldTower, state, units: int, u: int, w: int, a: int, b: int):
+    """(state, rank) after the units e_v, v in the bit mask units, and the
+    row a*e_u + b*e_w (u != w; a, b != 0) join the frame (see census).  A
+    state is (covered vertex mask, trees): each tree a balanced component of
+    uncovered vertices, (mask, {v: (num, den)}) with f_v = num/den * f_root."""
+    cov, trees = state
+    if cov >> u & 1 or cov >> w & 1:
+        cov |= 1 << u | 1 << w
+    else:
+        (mu, pu), (mw, pw) = (next((t for t in trees if t[0] >> v & 1), (1 << v, {v: (1, 1)}))
+                              for v in (u, w))
+        mul, (nu, du), (nw, dw) = field.mul, pu[u], pw[w]
+        x, y = mul(a, mul(nu, dw)), mul(b, mul(nw, du))
+        if pu is pw:
+            if field.add(x, y):  # a*f_u + b*f_w = 0 fails: an unbalanced cycle
+                cov |= mu
+        else:  # rescale w's side so that a*f_u + b*f_w = 0
+            x = field.neg(x)
+            pots = {**pu, **{v: (mul(s, x), mul(d, y)) for v, (s, d) in pw.items()}}
+            trees = [t for t in trees if t[1] is not pu and t[1] is not pw] + [(mu | mw, pots)]
+    cov |= units
+    for mask, _ in trees:
+        if mask & cov:
+            cov |= mask
+    trees = [t for t in trees if not t[0] & cov]
+    return (cov, trees), cov.bit_count() + sum(len(pots) - 1 for _, pots in trees)
+
+
+def _frame_blocks(field: FieldTower, n: int, k: int, conj, r: int, t: int, h: int):
+    """The rows of sigma^a(C) and of sigma^a(C^perp), a in Z_m, as the
+    (units, u, w, a, b) of _frame_add (see census); conj[a] = eta^[a]."""
+    full, support = (1 << n) - 1, sum(1 << r * j % n for j in range(k))
+    x, y = r * h % n, r * (k - 1 + t) % n
+    return [[((units << a % n | units >> n - a % n) & full, (x + a) % n, (y + a) % n, *gains(a))
+             for a in range(len(conj))]
+            for units, gains in ((support & ~(1 << x), lambda a: (1, conj[a])),
+                                 (full & ~support & ~(1 << y), lambda a: (field.neg(conj[a]), 1)))]
+
+
+def _census_class_keys(args):
+    """Both fingerprint keys of one parameter class, off the frame (census);
+    module-level for the process pool, and the field is rebuilt (cached)."""
+    p, e, m, n, k, conj, cls, classes = args
     field = make_field(p, e, m)
-    spec = cd.make_spec("GeneralizedTwisted", n, k, r, g, eta=(eta,), t=(t,), h=(h,))
-    code = cd.build(field, spec)
-    return (iv.fingerprint_consecutive(code).key,
-            iv.fingerprint_random_triples(code, trials, seed).key)
+    keys = []
+    for side, length in zip(_frame_blocks(field, n, k, conj, *cls), (n - k, k)):
+        state0, v0 = _frame_add(field, (0, []), *side[0])
+        firsts = [_frame_add(field, state0, *side[a]) for a in range(n + 1)]  # blocks 0 and a
+        rows = []  # the rows at m-a equal those at a; a row stops at full rank or a repeat
+        for a, (state, v) in enumerate(firsts):
+            ranks = [v0, v]
+            while len(ranks) <= length and v != ranks[-2] and v < n:
+                state, v = _frame_add(field, state, *side[a * len(ranks) % m])
+                ranks.append(v)
+            rows.append(tuple(ranks[1:]) + (v,) * (length + 1 - len(ranks)))
+        # cls[1] is the least of the triple's three gaps, which sum to m
+        keys.append((rows, {c: _frame_add(field, firsts[c[1]][0], *side[c[2]])[1]
+                            for c in set(classes)}))
+    (s_rows, s3), (t_rows, t3) = keys
+    return (tuple(sorted((s_rows[min(a, m - a)], tuple(n - v for v in t_rows[min(a, m - a)]))
+                         for a in range(m))),
+            tuple(sorted((s3[cls], n - t3[cls]) for cls in classes)))
 
 
 def census(q: int, n: int, k: int, seed: int, trials: int = 100,
            jobs: int = 1) -> tuple[CensusReport, FieldTower]:
-    """Build one generalized-twisted code per parameter class over F_{q^m},
-    m = 2n, with a shared random g (entries in the subfield F_{q^n}, full
-    F_q-rank) and eta outside F_{q^n}; count distinguishable fingerprints.
-    jobs > 1 spreads the per-class work over a process pool (jobs < 1 is an
-    error); the report is identical either way."""
+    """Fingerprint the one-twist generalized-twisted code of every parameter
+    class over F_{q^m}, m = 2n, with a shared random g (entries in F_{q^n},
+    full F_q-rank) and eta outside F_{q^n}; count distinguishable
+    fingerprints.  jobs > 1 spreads the classes over a process pool (jobs < 1
+    is an error); the report is identical either way.
+
+    No code is built: the keys are read off the Moore frame of g.  Write
+    x^[a] = x^(q^a), sigma^a for it applied entrywise, and [v] = v mod n.
+
+    * Basis.  e_j = g^[j], j in Z_n, is a basis of F_{q^m}^n: g has F_q-rank
+      n (Moore; Lidl and Niederreiter, Finite Fields, Lemma 3.51), and
+      g^[n] = g as g lies in F_{q^n}^n.
+    * Shift.  sigma^a(e_j) = e_[j+a], so sigma^a(sum c_j e_j) = sum c_j^[a] e_[j+a].
+    * Sparse rows.  Class (r, t, h) has rows theta^j(g) = e_[rj], j < k,
+      j != h, and e_x + eta*e_y, x = [rh], y = [r(k-1+t)] (n divides m).
+      gcd(r, n) = 1 and 1 <= t <= n-k, so S = {[rj] : j < k} and y are k+1
+      distinct indices.
+    * Complement.  For u.v = sum u_j v_j in e-coordinates, C^perp has the
+      n-k independent rows e_v, v outside S and y, and -eta*e_x + e_y.  By
+      the shift, sigma^a(u).sigma^a(v) = (u.v)^[a]: sigma^a commutes with perp.
+
+    So dim sum_{a in J} sigma^a(C) is the rank of the rows shifted by each
+    a in J with gains eta^[a] (a mod m), and dim n_{a in J} sigma^a(C) is n
+    minus that rank for C^perp.  Such rows form the frame matroid of a gain
+    graph on Z_n (Zaslavsky, "Biased graphs II: the three matroids", JCTB
+    1991): a unit covers its vertex, a*e_u + b*e_w is an edge, and the rank
+    is n - dim K, K the f with f_v = 0 on units and a*f_u + b*f_w = 0 on
+    edges.  On a component f_v = phi_v*f_root along a spanning tree, and
+    f_root = 0 once a vertex is covered or an edge closes a cycle with
+    a*phi_u + b*phi_w != 0 (unbalanced): the rank is n minus the number of
+    uncovered components with only balanced cycles (_frame_add).  The
+    exponent sets, with their proofs, are those of invariants: mirror halves,
+    a stop at the first repeat (or full rank), triple translation classes."""
     m = 2 * n
     if n < 6:
         raise ValueError("census needs n >= 6")
@@ -560,10 +640,8 @@ def census(q: int, n: int, k: int, seed: int, trials: int = 100,
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     p, e = _q_to_pe(q)
     field = make_field(p, e, m)
-    sub_size = q**n
 
-    rng_g = DetRNG(seed, "census-g")
-    g = la.random_full_rank_vector(field, n, rng_g, subfield_size=sub_size)
+    g = la.random_full_rank_vector(field, n, DetRNG(seed, "census-g"), subfield_size=q**n)
     rng_eta = DetRNG(seed, "census-eta")
     for _ in range(10000):
         eta = field.random_element(rng_eta)
@@ -573,19 +651,20 @@ def census(q: int, n: int, k: int, seed: int, trials: int = 100,
         raise RuntimeError("could not sample eta outside the half-degree subfield")
 
     params = tuple(census_param_classes(n, k))
-    tasks = [(p, e, m, n, k, g, eta, r, t, h, trials, seed) for (r, t, h) in params]
+    conj = tuple(field.frob_q(eta, a) for a in range(m))
+    classes = iv._translation_classes(iv.random_triples(m, trials, seed), m)
+    tasks = [(p, e, m, n, k, conj, cls, classes) for cls in params]
     if jobs > 1:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_census_class_fingerprints, tasks))
+            results = list(pool.map(_census_class_keys, tasks))
     else:
-        results = [_census_class_fingerprints(task) for task in tasks]
-    fps1 = [r1 for (r1, _) in results]
-    fps2 = [r2 for (_, r2) in results]
+        results = [_census_class_keys(task) for task in tasks]
+    fps1, fps2 = zip(*results)
     report = CensusReport(
         q=q, n=n, m=m, k=k, seed=seed, trials=trials, g=g, eta=eta,
         ub=len(params), lb1=len(set(fps1)), lb2=len(set(fps2)),
-        params=params, fingerprints1=tuple(fps1), fingerprints2=tuple(fps2),
+        params=params, fingerprints1=fps1, fingerprints2=fps2,
     )
     return report, field

@@ -190,7 +190,7 @@ def fingerprint_consecutive(code: cd.LinearCode) -> Fingerprint:
 @lru_cache(maxsize=32)
 def random_triples(m: int, trials: int, seed: int) -> tuple[tuple[int, int, int], ...]:
     """The seeded exponent triples shared by every code in a comparison
-    (cached per argument tuple, so every class of a census draws them once)."""
+    (cached per argument tuple, so every code compared draws them once)."""
     if m < 3:
         raise ValueError("need m >= 3 for distinct triples")
     return tuple(tuple(DetRNG(seed, f"census-triples/{idx}").sample_distinct(3, m))
@@ -200,7 +200,7 @@ def random_triples(m: int, trials: int, seed: int) -> tuple[tuple[int, int, int]
 @lru_cache(maxsize=32)
 def _translation_classes(triples, m: int) -> tuple[tuple[int, int, int], ...]:
     """The translation class key of each triple (cached per triple set, so
-    every class of a census keys them once): the least of sorted((x - s) % m)
+    every code compared keys them once): the least of sorted((x - s) % m)
     over s in the triple (see above)."""
     return tuple(min(tuple(sorted((x - s) % m for x in triple)) for s in triple)
                  for triple in triples)

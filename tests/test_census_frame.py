@@ -1,0 +1,257 @@
+"""The census reads every key off the Moore frame of g (classify.census).
+
+The keys are checked against the fingerprints of the built codes, each of
+the four facts the census docstring proves is checked on its own, the frame
+rank is checked against elimination, and the keys of stored seeds against
+bench/refs.json."""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from conftest import FP_FIELDS, FP_IDS
+import rankinv.classify as cl
+import rankinv.codes as cd
+import rankinv.invariants as iv
+import rankinv.linalg as la
+from rankinv.gf import GaloisAut, make_field
+from rankinv.rng import DetRNG
+
+REFS = Path(__file__).resolve().parents[1] / "bench" / "refs.json"
+
+# (backend, q, n, k): p in {2, 3} and e in {1, 2}; q = 4 and q = 9 have
+# Q above the table limit, so they run on the generic backend
+CASES = [("table", 2, 6, 2), ("table", 3, 6, 2), ("table", 2, 7, 3), ("table", 3, 6, 4),
+         ("table", 2, 8, 3), ("generic", 2, 6, 2), ("generic", 3, 6, 3),
+         ("generic", 4, 6, 2), ("generic", 9, 6, 2)]
+CASE_IDS = [f"{b}-q{q}n{n}k{k}" for b, q, n, k in CASES]
+
+
+def _census(monkeypatch, backend, q, n, k, seed, trials=20):
+    """census() with every field it makes on the given backend."""
+    real = cl.make_field
+    monkeypatch.setattr(cl, "make_field", lambda p, e, m: real(p, e, m, backend=backend))
+    report, field = cl.census(q, n, k, seed, trials=trials)
+    assert field.backend == backend
+    return report, field
+
+
+def _code(field, report, cls):
+    r, t, h = cls
+    return cd.build(field, cd.make_spec("GeneralizedTwisted", report.n, report.k, r, report.g,
+                                        eta=(report.eta,), t=(t,), h=(h,)))
+
+
+def _frame(field, report):
+    """E, whose row j is e_j = g^[j], and the conjugates eta^[a], a in Z_m."""
+    return _moore(field, report.g), tuple(field.frob_q(report.eta, a) for a in range(field.m))
+
+
+def _moore(field, g):
+    return tuple(GaloisAut(field, j).on_vector(g) for j in range(len(g)))
+
+
+def _e_rows(field, n, block):
+    """The rows of one _frame_add block in e-coordinates."""
+    units, u, w, a, b = block
+    rows = [tuple(int(i == v) for i in range(n)) for v in range(n) if units >> v & 1]
+    edge = [0] * n
+    edge[u], edge[w] = a, b
+    return rows + [tuple(edge)]
+
+
+def _span(field, rows, n):
+    return cd.LinearCode.from_rows(field, rows, n)
+
+
+def _e_image(field, rows, a):
+    """sigma^a in e-coordinates: conjugate each entry and shift by a (mod n)."""
+    n = len(rows[0])
+    return [tuple(field.frob_q(row[(i - a) % n], a) for i in range(n)) for row in rows]
+
+
+# --------------------------------------------------------------------------
+# keys against the fingerprints of the built codes
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+@pytest.mark.parametrize("seed", [1, 7, 19])
+def test_census_keys_match_built_code_fingerprints(monkeypatch, case, seed):
+    backend, q, n, k = case
+    report, field = _census(monkeypatch, backend, q, n, k, seed)
+    for cls, fp1, fp2 in zip(report.params, report.fingerprints1, report.fingerprints2):
+        code = _code(field, report, cls)
+        assert fp1 == iv.fingerprint_consecutive(code).key, cls
+        assert fp2 == iv.fingerprint_random_triples(code, 20, seed).key, cls
+
+
+# --------------------------------------------------------------------------
+# the four facts
+# --------------------------------------------------------------------------
+
+FACT_CASES = [("table", 3, 6, 2), ("table", 2, 7, 3), ("generic", 9, 6, 2)]
+FACT_IDS = [f"{b}-q{q}n{n}k{k}" for b, q, n, k in FACT_CASES]
+
+
+@pytest.mark.parametrize("case", FACT_CASES, ids=FACT_IDS)
+def test_frame_basis(monkeypatch, case):
+    backend, q, n, k = case
+    report, field = _census(monkeypatch, backend, q, n, k, seed=3, trials=0)
+    # the Moore criterion both ways: full F_q-rank, and a vector that lacks it
+    assert la.rank_q(field, report.g) == n and la.rank(field, _moore(field, report.g)) == n
+    flat = report.g[:-1] + (field.add(report.g[0], report.g[1]),)
+    assert la.rank(field, _moore(field, flat)) < n
+    # g lies in F_{q^n}^n, so the indices of the basis run mod n
+    assert GaloisAut(field, n).on_vector(report.g) == report.g
+
+
+@pytest.mark.parametrize("case", FACT_CASES, ids=FACT_IDS)
+def test_frame_shift(monkeypatch, case):
+    backend, q, n, k = case
+    report, field = _census(monkeypatch, backend, q, n, k, seed=4, trials=0)
+    E, conj = _frame(field, report)
+    m = field.m
+    for a in range(m):
+        for j in range(n):
+            assert GaloisAut(field, a).on_vector(E[j]) == E[(j + a) % n]
+    for cls in report.params:
+        code = _code(field, report, cls)
+        side = cl._frame_blocks(field, n, k, conj, *cls)[0]
+        for a in range(m):
+            image = _span(field, [GaloisAut(field, a).on_vector(row) for row in code.gen], n)
+            rows = [la.vec_mat(field, c, E) for c in _e_rows(field, n, side[a])]
+            assert cd.code_equal(_span(field, rows, n), image), (cls, a)
+
+
+@pytest.mark.parametrize("case", FACT_CASES, ids=FACT_IDS)
+def test_frame_sparse_rows(monkeypatch, case):
+    backend, q, n, k = case
+    report, field = _census(monkeypatch, backend, q, n, k, seed=5, trials=0)
+    E, conj = _frame(field, report)
+    for r, t, h in report.params:
+        support = [r * j % n for j in range(k)] + [r * (k - 1 + t) % n]
+        assert len(set(support)) == k + 1
+        units, u, w, a, b = cl._frame_blocks(field, n, k, conj, r, t, h)[0][0]
+        assert (u, w, a, b) == (r * h % n, support[-1], 1, report.eta)
+        assert units == sum(1 << v for v in support[:k]) & ~(1 << u)
+        rows = [la.vec_mat(field, c, E) for c in _e_rows(field, n, (units, u, w, a, b))]
+        assert cd.code_equal(_span(field, rows, n), _code(field, report, (r, t, h)))
+
+
+@pytest.mark.parametrize("case", FACT_CASES, ids=FACT_IDS)
+def test_frame_complement(monkeypatch, case):
+    backend, q, n, k = case
+    report, field = _census(monkeypatch, backend, q, n, k, seed=6, trials=0)
+    _, conj = _frame(field, report)
+    for cls in report.params:
+        sides = cl._frame_blocks(field, n, k, conj, *cls)
+        code_e = _e_rows(field, n, sides[0][0])
+        perp_e = la.nullspace(field, code_e, n)  # the coordinate form in e-coordinates
+        for a in range(field.m):
+            rows, comp = _e_rows(field, n, sides[0][a]), _e_rows(field, n, sides[1][a])
+            # the blocks at a are sigma^a of those at 0, and sigma^a commutes with perp
+            assert cd.code_equal(_span(field, rows, n), _span(field, _e_image(field, code_e, a), n))
+            assert cd.code_equal(_span(field, comp, n), _span(field, _e_image(field, perp_e, a), n))
+            assert cd.code_equal(_span(field, comp, n),
+                                 _span(field, la.nullspace(field, rows, n), n)), (cls, a)
+
+
+# --------------------------------------------------------------------------
+# the frame rank against elimination
+# --------------------------------------------------------------------------
+
+def _nonzero(field, rng):
+    return 1 + rng.randbelow(field.Q - 1)
+
+
+def _check_blocks(field, n, blocks):
+    """Feed the blocks to _frame_add one by one; after each, the rank must be
+    the rank of all rows so far."""
+    state, rows = (0, []), []
+    for block in blocks:
+        state, rank = cl._frame_add(field, state, *block)
+        rows += _e_rows(field, n, block)
+        assert rank == la.rank(field, rows), blocks
+
+
+def _balanced(field, phi, u, w, a):
+    """The gain b with a*phi_u + b*phi_w = 0."""
+    return field.neg(field.div(field.mul(a, phi[u]), phi[w]))
+
+
+@pytest.mark.parametrize("case", FP_FIELDS, ids=FP_IDS)
+def test_frame_rank_matches_elimination(case):
+    backend, p, e, m = case
+    field = make_field(p, e, m, backend=backend)
+    rng = DetRNG(29, f"frame-rank/{backend}/{p}/{e}/{m}")
+    for _ in range(60):
+        n = 2 + rng.randbelow(7)
+        phi = [_nonzero(field, rng) for _ in range(n)]
+        blocks = []
+        for _ in range(1 + rng.randbelow(2 * n)):
+            u, w = rng.sample_distinct(2, n)
+            units = rng.randbelow(1 << n) if rng.randbelow(3) == 0 else 0
+            a = _nonzero(field, rng)
+            # mostly gains of one potential, so that cycles close balanced
+            b = _balanced(field, phi, u, w, a) if rng.randbelow(4) else _nonzero(field, rng)
+            blocks.append((units, u, w, a, b))
+            if rng.randbelow(4) == 0:  # a parallel edge
+                c = _nonzero(field, rng)
+                if rng.randbelow(2):  # the same row scaled: dependent
+                    blocks.append((0, u, w, field.mul(a, c), field.mul(b, c)))
+                else:  # turned round, with a random gain
+                    blocks.append((0, w, u, c, _nonzero(field, rng)))
+        _check_blocks(field, n, blocks)
+
+
+@pytest.mark.parametrize("case", FP_FIELDS, ids=FP_IDS)
+def test_frame_rank_on_structured_graphs(case):
+    backend, p, e, m = case
+    field = make_field(p, e, m, backend=backend)
+    rng = DetRNG(31, f"frame-structured/{backend}/{p}/{e}/{m}")
+    for n in (2, 4, 6, 8):
+        phi = [_nonzero(field, rng) for _ in range(n)]
+        cycle = [(v, (v + 1) % n) for v in range(n)]
+        balanced = [(0, u, w, a, _balanced(field, phi, u, w, a))
+                    for u, w in cycle for a in [_nonzero(field, rng)]]
+        # a balanced cycle leaves one component uncovered: rank n - 1
+        _check_blocks(field, n, balanced)
+        state = (0, [])
+        for block in balanced:
+            state, rank = cl._frame_add(field, state, *block)
+        assert rank == n - 1
+        # a new gain on the last edge unbalances the cycle unless it equals b
+        units, u, w, a, b = balanced[-1]
+        _check_blocks(field, n, balanced[:-1] + [(units, u, w, a, field.add(b, 1) or 1)])
+        # y - x = n/2: the shift by n/2 turns the edge round, as in the census
+        half = n // 2
+        for x in range(half):
+            a, b = _nonzero(field, rng), _nonzero(field, rng)
+            _check_blocks(field, n, [(0, x, x + half, 1, a), (0, x + half, x, 1, b)])
+            _check_blocks(field, n, [(0, x, x + half, 1, a), (0, x + half, x, a, 1)])
+        # a unit on a tree covers the whole tree
+        tree = balanced[:-1]
+        _check_blocks(field, n, tree + [(1 << (n - 1), 0, 1, 1, phi[0])])
+
+
+# --------------------------------------------------------------------------
+# byte-identity with the stored references
+# --------------------------------------------------------------------------
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("seed", ["0", "9", "31"])
+def test_census_matches_stored_references(seed):
+    """The census references in bench/refs.json, captured at a trusted commit
+    with trials=100, pin the keys independently of any oracle."""
+    refs = json.loads(REFS.read_text())["census"][seed]
+    for qnk, ref in refs.items():
+        q, n, k = map(int, qnk.split(","))
+        report, _ = cl.census(q, n, k, int(seed), trials=100)
+        assert (report.lb1, report.lb2) == (ref["lb1"], ref["lb2"]), qnk
+        assert [_digest(pair) for pair in zip(report.fingerprints1, report.fingerprints2)] \
+            == ref["classes"], qnk

@@ -667,18 +667,24 @@ def test_census_guards():
 
 
 def test_census_never_computes_a_dual(monkeypatch):
+    """Nor builds a code or eliminates: the keys come off the frame of g."""
     calls = []
-    real_dual = cd.dual
+    targets = [(cd, "dual"), (cd, "build"), (cd.Differences, "ranks"),
+               (la.IncrementalRank, "add_row")]
 
-    def counting_dual(c):
-        calls.append(c)
-        return real_dual(c)
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(cd, "dual", counting_dual)
-    report, field = cl.census(2, 6, 2, seed=1, trials=4)
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    for q in (2, 3):
+        report, field = cl.census(q, 6, 2, seed=1, trials=4)
     assert calls == []
-    monkeypatch.setattr(cd, "dual", real_dual)
-    # the shared caches give the keys the public fingerprints give
+    monkeypatch.undo()
+    # the keys are the ones the public fingerprints give
     for (r, t, h), fp1, fp2 in zip(report.params, report.fingerprints1, report.fingerprints2):
         spec = cd.make_spec("GeneralizedTwisted", 6, 2, r, report.g,
                             eta=(report.eta,), t=(t,), h=(h,))
