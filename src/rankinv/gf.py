@@ -15,11 +15,12 @@ Two interchangeable arithmetic backends exist:
 
 * ``table``   -- exp/log/Zech-log tables in int32 arrays, cached; selected
                  automatically when Q <= TABLE_LIMIT, and refused above it.
-                 numpy (imported by the build alone) fills them block by
-                 block straight into those arrays, each block of powers of
-                 alpha the one before it times a fixed power, by split
-                 lookups (see _build_tables); p = 2 keeps no Zech table,
-                 since addition there is XOR.
+                 One walk over the powers of alpha fills them (see
+                 _build_tables), in plain Python when Q <= _PURE_TABLE_LIMIT,
+                 so small fields never load numpy.  Above that numpy extends
+                 the walk straight into those arrays, each block of powers
+                 the one before it times a fixed power, by split lookups.
+                 p = 2 keeps no Zech table, since addition there is XOR.
 * ``generic`` -- direct arithmetic on packed ints; no field-sized tables.
                  Used for larger fields and to cross-check the table
                  backend.  At p = 2 addition is XOR and multiplication
@@ -54,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 
@@ -174,9 +176,12 @@ def pack_digits(digits, p: int) -> int:
     return v
 
 
-def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n >= 1: trial division below 1000, then
-    Pollard-Brent splits of what is left until every part is prime."""
+@functools.cache
+def _prime_factors(n: int) -> tuple[int, ...]:
+    """Distinct prime factors of n >= 1, ascending: trial division below
+    1000, then Pollard-Brent splits of what is left until every part is
+    prime.  Cached, so a modulus search factors its Q - 1 once, not once
+    per candidate."""
     found = set()
     f = 2
     while f < 1000 and f * f <= n:
@@ -193,7 +198,7 @@ def _prime_factors(n: int) -> list[int]:
         else:
             f = _rho_factor(n)
             parts += [f, n // f]
-    return sorted(found)
+    return tuple(sorted(found))
 
 
 def _rho_factor(n: int) -> int:
@@ -290,7 +295,37 @@ def _search_default_modulus(p: int, d: int) -> int:
 # table construction
 # --------------------------------------------------------------------------
 
-_BLOCK = 1 << 14  # powers per step of the table build
+_BLOCK = 1 << 14  # powers per step of the numpy table build
+_PURE_TABLE_LIMIT = 1 << 15  # fields with at most this many elements build without numpy
+
+
+def _alpha_powers(p: int, d: int, modulus: tuple[int, ...], count: int) -> list[int]:
+    """The packed powers alpha**0, ..., alpha**(count-1) modulo the monic
+    f = modulus, one multiplication by x per step: at p = 2 a shift and an
+    XOR by the packed f, at odd p the digit list shifted up and the top
+    digit t times -f added in, packed as it goes."""
+    out = []
+    if p == 2:
+        mod, top, cur = pack_digits(modulus, 2), 1 << d, 1
+        for _ in range(count):
+            out.append(cur)
+            cur <<= 1
+            if cur & top:
+                cur ^= mod
+        return out
+    neg_mod = [(-c) % p for c in modulus[:d]]
+    weights = [p**i for i in range(d)]
+    digits, cur = [1] + [0] * (d - 1), 1
+    for _ in range(count):
+        out.append(cur)
+        t = digits.pop()
+        digits.insert(0, 0)
+        if t:
+            digits = [(a + t * c) % p for a, c in zip(digits, neg_mod)]
+            cur = sum(map(operator.mul, digits, weights))
+        else:
+            cur *= p  # a shift alone, with no digit to reduce
+    return out
 
 
 def _build_tables(p: int, d: int, modulus: tuple[int, ...]):
@@ -301,82 +336,87 @@ def _build_tables(p: int, d: int, modulus: tuple[int, ...]):
     length Q with log[0] = -1, zech[l] = log(alpha**l + 1) with -1 when
     alpha**l + 1 = 0.  zech is None at p = 2, where addition is XOR.
 
-    The first B + d powers (B = _BLOCK) come from times_alpha.  Each later
-    block of B powers is the block B places back times alpha**B, an F_p-linear
-    map on digits, applied by split lookups: a packed v = lo + p**h * hi with
-    h = ceil(d/2) maps to t_lo[lo] + t_hi[hi], the reduced images of lo and of
-    x**h * hi with digit j in lane j of w bits.  A lane of the sum is at most
-    2(p - 1) < 2**w, and a chunk table of at most 2**16 entries reads c lanes
-    at a time back to base p.  Every block is written straight into the
-    array('i') buffers the field keeps, through numpy views.
+    The powers of alpha come from one walk (_alpha_powers).  When Q <=
+    _PURE_TABLE_LIMIT it covers all Q - 1 of them and plain loops fill the
+    arrays, so the field never loads numpy (odd p costs a list step per
+    power, hence a bound on entries rather than on degree).  Above it the
+    walk gives the first B + d powers (B = _BLOCK) and numpy extends them
+    (_extend_with_numpy).
 
     The build checks no primitivity: the order test (_x_is_primitive), the
     one proof for both backends, runs first in FieldTower.__init__, on the
     tower being built.  It makes the Q - 1 powers of alpha every nonzero
     residue exactly once, so log inverts exp.
     """
-    import numpy as np  # here only, so runs that build no table never load it
+    Q = p**d
+    if Q > _PURE_TABLE_LIMIT:
+        return _extend_with_numpy(p, d, _alpha_powers(p, d, modulus, _BLOCK + d))
+    powers = _alpha_powers(p, d, modulus, Q - 1)
+    log = array("i", [-1]) * Q
+    for l, v in enumerate(powers):
+        log[v] = l
+    zech = None
+    if p > 2:
+        # alpha**l + 1 adds 1 to digit 0 mod p; log[0] = -1 marks it zero
+        zech = array("i", [log[v + 1 if v % p < p - 1 else v + 1 - p] for v in powers])
+    return array("i", powers) * 2, log, zech
+
+
+def _extend_with_numpy(p: int, d: int, seed: list[int]):
+    """_build_tables above _PURE_TABLE_LIMIT, from the packed powers
+    alpha**0 .. alpha**(B+d-1) in seed (B = _BLOCK, B + d < Q - 1).
+
+    Each block of B powers after the seed is the block B places back times
+    alpha**B, an F_p-linear map on digits, applied by split lookups: a packed
+    v = lo + p**h * hi with h = ceil(d/2) maps to t_lo[lo] + t_hi[hi], the
+    reduced images of lo and of x**h * hi with digit j in lane j of w bits.
+    A lane of the sum is at most 2(p - 1) < 2**w, and a chunk table of at
+    most 2**16 entries reads c lanes at a time back to base p.  Every block
+    is written straight into the array('i') buffers the field keeps, through
+    numpy views."""
+    import numpy as np  # here only, so runs that build no large table never load it
 
     Q = p**d
     Qm1 = Q - 1
-    neg_mod = [(-c) % p for c in modulus[:d]]
-
-    def times_alpha(digits):
-        """Digits of alpha * (the element with these digits), reduced by the modulus."""
-        top = digits[d - 1]
-        shifted = [0] + digits[: d - 1]
-        if not top:
-            return shifted
-        return [(a + top * c) % p for a, c in zip(shifted, neg_mod)]
-
     exp2 = array("i", [0]) * (2 * Qm1)
     log = array("i", [-1]) * Q
     exp2_v = np.frombuffer(exp2, dtype=np.int32)
     exp_v = exp2_v[:Qm1]
     log_v = np.frombuffer(log, dtype=np.int32)
 
-    seed_count = min(Qm1, _BLOCK + d)
-    rows = []
-    cur = [0] * d
-    cur[0] = 1
-    for _ in range(seed_count):
-        rows.append(cur)
-        cur = times_alpha(cur)
-    seed = np.array(rows, dtype=np.int64)
-    exp_v[:seed_count] = seed @ p ** np.arange(d, dtype=np.int64)
+    exp_v[: len(seed)] = seed
+    place = p ** np.arange(d, dtype=np.int64)
+    jump = exp_v[_BLOCK : _BLOCK + d, None] // place % p  # row j: digits of alpha**(B+j)
+    h = (d + 1) // 2
+    w = (2 * (p - 1)).bit_length()
+    lane_of_digit = np.int64(1) << (w * np.arange(d, dtype=np.int64))
 
-    if Qm1 > seed_count:
-        h = (d + 1) // 2
-        w = (2 * (p - 1)).bit_length()
-        lane_of_digit = np.int64(1) << (w * np.arange(d, dtype=np.int64))
+    def split_table(count: int, first: int) -> np.ndarray:
+        """Lanes of (sum c_j x**(first+j)) * alpha**B for every c < p**count."""
+        digits = np.arange(p**count, dtype=np.int64)[:, None] // place[:count] % p
+        return digits @ jump[first : first + count] % p @ lane_of_digit
 
-        def split_table(count: int, first: int) -> np.ndarray:
-            """Lanes of (sum c_j x**(first+j)) * alpha**B for every c < p**count."""
-            v = np.arange(p**count, dtype=np.int64)[:, None]
-            digits = v // p ** np.arange(count, dtype=np.int64) % p
-            return digits @ seed[_BLOCK + first : _BLOCK + first + count] % p @ lane_of_digit
+    t_lo, t_hi = split_table(h, 0), split_table(d - h, h)
+    c = 16 // w  # lanes per chunk-table lookup
+    mask = (1 << (c * w)) - 1
+    if c:
+        v = np.arange(mask + 1, dtype=np.int64)
+        chunk = sum((v >> (w * j)) % (1 << w) % p * p**j for j in range(c)).astype(np.int32)
 
-        t_lo, t_hi = split_table(h, 0), split_table(d - h, h)
-        c = 16 // w  # lanes per chunk-table lookup
-        mask = (1 << (c * w)) - 1
-        if c:
-            v = np.arange(mask + 1, dtype=np.int64)
-            chunk = sum((v >> (w * j)) % (1 << w) % p * p**j for j in range(c)).astype(np.int32)
+    def to_packed(lanes: np.ndarray) -> np.ndarray:
+        if not c:  # one lane wider than 16 bits: d = 1 and p > 2**15
+            return lanes % p
+        out = chunk[lanes & mask]
+        for k in range(c, d, c):
+            out += chunk[(lanes >> (k * w)) & mask] * p**k
+        return out
 
-        def to_packed(lanes: np.ndarray) -> np.ndarray:
-            if not c:  # one lane wider than 16 bits: d = 1 and p > 2**15
-                return lanes % p
-            out = chunk[lanes & mask]
-            for k in range(c, d, c):
-                out += chunk[(lanes >> (k * w)) & mask] * p**k
-            return out
-
-        pos = seed_count
-        while pos < Qm1:
-            cnt = min(_BLOCK, Qm1 - pos)
-            hi, lo = np.divmod(exp_v[pos - _BLOCK : pos - _BLOCK + cnt], p**h)
-            exp_v[pos : pos + cnt] = to_packed(t_lo[lo] + t_hi[hi])
-            pos += cnt
+    pos = len(seed)
+    while pos < Qm1:
+        cnt = min(_BLOCK, Qm1 - pos)
+        hi, lo = np.divmod(exp_v[pos - _BLOCK : pos - _BLOCK + cnt], p**h)
+        exp_v[pos : pos + cnt] = to_packed(t_lo[lo] + t_hi[hi])
+        pos += cnt
 
     steps = np.arange(_BLOCK, dtype=np.int32)
     for s in range(0, Qm1, _BLOCK):

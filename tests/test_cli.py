@@ -268,6 +268,41 @@ def test_cli_import_and_ub_only_census_leave_numpy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+SMALL_FIELD_CODES = {
+    "worked": ["--m", "15", "--modulus", MODULUS_ARG, "--n", "8", "--k", "3", "--g", G_ARG,
+               "--eta", ETA_ARG],
+    "seeded": ["--p", "3", "--m", "5", "--n", "5", "--k", "2", "--random-g", "--seed", "7",
+               "--eta", "a^100"],
+}
+
+
+@pytest.mark.parametrize("code", sorted(SMALL_FIELD_CODES))
+def test_cli_calls_on_small_fields_leave_numpy_unloaded(tmp_path, code):
+    # tables of at most 2^15 entries are built without numpy: every call on
+    # the worked F_{2^15} pair or a seeded F_{3^5} pair, each in a fresh
+    # process, ends with numpy never imported
+    *build, eta_flag, eta = SMALL_FIELD_CODES[code]
+    script = ("import sys, rankinv.cli as cli\n"
+              "rc = cli.main(sys.argv[1:])\n"
+              "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+              "sys.exit(rc)\n")
+    calls = [
+        ["code", "build", "--family", "Gabidulin", *build, "--out", "gab.json"],
+        ["code", "build", "--family", "Twisted", *build, eta_flag, eta, "--out", "tw.json"],
+        ["code", "dual", "--file", "gab.json"],
+        ["invariants", "--file", "tw.json"],
+        ["classify", "gabidulin", "--file", "gab.json"],
+        ["compare", "gab.json", "tw.json", "--trials", "10"],
+        ["compare", "gab.json", "gab.json", "--trials", "10", "--bruteforce"],
+        ["count", "--q", "2", "--k", "2", "--n", "4", "--m", "4"],
+        ["census", "--q", "2", "--n", "6", "--k", "2", "--trials", "10"],
+    ]
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120, env=_src_env())
+        assert proc.returncode == 0, (argv, proc.stderr)
+
+
 # --------------------------------------------------------------------------
 # malformed input ends in a clean error
 # --------------------------------------------------------------------------

@@ -133,11 +133,15 @@ def test_reducible_modulus_rejected():
 
 
 @pytest.mark.parametrize("p,d", [(2, 11), (3, 7), (2, 16), (3, 12), (5, 7), (7, 6),
-                                 (2, 1), (3, 1), (5, 1), (7, 1), (65537, 1)])
+                                 (2, 1), (3, 1), (5, 1), (7, 1), (65537, 1),
+                                 (2, 15), (3, 9), (5, 6), (7, 5), (3, 10)])
 def test_tables_match_oracle_builder(p, d):
-    # the split-lookup build against the former (B x d)(d x d) block product;
-    # F_{5^7}, F_{7^6}, F_{2^16}, F_{3^12} and F_65537 take the block path,
-    # the last with a lane wider than a chunk table
+    # both builds against the former (B x d)(d x d) block product.  Up to
+    # _PURE_TABLE_LIMIT elements the power walk fills every table (F_{2^15},
+    # F_{3^9}, F_{5^6} and F_{7^5} are the largest such fields for their p);
+    # above it numpy extends the walk by split lookups: F_{3^10} (the first
+    # odd-p field past the bound), F_{5^7}, F_{7^6}, F_{2^16}, F_{3^12} and
+    # F_65537, the last with a lane wider than a chunk table
     mod = default_modulus(p, d)
     exp2, log, zech = gf._build_tables(p, d, mod)
     want_exp2, want_log, want_zech = oracles.build_tables(p, d, mod)
@@ -223,6 +227,32 @@ def test_table_build_peak_memory_stays_within_twice_the_tables():
     assert grown <= 2 * kept
 
 
+def test_tables_up_to_the_pure_limit_build_without_numpy():
+    assert 2**15 <= gf._PURE_TABLE_LIMIT and 3**9 <= gf._PURE_TABLE_LIMIT < 3**10
+    out = _run_python(
+        "import sys\n"
+        "from rankinv import gf\n"
+        "for d in (15, 9, 10):\n"
+        "    F = gf.make_field(2 if d == 15 else 3, 1, d)\n"
+        "    print(F.backend, 'numpy' in sys.modules)\n")
+    assert out.split() == ["table", "False", "table", "False", "table", "True"]
+
+
+def test_census_on_a_generic_field_leaves_numpy_unloaded():
+    # rank_q on a generic field builds the table field F_p, and census builds
+    # F_{2^12}: both come from the power walk alone
+    out = _run_python(
+        "import sys\n"
+        "from rankinv import classify, gf, linalg as la\n"
+        "from rankinv.rng import DetRNG\n"
+        "F = gf.FieldTower(3, 1, 14, backend='generic')\n"
+        "v = la.random_full_rank_vector(F, 4, DetRNG(1, 'numpy-free'))\n"
+        "assert la.rank_q(F, v) == 4\n"
+        "report, field = classify.census(2, 6, 2, 1, trials=10)\n"
+        "print(field.Q, 'numpy' in sys.modules)\n")
+    assert out.split() == [str(2**12), "False"]
+
+
 def test_generic_field_build_does_not_import_sympy():
     out = _run_python(
         "import sys\n"
@@ -239,7 +269,16 @@ def test_prime_factors_match_sympy_factorint():
     # above the exact Miller-Rabin bound, where primality is Baillie-PSW
     cases += [3**60 - 1, 2**89 - 1, 2**107 - 1, 5**40 - 1, (2**61 - 1) * (2**31 - 1) ** 2]
     for n in cases:
-        assert gf._prime_factors(n) == sorted(sympy.factorint(n)), n
+        assert gf._prime_factors(n) == tuple(sorted(sympy.factorint(n))), n
+
+
+def test_modulus_search_factors_q_minus_one_once():
+    # 37 candidates of degree 4 over F_7 pass x**(Q-1) = 1 and reach the
+    # factoring step; Q - 1 = 2400 is factored for the first alone
+    gf._prime_factors.cache_clear()
+    assert gf._search_default_modulus(7, 4) == 75
+    info = gf._prime_factors.cache_info()
+    assert (info.misses, info.hits) == (1, 36)
 
 
 def test_primality_matches_sympy_isprime():
