@@ -33,7 +33,8 @@ from typing import Optional
 from . import codes as cd
 from . import invariants as iv
 from . import linalg as la
-from .gf import FieldTower, FullAut, GaloisAut, _is_prime, galois_generators, make_field
+from .gf import (FieldTower, FullAut, GaloisAut, _is_prime, _prime_factors, galois_generators,
+                 make_field)
 from .rng import DetRNG
 
 
@@ -368,23 +369,30 @@ def _q_to_pe(q: int) -> tuple[int, int]:
 def count_aut_orbits_eta(q: int, m: int, k: int, field_cap: int = 1 << 22) -> Optional[int]:
     """Number of orbits of the full automorphism group on
     {eta in F_{q^m} : norm(eta) != (-1)^(k*m)} (0 included, its norm is 0).
-    Returns None when the field would exceed field_cap."""
-    p, e = _q_to_pe(q)
+    Returns None when the field would exceed field_cap.
+
+    Read off exponents, with no field built.  A nonzero eta is alpha^l,
+    l in Z_{Q-1}, and its norm alpha^(l(Q-1)/(q-1)) = gamma^l, gamma of
+    order q - 1, is 1 exactly when q - 1 divides l; a -> a^p, which
+    generates the group, sends l to p*l.  When k*m is odd at odd p, m is
+    odd, so norm(-1) = (-1)^(1+q+...+q^(m-1)) = -1, and eta -> -eta, which
+    commutes with the group, swaps the norms 1 and -1: every k gives the
+    count for norm(eta) != 1."""
+    p = _q_to_pe(q)[0]
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     if q**m > field_cap:
         return None
-    field = make_field(p, e, m)
-    seen = set()
-    orbits = 0
-    for a in range(field.Q):
-        if a in seen or not cd.norm_condition_ok(field, k, a):
+    qm1 = q**m - 1
+    seen = bytearray(qm1)
+    orbits = 1  # {0}
+    for l in range(qm1):
+        if seen[l] or l % (q - 1) == 0:
             continue
         orbits += 1
-        b = a
-        while True:
-            seen.add(b)
-            b = field.frob_p(b, 1)
-            if b == a:
-                break
+        while not seen[l]:
+            seen[l] = 1
+            l = l * p % qm1
     return orbits
 
 
@@ -532,25 +540,26 @@ class CensusReport:
     fingerprints2: tuple           # random-triple keys, aligned with params
 
 
-def _frame_add(field: FieldTower, state, units: int, u: int, w: int, a: int, b: int):
+def _frame_add(ring, state, units: int, u: int, w: int, a: int, b: int):
     """(state, rank) after the units e_v, v in the bit mask units, and the
-    row a*e_u + b*e_w (u != w; a, b != 0) join the frame (see census).  A
-    state is (covered vertex mask, trees): each tree a balanced component of
-    uncovered vertices, (mask, {v: (num, den)}) with f_v = num/den * f_root."""
+    row zeta^a*e_u + zeta^b*e_w (u != w) join the frame (see census), where
+    ring = (N, half): zeta has order N and zeta^half = -1.  A state is
+    (covered vertex mask, trees): each tree a balanced component of uncovered
+    vertices, (mask, {v: x}) with f_v = zeta^x * f_root."""
     cov, trees = state
     if cov >> u & 1 or cov >> w & 1:
         cov |= 1 << u | 1 << w
     else:
-        (mu, pu), (mw, pw) = (next((t for t in trees if t[0] >> v & 1), (1 << v, {v: (1, 1)}))
+        (mu, pu), (mw, pw) = (next((t for t in trees if t[0] >> v & 1), (1 << v, {v: 0}))
                               for v in (u, w))
-        mul, (nu, du), (nw, dw) = field.mul, pu[u], pw[w]
-        x, y = mul(a, mul(nu, dw)), mul(b, mul(nw, du))
+        n_ring, half = ring
+        # zeta^a*f_u + zeta^b*f_w = 0 exactly when shift = 0
+        shift = (a + pu[u] + half - b - pw[w]) % n_ring
         if pu is pw:
-            if field.add(x, y):  # a*f_u + b*f_w = 0 fails: an unbalanced cycle
+            if shift:  # an unbalanced cycle
                 cov |= mu
-        else:  # rescale w's side so that a*f_u + b*f_w = 0
-            x = field.neg(x)
-            pots = {**pu, **{v: (mul(s, x), mul(d, y)) for v, (s, d) in pw.items()}}
+        else:  # rescale w's side by zeta^shift, which balances the new edge
+            pots = {**pu, **{v: (x + shift) % n_ring for v, x in pw.items()}}
             trees = [t for t in trees if t[1] is not pu and t[1] is not pw] + [(mu | mw, pots)]
     cov |= units
     for mask, _ in trees:
@@ -560,40 +569,59 @@ def _frame_add(field: FieldTower, state, units: int, u: int, w: int, a: int, b: 
     return (cov, trees), cov.bit_count() + sum(len(pots) - 1 for _, pots in trees)
 
 
-def _frame_blocks(field: FieldTower, n: int, k: int, conj, r: int, t: int, h: int):
+def _frame_blocks(ring, n: int, k: int, conj, r: int, t: int, h: int):
     """The rows of sigma^a(C) and of sigma^a(C^perp), a in Z_m, as the
-    (units, u, w, a, b) of _frame_add (see census); conj[a] = eta^[a]."""
+    (units, u, w, a, b) of _frame_add (see census); zeta^conj[a] = eta^[a]."""
+    n_ring, half = ring
     full, support = (1 << n) - 1, sum(1 << r * j % n for j in range(k))
     x, y = r * h % n, r * (k - 1 + t) % n
     return [[((units << a % n | units >> n - a % n) & full, (x + a) % n, (y + a) % n, *gains(a))
              for a in range(len(conj))]
-            for units, gains in ((support & ~(1 << x), lambda a: (1, conj[a])),
-                                 (full & ~support & ~(1 << y), lambda a: (field.neg(conj[a]), 1)))]
+            for units, gains in ((support & ~(1 << x), lambda a: (0, conj[a])),
+                                 (full & ~support & ~(1 << y),
+                                  lambda a: ((conj[a] + half) % n_ring, 0)))]
 
 
 def _census_class_keys(args):
     """Both fingerprint keys of one parameter class, off the frame (census);
-    module-level for the process pool, and the field is rebuilt (cached)."""
-    p, e, m, n, k, conj, cls, classes = args
-    field = make_field(p, e, m)
+    module-level for the process pool, and every argument a plain int or a
+    tuple of them."""
+    ring, n, k, conj, cls, classes = args
+    m = len(conj)
     keys = []
-    for side, length in zip(_frame_blocks(field, n, k, conj, *cls), (n - k, k)):
-        state0, v0 = _frame_add(field, (0, []), *side[0])
-        firsts = [_frame_add(field, state0, *side[a]) for a in range(n + 1)]  # blocks 0 and a
+    for side, length in zip(_frame_blocks(ring, n, k, conj, *cls), (n - k, k)):
+        state0, v0 = _frame_add(ring, (0, []), *side[0])
+        firsts = [_frame_add(ring, state0, *side[a]) for a in range(n + 1)]  # blocks 0 and a
         rows = []  # the rows at m-a equal those at a; a row stops at full rank or a repeat
         for a, (state, v) in enumerate(firsts):
             ranks = [v0, v]
             while len(ranks) <= length and v != ranks[-2] and v < n:
-                state, v = _frame_add(field, state, *side[a * len(ranks) % m])
+                state, v = _frame_add(ring, state, *side[a * len(ranks) % m])
                 ranks.append(v)
             rows.append(tuple(ranks[1:]) + (v,) * (length + 1 - len(ranks)))
         # cls[1] is the least of the triple's three gaps, which sum to m
-        keys.append((rows, {c: _frame_add(field, firsts[c[1]][0], *side[c[2]])[1]
+        keys.append((rows, {c: _frame_add(ring, firsts[c[1]][0], *side[c[2]])[1]
                             for c in set(classes)}))
     (s_rows, s3), (t_rows, t3) = keys
     return (tuple(sorted((s_rows[min(a, m - a)], tuple(n - v for v in t_rows[min(a, m - a)]))
                          for a in range(m))),
             tuple(sorted((s3[cls], n - t3[cls]) for cls in classes)))
+
+
+def _eta_exponents(field: FieldTower, eta: int) -> tuple[int, int, int]:
+    """(N, half, le) for the nonzero eta (see census): zeta = eta, or -eta
+    when p is odd and eta has odd order, has order N, zeta^half = -1 and
+    zeta^le = eta.  ord(eta) is Q - 1 with each prime l | Q - 1 divided out
+    while eta^(o/l) = 1."""
+    o = field.Qm1
+    for ell in _prime_factors(o):
+        while o % ell == 0 and field.pow(eta, o // ell) == 1:
+            o //= ell
+    if field.p == 2:
+        return o, 0, 1
+    if o % 2 == 0:
+        return o, o // 2, 1
+    return 2 * o, o, o + 1
 
 
 def census(q: int, n: int, k: int, seed: int, trials: int = 100,
@@ -628,9 +656,25 @@ def census(q: int, n: int, k: int, seed: int, trials: int = 100,
     edges.  On a component f_v = phi_v*f_root along a spanning tree, and
     f_root = 0 once a vertex is covered or an edge closes a cycle with
     a*phi_u + b*phi_w != 0 (unbalanced): the rank is n minus the number of
-    uncovered components with only balanced cycles (_frame_add).  The
-    exponent sets, with their proofs, are those of invariants: mirror halves,
-    a stop at the first repeat (or full rank), triple translation classes."""
+    uncovered components with only balanced cycles (_frame_add).
+
+    * Exponents.  Every gain is 1, eta^[a] or -eta^[a], so every phi_v lies
+      in the cyclic group generated by zeta, chosen by _eta_exponents with
+      o = ord(eta): zeta = eta, N = o and half = 0 when p = 2, as then
+      -1 = 1; zeta = eta, N = o and half = o/2 when o is even, as eta^(o/2)
+      has order 2 and -1 is the one such element of a cyclic group; and
+      otherwise zeta = -eta, of order N = 2o as gcd(2, o) = 1, with
+      zeta^o = -eta^o = -1 (half = o) and zeta^(o+1) = -zeta = eta.  So with
+      le = 1, or o+1 in the last case, eta^[a] = zeta^(le*q^a) and
+      -1 = zeta^half, and since zeta has order N, zeta^x = zeta^y exactly
+      when x = y mod N.  A gain or potential is thus its exponent mod N, a
+      product the sum of exponents, and a*phi_u + b*phi_w = 0, that is
+      a*phi_u = -1*b*phi_w, the congruence x_a + x_u = half + x_b + x_w.
+      Once ord(eta) is found (one pow per prime l | Q - 1, and one more per
+      factor l divided out) the keys take no field arithmetic.
+
+    The sets J, with their proofs, are those of invariants: mirror halves, a
+    stop at the first repeat (or full rank), triple translation classes."""
     m = 2 * n
     if n < 6:
         raise ValueError("census needs n >= 6")
@@ -651,9 +695,10 @@ def census(q: int, n: int, k: int, seed: int, trials: int = 100,
         raise RuntimeError("could not sample eta outside the half-degree subfield")
 
     params = tuple(census_param_classes(n, k))
-    conj = tuple(field.frob_q(eta, a) for a in range(m))
+    n_ring, half, le = _eta_exponents(field, eta)
+    conj = tuple(le * pow(q, a, n_ring) % n_ring for a in range(m))
     classes = iv._translation_classes(iv.random_triples(m, trials, seed), m)
-    tasks = [(p, e, m, n, k, conj, cls, classes) for cls in params]
+    tasks = [((n_ring, half), n, k, conj, cls, classes) for cls in params]
     if jobs > 1:
         import concurrent.futures
 

@@ -14,13 +14,11 @@ on packed ints.
 Two interchangeable arithmetic backends exist:
 
 * ``table``   -- exp/log/Zech-log tables in int32 arrays, cached; selected
-                 automatically when Q <= TABLE_LIMIT, and refused above it.
-                 One walk over the powers of alpha fills them (see
-                 _build_tables), in plain Python when Q <= _PURE_TABLE_LIMIT,
-                 so small fields never load numpy.  Above that numpy extends
-                 the walk straight into those arrays, each block of powers
-                 the one before it times a fixed power, by split lookups.
-                 p = 2 keeps no Zech table, since addition there is XOR.
+                 automatically when Q <= _DEFAULT_TABLE_LIMIT (2**15),
+                 built on request up to TABLE_LIMIT (2**20), and refused
+                 above it.  One walk over the powers of alpha fills them in
+                 plain Python (see _build_tables).  p = 2 keeps no Zech
+                 table, since addition there is XOR.
 * ``generic`` -- direct arithmetic on packed ints; no field-sized tables.
                  Used for larger fields and to cross-check the table
                  backend.  At p = 2 addition is XOR and multiplication
@@ -59,13 +57,14 @@ import operator
 from array import array
 from dataclasses import dataclass
 
-TABLE_LIMIT = 1 << 23
+TABLE_LIMIT = 1 << 20  # the largest field the table backend builds on request
+_DEFAULT_TABLE_LIMIT = 1 << 15  # the largest field that takes tables by default
 
 
 def _default_backend(p: int, d: int) -> str:
     """The backend of a field with p**d elements when none is asked for (d
     is clamped at 0, so invalid input reaches FieldTower's own checks)."""
-    return "table" if p ** max(d, 0) <= TABLE_LIMIT else "generic"
+    return "table" if p ** max(d, 0) <= _DEFAULT_TABLE_LIMIT else "generic"
 
 
 class FieldError(ValueError):
@@ -295,39 +294,6 @@ def _search_default_modulus(p: int, d: int) -> int:
 # table construction
 # --------------------------------------------------------------------------
 
-_BLOCK = 1 << 14  # powers per step of the numpy table build
-_PURE_TABLE_LIMIT = 1 << 15  # fields with at most this many elements build without numpy
-
-
-def _alpha_powers(p: int, d: int, modulus: tuple[int, ...], count: int) -> list[int]:
-    """The packed powers alpha**0, ..., alpha**(count-1) modulo the monic
-    f = modulus, one multiplication by x per step: at p = 2 a shift and an
-    XOR by the packed f, at odd p the digit list shifted up and the top
-    digit t times -f added in, packed as it goes."""
-    out = []
-    if p == 2:
-        mod, top, cur = pack_digits(modulus, 2), 1 << d, 1
-        for _ in range(count):
-            out.append(cur)
-            cur <<= 1
-            if cur & top:
-                cur ^= mod
-        return out
-    neg_mod = [(-c) % p for c in modulus[:d]]
-    weights = [p**i for i in range(d)]
-    digits, cur = [1] + [0] * (d - 1), 1
-    for _ in range(count):
-        out.append(cur)
-        t = digits.pop()
-        digits.insert(0, 0)
-        if t:
-            digits = [(a + t * c) % p for a, c in zip(digits, neg_mod)]
-            cur = sum(map(operator.mul, digits, weights))
-        else:
-            cur *= p  # a shift alone, with no digit to reduce
-    return out
-
-
 def _build_tables(p: int, d: int, modulus: tuple[int, ...]):
     """exp/log/zech arrays for F_p[x]/(modulus), which must be primitive.
 
@@ -336,12 +302,10 @@ def _build_tables(p: int, d: int, modulus: tuple[int, ...]):
     length Q with log[0] = -1, zech[l] = log(alpha**l + 1) with -1 when
     alpha**l + 1 = 0.  zech is None at p = 2, where addition is XOR.
 
-    The powers of alpha come from one walk (_alpha_powers).  When Q <=
-    _PURE_TABLE_LIMIT it covers all Q - 1 of them and plain loops fill the
-    arrays, so the field never loads numpy (odd p costs a list step per
-    power, hence a bound on entries rather than on degree).  Above it the
-    walk gives the first B + d powers (B = _BLOCK) and numpy extends them
-    (_extend_with_numpy).
+    One walk gives the packed powers alpha**0, ..., alpha**(Q-2), one
+    multiplication by x per step: at p = 2 a shift and an XOR by the packed
+    f, at odd p the digit list shifted up and the top digit t times -f added
+    in, packed as it goes.  Plain loops fill the arrays from them.
 
     The build checks no primitivity: the order test (_x_is_primitive), the
     one proof for both backends, runs first in FieldTower.__init__, on the
@@ -349,9 +313,27 @@ def _build_tables(p: int, d: int, modulus: tuple[int, ...]):
     residue exactly once, so log inverts exp.
     """
     Q = p**d
-    if Q > _PURE_TABLE_LIMIT:
-        return _extend_with_numpy(p, d, _alpha_powers(p, d, modulus, _BLOCK + d))
-    powers = _alpha_powers(p, d, modulus, Q - 1)
+    powers, cur = [], 1
+    if p == 2:
+        mod, top = pack_digits(modulus, 2), 1 << d
+        for _ in range(Q - 1):
+            powers.append(cur)
+            cur <<= 1
+            if cur & top:
+                cur ^= mod
+    else:
+        neg_mod = [(-c) % p for c in modulus[:d]]
+        weights = [p**i for i in range(d)]
+        digits = [1] + [0] * (d - 1)
+        for _ in range(Q - 1):
+            powers.append(cur)
+            t = digits.pop()
+            digits.insert(0, 0)
+            if t:
+                digits = [(a + t * c) % p for a, c in zip(digits, neg_mod)]
+                cur = sum(map(operator.mul, digits, weights))
+            else:
+                cur *= p  # a shift alone, with no digit to reduce
     log = array("i", [-1]) * Q
     for l, v in enumerate(powers):
         log[v] = l
@@ -362,88 +344,14 @@ def _build_tables(p: int, d: int, modulus: tuple[int, ...]):
     return array("i", powers) * 2, log, zech
 
 
-def _extend_with_numpy(p: int, d: int, seed: list[int]):
-    """_build_tables above _PURE_TABLE_LIMIT, from the packed powers
-    alpha**0 .. alpha**(B+d-1) in seed (B = _BLOCK, B + d < Q - 1).
-
-    Each block of B powers after the seed is the block B places back times
-    alpha**B, an F_p-linear map on digits, applied by split lookups: a packed
-    v = lo + p**h * hi with h = ceil(d/2) maps to t_lo[lo] + t_hi[hi], the
-    reduced images of lo and of x**h * hi with digit j in lane j of w bits.
-    A lane of the sum is at most 2(p - 1) < 2**w, and a chunk table of at
-    most 2**16 entries reads c lanes at a time back to base p.  Every block
-    is written straight into the array('i') buffers the field keeps, through
-    numpy views."""
-    import numpy as np  # here only, so runs that build no large table never load it
-
-    Q = p**d
-    Qm1 = Q - 1
-    exp2 = array("i", [0]) * (2 * Qm1)
-    log = array("i", [-1]) * Q
-    exp2_v = np.frombuffer(exp2, dtype=np.int32)
-    exp_v = exp2_v[:Qm1]
-    log_v = np.frombuffer(log, dtype=np.int32)
-
-    exp_v[: len(seed)] = seed
-    place = p ** np.arange(d, dtype=np.int64)
-    jump = exp_v[_BLOCK : _BLOCK + d, None] // place % p  # row j: digits of alpha**(B+j)
-    h = (d + 1) // 2
-    w = (2 * (p - 1)).bit_length()
-    lane_of_digit = np.int64(1) << (w * np.arange(d, dtype=np.int64))
-
-    def split_table(count: int, first: int) -> np.ndarray:
-        """Lanes of (sum c_j x**(first+j)) * alpha**B for every c < p**count."""
-        digits = np.arange(p**count, dtype=np.int64)[:, None] // place[:count] % p
-        return digits @ jump[first : first + count] % p @ lane_of_digit
-
-    t_lo, t_hi = split_table(h, 0), split_table(d - h, h)
-    c = 16 // w  # lanes per chunk-table lookup
-    mask = (1 << (c * w)) - 1
-    if c:
-        v = np.arange(mask + 1, dtype=np.int64)
-        chunk = sum((v >> (w * j)) % (1 << w) % p * p**j for j in range(c)).astype(np.int32)
-
-    def to_packed(lanes: np.ndarray) -> np.ndarray:
-        if not c:  # one lane wider than 16 bits: d = 1 and p > 2**15
-            return lanes % p
-        out = chunk[lanes & mask]
-        for k in range(c, d, c):
-            out += chunk[(lanes >> (k * w)) & mask] * p**k
-        return out
-
-    pos = len(seed)
-    while pos < Qm1:
-        cnt = min(_BLOCK, Qm1 - pos)
-        hi, lo = np.divmod(exp_v[pos - _BLOCK : pos - _BLOCK + cnt], p**h)
-        exp_v[pos : pos + cnt] = to_packed(t_lo[lo] + t_hi[hi])
-        pos += cnt
-
-    steps = np.arange(_BLOCK, dtype=np.int32)
-    for s in range(0, Qm1, _BLOCK):
-        block = exp_v[s : s + _BLOCK]
-        log_v[block] = steps[: len(block)] + s
-
-    zech = None
-    if p > 2:
-        zech = array("i", [0]) * Qm1
-        zech_v = np.frombuffer(zech, dtype=np.int32)
-        for s in range(0, Qm1, _BLOCK):
-            block = exp_v[s : s + _BLOCK]
-            # alpha**l + 1 adds 1 to digit 0 mod p; log[0] = -1 marks it zero
-            zech_v[s : s + len(block)] = log_v[np.where(block % p == p - 1, block + 1 - p, block + 1)]
-
-    exp2_v[Qm1:] = exp_v
-    return exp2, log, zech
-
-
 # --------------------------------------------------------------------------
 # chunk tables of the generic backend at odd p
 # --------------------------------------------------------------------------
 
 # A spread chunk takes the most digits k with p**k <= _CHUNK_ENTRIES (four
 # at p = 3, 81 entries per table); a read-back lookup takes
-# _READ_BITS // w lanes of w bits, the rule _build_tables uses, but no more
-# than the d lanes an element has.
+# _READ_BITS // w lanes of w bits, but no more than the d lanes an element
+# has.
 _CHUNK_ENTRIES = 1 << 7
 _READ_BITS = 16
 
@@ -531,6 +439,9 @@ class FieldTower:
         if p > 2:
             self._init_lanes()
         self._exp = self._log = self._zech = None  # mul takes the generic kernels until tables exist
+        self._alpha_squares = [self.alpha]  # alpha**(2**i), i < the bit length of Q - 1
+        for _ in range(self.Qm1.bit_length() - 1):
+            self._alpha_squares.append(self.mul(self._alpha_squares[-1], self._alpha_squares[-1]))
         if not self._x_is_primitive():
             raise FieldError("modulus is not primitive")
         if backend == "table":
@@ -683,12 +594,7 @@ class FieldTower:
         k %= self.Qm1
         if self._exp is not None:
             return self._exp[self._log[a] * k % self.Qm1]
-        return self._powmod(a, k)
-
-    def _powmod(self, a: int, k: int) -> int:
-        """a**k for k >= 0 by square-and-multiply through mul, with k not
-        reduced mod Q - 1 (so it also serves before f is known primitive)."""
-        result = 1
+        result = 1  # square-and-multiply through mul
         while k:
             if k & 1:
                 result = self.mul(result, a)
@@ -697,11 +603,20 @@ class FieldTower:
         return result
 
     def alpha_pow(self, k: int) -> int:
-        if self.Qm1 == 1:
-            return 1
+        k %= self.Qm1
         if self._exp is not None:
-            return self._exp[k % self.Qm1]
-        return self.pow(self.alpha, k)
+            return self._exp[k]
+        return self._alpha_pow(k)
+
+    def _alpha_pow(self, k: int) -> int:
+        """alpha**k for 0 <= k <= Q - 1, the product of the _alpha_squares at
+        the set bits of k (so it also serves before f is known primitive)."""
+        result = 1
+        for square in self._alpha_squares:
+            if k & 1:
+                result = self.mul(result, square)
+            k >>= 1
+        return result
 
     # -- generic backend: digit lanes and the primitivity proof -------------
 
@@ -808,11 +723,11 @@ class FieldTower:
         order Q - 1, its powers are Q - 1 distinct units, so every nonzero
         residue is a unit and R is a field: f is irreducible (a proper factor
         of f would be a nonzero non-unit), and x generates the multiplicative
-        group.  mul and _powmod compute in R whether or not it is a field."""
+        group.  mul and _alpha_pow compute in R whether or not it is a field."""
         qm1 = self.Qm1
-        if self._powmod(self.alpha, qm1) != 1:
+        if self._alpha_pow(qm1) != 1:
             return False
-        return all(self._powmod(self.alpha, qm1 // ell) != 1 for ell in _prime_factors(qm1))
+        return all(self._alpha_pow(qm1 // ell) != 1 for ell in _prime_factors(qm1))
 
     # -- row kernels of linalg._insert_row -----------------------------------
 

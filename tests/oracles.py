@@ -43,6 +43,9 @@ against.
 * apply_full_aut / orbit_of_code / gl_n_q_generators: the image of a code
   under a full automorphism, and the closure of one code under the full
   equivalence group, for exhaustive small-parameter partitions.
+* aut_orbits_eta: the orbits of a -> a^p on the admissible twist scalars,
+  walked element by element through the field's norm and Frobenius, the
+  former classify.count_aut_orbits_eta.
 * bruteforce_equivalent / _digits_to_matrix: the exact equivalence search
   with one zero-skipping scatter of each product's digits into the equations
   and a separate decoder of kernel digits into A, the former search behind
@@ -614,6 +617,21 @@ def gl_n_q_generators(field, n: int):
         )
         gens.append(diag)
     return gens
+
+
+def aut_orbits_eta(field, k: int) -> int:
+    """Orbits of a -> a^p on {eta : norm(eta) != (-1)^(k*m)}, 0 included."""
+    seen = set()
+    orbits = 0
+    for a in range(field.Q):
+        if a in seen or not cd.norm_condition_ok(field, k, a):
+            continue
+        orbits += 1
+        b = a
+        while b not in seen:
+            seen.add(b)
+            b = field.frob_p(b, 1)
+    return orbits
 
 
 def bruteforce_equivalent(c1: cd.LinearCode, c2: cd.LinearCode,

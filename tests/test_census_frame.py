@@ -1,28 +1,31 @@
 """The census reads every key off the Moore frame of g (classify.census).
 
 The keys are checked against the fingerprints of the built codes, each of
-the four facts the census docstring proves is checked on its own, the frame
+the five facts the census docstring proves is checked on its own, the frame
 rank is checked against elimination, and the keys of stored seeds against
 bench/refs.json."""
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
+import sympy
 
 from conftest import FP_FIELDS, FP_IDS
 import rankinv.classify as cl
 import rankinv.codes as cd
 import rankinv.invariants as iv
 import rankinv.linalg as la
+from rankinv import gf
 from rankinv.gf import GaloisAut, make_field
 from rankinv.rng import DetRNG
 
 REFS = Path(__file__).resolve().parents[1] / "bench" / "refs.json"
 
 # (backend, q, n, k): p in {2, 3} and e in {1, 2}; q = 4 and q = 9 have
-# Q above the table limit, so they run on the generic backend
+# Q above TABLE_LIMIT, so they run on the generic backend
 CASES = [("table", 2, 6, 2), ("table", 3, 6, 2), ("table", 2, 7, 3), ("table", 3, 6, 4),
          ("table", 2, 8, 3), ("generic", 2, 6, 2), ("generic", 3, 6, 3),
          ("generic", 4, 6, 2), ("generic", 9, 6, 2)]
@@ -45,20 +48,25 @@ def _code(field, report, cls):
 
 
 def _frame(field, report):
-    """E, whose row j is e_j = g^[j], and the conjugates eta^[a], a in Z_m."""
-    return _moore(field, report.g), tuple(field.frob_q(report.eta, a) for a in range(field.m))
+    """E, whose row j is e_j = g^[j], and the census's ring (N, half), the
+    exponents conj with zeta^conj[a] = eta^[a], a in Z_m, and zeta."""
+    n_ring, half, le = cl._eta_exponents(field, report.eta)
+    zeta = report.eta if le == 1 else field.neg(report.eta)
+    conj = tuple(le * field.q**a % n_ring for a in range(field.m))
+    return _moore(field, report.g), (n_ring, half), conj, zeta
 
 
 def _moore(field, g):
     return tuple(GaloisAut(field, j).on_vector(g) for j in range(len(g)))
 
 
-def _e_rows(field, n, block):
-    """The rows of one _frame_add block in e-coordinates."""
+def _e_rows(field, zeta, n, block):
+    """The rows of one _frame_add block in e-coordinates, its gains the
+    powers of zeta."""
     units, u, w, a, b = block
     rows = [tuple(int(i == v) for i in range(n)) for v in range(n) if units >> v & 1]
     edge = [0] * n
-    edge[u], edge[w] = a, b
+    edge[u], edge[w] = field.pow(zeta, a), field.pow(zeta, b)
     return rows + [tuple(edge)]
 
 
@@ -111,17 +119,17 @@ def test_frame_basis(monkeypatch, case):
 def test_frame_shift(monkeypatch, case):
     backend, q, n, k = case
     report, field = _census(monkeypatch, backend, q, n, k, seed=4, trials=0)
-    E, conj = _frame(field, report)
+    E, ring, conj, zeta = _frame(field, report)
     m = field.m
     for a in range(m):
         for j in range(n):
             assert GaloisAut(field, a).on_vector(E[j]) == E[(j + a) % n]
     for cls in report.params:
         code = _code(field, report, cls)
-        side = cl._frame_blocks(field, n, k, conj, *cls)[0]
+        side = cl._frame_blocks(ring, n, k, conj, *cls)[0]
         for a in range(m):
             image = _span(field, [GaloisAut(field, a).on_vector(row) for row in code.gen], n)
-            rows = [la.vec_mat(field, c, E) for c in _e_rows(field, n, side[a])]
+            rows = [la.vec_mat(field, c, E) for c in _e_rows(field, zeta, n, side[a])]
             assert cd.code_equal(_span(field, rows, n), image), (cls, a)
 
 
@@ -129,14 +137,15 @@ def test_frame_shift(monkeypatch, case):
 def test_frame_sparse_rows(monkeypatch, case):
     backend, q, n, k = case
     report, field = _census(monkeypatch, backend, q, n, k, seed=5, trials=0)
-    E, conj = _frame(field, report)
+    E, ring, conj, zeta = _frame(field, report)
     for r, t, h in report.params:
         support = [r * j % n for j in range(k)] + [r * (k - 1 + t) % n]
         assert len(set(support)) == k + 1
-        units, u, w, a, b = cl._frame_blocks(field, n, k, conj, r, t, h)[0][0]
-        assert (u, w, a, b) == (r * h % n, support[-1], 1, report.eta)
+        units, u, w, a, b = cl._frame_blocks(ring, n, k, conj, r, t, h)[0][0]
+        assert (u, w) == (r * h % n, support[-1])
+        assert (field.pow(zeta, a), field.pow(zeta, b)) == (1, report.eta)
         assert units == sum(1 << v for v in support[:k]) & ~(1 << u)
-        rows = [la.vec_mat(field, c, E) for c in _e_rows(field, n, (units, u, w, a, b))]
+        rows = [la.vec_mat(field, c, E) for c in _e_rows(field, zeta, n, (units, u, w, a, b))]
         assert cd.code_equal(_span(field, rows, n), _code(field, report, (r, t, h)))
 
 
@@ -144,13 +153,14 @@ def test_frame_sparse_rows(monkeypatch, case):
 def test_frame_complement(monkeypatch, case):
     backend, q, n, k = case
     report, field = _census(monkeypatch, backend, q, n, k, seed=6, trials=0)
-    _, conj = _frame(field, report)
+    _, ring, conj, zeta = _frame(field, report)
     for cls in report.params:
-        sides = cl._frame_blocks(field, n, k, conj, *cls)
-        code_e = _e_rows(field, n, sides[0][0])
+        sides = cl._frame_blocks(ring, n, k, conj, *cls)
+        code_e = _e_rows(field, zeta, n, sides[0][0])
         perp_e = la.nullspace(field, code_e, n)  # the coordinate form in e-coordinates
         for a in range(field.m):
-            rows, comp = _e_rows(field, n, sides[0][a]), _e_rows(field, n, sides[1][a])
+            rows = _e_rows(field, zeta, n, sides[0][a])
+            comp = _e_rows(field, zeta, n, sides[1][a])
             # the blocks at a are sigma^a of those at 0, and sigma^a commutes with perp
             assert cd.code_equal(_span(field, rows, n), _span(field, _e_image(field, code_e, a), n))
             assert cd.code_equal(_span(field, comp, n), _span(field, _e_image(field, perp_e, a), n))
@@ -162,47 +172,50 @@ def test_frame_complement(monkeypatch, case):
 # the frame rank against elimination
 # --------------------------------------------------------------------------
 
-def _nonzero(field, rng):
-    return 1 + rng.randbelow(field.Q - 1)
+def _alpha_ring(field):
+    """zeta = alpha, of order N = Q - 1, with -1 = alpha^((Q-1)/2), or 1 at p = 2."""
+    return field.Qm1, field.Qm1 // 2 if field.p > 2 else 0
 
 
 def _check_blocks(field, n, blocks):
-    """Feed the blocks to _frame_add one by one; after each, the rank must be
-    the rank of all rows so far."""
-    state, rows = (0, []), []
+    """Feed the blocks, gains as exponents of alpha, to _frame_add one by
+    one; after each, the rank must be the rank of all rows so far."""
+    ring, state, rows = _alpha_ring(field), (0, []), []
     for block in blocks:
-        state, rank = cl._frame_add(field, state, *block)
-        rows += _e_rows(field, n, block)
+        state, rank = cl._frame_add(ring, state, *block)
+        rows += _e_rows(field, field.alpha, n, block)
         assert rank == la.rank(field, rows), blocks
 
 
 def _balanced(field, phi, u, w, a):
-    """The gain b with a*phi_u + b*phi_w = 0."""
-    return field.neg(field.div(field.mul(a, phi[u]), phi[w]))
+    """The gain b with alpha^a*alpha^phi_u + alpha^b*alpha^phi_w = 0."""
+    n_ring, half = _alpha_ring(field)
+    return (a + phi[u] - phi[w] + half) % n_ring
 
 
 @pytest.mark.parametrize("case", FP_FIELDS, ids=FP_IDS)
 def test_frame_rank_matches_elimination(case):
     backend, p, e, m = case
     field = make_field(p, e, m, backend=backend)
+    N = field.Qm1
     rng = DetRNG(29, f"frame-rank/{backend}/{p}/{e}/{m}")
     for _ in range(60):
         n = 2 + rng.randbelow(7)
-        phi = [_nonzero(field, rng) for _ in range(n)]
+        phi = [rng.randbelow(N) for _ in range(n)]
         blocks = []
         for _ in range(1 + rng.randbelow(2 * n)):
             u, w = rng.sample_distinct(2, n)
             units = rng.randbelow(1 << n) if rng.randbelow(3) == 0 else 0
-            a = _nonzero(field, rng)
+            a = rng.randbelow(N)
             # mostly gains of one potential, so that cycles close balanced
-            b = _balanced(field, phi, u, w, a) if rng.randbelow(4) else _nonzero(field, rng)
+            b = _balanced(field, phi, u, w, a) if rng.randbelow(4) else rng.randbelow(N)
             blocks.append((units, u, w, a, b))
             if rng.randbelow(4) == 0:  # a parallel edge
-                c = _nonzero(field, rng)
+                c = rng.randbelow(N)
                 if rng.randbelow(2):  # the same row scaled: dependent
-                    blocks.append((0, u, w, field.mul(a, c), field.mul(b, c)))
+                    blocks.append((0, u, w, (a + c) % N, (b + c) % N))
                 else:  # turned round, with a random gain
-                    blocks.append((0, w, u, c, _nonzero(field, rng)))
+                    blocks.append((0, w, u, c, rng.randbelow(N)))
         _check_blocks(field, n, blocks)
 
 
@@ -210,30 +223,82 @@ def test_frame_rank_matches_elimination(case):
 def test_frame_rank_on_structured_graphs(case):
     backend, p, e, m = case
     field = make_field(p, e, m, backend=backend)
+    N = field.Qm1
     rng = DetRNG(31, f"frame-structured/{backend}/{p}/{e}/{m}")
     for n in (2, 4, 6, 8):
-        phi = [_nonzero(field, rng) for _ in range(n)]
+        phi = [rng.randbelow(N) for _ in range(n)]
         cycle = [(v, (v + 1) % n) for v in range(n)]
         balanced = [(0, u, w, a, _balanced(field, phi, u, w, a))
-                    for u, w in cycle for a in [_nonzero(field, rng)]]
+                    for u, w in cycle for a in [rng.randbelow(N)]]
         # a balanced cycle leaves one component uncovered: rank n - 1
         _check_blocks(field, n, balanced)
         state = (0, [])
         for block in balanced:
-            state, rank = cl._frame_add(field, state, *block)
+            state, rank = cl._frame_add(_alpha_ring(field), state, *block)
         assert rank == n - 1
-        # a new gain on the last edge unbalances the cycle unless it equals b
+        # a new gain on the last edge unbalances the cycle
         units, u, w, a, b = balanced[-1]
-        _check_blocks(field, n, balanced[:-1] + [(units, u, w, a, field.add(b, 1) or 1)])
+        _check_blocks(field, n, balanced[:-1] + [(units, u, w, a, (b + 1) % N)])
         # y - x = n/2: the shift by n/2 turns the edge round, as in the census
-        half = n // 2
-        for x in range(half):
-            a, b = _nonzero(field, rng), _nonzero(field, rng)
-            _check_blocks(field, n, [(0, x, x + half, 1, a), (0, x + half, x, 1, b)])
-            _check_blocks(field, n, [(0, x, x + half, 1, a), (0, x + half, x, a, 1)])
+        h = n // 2
+        for x in range(h):
+            a, b = rng.randbelow(N), rng.randbelow(N)
+            _check_blocks(field, n, [(0, x, x + h, 0, a), (0, x + h, x, 0, b)])
+            _check_blocks(field, n, [(0, x, x + h, 0, a), (0, x + h, x, a, 0)])
         # a unit on a tree covers the whole tree
         tree = balanced[:-1]
-        _check_blocks(field, n, tree + [(1 << (n - 1), 0, 1, 1, phi[0])])
+        _check_blocks(field, n, tree + [(1 << (n - 1), 0, 1, 0, phi[0])])
+
+
+# --------------------------------------------------------------------------
+# the exponent ring
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("case", FP_FIELDS, ids=FP_IDS)
+def test_eta_exponents_give_zeta_of_order_n(case):
+    # every nonzero eta = alpha^l, whose order is (Q-1)/gcd(l, Q-1): zeta
+    # (eta, or -eta when p is odd and eta has odd order) has order N,
+    # zeta^le = eta and zeta^half = -1; at odd p both parities of ord(eta) occur
+    backend, p, e, m = case
+    field = make_field(p, e, m, backend=backend)
+    minus_one = field.neg(1)
+    parities = set()
+    for l in range(field.Qm1):
+        eta = field.alpha_pow(l)
+        order = field.Qm1 // math.gcd(l, field.Qm1)
+        n_ring, half, le = cl._eta_exponents(field, eta)
+        zeta = eta if le == 1 else field.neg(eta)
+        assert n_ring in (order, 2 * order) and (le == 1) == (n_ring == order)
+        assert field.pow(zeta, le) == eta and field.pow(zeta, half) == minus_one
+        assert field.pow(zeta, n_ring) == 1
+        assert all(field.pow(zeta, n_ring // ell) != 1 for ell in sympy.primefactors(n_ring))
+        parities.add(order % 2)
+    assert parities == ({1} if p == 2 else {0, 1})
+
+
+@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+def test_class_keys_make_no_field_call(monkeypatch, case):
+    # the pool tasks are plain ints, and the keys come out unchanged with
+    # every FieldTower method, the constructor included, made to fail
+    backend, q, n, k = case
+    tasks = []
+    real = cl._census_class_keys
+    monkeypatch.setattr(cl, "_census_class_keys", lambda task: tasks.append(task) or real(task))
+    report, _ = _census(monkeypatch, backend, q, n, k, seed=8)
+
+    def plain(x):
+        return type(x) is int or type(x) is tuple and all(map(plain, x))
+
+    assert len(tasks) == report.ub and all(map(plain, tasks))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a FieldTower call while computing class keys")
+
+    for name, attr in vars(gf.FieldTower).items():
+        if callable(attr):
+            monkeypatch.setattr(gf.FieldTower, name, refuse)
+    assert [real(task) for task in tasks] == list(zip(report.fingerprints1,
+                                                       report.fingerprints2))
 
 
 # --------------------------------------------------------------------------

@@ -134,6 +134,16 @@ def test_counting_mrd_lower():
         cl.counting(2, 2, 4, 6).get("no_such_bound")
 
 
+@pytest.mark.parametrize("case", FP_FIELDS, ids=FP_IDS)
+@pytest.mark.parametrize("k", [1, 2])
+def test_eta_orbit_count_matches_the_field_walk(case, k):
+    # exponents against every element's norm and Frobenius orbit; k*m is odd
+    # for k = 1 and m = 3 or 5, where the walk excludes the norm -1 at odd p
+    backend, p, e, m = case
+    field = make_field(p, e, m, backend=backend)
+    assert cl.count_aut_orbits_eta(p**e, m, k) == oracles.aut_orbits_eta(field, k)
+
+
 def test_eta_orbit_count():
     assert cl.count_aut_orbits_eta(3, 2, 1) == 3
     # over F_2 every nonzero scalar has norm 1, leaving only eta = 0
@@ -141,6 +151,8 @@ def test_eta_orbit_count():
     assert cl.count_aut_orbits_eta(2, 30, 1) is None  # beyond the field cap
     with pytest.raises(ValueError):
         cl.count_aut_orbits_eta(6, 2, 1)
+    with pytest.raises(ValueError, match="m must be"):
+        cl.count_aut_orbits_eta(3, 0, 1)
 
 
 def test_q_to_pe_matches_sympy_factorint():

@@ -32,9 +32,10 @@ from conftest import FP_FIELDS, FP_IDS, WORKED_EXAMPLE_MODULUS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# non-primitive irreducible and reducible moduli of block-path fields (more
-# powers than the seed of the table build): x^15 + x^6 + x^5 + x^3 + x^2 + x
-# + 1 and x^15 + 1 over F_2, x^9 + 2x^3 + x^2 + x + 2 and x^9 + 1 over F_3
+# non-primitive irreducible and reducible moduli of F_{2^15} and F_{3^9},
+# the largest fields at p = 2 and p = 3 that take tables by default:
+# x^15 + x^6 + x^5 + x^3 + x^2 + x + 1 and x^15 + 1 over F_2,
+# x^9 + 2x^3 + x^2 + x + 2 and x^9 + 1 over F_3
 NON_PRIMITIVE_MODULI = [
     (2, (1, 1, 1, 1, 0, 1, 1) + (0,) * 8 + (1,), True),
     (2, (1,) + (0,) * 14 + (1,), False),
@@ -136,12 +137,10 @@ def test_reducible_modulus_rejected():
                                  (2, 1), (3, 1), (5, 1), (7, 1), (65537, 1),
                                  (2, 15), (3, 9), (5, 6), (7, 5), (3, 10)])
 def test_tables_match_oracle_builder(p, d):
-    # both builds against the former (B x d)(d x d) block product.  Up to
-    # _PURE_TABLE_LIMIT elements the power walk fills every table (F_{2^15},
-    # F_{3^9}, F_{5^6} and F_{7^5} are the largest such fields for their p);
-    # above it numpy extends the walk by split lookups: F_{3^10} (the first
-    # odd-p field past the bound), F_{5^7}, F_{7^6}, F_{2^16}, F_{3^12} and
-    # F_65537, the last with a lane wider than a chunk table
+    # the power walk against the former (B x d)(d x d) block product, on
+    # fields up to and past _DEFAULT_TABLE_LIMIT: F_{2^15}, F_{3^9}, F_{5^6}
+    # and F_{7^5} take tables by default, F_{3^10}, F_{5^7}, F_{7^6},
+    # F_{2^16}, F_{3^12} and F_65537 only when asked for them
     mod = default_modulus(p, d)
     exp2, log, zech = gf._build_tables(p, d, mod)
     want_exp2, want_log, want_zech = oracles.build_tables(p, d, mod)
@@ -156,7 +155,6 @@ def test_tables_match_oracle_builder(p, d):
 @pytest.mark.parametrize("p,mod,irreducible", NON_PRIMITIVE_MODULI)
 def test_both_builders_reject_non_primitive_block_path_moduli(p, mod, irreducible):
     d = len(mod) - 1
-    assert p**d - 1 > gf._BLOCK + d
     assert _sympy_irreducible(mod, p) == irreducible
     assert not oracles.poly_is_primitive(mod, p)
     with pytest.raises(FieldError):
@@ -196,10 +194,12 @@ def test_every_construction_runs_the_order_test_once(monkeypatch, case):
 
 
 def test_table_backend_refused_above_the_table_limit():
-    # 2^24 > TABLE_LIMIT: refused before any modulus search or allocation
-    assert 2**24 > gf.TABLE_LIMIT
-    with pytest.raises(FieldError, match="table backend"):
-        gf.FieldTower(2, 1, 24, backend="table")
+    # 2^24 > 3^13 > TABLE_LIMIT: refused before any modulus search (F_{3^13}
+    # has no stored modulus) or allocation
+    assert 2**24 > 3**13 > gf.TABLE_LIMIT
+    for p, d in ((2, 24), (3, 13)):
+        with pytest.raises(FieldError, match="table backend"):
+            gf.FieldTower(p, 1, d, backend="table")
 
 
 def _run_python(code: str) -> str:
@@ -211,31 +211,20 @@ def _run_python(code: str) -> str:
     return done.stdout
 
 
-def test_table_build_peak_memory_stays_within_twice_the_tables():
-    # F_{3^14} keeps 76 MB of tables; the build's temporaries must not double that
-    out = _run_python(
-        "import resource\n"
-        "import numpy\n"
-        "from rankinv import gf\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "F = gf.make_field(3, 1, 14)\n"
-        "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-        "kept = sum(len(t) * t.itemsize for t in (F._exp, F._log, F._zech))\n"
-        "print((after - before) * 1024, kept)\n")
-    grown, kept = map(int, out.split())
-    assert kept == 4 * (2 * (3**14 - 1) + 3**14 + (3**14 - 1))
-    assert grown <= 2 * kept
-
-
-def test_tables_up_to_the_pure_limit_build_without_numpy():
-    assert 2**15 <= gf._PURE_TABLE_LIMIT and 3**9 <= gf._PURE_TABLE_LIMIT < 3**10
+def test_census_and_requested_large_tables_leave_numpy_unloaded():
+    # a default census over F_{3^14} runs on the generic backend, and the
+    # largest tables the benchmark asks for come from the power walk alone
     out = _run_python(
         "import sys\n"
-        "from rankinv import gf\n"
-        "for d in (15, 9, 10):\n"
-        "    F = gf.make_field(2 if d == 15 else 3, 1, d)\n"
-        "    print(F.backend, 'numpy' in sys.modules)\n")
-    assert out.split() == ["table", "False", "table", "False", "table", "True"]
+        "from rankinv import classify, gf\n"
+        "report, field = classify.census(3, 7, 3, 1)\n"
+        "print(field.Q, field.backend)\n"
+        "for p, d in ((3, 12), (2, 16)):\n"
+        "    F = gf.make_field(p, 1, d, backend='table')\n"
+        "    print(F.Q, F.backend, len(F._log))\n"
+        "print('numpy' in sys.modules)\n")
+    assert out.split() == [str(3**14), "generic", str(3**12), "table", str(3**12),
+                           str(2**16), "table", str(2**16), "False"]
 
 
 def test_census_on_a_generic_field_leaves_numpy_unloaded():
@@ -659,3 +648,7 @@ def test_make_field_caches_by_the_resolved_backend():
     generic = make_field(2, 1, 11, backend="generic")
     assert generic is not make_field(2, 1, 11) and generic.backend == "generic"
     assert make_field(3, 1, 16) is make_field(3, 1, 16, backend="generic")
+    # tables by default up to 2^15 elements, the generic backend above
+    assert make_field(2, 1, 15) is make_field(2, 1, 15, backend="table")
+    assert make_field(2, 1, 16) is make_field(2, 1, 16, backend="generic")
+    assert make_field(3, 1, 10) is make_field(3, 1, 10, backend="generic")
