@@ -131,6 +131,9 @@ class Differences:
     padded with zeros at the pivots, and xR lies in theta^j(C) exactly when
     x D_j = 0.
 
+    A is put in the field's row form (FieldTower.row_form) once, and every
+    block is computed and fed in it; only rows, cols and meet convert back.
+
     Every elimination of stacked blocks grows the code's private trie:
     _trie[side] for side "rows" (blocks D_j) or "cols" (blocks D_j^T) is the
     root node (rank, IncrementalRank, children) of no block fed, children[j]
@@ -143,36 +146,37 @@ class Differences:
     def __init__(self, code: LinearCode):
         self.code = code
         pivots = {next(c for c, a in enumerate(row) if a) for row in code.gen}
-        self._A = tuple(tuple(a for c, a in enumerate(row) if c not in pivots)
-                        for row in code.gen)
-        self._rows: dict[int, la.Matrix] = {}
-        self._cols: dict[int, la.Matrix] = {}
+        self._A = code.field.row_form([[a for c, a in enumerate(row) if c not in pivots]
+                                       for row in code.gen])
+        self._blocks: dict[tuple[str, int], la.Matrix] = {}
         self._trie = {side: (0, la.IncrementalRank(code.field), {}) for side in ("rows", "cols")}
+
+    def _block(self, side: str, j: int) -> la.Matrix:
+        """D_j on side "rows", its transpose on side "cols", in the row form;
+        j in Z_m."""
+        B = self._blocks.get((side, j))
+        if B is None:
+            diffs = self.code.field.frob_q_diffs
+            B = self._blocks[side, j] = (tuple(diffs(a, j) for a in self._A) if side == "rows"
+                                         else tuple(zip(*self._block("rows", j))))
+        return B
 
     def rows(self, j: int) -> la.Matrix:
         """D_j: k rows, n-k wide."""
-        j %= self.code.field.m
-        D = self._rows.get(j)
-        if D is None:
-            diffs = self.code.field.frob_q_diffs
-            D = self._rows[j] = tuple(diffs(a, j) for a in self._A)
-        return D
+        field = self.code.field
+        return field.packed_rows(self._block("rows", j % field.m))
 
     def cols(self, j: int) -> la.Matrix:
         """The transpose of D_j: n-k rows, k wide (no rows when k = 0)."""
-        j %= self.code.field.m
-        T = self._cols.get(j)
-        if T is None:
-            T = self._cols[j] = tuple(zip(*self.rows(j)))
-        return T
+        field = self.code.field
+        return field.packed_rows(self._block("cols", j % field.m))
 
     def ranks(self, side: str, exps):
         """Rank of the stacked blocks at exponents exps after each block
         (lazily), from the longest prefix already fed.  At full rank, n-k on
         side "rows" and k on side "cols", no block is formed or fed."""
         m = self.code.field.m
-        blocks, width = (self.rows, self.code.n - self.code.k) if side == "rows" \
-            else (self.cols, self.code.k)
+        width = self.code.n - self.code.k if side == "rows" else self.code.k
         rank, inc, children = self._trie[side]
         for j in exps:
             j %= m
@@ -180,7 +184,7 @@ class Differences:
             if node is None:
                 if rank < width:
                     inc = inc.copy()  # the stored node's basis stays as it is
-                    for row in blocks(j):
+                    for row in self._block(side, j):
                         if any(row):
                             rank += inc.add_row(row)
                             if rank == width:
@@ -199,7 +203,7 @@ class Differences:
         node = self._trie["cols"]
         for j in path:
             node = node[2][j % m]
-        kernel = la.nullspace(field, node[1].rows(), self.code.k)
+        kernel = la.nullspace(field, field.packed_rows(node[1].rows()), self.code.k)
         return la.rref(field, [la.vec_mat(field, x, self.code.gen) for x in kernel])[0]
 
 

@@ -11,7 +11,7 @@ vector (c_0, ..., c_{d-1}) in base p:
 power of alpha.  All arithmetic lives on the FieldTower object and operates
 on packed ints.
 
-Two interchangeable arithmetic backends exist:
+Three interchangeable arithmetic backends exist:
 
 * ``table``   -- exp/log/Zech-log tables in int32 arrays, cached; selected
                  automatically when Q <= _DEFAULT_TABLE_LIMIT (2**15),
@@ -19,9 +19,14 @@ Two interchangeable arithmetic backends exist:
                  above it.  One walk over the powers of alpha fills them in
                  plain Python (see _build_tables).  p = 2 keeps no Zech
                  table, since addition there is XOR.
+* ``tower``   -- even d = 2d' with Q' = p**d' <= TABLE_LIMIT, the default
+                 when Q > 2**15 >= Q'.  Packed arithmetic is the generic
+                 backend's; linalg's elimination and codes.Differences work
+                 on logs (the row form: log + 1, 0 for 0), each log and Zech
+                 log read off tables of F_{Q'} built on first row use.
 * ``generic`` -- direct arithmetic on packed ints; no field-sized tables.
-                 Used for larger fields and to cross-check the table
-                 backend.  At p = 2 addition is XOR and multiplication
+                 Used for the other large fields and to cross-check the
+                 table backend.  At p = 2 addition is XOR and multiplication
                  shift-and-XOR.  At odd p every operation works on the
                  digits spread into the lanes of one int (see
                  FieldTower._init_lanes), and multiplication is one
@@ -35,10 +40,34 @@ Two interchangeable arithmetic backends exist:
                  product of Frobenius images, divided by the norm of a down
                  to F_p; the row kernel of the elimination never takes one.
 
-Both backends take one proof that f is primitive: the order test of x
+Every backend takes one proof that f is primitive: the order test of x
 (FieldTower._x_is_primitive, Q-1 factored by trial division and Pollard-Brent
 in _prime_factors).  Every tower runs it on itself, with the generic kernels,
 before it builds any table; the modulus search runs it through _is_primitive.
+
+The tower backend's identities, with R = Q' + 1, beta = alpha**R, logs to
+base alpha and half = log(-1), which is (Q-1)/2 at odd p and 0 at p = 2:
+
+* beta has order Q' - 1 (alpha has order R(Q' - 1)), so it generates the
+  units of F_{Q'}, which are the alpha**k with R | k, and its minimal
+  polynomial g is primitive of degree d': F_{Q'} = F_p[y]/(g), y = beta.
+* alpha is not in F_{Q'}, so x = x0 + x1*alpha with x0, x1 in F_{Q'},
+  F_p-linearly (beta**i * alpha**b is digit i of x_b), and alpha**2 =
+  T*alpha - N with T = alpha + alpha**Q' and N = alpha**(Q'+1) = beta in
+  F_{Q'}, as alpha**Q' is alpha's conjugate over F_{Q'}.
+* Coset split: k = R*s + r, 0 <= r < R, gives alpha**k = beta**s *
+  alpha**r, alpha**r = a0(r) + a1(r)*alpha, and a1(r) = 0 only at r = 0.
+  The walk (a0 + a1*alpha)*alpha = -N*a1 + (a0 + T*a1)*alpha steps r with
+  subfield operations alone.
+* x != 0 has log R*log_beta(x0) when x1 = 0, else R*log_beta(x1) + L[u]
+  with u = x0/x1 and L[u] = log(u + alpha).  At 0 < r < R, alpha**r =
+  a1(r)*(u + alpha) with u = a0(r)/a1(r), so the walk sets L[u] =
+  r - R*log_beta(a1(r)); every u comes up, as u + alpha, not in F_{Q'}, is
+  beta**s * alpha**r with r != 0.
+* 1 + alpha**k = (1 + beta**s*a0(r)) + beta**s*a1(r)*alpha, so its log
+  Z(k) is a few subfield lookups and the rule above (none when both
+  coordinates vanish).  For a = alpha**la, a + alpha**lt = alpha**(la +
+  Z(lt - la)), and a**(p**j) - a = (-a)(1 + alpha**(half + la*(p**j - 1))).
 
 The intermediate subfield F_q is generated by gamma = alpha**((Q-1)//(q-1)).
 Automorphism conventions used across the package:
@@ -55,6 +84,7 @@ import functools
 import math
 import operator
 from array import array
+from collections import namedtuple
 from dataclasses import dataclass
 
 TABLE_LIMIT = 1 << 20  # the largest field the table backend builds on request
@@ -64,7 +94,9 @@ _DEFAULT_TABLE_LIMIT = 1 << 15  # the largest field that takes tables by default
 def _default_backend(p: int, d: int) -> str:
     """The backend of a field with p**d elements when none is asked for (d
     is clamped at 0, so invalid input reaches FieldTower's own checks)."""
-    return "table" if p ** max(d, 0) <= _DEFAULT_TABLE_LIMIT else "generic"
+    if p ** max(d, 0) <= _DEFAULT_TABLE_LIMIT:
+        return "table"
+    return "tower" if d % 2 == 0 and p ** (d // 2) <= _DEFAULT_TABLE_LIMIT else "generic"
 
 
 class FieldError(ValueError):
@@ -358,15 +390,15 @@ _READ_BITS = 16
 
 class _Multiples:
     """The chunk table of one digit when p > _CHUNK_ENTRIES, too large to
-    tabulate: entry c is c * row."""
+    tabulate: entry c != 0 is c * row, or (p - c) * row when negated mod p."""
 
-    __slots__ = ("row",)
+    __slots__ = ("row", "p")
 
-    def __init__(self, row: int):
-        self.row = row
+    def __init__(self, row: int, p: int = 0):
+        self.row, self.p = row, p
 
     def __getitem__(self, c: int) -> int:
-        return c * self.row
+        return (self.p - c if self.p else c) * self.row
 
 
 class _Residues:
@@ -395,6 +427,95 @@ def _lane_reader(p: int, w: int, lanes: int) -> list[int]:
 
 
 # --------------------------------------------------------------------------
+# logs of the tower backend
+# --------------------------------------------------------------------------
+
+_TowerLogs = namedtuple("_TowerLogs", "log exp zech")
+
+
+def _tower_logs(field: "FieldTower") -> _TowerLogs:
+    """log (packed a to log a + 1, 0 for 0), exp (its inverse) and zech (k <
+    Q - 1 to a number congruent to log(1 + alpha**k) mod Q - 1, or -1 for 0)
+    of the tower backend, by the identities of the module docstring, from
+    the subfield's tables (_build_tables on g), E0[r] and E1[r] (log_beta of
+    a0(r), a1(r), -1 for 0) and L (indexed by log_beta(u) + 1, 0 for u = 0)."""
+    from .linalg import nullspace_p  # linalg builds on this module
+
+    p, d, qm1 = field.p, field.d, field.Qm1
+    dh, Qh = d // 2, p ** (d // 2)
+    R, n = Qh + 1, Qh - 1
+    # digit i of x0 + Qh*x1 goes to beta**i, digit dh + i to beta**i * alpha;
+    # the inverse sends x**k to the coordinates of alpha**k, which are read
+    # off the kernel vector (inverse column k, unit k) of (that map | -I)
+    to_packed = [field.alpha_pow(R * i + b) for b in (0, 1) for i in range(dh)]
+    cols = [digits_of(b, p, d) for b in to_packed]
+    eqs = [[c[t] for c in cols] + [p - 1 if u == t else 0 for u in range(d)] for t in range(d)]
+    packed = _linear_map(field, to_packed)
+    coords = _linear_map(field, [pack_digits(v[:d], p) for v in nullspace_p(p, eqs, 2 * d)])
+    # g: beta**dh = sum c_i beta**i gives g = y**dh - sum c_i y**i
+    g = [-c % p for c in digits_of(coords(field.alpha_pow(R * dh)), p, dh)] + [1]
+    sexp, slog, szech = _build_tables(p, dh, g)
+    if p == 2:
+        szech = array("i", [slog[v ^ 1] for v in sexp[:n]])
+    szech *= 2  # indexed below 2n, like sexp
+    half = n // 2 if p > 2 else 0  # log_beta(-1)
+    lt = slog[coords(field.alpha_pow(2)) // Qh]  # log_beta(T); T != 0
+    # L holds logs of F_Q, which pass 2**31 once Q' > 2**15 (on request)
+    E0, E1, L = array("i", [0]) * R, array("i", [0]) * R, array("q", [0]) * (Qh + 1)
+    l0, l1 = 0, -1  # alpha**0 = 1
+    for r in range(R):
+        E0[r], E1[r] = l0, l1
+        if l1 < 0:
+            l0, l1 = -1, l0
+            continue
+        L[(l0 - l1) % n + 1 if l0 >= 0 else 0] = (r - R * l1) % qm1
+        t = l1 + lt  # log_beta(T*a1)
+        if l0 >= 0:
+            z = szech[(t - l0) % n]
+            t = (l0 + z) % n if z >= 0 else -1
+        l0, l1 = (l1 + 1 + half) % n, t % n if t >= 0 else -1
+
+    def log(a: int) -> int:
+        if not a:
+            return 0
+        x1, x0 = divmod(coords(a), Qh)
+        if not x1:
+            return R * slog[x0] + 1
+        l1 = slog[x1]
+        return (R * l1 + L[(slog[x0] - l1) % n + 1 if x0 else 0]) % qm1 + 1
+
+    def exp(la: int) -> int:
+        if not la:
+            return 0
+        s, r = divmod(la - 1, R)
+        e0, e1 = E0[r], E1[r]
+        return packed((sexp[s + e0] if e0 >= 0 else 0) + Qh * (sexp[s + e1] if e1 >= 0 else 0))
+
+    def zech(k: int) -> int:
+        s, r = divmod(k, R)
+        e1 = E1[r]
+        if e1 < 0:  # r = 0: 1 + beta**s
+            z = szech[s]
+            return R * z if z >= 0 else -1
+        e0 = E0[r]
+        l1 = s + e1
+        l0 = szech[s + e0] if e0 >= 0 else 0
+        return R * l1 + L[(l0 - l1) % n + 1 if l0 >= 0 else 0]
+
+    return _TowerLogs(log, exp, zech)
+
+
+def _linear_map(field: "FieldTower", rows: list[int]):
+    """The F_p-linear map on packed elements sending digit i to rows[i]: the
+    XOR of rows at the set bits at p = 2, chunk tables in lanes at odd p."""
+    if field.p == 2:
+        return lambda a: functools.reduce(operator.xor,
+                                          (r for i, r in enumerate(rows) if a >> i & 1), 0)
+    tables = field._chunk_tables([field._apply(field._units, row) for row in rows])
+    return lambda a: field._from_lanes(field._apply(tables, a), field.d)
+
+
+# --------------------------------------------------------------------------
 # the tower
 # --------------------------------------------------------------------------
 
@@ -416,10 +537,12 @@ class FieldTower:
 
         if backend is None:
             backend = _default_backend(p, self.d)
-        if backend not in ("table", "generic"):
+        if backend not in ("table", "generic", "tower"):
             raise FieldError(f"unknown backend {backend!r}")
         if backend == "table" and self.Q > TABLE_LIMIT:
             raise FieldError(f"table backend needs p**d <= {TABLE_LIMIT}, not {p}**{self.d}")
+        if backend == "tower" and (self.d % 2 or p ** (self.d // 2) > TABLE_LIMIT):
+            raise FieldError(f"tower backend needs even d, p**(d/2) <= {TABLE_LIMIT}: {p}**{self.d}")
         self.backend = backend
 
         if modulus is None:
@@ -447,7 +570,7 @@ class FieldTower:
         if backend == "table":
             self._exp, self._log, self._zech = _build_tables(p, self.d, modulus)
 
-        self._half = self.Qm1 // 2  # log of -1 when p is odd
+        self._half = self.Qm1 // 2 if p > 2 else 0  # log of -1
         self._norm_exp = self.Qm1 // (self.q - 1)
         self.gamma = self.alpha_pow(self._norm_exp)
 
@@ -455,6 +578,8 @@ class FieldTower:
         # whether it scales the reduced row by each pivot (fraction-free)
         if backend == "table":
             self.row_reduce = self._reduce_logs_xor if p == 2 else self._reduce_logs_zech
+        elif backend == "tower":
+            self.row_reduce = self._reduce_tower
         else:
             self.row_reduce = self._reduce_gf2 if p == 2 else self._reduce_lanes
         self.row_scales = backend == "generic" and p > 2
@@ -523,8 +648,7 @@ class FieldTower:
             return a
         if self._exp is not None:
             return self._exp[self._log[a] + self._half]
-        # -c = (p - 1)c mod p
-        return self._from_lanes((self.p - 1) * self._apply(self._units, a), self.d)
+        return self._from_lanes(self._apply(self._neg_units, a), self.d)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -642,8 +766,8 @@ class FieldTower:
         * a Frobenius image, d rows times digits: d(p - 1)^2, and
           (d + 1)(p - 1)^2 with (p - 1) times a spread element added
           (frob_q_diffs), at most L since d >= 1;
-        * a sum 2(p - 1), a negation (p - 1)^2 and a step of the _fold build
-          below, (p - 1) + (p - 1)^2: each at most 2(p - 1)^2 <= L.
+        * a sum 2(p - 1) and a step of the _fold build below,
+          (p - 1) + (p - 1)^2: each at most 2(p - 1)^2 <= L.
 
         Each read-back takes every lane mod p, and a lane below 2^w holds
         its exact value whatever w is, so no result depends on w.
@@ -652,8 +776,9 @@ class FieldTower:
         in the table of _lane_reader reads min(_READ_BITS // w, d) of them
         at once (one lane mod p when w > _READ_BITS).  Every F_p-linear map
         applied to digits is kept as chunk tables (_chunk_tables) of its rows: _units of the rows x^i, so
-        _apply(_units, a) spreads a; _fold of the rows x^(d+j) mod f,
-        0 <= j < d - 1; and each Frobenius matrix M_j (_frob_matrix).  p = 2
+        _apply(_units, a) spreads a and _apply(_neg_units, a) spreads -a;
+        _fold of the rows x^(d+j) mod f, 0 <= j < d - 1; and each Frobenius
+        matrix M_j (_frob_matrix).  p = 2
         keeps its XOR paths and builds none of this."""
         p, d = self.p, self.d
         w = self._lane_bits = ((3 * d - 1) * (p - 1) ** 2).bit_length()
@@ -668,7 +793,9 @@ class FieldTower:
             k += 1
         self._chunk = (k, p**k)
         low = self._low_mask = (1 << w * d) - 1
-        self._units = self._chunk_tables([1 << (w * i) for i in range(d)])
+        ones = [1 << (w * i) for i in range(d)]
+        self._units = self._chunk_tables(ones)
+        self._neg_units = self._chunk_tables(ones, negate=True)
         xd = self._apply(self._units, pack_digits([-c % p for c in self.modulus[:d]], p))
         fold, row = [], xd
         for _ in range(d - 1):
@@ -677,19 +804,21 @@ class FieldTower:
             row = self._apply(self._units, self._from_lanes((row & low) + (row >> w * d) * xd, d))
         self._fold = self._chunk_tables(fold)
 
-    def _chunk_tables(self, rows: list[int]) -> list:
+    def _chunk_tables(self, rows: list[int], negate: bool = False) -> list:
         """The F_p-linear map sending digit i to rows[i] as chunk tables, k
         digits per chunk (see _CHUNK_ENTRIES): entry c < p**k of table t is
-        the sum of the digits c_i of c times rows[k*t + i].  Past
-        _CHUNK_ENTRIES a chunk is one digit and its table multiplies."""
+        the sum of the digits c_i of c, or of -c_i mod p when negate, times
+        rows[k*t + i].  Past _CHUNK_ENTRIES a chunk is one digit and its
+        table multiplies."""
         p, k = self.p, self._chunk[0]
         if p > _CHUNK_ENTRIES:
-            return [_Multiples(row) for row in rows]
+            return [_Multiples(row, p if negate else 0) for row in rows]
+        digits = [-c % p for c in range(p)] if negate else range(p)
         tables = []
         for s in range(0, len(rows), k):
             table = [0]
             for row in rows[s : s + k]:
-                table = [c * row + t for c in range(p) for t in table]
+                table = [c * row + t for c in digits for t in table]
             tables.append(table)
         return tables
 
@@ -735,17 +864,20 @@ class FieldTower:
         """What row_reduce keeps of a basis row whose pivot pv, its first
         nonzero entry, is at pc: (pivot datum, [(j, datum of row[j]) for the
         nonzero row[j], j > pc]).  The table backend keeps log pv and the
-        logs of the entries; the generic backend inv(pv) and the entries at
-        p = 2, and at odd p pv and the negated entries -row[j], spread into
-        lanes, so that its fraction-free kernel takes no inverse."""
+        logs of the entries, the tower backend the row as it is (log + 1);
+        the generic backend inv(pv) and the entries at p = 2, and at odd p
+        pv and the negated entries -row[j] spread into lanes, one chunk
+        lookup each, so that its fraction-free kernel takes no inverse."""
         tail = range(pc + 1, len(row))
         if self._exp is not None:
             log = self._log
             return log[row[pc]], [(j, log[row[j]]) for j in tail if row[j]]
+        if self.backend == "tower":
+            return row[pc], [(j, row[j]) for j in tail if row[j]]
         if self.p == 2:
             return self.inv(row[pc]), [(j, row[j]) for j in tail if row[j]]
-        units, apply, neg = self._units, self._apply, self.neg
-        return apply(units, row[pc]), [(j, apply(units, neg(row[j]))) for j in tail if row[j]]
+        apply, neg_units = self._apply, self._neg_units
+        return apply(self._units, row[pc]), [(j, apply(neg_units, row[j])) for j in tail if row[j]]
 
     # Each row_reduce(cur, c, entry) clears c = cur[pc] != 0, which the
     # caller has already set to 0, with the basis row of entry; that row is
@@ -783,6 +915,22 @@ class FieldTower:
             else:
                 cur[j] = exp[lt]
 
+    def _reduce_tower(self, cur: list, c: int, entry) -> None:
+        """Tower backend, any p (half = 0 at p = 2): the odd-p table kernel on
+        log + 1 entries, each Zech log computed (_tower_logs); lf + b is
+        log(-f * row[j]) with f = c / pv."""
+        pv, tail = entry
+        zech, qm1 = self._tower.zech, self.Qm1
+        lf = c - pv + self._half - 1
+        for j, b in tail:
+            lt = lf + b
+            a = cur[j]
+            if a:
+                z = zech((lt - a + 1) % qm1)
+                cur[j] = (a - 1 + z) % qm1 + 1 if z >= 0 else 0
+            else:
+                cur[j] = lt % qm1 + 1
+
     def _reduce_gf2(self, cur: list, c: int, entry) -> None:
         """Generic backend, p = 2: shift-and-XOR products, XOR sums."""
         ipv, tail = entry
@@ -804,6 +952,29 @@ class FieldTower:
         for j, nb in tail:
             sums[j] += sc * nb
         cur[:] = [product(s) if s else 0 for s in sums]
+
+    # -- row form of the elimination (linalg) -------------------------------
+
+    @functools.cached_property
+    def _tower(self) -> _TowerLogs:
+        """The logs of the tower backend, built on first row use."""
+        return _tower_logs(self)
+
+    def row_form(self, rows):
+        """Rows of packed elements in the row form of the elimination: the
+        rows themselves, or on the tower backend lists of log + 1 (0 for 0)."""
+        if self.backend != "tower":
+            return rows
+        log = self._tower.log
+        return [[log(a) for a in row] for row in rows]
+
+    def packed_rows(self, rows):
+        """Rows in the row form back as packed elements (tuples on the tower
+        backend, the rows themselves otherwise)."""
+        if self.backend != "tower":
+            return rows
+        exp = self._tower.exp
+        return tuple(tuple(exp(a) for a in row) for row in rows)
 
     # -- Frobenius / norms / subfields ---------------------------------------
 
@@ -859,10 +1030,10 @@ class FieldTower:
         return self.frob_p(a, (self.e * (r % self.m)) % self.d)
 
     def frob_q_diffs(self, row, r: int) -> tuple[int, ...]:
-        """The row (a^(q^r) - a for a in row), r taken mod m, with one kernel
-        per backend and no per-entry FieldTower call (the rows of the
-        systematic differences, codes.Differences).  a^(q^r) = a^(p^j) with
-        j = e*r mod d, and j = 0 gives zeros.
+        """The row (a^(q^r) - a for a in row) in the row form (row_form), r
+        taken mod m, with one kernel per backend and no per-entry FieldTower
+        call (the rows of the systematic differences, codes.Differences).
+        a^(q^r) = a^(p^j) with j = e*r mod d, and j = 0 gives zeros.
 
         * table: log a^(p^j) = log a * p^j mod Q-1.  At p = 2 the difference
           is the XOR.  At odd p, -a = alpha^(la + half) with la = log a, and
@@ -873,10 +1044,17 @@ class FieldTower:
           the digit-weighted rows of M_j plus (p-1) times the spread a, and
           read back once.  A lane of the first part is at most d(p-1)^2 (d
           rows, lanes below p, digits below p), of the second (p-1)^2, so
-          (d+1)(p-1)^2 in all, within the bound L of _init_lanes."""
+          (d+1)(p-1)^2 in all, within the bound L of _init_lanes.
+        * tower: on log + 1 entries, log(a^(p^j) - a) = la + half +
+          Z(la*(p^j - 1) + half) (module docstring), one Zech log each."""
         j = self.e * (r % self.m) % self.d
         if j == 0:
             return (0,) * len(row)
+        if self.backend == "tower":
+            zech, qm1, half = self._tower.zech, self.Qm1, self._half
+            t = pow(self.p, j, qm1) - 1
+            zs = [zech(((a - 1) * t + half) % qm1) if a else -1 for a in row]
+            return tuple((a - 1 + half + z) % qm1 + 1 if z >= 0 else 0 for a, z in zip(row, zs))
         if self._exp is not None:
             exp, log, qm1 = self._exp, self._log, self.Qm1
             t = pow(self.p, j, qm1)

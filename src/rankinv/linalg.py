@@ -11,18 +11,25 @@ rank_p and nullspace_p, because F_p is the field make_field(p, 1, 1), whose
 packed elements are the integers 0..p-1.  Both kernels are read off an RREF
 by one helper, one vector per free column.
 
+The elimination works on rows in the field's row form (FieldTower.row_form
+and packed_rows): packed elements, or log + 1 (0 for 0) on the tower
+backend.  rank, rref, det and nullspace convert once per matrix, so table
+and generic fields pay no call per row; IncrementalRank takes and returns
+the row form, which codes.Differences feeds it directly.
+
 Its basis rows are echelon rows that are never normalised: each is 0 before
 its pivot column and keeps its raw pivot value there, next to what the
 field's row kernel needs of it (FieldTower.row_entry: logs on the table
-backend, spread lanes on the generic one at odd p).  The kernel
-(FieldTower.row_reduce) clears an entry c at a basis row's pivot column and
-makes no per-element FieldTower call.  The table and p = 2 kernels subtract
-(c/pv) times the basis row, which leaves the same row as subtracting c times
-the normalised basis row would.  The generic kernel at odd p is
-fraction-free: it sets the row to pv times itself minus c times the basis
-row, so it takes no inverse, and the row comes out scaled by pv
-(FieldTower.row_scales).  Neither changes the row space.  rref divides each
-row by its pivot once, after back-substitution; det reads the raw pivots and
+backend, the row form on the tower one, spread lanes on the generic one at
+odd p).  The kernel (FieldTower.row_reduce) clears an entry c at a basis
+row's pivot column and makes no per-element FieldTower call.  The table,
+tower and p = 2 kernels subtract (c/pv) times the basis row, which leaves
+the same row as subtracting c times the normalised basis row would.  The
+generic kernel at odd p is fraction-free: it sets the row to pv times
+itself minus c times the basis row, so it takes no inverse, and the row
+comes out scaled by pv (FieldTower.row_scales).  Neither changes the row
+space.  rref divides each row by its pivot once, after back-substitution
+(on the tower backend by subtracting logs); det reads the raw pivots and
 divides out the scales.
 
 Basis rows are immutable: _insert_row only reduces the row it is given (a
@@ -119,9 +126,10 @@ def _insert_row(field: FieldTower, basis: list, row, scales: list | None = None)
     times that row, which leaves the same row as subtracting c times the
     normalised row would, or fraction-free, by taking pv times the reduced
     row minus c times that row, which scales it by pv
-    (FieldTower.row_scales).  When scales is a list, the pv of every basis
-    row used is appended to it.  An independent row is inserted as it
-    stands, in pivot order, so the invariant holds again.  Returns (pivot
+    (FieldTower.row_scales).  Rows are in the field's row form, where 0 is
+    0.  When scales is a list, the pv of every basis row used is appended to
+    it.  An independent row is inserted as it stands, in pivot order, so the
+    invariant holds again.  Returns (pivot
     column, pivot value), or None when the row is dependent."""
     reduce = field.row_reduce
     cur = list(row)
@@ -147,14 +155,19 @@ def _insert_row(field: FieldTower, basis: list, row, scales: list | None = None)
 def rref(field: FieldTower, rows) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form with zero rows dropped.  Returns (R, pivots)."""
     echelon: list = []
-    for row in rows:
+    for row in field.row_form(rows):
         _insert_row(field, echelon, row)
     # back-substitution: feeding the echelon rows from the last pivot up
     # reduces each one against the already reduced rows below it
     reduced: list = []
     for _, row, _ in reversed(echelon):
         _insert_row(field, reduced, row)
-    # then each row is divided by its pivot value, once
+    # then each row is divided by its pivot value, once (on logs, a subtraction)
+    pivots = tuple(pc for pc, _, _ in reduced)
+    if field.backend == "tower":
+        qm1 = field.Qm1
+        return field.packed_rows([[(a - row[pc]) % qm1 + 1 if a else 0 for a in row]
+                                  for pc, row, _ in reduced]), pivots
     mul = field.mul
     R = []
     for pc, row, _ in reduced:
@@ -162,13 +175,13 @@ def rref(field: FieldTower, rows) -> tuple[Matrix, tuple[int, ...]]:
             s = field.inv(row[pc])
             row = [mul(s, a) for a in row]
         R.append(tuple(row))
-    return tuple(R), tuple(pc for pc, _, _ in reduced)
+    return tuple(R), pivots
 
 
 def rank(field: FieldTower, rows) -> int:
     """Number of rows that _insert_row accepts: no back-substitution."""
     basis: list = []
-    return sum(_insert_row(field, basis, row) is not None for row in rows)
+    return sum(_insert_row(field, basis, row) is not None for row in field.row_form(rows))
 
 
 def det(field: FieldTower, A: Matrix) -> int:
@@ -189,17 +202,19 @@ def det(field: FieldTower, A: Matrix) -> int:
         raise ValueError("determinant needs a square matrix")
     basis: list = []
     scales = [] if field.row_scales else None
-    mul = field.mul
-    d = field.one
-    for row in A:
+    pivots, odd = [], 0
+    for row in field.row_form(A):
         hit = _insert_row(field, basis, row, scales)
         if hit is None:
             return 0
         pc, pv = hit
-        d = mul(d, pv)
+        pivots.append(pv)
         # the rows after it in pivot order came earlier: one inversion each
-        if (len(basis) - 1 - bisect.bisect_left(basis, (pc,))) % 2:
-            d = field.neg(d)
+        odd ^= (len(basis) - 1 - bisect.bisect_left(basis, (pc,))) % 2
+    mul = field.mul
+    d = functools.reduce(mul, field.packed_rows([pivots])[0], field.one)
+    if odd:
+        d = field.neg(d)
     if scales:
         d = mul(d, field.inv(functools.reduce(mul, scales)))
     return d
@@ -261,8 +276,8 @@ def row_space_intersection(field: FieldTower, A: Matrix, B: Matrix, ncols: int) 
 
 
 class IncrementalRank:
-    """Feed rows one at a time; the rank so far is the number of add_row
-    calls that returned True."""
+    """Feed rows one at a time, in the field's row form (FieldTower.row_form);
+    the rank so far is the number of add_row calls that returned True."""
 
     def __init__(self, field: FieldTower):
         self.field = field
@@ -273,7 +288,8 @@ class IncrementalRank:
         return _insert_row(self.field, self._basis, row) is not None
 
     def rows(self) -> list:
-        """The basis rows, in pivot order: echelon rows spanning the rows fed."""
+        """The basis rows, in pivot order and in the row form: echelon rows
+        spanning the rows fed."""
         return [row for _, row, _ in self._basis]
 
     def copy(self) -> "IncrementalRank":

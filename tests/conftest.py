@@ -23,6 +23,10 @@ FP_FIELDS = [(backend, p, e, m) for backend in ("table", "generic")
              for (p, e, m) in ((2, 1, 5), (2, 2, 3), (3, 1, 4), (3, 2, 3))]
 FP_IDS = [f"{b}-p{p}e{e}m{m}" for (b, p, e, m) in FP_FIELDS]
 
+# the tower backend needs an even degree d = e*m: p in {2, 3}, e in {1, 2}
+TOWER_FIELDS = [("tower", p, e, m) for (p, e, m) in ((2, 1, 6), (2, 2, 3), (3, 1, 4), (3, 2, 3))]
+TOWER_IDS = [f"{b}-p{p}e{e}m{m}" for (b, p, e, m) in TOWER_FIELDS]
+
 
 # x^15 + x^5 + x^4 + x^2 + 1, little-endian, leading coefficient included.
 WORKED_EXAMPLE_MODULUS = (1, 0, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1)

@@ -30,6 +30,9 @@ CASES = [("table", 2, 6, 2), ("table", 3, 6, 2), ("table", 2, 7, 3), ("table", 3
          ("table", 2, 8, 3), ("generic", 2, 6, 2), ("generic", 3, 6, 3),
          ("generic", 4, 6, 2), ("generic", 9, 6, 2)]
 CASE_IDS = [f"{b}-q{q}n{n}k{k}" for b, q, n, k in CASES]
+# the built codes' fingerprints on the tower backend (d = 2n*e is even)
+TOWER_CASES = [("tower", 2, 6, 2), ("tower", 3, 6, 3), ("tower", 4, 6, 2), ("tower", 9, 6, 2)]
+TOWER_IDS = [f"{b}-q{q}n{n}k{k}" for b, q, n, k in TOWER_CASES]
 
 
 def _census(monkeypatch, backend, q, n, k, seed, trials=20):
@@ -84,7 +87,7 @@ def _e_image(field, rows, a):
 # keys against the fingerprints of the built codes
 # --------------------------------------------------------------------------
 
-@pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
+@pytest.mark.parametrize("case", CASES + TOWER_CASES, ids=CASE_IDS + TOWER_IDS)
 @pytest.mark.parametrize("seed", [1, 7, 19])
 def test_census_keys_match_built_code_fingerprints(monkeypatch, case, seed):
     backend, q, n, k = case

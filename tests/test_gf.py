@@ -28,7 +28,7 @@ from rankinv.gf import (
     parse_element,
 )
 from rankinv.rng import DetRNG
-from conftest import FP_FIELDS, FP_IDS, WORKED_EXAMPLE_MODULUS
+from conftest import FP_FIELDS, FP_IDS, TOWER_FIELDS, TOWER_IDS, WORKED_EXAMPLE_MODULUS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -212,18 +212,19 @@ def _run_python(code: str) -> str:
 
 
 def test_census_and_requested_large_tables_leave_numpy_unloaded():
-    # a default census over F_{3^14} runs on the generic backend, and the
-    # largest tables the benchmark asks for come from the power walk alone
+    # a default census over F_{3^14} runs on the tower backend (d = 14 is
+    # even and 3^7 <= 2^15) and builds none of its tables, and the largest
+    # tables the benchmark asks for come from the power walk alone
     out = _run_python(
         "import sys\n"
         "from rankinv import classify, gf\n"
         "report, field = classify.census(3, 7, 3, 1)\n"
-        "print(field.Q, field.backend)\n"
+        "print(field.Q, field.backend, '_tower' in vars(field))\n"
         "for p, d in ((3, 12), (2, 16)):\n"
         "    F = gf.make_field(p, 1, d, backend='table')\n"
         "    print(F.Q, F.backend, len(F._log))\n"
         "print('numpy' in sys.modules)\n")
-    assert out.split() == [str(3**14), "generic", str(3**12), "table", str(3**12),
+    assert out.split() == [str(3**14), "tower", "False", str(3**12), "table", str(3**12),
                            str(2**16), "table", str(2**16), "False"]
 
 
@@ -243,12 +244,16 @@ def test_census_on_a_generic_field_leaves_numpy_unloaded():
 
 
 def test_generic_field_build_does_not_import_sympy():
+    # F_{3^16} takes the tower backend by default; its subfield tables are
+    # built by the first rank, on the generic kernels and the power walk
     out = _run_python(
         "import sys\n"
-        "from rankinv import gf\n"
+        "from rankinv import gf, linalg as la\n"
         "F = gf.make_field(3, 1, 16)\n"
-        "print(F.backend, 'sympy' in sys.modules)\n")
-    assert out.split() == ["generic", "False"]
+        "G = gf.make_field(3, 1, 13)\n"
+        "assert la.rank(F, [[1, F.alpha], [F.alpha, 0]]) == 2\n"
+        "print(F.backend, G.backend, 'sympy' in sys.modules, 'numpy' in sys.modules)\n")
+    assert out.split() == ["tower", "generic", "False", "False"]
 
 
 def test_prime_factors_match_sympy_factorint():
@@ -450,6 +455,73 @@ def test_generic_lanes_past_the_chunk_tables(p, d):
         assert F.frob_p(a, 1) == F.pow(a, p)
 
 
+@pytest.mark.parametrize("p,d", [(3, 13), (5, 3), (131, 2), (257, 1)])
+def test_negated_spread_is_the_spread_of_the_negation(p, d):
+    # neg and the tail of the lane row kernel's row_entry spread -a by one
+    # lookup per chunk of digits (_neg_units), with no read-back; F_{3^13},
+    # of odd degree, keeps that kernel, and past the chunk tables the digit
+    # is negated mod p (_Multiples)
+    F = make_field(p, 1, d, backend="generic")
+    rng = DetRNG(0, f"gf-neg-spread/{p}/{d}")
+    samples = [1, F.alpha, F.Q - 1, *(F.random_element(rng) for _ in range(20))]
+    for a in samples:
+        na = pack_digits([-c % p for c in digits_of(a, p, d)], p)
+        assert F._apply(F._neg_units, a) == F._apply(F._units, na)
+        assert F.neg(a) == na
+    row = [0, *samples[:6]]
+    pv, tail = F.row_entry(row, 1)
+    assert pv == F._apply(F._units, row[1])
+    assert tail == [(j, F._apply(F._units, F.neg(row[j]))) for j in range(2, len(row)) if row[j]]
+
+
+TOWER_LOG_FIELDS = [(3, 1, 16), (3, 1, 12), (2, 1, 16), (3, 2, 2), (2, 1, 2)]
+
+
+@pytest.mark.parametrize("p,e,m", TOWER_LOG_FIELDS,
+                         ids=[f"p{p}e{e}m{m}" for p, e, m in TOWER_LOG_FIELDS])
+def test_tower_logs_match_the_generic_arithmetic(p, e, m):
+    # log, exp and Zech log of the tower backend against the packed mul and
+    # add it shares with the generic backend: alpha^k for every r = k < R,
+    # and k = R*s + r at the ends of both ranges, where the coset split
+    # turns over; 0, +-1, alpha, subfield elements and random products
+    F = make_field(p, e, m, backend="tower")
+    log, exp, zech = F._tower
+    qm1, Qh = F.Qm1, p ** (F.d // 2)
+    R = Qh + 1
+    assert (log(0), exp(0), log(1), log(F.alpha)) == (0, 0, 1, 2)
+    assert log(F.neg(1)) == (qm1 // 2 if p > 2 else 0) + 1
+    ends = [R * s + r for s in (1, 2, Qh - 2) for r in (0, 1, 2, R - 2, R - 1)]
+    x, last = 1, 0
+    for k in sorted({*range(R), *(k for k in ends if k < qm1), qm1 - 1}):
+        x, last = F.mul(x, F.alpha) if k == last + 1 else F.alpha_pow(k), k
+        assert log(x) == k + 1 and exp(k + 1) == x, k
+        z, s = zech(k), F.add(1, x)
+        assert (z == -1 if s == 0 else z >= 0 and exp(z % qm1 + 1) == s), k
+    rng = DetRNG(0, f"gf-tower-logs/{p}/{e}/{m}")
+    for idx in (0, 1, 2, Qh - 1, *(rng.randbelow(Qh) for _ in range(20))):
+        u = F.subfield_element(Qh, idx)
+        assert exp(log(u)) == u and (u == 0 or (log(u) - 1) % R == 0)
+    for _ in range(100):
+        a, b = F.random_nonzero(rng), F.random_nonzero(rng)
+        assert exp(log(a)) == a
+        assert log(F.mul(a, b)) == (log(a) + log(b) - 2) % qm1 + 1
+
+
+def test_modulus_search_and_census_build_no_tower_tables(monkeypatch):
+    # the tower's tables wait for the first row use: the modulus search and a
+    # default census, whose field F_{3^14} takes the tower backend, build none
+    built = []
+    real = gf._tower_logs
+    monkeypatch.setattr(gf, "_tower_logs", lambda field: built.append(field) or real(field))
+    monkeypatch.setattr(gf, "_FIELD_CACHE", {})
+    assert gf._search_default_modulus(3, 10) == gf._KNOWN_MODULI[(3, 10)]
+    assert gf._search_default_modulus(2, 16) == gf._KNOWN_MODULI[(2, 16)]
+    from rankinv import classify, linalg as la
+    report, field = classify.census(3, 7, 3, 1)
+    assert field.backend == "tower" and built == []
+    assert la.rank(field, [[1, field.alpha]]) == 1 and built == [field]
+
+
 def test_generic_inverse_rejects_a_non_constant_norm():
     # with every Frobenius map replaced by the identity, a * a^(p + ... +
     # p^(d-1)) becomes alpha^d, which is not in F_p; a fresh instance keeps
@@ -484,12 +556,13 @@ def test_frob_q_is_frob_p_iterated(f4_3, data):
     assert F.frob_q(a, r) == F.frob_p(a, (F.e * r) % (F.e * F.m))
 
 
-@pytest.mark.parametrize("case", FP_FIELDS + [("generic", 3, 1, 16)],
-                         ids=FP_IDS + ["generic-p3e1m16"])
+@pytest.mark.parametrize("case", FP_FIELDS + [("generic", 3, 1, 16)] + TOWER_FIELDS + [("tower", 3, 1, 16)],
+                         ids=FP_IDS + ["generic-p3e1m16"] + TOWER_IDS + ["tower-p3e1m16"])
 def test_frob_q_diffs_match_the_per_entry_path(case):
     # the one-kernel difference row against GaloisAut.on_vector and sub per
     # entry; F_{3^16} takes the fused lane read-back at d = 16, and Q - 1,
-    # with every digit p - 1, loads its lanes the most
+    # with every digit p - 1, loads its lanes the most.  The kernel works in
+    # the row form, which is log + 1 on the tower backend
     backend, p, e, m = case
     F = make_field(p, e, m, backend=backend)
     assert F.backend == backend
@@ -498,7 +571,7 @@ def test_frob_q_diffs_match_the_per_entry_path(case):
            *(F.random_element(rng) for _ in range(12)))
     for j in range(-1, m + 1):
         expected = tuple(map(F.sub, GaloisAut(F, j).on_vector(row), row))
-        assert F.frob_q_diffs(row, j) == expected
+        assert F.packed_rows([F.frob_q_diffs(F.row_form([row])[0], j)])[0] == expected
     assert F.frob_q_diffs((), 1) == ()
 
 
@@ -647,8 +720,11 @@ def test_make_field_caches_by_the_resolved_backend():
     assert make_field(2, 1, 11) is make_field(2, 1, 11, backend="table")
     generic = make_field(2, 1, 11, backend="generic")
     assert generic is not make_field(2, 1, 11) and generic.backend == "generic"
-    assert make_field(3, 1, 16) is make_field(3, 1, 16, backend="generic")
-    # tables by default up to 2^15 elements, the generic backend above
+    # tables by default up to 2^15 elements; above, the tower backend when d
+    # is even and p^(d/2) <= 2^15, the generic backend otherwise
     assert make_field(2, 1, 15) is make_field(2, 1, 15, backend="table")
-    assert make_field(2, 1, 16) is make_field(2, 1, 16, backend="generic")
-    assert make_field(3, 1, 10) is make_field(3, 1, 10, backend="generic")
+    for p, e, m in ((3, 1, 16), (2, 1, 16), (3, 1, 10), (3, 2, 8)):
+        assert make_field(p, e, m) is make_field(p, e, m, backend="tower")
+        assert make_field(p, e, m) is not make_field(p, e, m, backend="generic")
+    for p, e, m in ((3, 1, 13), (2, 1, 17)):
+        assert make_field(p, e, m) is make_field(p, e, m, backend="generic")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from conftest import FP_FIELDS, FP_IDS
+from conftest import FP_FIELDS, FP_IDS, TOWER_FIELDS, TOWER_IDS
 import rankinv.codes as cd
 import rankinv.invariants as inv
 import rankinv.linalg as la
@@ -477,7 +477,7 @@ def test_random_triples_build_one_rank_pair_per_translation_class(monkeypatch, f
     assert fed == {}
 
 
-@pytest.mark.parametrize("case", FP_FIELDS, ids=FP_IDS)
+@pytest.mark.parametrize("case", FP_FIELDS + TOWER_FIELDS, ids=FP_IDS + TOWER_IDS)
 @given(data=st.data())
 def test_prefix_shared_ranks_equal_fresh_ranks(case, data):
     # one code answers many exponent sequences, some only partly consumed,

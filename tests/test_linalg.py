@@ -23,6 +23,11 @@ BACKEND_FIELDS = [(backend, p, e, m) for backend in ("table", "generic")
                   for (p, e, m) in ((2, 1, 4), (2, 2, 2), (3, 1, 3), (3, 2, 2))]
 BACKEND_FIELDS += [("table", 2, 2, 8), ("table", 3, 1, 7)]
 BACKEND_IDS = [f"{b}-p{p}e{e}m{m}" for (b, p, e, m) in BACKEND_FIELDS]
+# the tower backend on the even-degree fields above, and on F_{3^16} and
+# F_{2^16}, where it is the default
+TOWER_FIELDS = [("tower", p, e, m) for (p, e, m) in ((2, 1, 4), (2, 2, 2), (3, 1, 4), (3, 2, 2),
+                                                     (3, 1, 16), (2, 1, 16))]
+TOWER_IDS = [f"{b}-p{p}e{e}m{m}" for (b, p, e, m) in TOWER_FIELDS]
 
 
 def _matrix_strategy(field, max_rows=5, max_cols=5):
@@ -166,15 +171,16 @@ def _check_elimination(F, data, max_rows: int, max_cols: int, max_n: int):
     assert la.nullspace(F, A, ncols) == oracles.rref(F, oracles.free_nullspace(F, A, ncols))[0]
     inc = la.IncrementalRank(F)
     rank = 0
-    for i, row in enumerate(A, start=1):
+    for i, row in enumerate(F.row_form(A), start=1):
         rank += inc.add_row(row)
         assert rank == len(oracles.rref(F, A[:i])[0])
+    assert la.rref(F, F.packed_rows(inc.rows()))[0] == oracles.rref(F, A)[0]
     n = data.draw(st.integers(1, max_n))
     S = _oracle_matrix(F, data, n, n)[:n]
     assert la.det(F, S) == oracles.det(F, S)
 
 
-@pytest.mark.parametrize("case", BACKEND_FIELDS, ids=BACKEND_IDS)
+@pytest.mark.parametrize("case", BACKEND_FIELDS + TOWER_FIELDS, ids=BACKEND_IDS + TOWER_IDS)
 @given(data=st.data())
 def test_elimination_matches_oracle(case, data):
     backend, p, e, m = case
@@ -221,13 +227,14 @@ def test_incremental_rank_copy_continues_independently(case, data):
     assert left.field is F and sum(left.add_row(row) for row in C) == la.rank(F, A + B + C) - la.rank(F, A + B)
 
 
-@pytest.mark.parametrize("p, d", [(3, 1), (3, 16), (5, 16), (7, 4), (7, 16)])
+@pytest.mark.parametrize("p, d", [(3, 1), (3, 16), (5, 16), (7, 4), (7, 16), (3, 13), (131, 3)])
 @given(data=st.data())
 def test_lane_row_kernel_matches_oracle(p, d, data):
     # the fraction-free generic row kernel at odd p; at (3, 1) its sum of
     # two products reaches the proven lane bound L = (3d-1)(p-1)^2 = 8, one
     # bit more than 7, and at (3, 16) L = 188 takes w = 8 where the former
-    # bound (2d-1)(p-1)^2 + (p-1) = 126 took 7
+    # bound (2d-1)(p-1)^2 + (p-1) = 126 took 7; F_{3^13}, of odd degree,
+    # keeps this kernel by default, and p = 131 negates through _Multiples
     _check_elimination(make_field(p, 1, d, backend="generic"), data, 4, 5, 3)
 
 
