@@ -186,13 +186,14 @@ def is_theta_gabidulin(code: cd.LinearCode, theta_exp: int,
     projective codeword count fits under dist_cap) whether s_1 = k+1 and the
     code is MRD.  All evaluated criteria must agree.
 
-    MRD is decided by whichever of two exact walks is shorter, counted
-    exactly: the (Q^k-1)/(Q-1) projective codewords, looking for one of
-    F_q-rank <= n-k (codes._least_rank), or the [n choose k]_q k-dimensional
-    F_q-subspaces U of F_q^n, looking for one with det(G B_U^T) = 0
-    (codes._is_mrd_by_subspaces; a word has rank <= n-k exactly when it is
-    orthogonal to such a U).  Ties go to the subspaces.  Both give the same
-    answer, so the choice moves only the time."""
+    By the Singleton bound d <= n-k+1, C is MRD exactly when no codeword has
+    F_q-rank <= n-k, i.e. no codeword is orthogonal to a k-dimensional
+    F_q-subspace of F_q^n.  codes._is_mrd_by_subspaces decides that by one
+    F_q-rank test per (k-1)-dimensional F_q-subspace of the last n-1
+    coordinates, [n-1 choose k-1]_q tests, never more than the
+    [n choose k]_q subspaces or the projective codewords, and it sweeps no
+    codeword.  dist_cap still counts codewords, so that the criterion is
+    None exactly where it was when codewords were swept."""
     field = code.field
     n, k, m = code.n, code.k, field.m
     if math.gcd(theta_exp, m) != 1:
@@ -220,19 +221,15 @@ def is_theta_gabidulin(code: cd.LinearCode, theta_exp: int,
     crits["delta_ends"] = (delta[0] == 1 and delta[n - k - 1] == 1) and d_gt_1
     # systematic-form criterion
     crits["systematic"] = _systematic_criterion(code, theta_exp)
-    # MRD + s_1 = k+1, only within the cap, which counts codewords whichever
-    # walk runs.  By the Singleton bound d <= n-k+1, so C is MRD exactly when
-    # no codeword has rank <= n-k; that is not asked at all when s_1 != k+1.
-    # Each walk stops at its first witness, and the shorter one runs
+    # MRD + s_1 = k+1, only within the cap, which counts codewords although
+    # no codeword is walked; not asked at all when s_1 != k+1
     n_words = (field.Q**k - 1) // (field.Q - 1)
     if n_words > dist_cap:
         crits["mrd_plus_s1"] = None
     elif s[1] != k + 1:
         crits["mrd_plus_s1"] = False
-    elif gaussian_binomial(n, k, field.q) <= n_words:
-        crits["mrd_plus_s1"] = cd._is_mrd_by_subspaces(code)
     else:
-        crits["mrd_plus_s1"] = cd._least_rank(code, n - k) == n - k + 1
+        crits["mrd_plus_s1"] = cd._is_mrd_by_subspaces(code)
 
     values = {v for v in crits.values() if v is not None}
     if len(values) != 1:

@@ -38,27 +38,22 @@ F_{q^m}-span of C n F_q^n, and its RREF basis has entries in F_q.
 The minimum rank distance is a sweep over the projective codewords that
 walks the F_p-digits of the message in Gray order, so each word costs one
 precomputed vector addition (an XOR at p = 2) and no multiplication; the
-proofs are in _gray_steps and _projective_spreads.  A sweep can also stop
-at the first word of rank <= a floor: by the Singleton bound d <= n-k+1,
-so floor n-k decides MRD-ness without the full minimum.
+proofs are in _gray_steps and _projective_spreads.
 
-MRD-ness has a second exact test, the rank analogue of the MDS minor
+MRD-ness has its own exact test, from the rank analogue of the MDS minor
 criterion (Horlemann-Trautmann and Marshall, "New criteria for MRD and
-Gabidulin codes and some rank-metric code constructions", AMC 2017): C is
-MRD exactly when det(G B^T) != 0 for the basis B of each of the
-[n choose k]_q k-dimensional F_q-subspaces of F_q^n, because a word has
-F_q-rank <= n-k exactly when it is orthogonal to such a subspace (proof in
-_is_mrd_by_subspaces).  _subspace_products walks the subspaces by their RREF
-bases, in the same Gray order over the F_p-digits of the free entries
-(the support enumeration of Gaborit, Ruatta and Schrek, "On the complexity
-of the rank syndrome decoding problem", IEEE TIT 2016), so each subspace
-costs one column update and one determinant.  Neither walk is always
-shorter: at k = 1 there are (q^n-1)/(q-1) subspaces against one word, so
-callers count both sides first (classify.is_theta_gabidulin).  The minimum
-distance stays on the word sweep: ruling out rank r by subspaces takes
-every subspace of dimension n-r, so finding d takes the sum of
-[n choose r]_q over 1 <= r < d of them, e.g. 2,760 against 65 words for an
-MRD [6,2] code over F_{2^6}.
+Gabidulin codes and some rank-metric code constructions", AMC 2017): a word
+has F_q-rank <= n-k exactly when it is orthogonal to a k-dimensional
+F_q-subspace of F_q^n.  Each such subspace contains a (k-1)-dimensional one
+in the hyperplane b_0 = 0, whose orthogonal codewords are the multiples of
+one cofactor word, so _is_mrd_by_subspaces takes one F_q-rank test per
+(k-1)-subspace, [n-1 choose k-1]_q of them, never more than the projective
+codewords.  _subspace_products walks subspaces by their RREF bases, in the
+same Gray order over the F_p-digits of the free entries (the support
+enumeration of Gaborit, Ruatta and Schrek, "On the complexity of the rank
+syndrome decoding problem", IEEE TIT 2016), one column update per subspace.
+The minimum distance stays on the word sweep: the rank tests decide only
+whether it reaches n-k+1.
 """
 
 from __future__ import annotations
@@ -68,7 +63,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from typing import Optional
 
 from . import linalg as la
@@ -517,13 +512,11 @@ def _projective_spreads(code: LinearCode):
             yield word
 
 
-def _least_rank(code: LinearCode, floor: int) -> int:
-    """Least F_q-rank of a nonzero codeword, except that the sweep ends at the
-    first word of rank <= floor and returns that rank; so floor = 1 gives
-    the minimum distance.  Every nonzero codeword is a nonzero multiple of
-    one the walk yields, with the same rank.  A word's F_p-rank is e times
-    its F_q-rank, so reducing it stops at best * e, where it can no longer
-    beat best."""
+def _least_rank(code: LinearCode) -> int:
+    """Least F_q-rank of a nonzero codeword, the sweep ending at a word of
+    rank 1.  Every nonzero codeword is a nonzero multiple of one the walk
+    yields, with the same rank.  A word's F_p-rank is e times its F_q-rank,
+    so reducing it stops at best * e, where it can no longer beat best."""
     field = code.field
     e = field.e
     best = code.n + 1
@@ -531,59 +524,88 @@ def _least_rank(code: LinearCode, floor: int) -> int:
         r = la._fp_rank(field, word, best * e) // e
         if r < best:
             best = r
-            if best <= floor:
+            if best == 1:
                 break
     return best
 
 
-def _subspace_products(code: LinearCode):
-    """Yield the k columns of M = G B^T, G the generator, for the RREF basis
-    B (k x n, entries in F_q) of each k-dimensional F_q-subspace of F_q^n:
-    each of the [n choose k]_q subspaces exactly once, with no field
-    multiplication per subspace.
+def _subspace_products(field: FieldTower, cols, k: int):
+    """Yield (pivots, M) for the RREF basis B (k x n, entries in F_q) of each
+    k-dimensional F_q-subspace of F_q^n, n = len(cols): its pivot columns
+    and the k vectors M[i] = sum_j B[i][j] cols[j].  Each of the
+    [n choose k]_q subspaces comes exactly once, with no field multiplication
+    per subspace.
 
     RREF bases are unique, so walking the pivot sets (p_0 < ... < p_(k-1))
     and, for each, every value of the free entries B[i][j] (j > p_i, j not a
-    pivot) meets each subspace once.  Column i of M is
-    G[:, p_i] + sum_j B[i][j] G[:, j], and with B[i][j] = sum_l c_ijl gamma^l
-    over the F_p-digits c_ijl of the entry (gamma^l, l < e, an F_p-basis of
-    F_q) it is G[:, p_i] + sum_(j, l) c_ijl S_jl, with S_jl = gamma^l G[:, j]
-    computed once per walk.  The digits are walked in the Gray order of
-    _gray_steps, so each step adds one S_jl to one column: at p = 2 an XOR
-    per entry, at odd p k field additions."""
-    field, n, k, p = code.field, code.n, code.k, code.field.p
+    pivot) meets each subspace once.  M[i] is cols[p_i] + sum_j B[i][j] cols[j],
+    and with B[i][j] = sum_l c_ijl gamma^l over the F_p-digits c_ijl of the
+    entry (gamma^l, l < e, an F_p-basis of F_q) it is
+    cols[p_i] + sum_(j, l) c_ijl S_jl, with S_jl = gamma^l cols[j] computed
+    once per walk.  The digits are walked in the Gray order of _gray_steps,
+    so each step adds one S_jl to one M[i]: at p = 2 an XOR per entry, at
+    odd p one field addition per entry."""
+    n, p = len(cols), field.p
     add = operator.xor if p == 2 else field.add
-    cols = list(zip(*code.gen))
-    gammas = [field.pow(field.gamma, l) for l in range(field.e)]
-    steps_of = [[tuple(field.mul(g, a) for a in col) for g in gammas] for col in cols]
+    gammas = [field.pow(field.gamma, l) for l in range(1, field.e)]
+    steps_of = [[col, *(tuple(field.mul(g, a) for a in col) for g in gammas)] for col in cols]
     for pivots in itertools.combinations(range(n), k):
         M = [cols[j] for j in pivots]
-        yield tuple(M)
+        yield pivots, tuple(M)
         steps = [(i, S) for i, pc in enumerate(pivots)
                  for j in range(pc + 1, n) if j not in pivots for S in steps_of[j]]
         for s in _gray_steps(p, len(steps)):
             i, S = steps[s]
             M[i] = tuple(map(add, M[i], S))
-            yield tuple(M)
+            yield pivots, tuple(M)
 
 
 def _is_mrd_by_subspaces(code: LinearCode) -> bool:
     """Whether no nonzero codeword has F_q-rank <= n-k (by the Singleton
-    bound, whether C is MRD), decided by _subspace_products.
+    bound, whether C is MRD), decided by one F_q-rank test per
+    (k-1)-dimensional F_q-subspace P of the last n-1 coordinates of F_q^n.
 
     Write a word c of F_{q^m}^n as the m x n matrix C_c over F_q of its
     entries' coordinates in an F_q-basis beta_1..beta_m of F_{q^m}.  For b in
     F_q^n, c.b = sum_t beta_t (C_c b)_t with every (C_c b)_t in F_q, so c.b = 0
     exactly when C_c b = 0, and {b in F_q^n : c.b = 0} has dimension
-    n - rank_q(c).  Hence c = xG has rank <= n-k exactly when c.b = 0 on
-    some k-dimensional F_q-subspace U, i.e. x (G B^T) = 0 for the basis B of
-    U.  A nonzero such x exists exactly when det(G B^T) = 0, and xG != 0
-    because G has full rank; so C is MRD exactly when every det(G B^T) is
-    nonzero.  The walk stops at the first zero determinant.
-    det(M) = det(M^T), so the determinant is taken of the columns as rows."""
-    k = code.k
-    det = la.cofactor_det(code.field, k) if k <= 3 else partial(la.det, code.field)
-    return all(map(det, _subspace_products(code)))
+    n - rank_q(c).  So C is MRD exactly when no codeword xG != 0 is
+    orthogonal to a k-dimensional U, and U meets b_0 = 0 in some P.
+
+    Let B be the RREF basis of P (pivots p_i), N = G B^T (k x (k-1)) and
+    c_r = (-1)^r times the minor of N without row r (c = (1) at k = 1), so
+    c.N_i = 0 (a determinant with a repeated column).  If c = 0, N has
+    dependent columns, so for every U containing P some x != 0 has
+    x G B_U^T = 0: C is not MRD, and w = cG = 0 fails the test below.
+    Otherwise c spans the left kernel of N, and since x.N_i = xG.B_i the
+    codewords orthogonal to P are the multiples of w = cG != 0.  From
+    w.B_i = 0, w_(p_i) = -sum_j B[i][j] w_j over the n-k+1 non-pivot
+    columns j, whose entries thus span those of w over F_q.  Hence C is MRD
+    exactly when for every P those n-k+1 entries are F_q-independent (their
+    spread has F_p-rank e(n-k+1)): [n-1 choose k-1]_q tests against the
+    [n choose k]_q determinants det(G B_U^T) of the minor criterion.  The
+    walk stops at the first P that fails."""
+    field, n, k, G = code.field, code.n, code.k, code.gen
+    mul = field.mul
+    add, sub = (operator.xor,) * 2 if field.p == 2 else (field.add, field.sub)
+    cols = list(zip(*G))
+    minor = la.cofactor_det(field, k - 1) if 3 <= k <= 4 else partial(la.det, field)
+    walked = cols[1:]
+    if k == 2:
+        # c = (u_1, -u_0) is linear in the one column u of N, so walking the
+        # columns of cG yields w itself
+        walked = [tuple(sub(mul(u1, a), mul(u0, b)) for a, b in zip(*G)) for u0, u1 in walked]
+    for pivots, N in _subspace_products(field, walked, k - 1):
+        free = [j for j in range(n) if j - 1 not in pivots]
+        if k > 2:
+            c = [minor([M[:r] + M[r + 1:] for M in N]) for r in range(k)]
+            c[1::2] = map(field.neg, c[1::2])
+            w = [reduce(add, map(mul, c, cols[j])) for j in free]
+        else:
+            w = [(N[0] if N else G[0])[j] for j in free]
+        if la._fp_rank(field, la.spread(field, w)) < field.e * len(w):
+            return False
+    return True
 
 
 def min_distance_bruteforce(code: LinearCode, cap: int = 1 << 24) -> int:
@@ -598,7 +620,7 @@ def min_distance_bruteforce(code: LinearCode, cap: int = 1 << 24) -> int:
         raise BudgetExceeded(
             f"projective codeword count {n_words} exceeds cap {cap}"
         )
-    return _least_rank(code, 1)
+    return _least_rank(code)
 
 
 # --------------------------------------------------------------------------

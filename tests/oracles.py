@@ -318,6 +318,29 @@ def min_distance_bruteforce(code, cap: int = 1 << 24) -> int:
     return best
 
 
+def rref_subspace_bases(field, n: int, k: int):
+    """The RREF bases (k x n, entries in F_q) of every k-dimensional
+    F_q-subspace of F_q^n, by pivot set and then every value of the free
+    entries: [n choose k]_q bases, no Gray order."""
+    subfield = [field.subfield_element(field.q, i) for i in range(field.q)]
+    for pivots in itertools.combinations(range(n), k):
+        free = [(i, j) for i, pc in enumerate(pivots) for j in range(pc + 1, n) if j not in pivots]
+        for values in itertools.product(subfield, repeat=len(free)):
+            B = [[1 if j == pc else 0 for j in range(n)] for pc in pivots]
+            for (i, j), v in zip(free, values):
+                B[i][j] = v
+            yield tuple(map(tuple, B))
+
+
+def is_mrd_by_determinants(code) -> bool:
+    """The minor criterion (Horlemann-Trautmann and Marshall, AMC 2017):
+    C is MRD exactly when det(G B^T) != 0 for the RREF basis B of every
+    k-dimensional F_q-subspace of F_q^n, one determinant per subspace."""
+    field, G = code.field, code.gen
+    return all(det(field, la.matmul(field, G, tuple(zip(*B)))) != 0
+               for B in rref_subspace_bases(field, code.n, code.k))
+
+
 def _poly_mod(a: list[int], mod, p: int) -> list[int]:
     """a mod f for monic f = mod, both little-endian; a is consumed."""
     dm = len(mod) - 1

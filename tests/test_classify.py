@@ -468,17 +468,35 @@ def test_recognition_sweeps_only_when_s1_is_k_plus_1(f2_8, monkeypatch):
     assert ok and crits["mrd_plus_s1"] is True and len(decisions) == 1
 
 
-def test_recognition_takes_the_shorter_mrd_walk(f2_8, f3_5, monkeypatch):
-    # [n choose k]_q subspaces against (Q^k-1)/(Q-1) words: 15 against 1 at
-    # k = 1, 1,210 against 244 for [5,2] over F_{3^5}, 155 against 257 for
-    # [5,2] over F_{2^8}
+def test_recognition_always_takes_the_subspace_walk(f2_8, f3_5, monkeypatch):
+    # k = 1, where one word is the whole sweep; [5,2] over F_{3^5}, where the
+    # 244 words are fewer than the 1,210 subspaces; [5,2] over F_{2^8}
     decisions = _counted_mrd_decisions(monkeypatch)
     rng = DetRNG(83, "cls-rec-walk")
-    for field, n, k, walk in ((f2_8, 4, 1, "words"), (f3_5, 5, 2, "words"),
-                              (f2_8, 5, 2, "subspaces")):
+    for field, n, k in ((f2_8, 4, 1), (f3_5, 5, 2), (f2_8, 5, 2)):
         decisions.clear()
         ok, crits = cl.is_theta_gabidulin(_gab(field, n, k, rng), 1)
-        assert ok and crits["mrd_plus_s1"] is True and decisions == [walk]
+        assert ok and crits["mrd_plus_s1"] is True and decisions == ["subspaces"]
+
+
+def test_rank_tests_are_fewer_than_subspaces_and_words():
+    # the walk takes [n-1 choose k-1]_q rank tests; one span test per
+    # (k-1)-row prefix of the subspace bases would take T, and each prefix
+    # with first pivot p0 stands for q^(n-k-p0) subspaces
+    for q in (2, 3, 4):
+        for n in range(2, 9):
+            for k in range(1, n):
+                prefixes = [cl.gaussian_binomial(n - 1 - p0, k - 1, q) for p0 in range(n - k + 1)]
+                T = sum(prefixes)
+                tests = cl.gaussian_binomial(n - 1, k - 1, q)
+                subspaces = cl.gaussian_binomial(n, k, q)
+                assert subspaces == sum(q ** (n - k - p0) * c for p0, c in enumerate(prefixes))
+                assert tests <= T <= subspaces
+                for m in range(n, 9):
+                    words = (q ** (m * k) - 1) // (q**m - 1)
+                    assert tests <= words
+                    if k >= 2:
+                        assert T < words
 
 
 def test_recognition_guards(f16):

@@ -24,17 +24,23 @@ G_ARG = ",".join(f"a^{e}" for e in WORKED_EXAMPLE_G_POWERS)
 ETA_ARG = f"a^{WORKED_EXAMPLE_ETA_POWER}"
 FORMATS = ("pretty", "csv", "json")
 
-# the stored codes: the worked [8,3] pair over F_{2^15}, and a [4,2] pair
-# plus a [4,1] code over F_{2^4}, small enough for --bruteforce
+# the stored codes: the worked [8,3] pair over F_{2^15}, a [4,2] pair plus a
+# [4,1] code over F_{2^4}, small enough for --bruteforce, and a seeded [5,2]
+# pair over F_{3^5}; the last two pairs are under the classify distance cap,
+# so recognition decides their MRD criterion
 WORKED = ("code", "build", "--m", "15", "--modulus", MODULUS_ARG, "--n", "8",
           "--k", "3", "--g", G_ARG)
 SMALL = ("code", "build", "--m", "4", "--n", "4", "--random-g", "--seed", "5")
+TERNARY = ("code", "build", "--p", "3", "--m", "5", "--n", "5", "--k", "2", "--theta", "2",
+           "--random-g", "--seed", "7")
 STORED = {
     "gab.json": (*WORKED, "--family", "Gabidulin"),
     "tw.json": (*WORKED, "--family", "Twisted", "--eta", ETA_ARG),
     "g4.json": (*SMALL, "--k", "2", "--family", "Gabidulin"),
     "t4.json": (*SMALL, "--k", "2", "--family", "Twisted", "--eta", "a^3"),
     "g41.json": (*SMALL, "--k", "1", "--family", "Gabidulin"),
+    "g35.json": (*TERNARY, "--family", "Gabidulin"),
+    "t35.json": (*TERNARY, "--family", "Twisted", "--eta", "a^17"),
 }
 
 # one code per family over F_{2^6}
@@ -74,7 +80,10 @@ CASES = {
        for fmt in FORMATS},
     **{f"classify-{name}-{fmt}": ("classify", "gabidulin", "--file", f"{name}.json",
                                   "--format", fmt)
-       for name in ("gab", "tw") for fmt in FORMATS},
+       for name in ("gab", "tw", "g4") for fmt in FORMATS},
+    **{f"classify-{name}-{fmt}": ("classify", "gabidulin", "--file", f"{name}.json",
+                                  "--theta", "2", "--format", fmt)
+       for name in ("g35", "t35") for fmt in FORMATS},
     **{f"count-{fmt}": ("count", "--q", "2", "--k", "2", "--n", "4", "--m", "4",
                         "--format", fmt) for fmt in FORMATS},
     **{f"census-{fmt}": ("census", "--q", "2", "--n", "6", "--k", "2", "--seed", "1",
@@ -113,12 +122,21 @@ GOLDEN = {
     "census-ub-csv": (0, "da8ebcb68df38f9100b39c57a95a6f1c001293fe4dff416c354df049f9d16173"),
     "census-ub-json": (0, "e40d3a798be5fe9af74d48fee5fe7661d4e111a2b3877eccaedb45978016e6ef"),
     "census-ub-pretty": (0, "f728e1fefc273862ff2314aa4670fa25991125b52ed310682863e606d4d9a496"),
+    "classify-g35-csv": (0, "280a06c3955fcb793c4e54b9739ed59ae89883f349af1e41a29c6817b26e85d6"),
+    "classify-g35-json": (0, "dfe79aca1b3854e1f42196bb1bbc496997315f0cc9efc4337f5a3a5fcc0de515"),
+    "classify-g35-pretty": (0, "6396417d389e60cbc6f3027d8f86a4fc5d637a79bb0cd2098230884ba2ff7aa5"),
+    "classify-g4-csv": (0, "f3871898570029f89456b7e6739c5e61d6a9ec11583ad23e55da62f6aa7a5175"),
+    "classify-g4-json": (0, "a6a0a1c38dd826126d320d047dd6f729c32a51f8c26416629907a24a08adba7d"),
+    "classify-g4-pretty": (0, "f090bc9a25163e6d12813702cb4fce3fd3d4945491c5b2b64f6d77ab4bb0a04c"),
     "classify-gab-csv": (0, "12941c7e6e490480fb3e125e50e74171c58aa437d22df958b1d8403120f3b3c7"),
     "classify-gab-json": (0, "6ea6359941f10919a3b201f0588ced5f5def55e18fd900d247226e6ca9e4c534"),
     "classify-gab-pretty": (0, "6fc6c97937f9db9a746f189ee4e13e2fc18a4ad3672bd245414c1070da2e7cfe"),
     "classify-tw-csv": (0, "6f4e0d902a935792ab5e9549b460a7c58e9a9edac08d8c447352df3972061112"),
     "classify-tw-json": (0, "f7e576e1ea6f2459f786284528caa6b273c328d3ff96f6ca80d7c844b15221b1"),
     "classify-tw-pretty": (0, "fdab02211100ca78d0a0e555fd837b6ad2af4c2071452c5e5d576edb51e565f7"),
+    "classify-t35-csv": (0, "607f9bcfcf93aca612ba8e1e5da2ea7163d0cd5c9c9b6e2415e6132b1148e073"),
+    "classify-t35-json": (0, "2b8a8d4f999652405e5ebb568d6e8b88dd9005584bf9b906470b6e7049651fe3"),
+    "classify-t35-pretty": (0, "3174ba566453269d3c88d21c8e0763165ea9d22e7190081b53bce456e508d688"),
     "compare-bruteforce-csv": (0, "332532a7da686a7985e04394034c669ec2bc13114b86b11be631edc2ca2150c8"),
     "compare-bruteforce-json": (0, "2255ee14fa7ff834565f7a1d9418a06d58115a8ca4714250cacb0d247dc8b973"),
     "compare-bruteforce-pretty": (0, "3964b5a6066fdb7a3ae5ce2ff8429b81a0d2b79af2fedec0947dd48fb160fca2"),

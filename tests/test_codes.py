@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 import oracles
-from conftest import FP_FIELDS, FP_IDS
+from conftest import FP_FIELDS, FP_IDS, TOWER_FIELDS, TOWER_IDS
 from rankinv import classify as cl
 from rankinv import codes as cd
 from rankinv import invariants as iv
@@ -447,11 +447,12 @@ def test_walk_yields_each_projective_codeword_once(case):
         assert set(words) == expected
 
 
-@pytest.mark.parametrize("case", FP_FIELDS, ids=FP_IDS)
+@pytest.mark.parametrize("case", FP_FIELDS + TOWER_FIELDS, ids=FP_IDS + TOWER_IDS)
 def test_subspace_walk_matches_oracle(case):
-    # the walk is called directly, for every 1 <= k < n <= m, on a Gabidulin
-    # code, a random code, and codes with a planted row of F_q-rank n-k (the
-    # largest rank that breaks MRD) or 1
+    # the rank tests are called directly, for every 1 <= k < n <= m, on a
+    # Gabidulin code, a random code, and codes with a planted row of F_q-rank
+    # n-k (the largest rank that breaks MRD) or 1; both oracles decide each
+    # code, the word sweep while it has at most 4,000 projective codewords
     backend, p, e, m = case
     F = make_field(p, e, m, backend=backend)
     rng = DetRNG(89, f"subspace-oracle/{backend}/{p}/{e}/{m}")
@@ -461,36 +462,48 @@ def test_subspace_walk_matches_oracle(case):
             g = la.random_full_rank_vector(F, n, rng)
             codes = [cd.build(F, cd.make_spec("Gabidulin", n, k, 1, g)),
                      cd.LinearCode.from_rows(F, [_random_vector(F, n, rng) for _ in range(k)], n)]
-            for r in {n - k, 1}:
+            # k >= 3 draws more planted codes: there the cofactors carry signs
+            for r in [n - k, 1] * (1 if k < 3 else 4):
                 rows = [_low_rank_word(F, n, r, rng)] + [_random_vector(F, n, rng) for _ in range(k - 1)]
                 codes.append(cd.LinearCode.from_rows(F, rows, n))
             for code in codes:
-                mrd = oracles.min_distance_bruteforce(code) == n - code.k + 1
+                mrd = oracles.is_mrd_by_determinants(code)
+                if _projective_count(F, code.k) <= 4000:
+                    assert mrd is (oracles.min_distance_bruteforce(code) == n - code.k + 1)
                 assert cd._is_mrd_by_subspaces(code) is mrd, (n, code.k)
                 seen.add((code.k, mrd))
     assert {mrd for _, mrd in seen} == {True, False}
     assert {k for k, _ in seen} == set(range(1, m))
 
 
-@pytest.mark.parametrize("case", FP_FIELDS, ids=FP_IDS)
-def test_subspace_walk_meets_each_subspace_once(case):
-    # over F_q^3 the lines are the spans of the nonzero vectors and the
-    # planes their orthogonal complements.  The dual of a Gabidulin [3, k]
-    # code is MRD of distance k+1 >= 2, so no nonzero b in F_q^3 has G b^T = 0
-    # and each basis B is told apart by its product B G^T
+@pytest.mark.parametrize("case", FP_FIELDS + TOWER_FIELDS, ids=FP_IDS + TOWER_IDS)
+def test_subspace_walk_meets_each_subspace_once(case, monkeypatch):
+    # on unit columns the walk yields the RREF bases themselves, so it must
+    # yield each basis of the oracle's enumeration once, with its pivots.
+    # The rank tests of an MRD code then walk each (k-1)-subspace of the
+    # last n-1 coordinates once: [n-1 choose k-1]_q tests, each on the
+    # n-k+1 entries of w at its non-pivot columns
     backend, p, e, m = case
     F = make_field(p, e, m, backend=backend)
+    for n in range(1, 5 if F.q <= 3 else 4):
+        units = la.identity(F, n)
+        for k in range(n + 1):
+            walked = list(cd._subspace_products(F, units, k))
+            bases = {B for _, B in walked}
+            assert len(walked) == len(bases) == cl.gaussian_binomial(n, k, F.q)
+            assert bases == set(oracles.rref_subspace_bases(F, n, k))
+            assert all(pivots == tuple(next(j for j, a in enumerate(row) if a) for row in B)
+                       for pivots, B in walked)
     rng = DetRNG(97, f"subspace-walk/{backend}/{p}/{e}/{m}")
-    subfield = [F.subfield_element(F.q, i) for i in range(F.q)]
-    lines = {la.rref(F, [v])[0] for v in itertools.product(subfield, repeat=3) if any(v)}
-    planes = {la.nullspace(F, B, 3) for B in lines}
-    g = la.random_full_rank_vector(F, 3, rng)
-    for k, subspaces in ((1, lines), (2, planes)):
-        code = cd.build(F, cd.make_spec("Gabidulin", 3, k, 1, g))
-        walked = list(cd._subspace_products(code))
-        assert len(walked) == len(subspaces) == cl.gaussian_binomial(3, k, F.q)
-        gt = tuple(zip(*code.gen))
-        assert set(walked) == {la.matmul(F, B, gt) for B in subspaces}
+    tested = []
+    monkeypatch.setattr(la, "_fp_rank", lambda field, entries, stop=None, rank=la._fp_rank:
+                        tested.append(len(entries)) or rank(field, entries, stop))
+    for n in range(2, min(m, 4) + 1):
+        for k in range(1, n):
+            code = cd.build(F, cd.make_spec("Gabidulin", n, k, 1, la.random_full_rank_vector(F, n, rng)))
+            tested.clear()
+            assert cd._is_mrd_by_subspaces(code)
+            assert tested == [e * (n - k + 1)] * cl.gaussian_binomial(n - 1, k - 1, F.q)
 
 
 @pytest.mark.parametrize("case", FP_FIELDS, ids=FP_IDS)
