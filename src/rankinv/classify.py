@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -541,29 +542,50 @@ def _frame_add(ring, state, units: int, u: int, w: int, a: int, b: int):
     """(state, rank) after the units e_v, v in the bit mask units, and the
     row zeta^a*e_u + zeta^b*e_w (u != w) join the frame (see census), where
     ring = (N, half): zeta has order N and zeta^half = -1.  A state is
-    (covered vertex mask, trees): each tree a balanced component of uncovered
-    vertices, (mask, {v: x}) with f_v = zeta^x * f_root."""
-    cov, trees = state
-    if cov >> u & 1 or cov >> w & 1:
-        cov |= 1 << u | 1 << w
+    (cov, edges): cov the mask of covered vertices, and edges the forest on
+    uncovered vertices, each edge (mask of its ends, u, w, d) with
+    f_w = zeta^d*f_u, so the rank is |cov| + len(edges) (see census).  A
+    new edge between uncovered ends walks the potentials of u's tree until
+    w is reached: a balanced cycle drops it, an unbalanced one covers u and
+    so, by the closure, its tree."""
+    cov, edges = state
+    new = cov | units
+    ends = 1 << u | 1 << w
+    if new & ends:
+        new |= ends
     else:
-        (mu, pu), (mw, pw) = (next((t for t in trees if t[0] >> v & 1), (1 << v, {v: 0}))
-                              for v in (u, w))
         n_ring, half = ring
-        # zeta^a*f_u + zeta^b*f_w = 0 exactly when shift = 0
-        shift = (a + pu[u] + half - b - pw[w]) % n_ring
-        if pu is pw:
-            if shift:  # an unbalanced cycle
-                cov |= mu
-        else:  # rescale w's side by zeta^shift, which balances the new edge
-            pots = {**pu, **{v: (x + shift) % n_ring for v, x in pw.items()}}
-            trees = [t for t in trees if t[1] is not pu and t[1] is not pw] + [(mu | mw, pots)]
-    cov |= units
-    for mask, _ in trees:
-        if mask & cov:
-            cov |= mask
-    trees = [t for t in trees if not t[0] & cov]
-    return (cov, trees), cov.bit_count() + sum(len(pots) - 1 for _, pots in trees)
+        d = (half + a - b) % n_ring
+        pots = {u: 0}
+        grown = True
+        while grown and w not in pots:  # potentials on u's tree, until w is reached
+            grown = False
+            for _, x, y, dxy in edges:
+                if x in pots:
+                    if y not in pots:
+                        pots[y] = pots[x] + dxy
+                        grown = True
+                elif y in pots:
+                    pots[x] = pots[y] - dxy
+                    grown = True
+        if w not in pots:
+            edges = edges + [(ends, u, w, d)]
+        elif (pots[w] - d) % n_ring:  # an unbalanced cycle covers the tree
+            new |= 1 << u
+        # a balanced cycle: the edge is dependent and is dropped
+    if edges and new != cov:  # an edge with a covered end covers its other end
+        grown = True
+        while grown:
+            grown = False
+            rest = []
+            for edge in edges:
+                if new & edge[0]:
+                    new |= edge[0]
+                    grown = True
+                else:
+                    rest.append(edge)
+            edges = rest
+    return (new, edges), new.bit_count() + len(edges)
 
 
 def _frame_blocks(ring, n: int, k: int, conj, r: int, t: int, h: int):
@@ -572,17 +594,18 @@ def _frame_blocks(ring, n: int, k: int, conj, r: int, t: int, h: int):
     n_ring, half = ring
     full, support = (1 << n) - 1, sum(1 << r * j % n for j in range(k))
     x, y = r * h % n, r * (k - 1 + t) % n
-    return [[((units << a % n | units >> n - a % n) & full, (x + a) % n, (y + a) % n, *gains(a))
-             for a in range(len(conj))]
-            for units, gains in ((support & ~(1 << x), lambda a: (0, conj[a])),
-                                 (full & ~support & ~(1 << y),
-                                  lambda a: ((conj[a] + half) % n_ring, 0)))]
+    shifts = [(a % n, (x + a) % n, (y + a) % n, c) for a, c in enumerate(conj)]
+    code, perp = support & ~(1 << x), full & ~support & ~(1 << y)
+    return ([((code << s | code >> n - s) & full, u, w, 0, c) for s, u, w, c in shifts],
+            [((perp << s | perp >> n - s) & full, u, w, (c + half) % n_ring, 0)
+             for s, u, w, c in shifts])
 
 
 def _census_class_keys(args):
     """Both fingerprint keys of one parameter class, off the frame (census);
     module-level for the process pool, and every argument a plain int or a
-    tuple of them."""
+    tuple of them: classes holds each distinct triple class (0, c1, c2) with
+    its count."""
     ring, n, k, conj, cls, classes = args
     m = len(conj)
     keys = []
@@ -591,18 +614,29 @@ def _census_class_keys(args):
         firsts = [_frame_add(ring, state0, *side[a]) for a in range(n + 1)]  # blocks 0 and a
         rows = []  # the rows at m-a equal those at a; a row stops at full rank or a repeat
         for a, (state, v) in enumerate(firsts):
-            ranks = [v0, v]
-            while len(ranks) <= length and v != ranks[-2] and v < n:
-                state, v = _frame_add(ring, state, *side[a * len(ranks) % m])
-                ranks.append(v)
-            rows.append(tuple(ranks[1:]) + (v,) * (length + 1 - len(ranks)))
-        # cls[1] is the least of the triple's three gaps, which sum to m
-        keys.append((rows, {c: _frame_add(ring, firsts[c[1]][0], *side[c[2]])[1]
-                            for c in set(classes)}))
+            row, last = [v], v0
+            while len(row) < length and last < v < n:
+                last = v
+                state, v = _frame_add(ring, state, *side[a * (len(row) + 1) % m])
+                row.append(v)
+            rows.append(tuple(row) + (v,) * (length - len(row)))
+        # c1 is the least of the triple's three gaps c1, c2 - c1, m - c2, so
+        # firsts[c1] holds blocks 0 and c1; a full-rank pair settles the
+        # triple (census)
+        pair = [v for _, v in firsts]
+        pair += pair[n - 1:0:-1]  # pair[g] = rank of blocks 0 and g, g in Z_m
+        keys.append((rows, [n if n in (pair[c1], pair[c2 - c1], pair[c2])
+                            else _frame_add(ring, firsts[c1][0], *side[c2])[1]
+                            for (_, c1, c2), _ in classes]))
     (s_rows, s3), (t_rows, t3) = keys
-    return (tuple(sorted((s_rows[min(a, m - a)], tuple(n - v for v in t_rows[min(a, m - a)]))
-                         for a in range(m))),
-            tuple(sorted((s3[cls], n - t3[cls]) for cls in classes)))
+    pairs = [(s, tuple(n - v for v in t)) for s, t in zip(s_rows, t_rows)]
+    counts = {}  # each distinct (s, t) of the triple key, with its count
+    for s, t, (_, count) in zip(s3, t3, classes):
+        counts[s, n - t] = counts.get((s, n - t), 0) + count
+    triples = []
+    for st in sorted(counts):
+        triples += [st] * counts[st]
+    return tuple(sorted(pairs + pairs[1:n])), tuple(triples)  # a in 1..n-1 stands for m-a too
 
 
 def _eta_exponents(field: FieldTower, eta: int) -> tuple[int, int, int]:
@@ -653,7 +687,18 @@ def census(q: int, n: int, k: int, seed: int, trials: int = 100,
     edges.  On a component f_v = phi_v*f_root along a spanning tree, and
     f_root = 0 once a vertex is covered or an edge closes a cycle with
     a*phi_u + b*phi_w != 0 (unbalanced): the rank is n minus the number of
-    uncovered components with only balanced cycles (_frame_add).
+    uncovered components with only balanced cycles.
+
+    * Forest.  _frame_add keeps the covered vertices cov and a forest of
+      edges on uncovered vertices, so the rank is |cov| + (number of edges).
+      This holds after each step: an edge with a covered end covers its
+      other end (a*f_u = -b*f_w, a, b != 0), and the closure repeats that;
+      an edge joining two trees keeps them one balanced tree; one closing a
+      balanced cycle is implied by the tree path (it fixes f_w from f_u as
+      the path does) and is dropped; one closing an unbalanced cycle forces
+      f_root = 0 and covers its tree.  So each uncovered component is a
+      balanced tree (a lone vertex included) with t vertices and t - 1
+      edges, and the rank is n - #components = |cov| + sum (t - 1).
 
     * Exponents.  Every gain is 1, eta^[a] or -eta^[a], so every phi_v lies
       in the cyclic group generated by zeta, chosen by _eta_exponents with
@@ -671,7 +716,16 @@ def census(q: int, n: int, k: int, seed: int, trials: int = 100,
       factor l divided out) the keys take no field arithmetic.
 
     The sets J, with their proofs, are those of invariants: mirror halves, a
-    stop at the first repeat (or full rank), triple translation classes."""
+    stop at the first repeat (or full rank), triple translation classes.
+
+    * Full-rank pairs.  Rank is monotone in the set of blocks, and
+      rank(a + J) = rank(J): the blocks at a + J are sigma^a of those at J,
+      and sigma^a keeps dimensions.  So rank{0, g} = rank{m - g, 0}, and for
+      the triple class (0, c1, c2), c1 its least gap, the pairs {0, c1},
+      {c1, c2} and {0, c2} have the ranks of {0, g} for g = c1,
+      min(c2 - c1, m - c2 + c1) and min(c2, m - c2), all at most n and all
+      computed for the rows.  When one of them is n, so is the triple's
+      rank, and no _frame_add call is made for it."""
     m = 2 * n
     if n < 6:
         raise ValueError("census needs n >= 6")
@@ -694,7 +748,7 @@ def census(q: int, n: int, k: int, seed: int, trials: int = 100,
     params = tuple(census_param_classes(n, k))
     n_ring, half, le = _eta_exponents(field, eta)
     conj = tuple(le * pow(q, a, n_ring) % n_ring for a in range(m))
-    classes = iv._translation_classes(iv.random_triples(m, trials, seed), m)
+    classes = tuple(Counter(iv._translation_classes(iv.random_triples(m, trials, seed), m)).items())
     tasks = [((n_ring, half), n, k, conj, cls, classes) for cls in params]
     if jobs > 1:
         import concurrent.futures

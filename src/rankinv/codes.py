@@ -67,7 +67,7 @@ from functools import cached_property, partial, reduce
 from typing import Optional
 
 from . import linalg as la
-from .gf import FieldTower, FullAut, GaloisAut, field_from_dict, field_to_dict
+from .gf import FieldError, FieldTower, FullAut, GaloisAut, field_from_dict, field_to_dict
 
 FAMILIES = ("Gabidulin", "Twisted", "GeneralizedTwisted", "NewGabI", "NewGabII")
 
@@ -638,18 +638,34 @@ def code_to_dict(code: LinearCode, provenance: dict | None = None) -> dict:
     }
 
 
-def code_from_dict(data: dict):
-    """(code, provenance) from the dict code_to_dict writes.  A value of the
-    wrong JSON type anywhere in it, the whole document included, raises
-    ValueError."""
+def _member(doc: dict, key: str, kind: str, convert):
+    """convert(doc[key]) for one member of a code file.  A missing member,
+    also one of an object member (a KeyError from convert), or a value that
+    convert refuses raises ValueError naming the member; a FieldError keeps
+    its own message."""
+    if key not in doc:
+        raise ValueError(f"malformed code: missing member '{key}'")
     try:
-        field = field_from_dict(data["field"])
-        rows = tuple(
-            tuple(field.from_coeffs(c) for c in row) for row in data["gen"]
-        )
-        n, k = int(data["n"]), int(data["k"])
-    except TypeError as exc:
-        raise ValueError(f"malformed code: {exc}") from exc
+        return convert(doc[key])
+    except FieldError:
+        raise
+    except KeyError as exc:
+        raise ValueError(f"malformed code: missing member '{key}.{exc.args[0]}'") from None
+    except (TypeError, ValueError):
+        raise ValueError(f"malformed code: member '{key}' must be {kind}") from None
+
+
+def code_from_dict(data: dict):
+    """(code, provenance) from the dict code_to_dict writes.  A missing
+    member, or a value of the wrong JSON type anywhere in it, the whole
+    document included, raises ValueError naming the member."""
+    if not isinstance(data, dict):
+        raise ValueError("malformed code: the document must be a JSON object")
+    field = _member(data, "field", "an object of integers p, e, m and an integer array "
+                    "modulus", field_from_dict)
+    rows = _member(data, "gen", "an array of rows, each an array of coefficient arrays",
+                   lambda gen: tuple(tuple(field.from_coeffs(c) for c in row) for row in gen))
+    n, k = (_member(data, key, "an integer", int) for key in ("n", "k"))
     code = LinearCode.from_rows(field, rows, n)
     if code.k != k:
         raise ValueError("stored dimension does not match the generator matrix")

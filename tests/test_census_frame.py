@@ -251,6 +251,59 @@ def test_frame_rank_on_structured_graphs(case):
         # a unit on a tree covers the whole tree
         tree = balanced[:-1]
         _check_blocks(field, n, tree + [(1 << (n - 1), 0, 1, 0, phi[0])])
+        # a path laid from its middle outward, then units on both its ends:
+        # covering must repeat until no edge has a covered end
+        path = sorted(tree, key=lambda block: abs(2 * block[1] + 2 - n))
+        _check_blocks(field, n, path + [(1 | 1 << (n - 1), 0, n - 1, 0, 0)])
+
+
+# --------------------------------------------------------------------------
+# triple keys settled by full-rank pairs
+# --------------------------------------------------------------------------
+
+# p in {2, 3} and e in {1, 2}, on each field's default backend
+SHORTCUT_CASES = [(3, 6, 2), (3, 7, 3), (2, 8, 3), (4, 6, 2), (9, 6, 2)]
+
+
+@pytest.mark.parametrize("q,n,k", SHORTCUT_CASES)
+def test_full_rank_pair_settles_the_triple(q, n, k):
+    # on every class and both sides, for every triple class (0, c1, c2) with
+    # c1 its least gap: the pair of blocks {c1, c2} has the rank of {0, c2 - c1}
+    # (translation), and when one of the three pairs has full rank n, so has
+    # the triple, read directly off firsts[c1] and block c2
+    report, field = cl.census(q, n, k, seed=1, trials=0)
+    n_ring, half, le = cl._eta_exponents(field, report.eta)
+    ring, m = (n_ring, half), field.m
+    conj = tuple(le * pow(q, a, n_ring) % n_ring for a in range(m))
+
+    def rank(side, *blocks):
+        state, v = (0, []), 0
+        for a in blocks:
+            state, v = cl._frame_add(ring, state, *side[a])
+        return state, v
+
+    settled = 0
+    for cls in report.params:
+        for side in cl._frame_blocks(ring, n, k, conj, *cls):
+            pair = [rank(side, 0, g)[1] for g in range(m)]
+            for c1 in range(1, m // 3 + 1):
+                first = rank(side, 0, c1)[0]
+                for c2 in range(2 * c1, m - c1 + 1):
+                    assert rank(side, c1, c2)[1] == pair[c2 - c1], (cls, c1, c2)
+                    if n in (pair[c1], pair[c2 - c1], pair[c2]):
+                        assert cl._frame_add(ring, first, *side[c2])[1] == n, (cls, c1, c2)
+                        settled += 1
+    assert settled
+
+
+def test_census_frame_call_count(monkeypatch):
+    # pins the _frame_add calls of one census: 2940 before full-rank pairs
+    # settled the triple keys, so losing that shortcut fails here
+    calls = []
+    real = cl._frame_add
+    monkeypatch.setattr(cl, "_frame_add", lambda *args: calls.append(1) or real(*args))
+    cl.census(3, 7, 3, seed=1, trials=100)
+    assert len(calls) == 2148
 
 
 # --------------------------------------------------------------------------

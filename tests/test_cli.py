@@ -325,18 +325,43 @@ def test_code_file_holding_a_json_list_is_a_clean_error(tmp_path, argv):
     _assert_clean_error(*run_cli(*(a.format(path=path) for a in argv)), "malformed code")
 
 
+CODE_DOC = {"field": {"p": 2, "e": 1, "m": 4, "modulus": [1, 1, 0, 0, 1]},
+            "n": 2, "k": 1, "gen": [[[1, 0, 0, 0], [0, 1, 0, 0]]]}
+
+
 @pytest.mark.parametrize("patch", [
     {"field": [2, 1, 4]},
     {"gen": 5},
     {"gen": [[5, 6]]},
     {"n": [2]},
+    {"field": 3},
 ])
 def test_code_file_with_a_mistyped_value_is_a_clean_error(tmp_path, patch):
-    field = {"p": 2, "e": 1, "m": 4, "modulus": [1, 1, 0, 0, 1]}
-    doc = {"field": field, "n": 2, "k": 1, "gen": [[[1, 0, 0, 0], [0, 1, 0, 0]]]}
     path = tmp_path / "code.json"
-    path.write_text(json.dumps(dict(doc, **patch)))
-    _assert_clean_error(*run_cli("invariants", "--file", str(path)), "malformed code")
+    path.write_text(json.dumps(dict(CODE_DOC, **patch)))
+    # the message names the member, not Python's wording for the failed access
+    (member,) = patch
+    _assert_clean_error(*run_cli("invariants", "--file", str(path)), "malformed code",
+                        f"member '{member}' must be")
+
+
+@pytest.mark.parametrize("member", ["field", "gen", "n", "k", "field.p", "field.e", "field.m",
+                                    "field.modulus"])
+def test_code_file_missing_a_member_is_a_clean_error(tmp_path, member):
+    doc = json.loads(json.dumps(CODE_DOC))
+    *outer, key = member.split(".")
+    del (doc[outer[0]] if outer else doc)[key]
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(doc))
+    _assert_clean_error(*run_cli("invariants", "--file", str(path)),
+                        f"error: malformed code: missing member '{member}'")
+
+
+def test_empty_code_file_names_the_field_as_missing(tmp_path):
+    path = tmp_path / "code.json"
+    path.write_text("{}")
+    _assert_clean_error(*run_cli("invariants", "--file", str(path)),
+                        "error: malformed code: missing member 'field'")
 
 
 @pytest.mark.parametrize("n", [2, 5])
