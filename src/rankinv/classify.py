@@ -1,4 +1,4 @@
-"""Equivalence testing, Gabidulin recognition, counting, and the census.
+"""Equivalence testing and Gabidulin recognition.
 
 Two codes C1, C2 <= F_{q^m}^n are equivalent when C2 = lam * tau(C1) * A for
 some nonzero lam, full-field automorphism tau, and A in GL_n(F_q).  The tools
@@ -12,42 +12,56 @@ here sit on two rungs:
 is_theta_gabidulin() recognizes Gabidulin codes for a *fixed* generator theta
 through several independent published criteria evaluated simultaneously; they
 must agree, and any disagreement raises (it would mean an implementation bug).
-rank_one_decomposition() splits a code with s_1 <= k+1 into a part spanned by
-rank-one codewords plus a Gabidulin part.
 
-counting() evaluates closed-form counts/bounds for Gabidulin and twisted
-families; census() counts how many parameter classes of one-twist
-generalized-twisted codes over a doubled field (m = 2n) the invariant
-fingerprints distinguish (lower bounds LB1/LB2 vs the parameter upper bound
-UB), reading each code's dimensions off a gain graph instead of building it.
+The census and closed-form counting have modules of their own.  census,
+CensusReport, census_param_classes and make_field are re-exported here, and
+`classify.census` is the census entry point that `rankinv census` calls; the
+census builds its field through `gf.make_field`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from . import codes as cd
 from . import invariants as iv
 from . import linalg as la
-from .gf import (FieldTower, FullAut, GaloisAut, _is_prime, _prime_factors, galois_generators,
-                 make_field)
-from .rng import DetRNG
+from .base import Record
+from .census import CensusReport, census  # noqa: F401 (re-exported)
+from .counting import census_param_classes  # noqa: F401 (re-exported)
+from .gf import FullAut, make_field  # noqa: F401 (make_field re-exported)
+
+_set = object.__setattr__  # how a Record sets its slots
 
 
 # --------------------------------------------------------------------------
 # distinguishing / deciding equivalence
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str              # "Inequivalent" | "Equivalent" | "Unknown"
-    witness: Optional[dict]  # what separated (or the equivalence map)
-    detail: str = ""
+class Verdict(Record):
+    """status is "Inequivalent", "Equivalent" or "Unknown"; witness is what
+    separated the codes (or the equivalence map), or None."""
+
+    __slots__ = ("status", "witness", "detail")
+
+    def __init__(self, status: str, witness: Optional[dict], detail: str = ""):
+        _set(self, "status", status)
+        _set(self, "witness", witness)
+        _set(self, "detail", detail)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.status, self.witness, self.detail)
+                    == (other.status, other.witness, other.detail))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.status, self.witness, self.detail))
+
+    def __repr__(self):
+        return f"Verdict(status={self.status!r}, witness={self.witness!r}, detail={self.detail!r})"
 
     def __str__(self):
         if self.status == "Unknown":
@@ -252,515 +266,3 @@ def _systematic_criterion(code: cd.LinearCode, theta_exp: int) -> bool:
     Y = code.diffs.rows(theta_exp)
     return (la.rank(code.field, Y) == 1 and la.rank_q(code.field, Y[0]) == n - k
             and la.rank_q(code.field, [row[0] for row in Y]) == k)
-
-
-def rank_one_decomposition(code: cd.LinearCode, theta_exp: int):
-    """Split C = C1 (+) Gabidulin part, valid when s_1 <= k+1.
-
-    Returns (C1, t, g) with C1 spanned by rank-one codewords (dimension k-t),
-    t the dimension of the Gabidulin summand, and g its generator vector
-    (None when t = 0).  Verifies the recomposition before returning.
-
-    The intersections T_i = C n theta(C) n ... n theta^i(C) fall until they
-    stabilize, and they stabilize at the Galois-stable part V of C
-    (codes._galois_stable_part), which is C1.  V lies in every T_i.  Once
-    T_i = T_(i+1) = C n theta(T_i), T_i lies in theta(T_i), which has the
-    same dimension, so theta(T_i) = T_i; theta generates the Galois group,
-    so T_i is stable under every automorphism, lies in each image of C and
-    hence in V.  Both C1 and T_(t-1) are read off the code's differences
-    (LinearCode.diffs), and a vector of T_(t-1) outside C1, shifted back by
-    theta^-(t-1), generates the Gabidulin part."""
-    field = code.field
-    n, k, m = code.n, code.k, field.m
-    if math.gcd(theta_exp, m) != 1:
-        raise ValueError("theta must generate the Galois group")
-    theta = GaloisAut(field, theta_exp)
-    s1 = iv.s_sequence(code, theta_exp, i_max=1)[1]
-    if s1 > k + 1:
-        raise ValueError(f"decomposition needs s_1 <= k+1 (got s_1 = {s1}, k = {k})")
-
-    c1_gen = cd._galois_stable_part(code)
-    t = k - len(c1_gen)
-    c1 = cd.LinearCode(field, n, len(c1_gen), c1_gen)
-
-    if t == 0:
-        _verify_rank_one_span(c1)
-        return c1, 0, None
-
-    # pick v in T_{t-1} \ C1 and shift it back to a generator
-    prev = code.diffs.meet([theta_exp * i for i in range(1, t)])
-    v = next((row for row in prev if la.rank(field, (*c1_gen, row)) > len(c1_gen)), None)
-    if v is None:
-        raise AssertionError("no vector found outside the stable intersection")  # pragma: no cover
-    g = theta.power(-(t - 1)).on_vector(v)
-    if la.rank_q(field, g) <= t:
-        raise AssertionError("recovered generator has too small F_q-rank")  # pragma: no cover
-
-    recomposed = la.rref(field, la.stack(c1_gen, la.moore_matrix(field, g, t, theta)))[0]
-    if recomposed != code.gen:
-        raise AssertionError("decomposition failed to recompose the code")  # pragma: no cover
-    _verify_rank_one_span(c1)
-    return c1, t, tuple(g)
-
-
-def _verify_rank_one_span(c1: cd.LinearCode) -> None:
-    if c1.k == 0:
-        return
-    dim_q, _ = cd.subfield_subcode(c1)
-    if dim_q != c1.k:
-        raise AssertionError(
-            "stable intersection is not spanned by rank-one codewords"
-        )  # pragma: no cover
-
-
-# --------------------------------------------------------------------------
-# counting
-# --------------------------------------------------------------------------
-
-def gaussian_binomial(m: int, n: int, q: int) -> int:
-    num = den = 1
-    for i in range(n):
-        num *= q**m - q**i
-        den *= q**n - q**i
-    assert num % den == 0
-    return num // den
-
-
-@dataclass(frozen=True)
-class CountBound:
-    name: str
-    kind: str                 # "exact" | "lower" | "upper"
-    value: Optional[int]
-    applicable: bool
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class CountResult:
-    q: int
-    k: int
-    n: int
-    m: int
-    bounds: tuple[CountBound, ...]
-
-    def get(self, name: str) -> CountBound:
-        for b in self.bounds:
-            if b.name == name:
-                return b
-        raise KeyError(name)
-
-
-def _q_to_pe(q: int) -> tuple[int, int]:
-    """(p, e) with q = p**e, decided without factoring q, so a composite q
-    with large prime factors is rejected as fast as any other: for each e
-    from log2(q) down to 1, q is a prime power when its integer e-th root r
-    has r**e == q and r is prime by gf._is_prime."""
-    for e in range(q.bit_length() if q > 1 else 0, 0, -1):
-        r = 1 << -(-q.bit_length() // e)  # >= the e-th root; Newton from above
-        while (s := ((e - 1) * r + q // r ** (e - 1)) // e) < r:
-            r = s
-        if r ** e == q and _is_prime(r):
-            return r, e
-    raise ValueError(f"q = {q} is not a prime power")
-
-
-def count_aut_orbits_eta(q: int, m: int, k: int, field_cap: int = 1 << 22) -> Optional[int]:
-    """Number of orbits of the full automorphism group on
-    {eta in F_{q^m} : norm(eta) != (-1)^(k*m)} (0 included, its norm is 0).
-    Returns None when the field would exceed field_cap.
-
-    Read off exponents, with no field built.  A nonzero eta is alpha^l,
-    l in Z_{Q-1}, and its norm alpha^(l(Q-1)/(q-1)) = gamma^l, gamma of
-    order q - 1, is 1 exactly when q - 1 divides l; a -> a^p, which
-    generates the group, sends l to p*l.  When k*m is odd at odd p, m is
-    odd, so norm(-1) = (-1)^(1+q+...+q^(m-1)) = -1, and eta -> -eta, which
-    commutes with the group, swaps the norms 1 and -1: every k gives the
-    count for norm(eta) != 1."""
-    p = _q_to_pe(q)[0]
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if q**m > field_cap:
-        return None
-    qm1 = q**m - 1
-    seen = bytearray(qm1)
-    orbits = 1  # {0}
-    for l in range(qm1):
-        if seen[l] or l % (q - 1) == 0:
-            continue
-        orbits += 1
-        while not seen[l]:
-            seen[l] = 1
-            l = l * p % qm1
-    return orbits
-
-
-def counting(q: int, k: int, n: int, m: int, field_cap: int = 1 << 22) -> CountResult:
-    """Closed-form counts and bounds for Gabidulin / twisted codes with the
-    given parameters.  Formulas outside their stated parameter ranges are
-    still evaluated where they make sense but flagged applicable=False."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in 1..n = 1..{n}, got {k}")
-    phi = len(galois_generators(m))  # Euler's phi(m), with phi(1) = 1
-    e = _q_to_pe(q)[1]
-    bounds: list[CountBound] = []
-
-    prod_gab = 1
-    for i in range(1, n):
-        prod_gab *= q**m - q**i
-    ok = 2 <= k <= n - 2 and n <= m
-    bounds.append(CountBound(
-        "gabidulin_fixed_theta", "exact", prod_gab, ok,
-        "distinct Gabidulin codes for one generating theta" + ("" if ok else " (outside stated range 2<=k<=n-2, n<=m)"),
-    ))
-
-    ok = 2 < k < n - 2 and n <= m
-    window = (2 * m) // (n - 1) if n > 1 else None
-    lower = math.ceil(Fraction(phi * prod_gab, window)) if window else None
-    upper = (phi * prod_gab) // 2
-    bounds.append(CountBound("gabidulin_all_theta_lower", "lower", lower, ok,
-                             "distinct Gabidulin codes over all generating theta"))
-    bounds.append(CountBound("gabidulin_all_theta_upper", "upper", upper, ok, ""))
-
-    ok = 1 <= k <= n - 1 and 2 <= n <= m - 2
-    sz = Fraction(gaussian_binomial(m, n, q) * (q - 1), m * (q**m - 1))
-    bounds.append(CountBound(
-        "inequivalent_mrd_lower", "lower", math.ceil(sz), ok,
-        "inequivalent MRD codes (not only Gabidulin)",
-    ))
-
-    ok = m == n and 2 < k < n - 2
-    bounds.append(CountBound(
-        "gabidulin_classes_m_eq_n", "exact", phi // 2 if m == n else None, ok,
-        "equivalence classes of Gabidulin codes when m = n",
-    ))
-
-    if m > n:
-        prod_cls = Fraction(1)
-        for i in range(2, n + 1):
-            prod_cls *= Fraction(q ** (m - i + 1) - 1, q**i - 1)
-        lower_f = Fraction((n - 1) * phi, 2 * m * m * e) * prod_cls
-        upper_f = Fraction(phi, 2) * prod_cls
-        ok = 2 < k < n - 2
-        bounds.append(CountBound("gabidulin_classes_m_gt_n_lower", "lower",
-                                 math.ceil(lower_f), ok,
-                                 "equivalence classes of Gabidulin codes when m > n"))
-        bounds.append(CountBound("gabidulin_classes_m_gt_n_upper", "upper",
-                                 math.floor(upper_f), ok, ""))
-    else:
-        bounds.append(CountBound("gabidulin_classes_m_gt_n_lower", "lower", None, False, "needs m > n"))
-        bounds.append(CountBound("gabidulin_classes_m_gt_n_upper", "upper", None, False, "needs m > n"))
-
-    prod_tw = 1
-    for i in range(n):
-        prod_tw *= q**m - q**i
-    tw_exact_f = (1 - Fraction(1, q - 1)) * prod_tw
-    ok = 2 <= k <= n - 2 and n <= m
-    bounds.append(CountBound(
-        "twisted_fixed_theta", "exact", _exact_fraction(tw_exact_f), ok,
-        "distinct twisted codes (nonzero eta with the norm constraint) for one theta"
-        + ("; zero at q=2" if q == 2 else ""),
-    ))
-    bounds.append(CountBound(
-        "twisted_all_theta_upper", "upper",
-        math.floor(Fraction(phi, 2) * tw_exact_f), ok, "",
-    ))
-
-    x_orbits = count_aut_orbits_eta(q, m, k, field_cap)
-    bounds.append(CountBound(
-        "eta_orbit_count", "exact", x_orbits, True,
-        "orbits of the automorphism group on twist scalars of admissible norm"
-        + ("" if x_orbits is not None else " (field beyond enumeration cap)"),
-    ))
-
-    ok = m == n and 2 < k < n - 2
-    value = x_orbits * (phi // 2) if (x_orbits is not None and m == n) else None
-    note = "equivalence classes of twisted codes when m = n"
-    if m == n and x_orbits is None:
-        note += " (field beyond enumeration cap)"
-    bounds.append(CountBound("twisted_classes_m_eq_n", "exact", value, ok, note))
-
-    return CountResult(q, k, n, m, tuple(bounds))
-
-
-def _exact_fraction(f: Fraction) -> int:
-    if f.denominator != 1:
-        raise AssertionError(f"expected an integer, got {f}")  # pragma: no cover
-    return f.numerator
-
-
-# --------------------------------------------------------------------------
-# census over the doubled field m = 2n
-# --------------------------------------------------------------------------
-
-def census_param_classes(n: int, k: int) -> list[tuple[int, int, int]]:
-    """Canonical representatives of (theta exponent, twist offset t, twisted
-    row h) modulo the pairing (r,t,h) ~ (-r mod m, n-k+1-t, k-1-h)."""
-    m = 2 * n
-    if not 1 <= k <= n - 1:
-        raise ValueError("census needs 1 <= k <= n-1")
-    seen = set()
-    reps = []
-    for r in galois_generators(m):
-        for t in range(1, n - k + 1):
-            for h in range(k):
-                if (r, t, h) in seen:
-                    continue
-                partner = ((-r) % m, n - k + 1 - t, k - 1 - h)
-                seen.add((r, t, h))
-                seen.add(partner)
-                reps.append((r, t, h))
-    return reps
-
-
-def census_ub(n: int, k: int) -> int:
-    return len(census_param_classes(n, k))
-
-
-@dataclass(frozen=True)
-class CensusReport:
-    q: int
-    n: int
-    m: int
-    k: int
-    seed: int
-    trials: int
-    g: tuple[int, ...]
-    eta: int
-    ub: int
-    lb1: int
-    lb2: int
-    params: tuple[tuple[int, int, int], ...]
-    fingerprints1: tuple           # consecutive keys, aligned with params
-    fingerprints2: tuple           # random-triple keys, aligned with params
-
-
-def _frame_add(ring, state, units: int, u: int, w: int, a: int, b: int):
-    """(state, rank) after the units e_v, v in the bit mask units, and the
-    row zeta^a*e_u + zeta^b*e_w (u != w) join the frame (see census), where
-    ring = (N, half): zeta has order N and zeta^half = -1.  A state is
-    (cov, edges): cov the mask of covered vertices, and edges the forest on
-    uncovered vertices, each edge (mask of its ends, u, w, d) with
-    f_w = zeta^d*f_u, so the rank is |cov| + len(edges) (see census).  A
-    new edge between uncovered ends walks the potentials of u's tree until
-    w is reached: a balanced cycle drops it, an unbalanced one covers u and
-    so, by the closure, its tree."""
-    cov, edges = state
-    new = cov | units
-    ends = 1 << u | 1 << w
-    if new & ends:
-        new |= ends
-    else:
-        n_ring, half = ring
-        d = (half + a - b) % n_ring
-        pots = {u: 0}
-        grown = True
-        while grown and w not in pots:  # potentials on u's tree, until w is reached
-            grown = False
-            for _, x, y, dxy in edges:
-                if x in pots:
-                    if y not in pots:
-                        pots[y] = pots[x] + dxy
-                        grown = True
-                elif y in pots:
-                    pots[x] = pots[y] - dxy
-                    grown = True
-        if w not in pots:
-            edges = edges + [(ends, u, w, d)]
-        elif (pots[w] - d) % n_ring:  # an unbalanced cycle covers the tree
-            new |= 1 << u
-        # a balanced cycle: the edge is dependent and is dropped
-    if edges and new != cov:  # an edge with a covered end covers its other end
-        grown = True
-        while grown:
-            grown = False
-            rest = []
-            for edge in edges:
-                if new & edge[0]:
-                    new |= edge[0]
-                    grown = True
-                else:
-                    rest.append(edge)
-            edges = rest
-    return (new, edges), new.bit_count() + len(edges)
-
-
-def _frame_blocks(ring, n: int, k: int, conj, r: int, t: int, h: int):
-    """The rows of sigma^a(C) and of sigma^a(C^perp), a in Z_m, as the
-    (units, u, w, a, b) of _frame_add (see census); zeta^conj[a] = eta^[a]."""
-    n_ring, half = ring
-    full, support = (1 << n) - 1, sum(1 << r * j % n for j in range(k))
-    x, y = r * h % n, r * (k - 1 + t) % n
-    shifts = [(a % n, (x + a) % n, (y + a) % n, c) for a, c in enumerate(conj)]
-    code, perp = support & ~(1 << x), full & ~support & ~(1 << y)
-    return ([((code << s | code >> n - s) & full, u, w, 0, c) for s, u, w, c in shifts],
-            [((perp << s | perp >> n - s) & full, u, w, (c + half) % n_ring, 0)
-             for s, u, w, c in shifts])
-
-
-def _census_class_keys(args):
-    """Both fingerprint keys of one parameter class, off the frame (census);
-    module-level for the process pool, and every argument a plain int or a
-    tuple of them: classes holds each distinct triple class (0, c1, c2) with
-    its count."""
-    ring, n, k, conj, cls, classes = args
-    m = len(conj)
-    keys = []
-    for side, length in zip(_frame_blocks(ring, n, k, conj, *cls), (n - k, k)):
-        state0, v0 = _frame_add(ring, (0, []), *side[0])
-        firsts = [_frame_add(ring, state0, *side[a]) for a in range(n + 1)]  # blocks 0 and a
-        rows = []  # the rows at m-a equal those at a; a row stops at full rank or a repeat
-        for a, (state, v) in enumerate(firsts):
-            row, last = [v], v0
-            while len(row) < length and last < v < n:
-                last = v
-                state, v = _frame_add(ring, state, *side[a * (len(row) + 1) % m])
-                row.append(v)
-            rows.append(tuple(row) + (v,) * (length - len(row)))
-        # c1 is the least of the triple's three gaps c1, c2 - c1, m - c2, so
-        # firsts[c1] holds blocks 0 and c1; a full-rank pair settles the
-        # triple (census)
-        pair = [v for _, v in firsts]
-        pair += pair[n - 1:0:-1]  # pair[g] = rank of blocks 0 and g, g in Z_m
-        keys.append((rows, [n if n in (pair[c1], pair[c2 - c1], pair[c2])
-                            else _frame_add(ring, firsts[c1][0], *side[c2])[1]
-                            for (_, c1, c2), _ in classes]))
-    (s_rows, s3), (t_rows, t3) = keys
-    pairs = [(s, tuple(n - v for v in t)) for s, t in zip(s_rows, t_rows)]
-    counts = {}  # each distinct (s, t) of the triple key, with its count
-    for s, t, (_, count) in zip(s3, t3, classes):
-        counts[s, n - t] = counts.get((s, n - t), 0) + count
-    triples = []
-    for st in sorted(counts):
-        triples += [st] * counts[st]
-    return tuple(sorted(pairs + pairs[1:n])), tuple(triples)  # a in 1..n-1 stands for m-a too
-
-
-def _eta_exponents(field: FieldTower, eta: int) -> tuple[int, int, int]:
-    """(N, half, le) for the nonzero eta (see census): zeta = eta, or -eta
-    when p is odd and eta has odd order, has order N, zeta^half = -1 and
-    zeta^le = eta.  ord(eta) is Q - 1 with each prime l | Q - 1 divided out
-    while eta^(o/l) = 1."""
-    o = field.Qm1
-    for ell in _prime_factors(o):
-        while o % ell == 0 and field.pow(eta, o // ell) == 1:
-            o //= ell
-    if field.p == 2:
-        return o, 0, 1
-    if o % 2 == 0:
-        return o, o // 2, 1
-    return 2 * o, o, o + 1
-
-
-def census(q: int, n: int, k: int, seed: int, trials: int = 100,
-           jobs: int = 1) -> tuple[CensusReport, FieldTower]:
-    """Fingerprint the one-twist generalized-twisted code of every parameter
-    class over F_{q^m}, m = 2n, with a shared random g (entries in F_{q^n},
-    full F_q-rank) and eta outside F_{q^n}; count distinguishable
-    fingerprints.  jobs > 1 spreads the classes over a process pool (jobs < 1
-    is an error); the report is identical either way.
-
-    No code is built: the keys are read off the Moore frame of g.  Write
-    x^[a] = x^(q^a), sigma^a for it applied entrywise, and [v] = v mod n.
-
-    * Basis.  e_j = g^[j], j in Z_n, is a basis of F_{q^m}^n: g has F_q-rank
-      n (Moore; Lidl and Niederreiter, Finite Fields, Lemma 3.51), and
-      g^[n] = g as g lies in F_{q^n}^n.
-    * Shift.  sigma^a(e_j) = e_[j+a], so sigma^a(sum c_j e_j) = sum c_j^[a] e_[j+a].
-    * Sparse rows.  Class (r, t, h) has rows theta^j(g) = e_[rj], j < k,
-      j != h, and e_x + eta*e_y, x = [rh], y = [r(k-1+t)] (n divides m).
-      gcd(r, n) = 1 and 1 <= t <= n-k, so S = {[rj] : j < k} and y are k+1
-      distinct indices.
-    * Complement.  For u.v = sum u_j v_j in e-coordinates, C^perp has the
-      n-k independent rows e_v, v outside S and y, and -eta*e_x + e_y.  By
-      the shift, sigma^a(u).sigma^a(v) = (u.v)^[a]: sigma^a commutes with perp.
-
-    So dim sum_{a in J} sigma^a(C) is the rank of the rows shifted by each
-    a in J with gains eta^[a] (a mod m), and dim n_{a in J} sigma^a(C) is n
-    minus that rank for C^perp.  Such rows form the frame matroid of a gain
-    graph on Z_n (Zaslavsky, "Biased graphs II: the three matroids", JCTB
-    1991): a unit covers its vertex, a*e_u + b*e_w is an edge, and the rank
-    is n - dim K, K the f with f_v = 0 on units and a*f_u + b*f_w = 0 on
-    edges.  On a component f_v = phi_v*f_root along a spanning tree, and
-    f_root = 0 once a vertex is covered or an edge closes a cycle with
-    a*phi_u + b*phi_w != 0 (unbalanced): the rank is n minus the number of
-    uncovered components with only balanced cycles.
-
-    * Forest.  _frame_add keeps the covered vertices cov and a forest of
-      edges on uncovered vertices, so the rank is |cov| + (number of edges).
-      This holds after each step: an edge with a covered end covers its
-      other end (a*f_u = -b*f_w, a, b != 0), and the closure repeats that;
-      an edge joining two trees keeps them one balanced tree; one closing a
-      balanced cycle is implied by the tree path (it fixes f_w from f_u as
-      the path does) and is dropped; one closing an unbalanced cycle forces
-      f_root = 0 and covers its tree.  So each uncovered component is a
-      balanced tree (a lone vertex included) with t vertices and t - 1
-      edges, and the rank is n - #components = |cov| + sum (t - 1).
-
-    * Exponents.  Every gain is 1, eta^[a] or -eta^[a], so every phi_v lies
-      in the cyclic group generated by zeta, chosen by _eta_exponents with
-      o = ord(eta): zeta = eta, N = o and half = 0 when p = 2, as then
-      -1 = 1; zeta = eta, N = o and half = o/2 when o is even, as eta^(o/2)
-      has order 2 and -1 is the one such element of a cyclic group; and
-      otherwise zeta = -eta, of order N = 2o as gcd(2, o) = 1, with
-      zeta^o = -eta^o = -1 (half = o) and zeta^(o+1) = -zeta = eta.  So with
-      le = 1, or o+1 in the last case, eta^[a] = zeta^(le*q^a) and
-      -1 = zeta^half, and since zeta has order N, zeta^x = zeta^y exactly
-      when x = y mod N.  A gain or potential is thus its exponent mod N, a
-      product the sum of exponents, and a*phi_u + b*phi_w = 0, that is
-      a*phi_u = -1*b*phi_w, the congruence x_a + x_u = half + x_b + x_w.
-      Once ord(eta) is found (one pow per prime l | Q - 1, and one more per
-      factor l divided out) the keys take no field arithmetic.
-
-    The sets J, with their proofs, are those of invariants: mirror halves, a
-    stop at the first repeat (or full rank), triple translation classes.
-
-    * Full-rank pairs.  Rank is monotone in the set of blocks, and
-      rank(a + J) = rank(J): the blocks at a + J are sigma^a of those at J,
-      and sigma^a keeps dimensions.  So rank{0, g} = rank{m - g, 0}, and for
-      the triple class (0, c1, c2), c1 its least gap, the pairs {0, c1},
-      {c1, c2} and {0, c2} have the ranks of {0, g} for g = c1,
-      min(c2 - c1, m - c2 + c1) and min(c2, m - c2), all at most n and all
-      computed for the rows.  When one of them is n, so is the triple's
-      rank, and no _frame_add call is made for it."""
-    m = 2 * n
-    if n < 6:
-        raise ValueError("census needs n >= 6")
-    if not 2 <= k <= n - 2:
-        raise ValueError("census needs 2 <= k <= n-2")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    p, e = _q_to_pe(q)
-    field = make_field(p, e, m)
-
-    g = la.random_full_rank_vector(field, n, DetRNG(seed, "census-g"), subfield_size=q**n)
-    rng_eta = DetRNG(seed, "census-eta")
-    for _ in range(10000):
-        eta = field.random_element(rng_eta)
-        if not field.in_subfield(eta, n):
-            break
-    else:  # pragma: no cover
-        raise RuntimeError("could not sample eta outside the half-degree subfield")
-
-    params = tuple(census_param_classes(n, k))
-    n_ring, half, le = _eta_exponents(field, eta)
-    conj = tuple(le * pow(q, a, n_ring) % n_ring for a in range(m))
-    classes = tuple(Counter(iv._translation_classes(iv.random_triples(m, trials, seed), m)).items())
-    tasks = [((n_ring, half), n, k, conj, cls, classes) for cls in params]
-    if jobs > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_census_class_keys, tasks))
-    else:
-        results = [_census_class_keys(task) for task in tasks]
-    fps1, fps2 = zip(*results)
-    report = CensusReport(
-        q=q, n=n, m=m, k=k, seed=seed, trials=trials, g=g, eta=eta,
-        ub=len(params), lb1=len(set(fps1)), lb2=len(set(fps2)),
-        params=params, fingerprints1=fps1, fingerprints2=fps2,
-    )
-    return report, field

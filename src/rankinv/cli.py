@@ -17,23 +17,28 @@ flags/subcommands).
 Field elements print as little-endian coefficient vectors `c0:c1:...` and
 parse as that, `0`, `1`, `a`, or `a^K` (`a` the primitive root used for the
 field tables).
+
+Start-up: this module imports only the standard library's argparse, json,
+os, sys and time, and rankinv.base for the parser's family names and the
+errors main catches.  Each cmd_* imports the rankinv modules it runs when it
+is dispatched to, so a process compiles and executes only those:
+
+* `count`, `census --ub-only`   counting (integers only, no field code)
+* `code build`, `code dual`     codes (with linalg and gf; rng for --random-g)
+* `invariants`                  codes and invariants
+* `compare`, `classify`         classify, which loads the census module too
+* `census`                      classify, through which it calls census
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 import time
 
-from . import classify as cl
-from . import codes as cd
-from . import invariants as iv
-from . import linalg as la
-from .gf import FieldError, FieldTower, format_element, make_field, parse_element
-from .rng import DetRNG
+from .base import FAMILIES, BudgetExceeded
 
 FORMATS = ("pretty", "csv", "json")
 
@@ -80,7 +85,9 @@ def _check_at_least(flag: str, value: int, low: int) -> None:
         raise ValueError(f"{flag} must be >= {low}, got {value}")
 
 
-def _fmt_vec(field: FieldTower, v) -> str:
+def _fmt_vec(field, v) -> str:
+    from .gf import format_element
+
     return ",".join(format_element(field, a) for a in v)
 
 
@@ -88,7 +95,7 @@ def _join(values) -> str:
     return ",".join(map(str, values))
 
 
-def _field_config(field: FieldTower):
+def _field_config(field):
     return [
         ("p", field.p),
         ("e", field.e),
@@ -110,12 +117,16 @@ def _emit(args, config, doc, csv_lines, pretty_lines) -> int:
 
 
 def _fp_hash(key) -> str:
+    import hashlib
+
     return hashlib.sha256(repr(key).encode()).hexdigest()[:12]
 
 
-def _jsonify(obj, field: FieldTower):
+def _jsonify(obj, field):
     """Make witness dicts JSON-safe (tuples -> lists, maps -> components)."""
-    if isinstance(obj, cd.SemilinearMap):
+    from .codes import SemilinearMap
+
+    if isinstance(obj, SemilinearMap):
         return {
             "lam": list(field.coeffs(obj.lam)),
             "A": [[list(field.coeffs(a)) for a in row] for row in obj.A],
@@ -133,11 +144,17 @@ def _jsonify(obj, field: FieldTower):
 # --------------------------------------------------------------------------
 
 def cmd_code_build(args) -> int:
+    from . import codes as cd
+    from . import linalg as la
+    from .gf import make_field, parse_element
+
     modulus = _parse_modulus(args.modulus, args.p) if args.modulus else None
     field = make_field(args.p, args.e, args.m, modulus)
     if args.g:
         g = tuple(parse_element(field, tok) for tok in args.g.split(","))
     elif args.random_g:
+        from .rng import DetRNG
+
         g = la.random_full_rank_vector(field, args.n, DetRNG(args.seed, "cli-build-g"))
     else:
         raise cd.BuildError("provide --g or --random-g")
@@ -164,6 +181,8 @@ def cmd_code_build(args) -> int:
 
 
 def cmd_code_dual(args) -> int:
+    from . import codes as cd
+
     code, provenance = cd.load_code(args.file)
     dual = cd.dual(code)
     dual_prov = {"dual_of": provenance} if provenance else {"dual_of": {}}
@@ -175,6 +194,8 @@ def cmd_code_dual(args) -> int:
 def _emit_code(args, config, code, provenance, header: str) -> int:
     """Save code to --out when given, then print it in --format; the pretty
     form opens with header."""
+    from . import codes as cd
+
     rows = [_fmt_vec(code.field, row) for row in code.gen]
     doc = {"code": cd.code_to_dict(code, provenance)}
     pretty_lines = [header, *(f"G[{i}] = {row}" for i, row in enumerate(rows))]
@@ -190,6 +211,9 @@ def _emit_code(args, config, code, provenance, header: str) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_invariants(args) -> int:
+    from . import codes as cd
+    from . import invariants as iv
+
     code, _ = cd.load_code(args.file)
     field = code.field
     n, k, m = code.n, code.k, field.m
@@ -223,6 +247,9 @@ def cmd_invariants(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_compare(args) -> int:
+    from . import classify as cl
+    from . import codes as cd
+
     _check_at_least("--trials", args.trials, 0)
     _check_at_least("--cap", args.cap, 0)
     c1, _ = cd.load_code(args.file1)
@@ -253,6 +280,9 @@ def cmd_compare(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_classify_gabidulin(args) -> int:
+    from . import classify as cl
+    from . import codes as cd
+
     _check_at_least("--cap", args.cap, 0)
     code, _ = cd.load_code(args.file)
     verdict, crits = cl.is_theta_gabidulin(code, args.theta, dist_cap=args.cap)
@@ -274,7 +304,15 @@ def cmd_classify_gabidulin(args) -> int:
 # --------------------------------------------------------------------------
 
 def cmd_count(args) -> int:
-    result = cl.counting(args.q, args.k, args.n, args.m, field_cap=args.field_cap)
+    from .counting import counting
+
+    result = counting(args.q, args.k, args.n, args.m, field_cap=args.field_cap)
+    # a value past the interpreter's digit limit for int -> str would fail
+    # in the output; name the flag that makes counts that long instead
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit and any(b.value is not None and b.value >= 10**limit for b in result.bounds):
+        raise ValueError(f"--m {args.m} gives counts longer than {limit} digits, the "
+                         "interpreter's limit for printing an integer")
     config = [("subcommand", "count"), ("q", args.q), ("k", args.k),
               ("n", args.n), ("m", args.m), ("format", args.format)]
     doc = {
@@ -310,10 +348,15 @@ def cmd_census(args) -> int:
               ("ub_only", args.ub_only), ("format", args.format)]
 
     if args.ub_only:
-        ub = cl.census_ub(args.n, args.k)
+        from .counting import census_ub
+
+        ub = census_ub(args.n, args.k)
         doc = {"summary": {"UB": ub}}
         csv_lines = pretty_lines = [f"UB = {ub}"]
     else:
+        from . import classify as cl
+        from .gf import format_element
+
         report, field = cl.census(args.q, args.n, args.k, args.seed,
                                   trials=args.trials, jobs=args.jobs)
         classes = [{"r": r, "t": t, "h": h, "fp1": _fp_hash(f1), "fp2": _fp_hash(f2)}
@@ -357,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     code_sub = code_p.add_subparsers(dest="subcommand", required=True)
 
     b = code_sub.add_parser("build", help="construct a code and print/save it")
-    b.add_argument("--family", choices=cd.FAMILIES, required=True)
+    b.add_argument("--family", choices=FAMILIES, required=True)
     b.add_argument("--p", type=int, default=2, help="characteristic (default 2)")
     b.add_argument("--e", type=int, default=1, help="[F_q : F_p] (default 1)")
     b.add_argument("--m", type=int, required=True, help="[F_{q^m} : F_q]")
@@ -459,8 +502,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (FieldError, cd.BuildError, cd.BudgetExceeded, OSError,
-            ValueError, KeyError, ZeroDivisionError) as exc:
+    except (BudgetExceeded, OSError, ValueError, KeyError, ZeroDivisionError) as exc:
+        # FieldError and BuildError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

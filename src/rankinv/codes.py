@@ -29,11 +29,11 @@ it under strict_norm=True, because perfectly well-defined codes—including the
 reference vectors shipped with the acceptance suite—violate it over F_2,
 where no eta satisfies the constraint at all.
 
-Subfield subcodes and rank-one codewords come from one place, the largest
-Galois-stable subcode of C, which is the intersection of all its Galois images.
-By Galois descent (Giorgetti-Previtali, "Galois invariance, trace codes and
-subfield subcodes", Finite Fields Appl. 2010) that subcode is the
-F_{q^m}-span of C n F_q^n, and its RREF basis has entries in F_q.
+Rank-one codewords come from the largest Galois-stable subcode of C, which
+is the intersection of all its Galois images.  By Galois descent
+(Giorgetti-Previtali, "Galois invariance, trace codes and subfield
+subcodes", Finite Fields Appl. 2010) that subcode is the F_{q^m}-span of
+C n F_q^n, and its RREF basis has entries in F_q.
 
 The minimum rank distance is a sweep over the projective codewords that
 walks the F_p-digits of the message in Gray order, so each word costs one
@@ -62,32 +62,42 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
-from functools import cached_property, partial, reduce
+from functools import partial, reduce
 from typing import Optional
 
 from . import linalg as la
-from .gf import FieldError, FieldTower, FullAut, GaloisAut, field_from_dict, field_to_dict
+from .base import FAMILIES, BudgetExceeded, BuildError, Record  # noqa: F401 (re-exported)
+from .gf import (FieldError, FieldTower, FullAut, GaloisAut, exact_int, field_from_dict,
+                 field_to_dict)
 
-FAMILIES = ("Gabidulin", "Twisted", "GeneralizedTwisted", "NewGabI", "NewGabII")
-
-
-class BuildError(ValueError):
-    """A CodeSpec violates a construction precondition."""
+_set = object.__setattr__  # how a Record sets its slots
 
 
-class BudgetExceeded(RuntimeError):
-    """An exact enumeration would exceed its configured cap."""
-
-
-@dataclass(frozen=True)
-class LinearCode:
+class LinearCode(Record):
     """F_{q^m}-linear code given by its canonical RREF generator matrix."""
 
-    field: FieldTower
-    n: int
-    k: int
-    gen: la.Matrix
+    __slots__ = ("field", "n", "k", "gen", "_diffs")
+
+    def __init__(self, field: FieldTower, n: int, k: int, gen: la.Matrix):
+        if not 0 <= k <= n:
+            raise ValueError("invalid code dimension")
+        _set(self, "field", field)
+        _set(self, "n", n)
+        _set(self, "k", k)
+        _set(self, "gen", gen)
+        _set(self, "_diffs", None)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.field, self.n, self.k, self.gen)
+                    == (other.field, other.n, other.k, other.gen))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.field, self.n, self.k, self.gen))
+
+    def __repr__(self):
+        return f"LinearCode(n={self.n}, k={self.k}, q^m={self.field.q}^{self.field.m})"
 
     @classmethod
     def from_rows(cls, field: FieldTower, rows, n: int | None = None) -> "LinearCode":
@@ -101,18 +111,16 @@ class LinearCode:
         R, _ = la.rref(field, rows)
         return cls(field, n, len(R), R)
 
-    def __post_init__(self):
-        if not 0 <= self.k <= self.n:
-            raise ValueError("invalid code dimension")
-
-    @cached_property
+    @property
     def diffs(self) -> "Differences":
         """The code's one cache of systematic differences, which every
-        sequence, fingerprint and Galois intersection of it reads."""
-        return Differences(self)
-
-    def __repr__(self):
-        return f"LinearCode(n={self.n}, k={self.k}, q^m={self.field.q}^{self.field.m})"
+        sequence, fingerprint and Galois intersection of it reads; made on
+        first use."""
+        diffs = self._diffs
+        if diffs is None:
+            diffs = Differences(self)
+            _set(self, "_diffs", diffs)
+        return diffs
 
 
 class Differences:
@@ -216,16 +224,39 @@ def dual(code: LinearCode) -> LinearCode:
 # family specifications
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CodeSpec:
-    family: str
-    n: int
-    k: int
-    theta_exp: int = 1
-    g: tuple[int, ...] = ()
-    eta: Optional[tuple[int, ...]] = None  # one per twist for GeneralizedTwisted, else length 1
-    t: Optional[tuple[int, ...]] = None
-    h: Optional[tuple[int, ...]] = None
+class CodeSpec(Record):
+    """A member of one family: eta has one entry per twist for
+    GeneralizedTwisted, else one."""
+
+    __slots__ = ("family", "n", "k", "theta_exp", "g", "eta", "t", "h")
+
+    def __init__(self, family: str, n: int, k: int, theta_exp: int = 1,
+                 g: tuple[int, ...] = (), eta: Optional[tuple[int, ...]] = None,
+                 t: Optional[tuple[int, ...]] = None, h: Optional[tuple[int, ...]] = None):
+        _set(self, "family", family)
+        _set(self, "n", n)
+        _set(self, "k", k)
+        _set(self, "theta_exp", theta_exp)
+        _set(self, "g", g)
+        _set(self, "eta", eta)
+        _set(self, "t", t)
+        _set(self, "h", h)
+
+    def _fields(self):
+        return (self.family, self.n, self.k, self.theta_exp, self.g, self.eta, self.t, self.h)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (f"CodeSpec(family={self.family!r}, n={self.n!r}, k={self.k!r}, "
+                f"theta_exp={self.theta_exp!r}, g={self.g!r}, eta={self.eta!r}, "
+                f"t={self.t!r}, h={self.h!r})")
 
 
 def _as_tuple(x) -> Optional[tuple[int, ...]]:
@@ -328,80 +359,30 @@ def build(field: FieldTower, spec: CodeSpec, strict_norm: bool = False) -> Linea
 
 
 # --------------------------------------------------------------------------
-# closed-form duals
-# --------------------------------------------------------------------------
-
-def _dual_generator_vector(field: FieldTower, g, n: int, k: int, theta: GaloisAut):
-    """The canonical dual generator: the unique (up to scalar) nonzero vector
-    orthogonal to theta^j(theta^{-(n-k-1)}(g)) for j = 0..n-2."""
-    shifted = theta.power(-(n - k - 1)).on_vector(g)
-    M = la.moore_matrix(field, shifted, n - 1, theta)
-    ker = la.nullspace(field, M, n)
-    if len(ker) != 1:
-        raise AssertionError("dual generator kernel is not one-dimensional")  # pragma: no cover
-    gp = ker[0]
-    if la.rank_q(field, gp) != n:
-        raise AssertionError("dual generator does not have full F_q-rank")  # pragma: no cover
-    return gp
-
-
-def gabidulin_dual_params(field: FieldTower, spec: CodeSpec) -> CodeSpec:
-    """Closed-form parameters of the dual of a Gabidulin code: same theta,
-    dimension n-k, generator vector from _dual_generator_vector."""
-    if spec.family != "Gabidulin":
-        raise BuildError("gabidulin_dual_params expects a Gabidulin spec")
-    theta = _validate_common(field, spec)
-    n, k = spec.n, spec.k
-    if not 1 <= k <= n - 1:
-        raise BuildError("dual parameters need 1 <= k <= n-1")
-    gp = _dual_generator_vector(field, spec.g, n, k, theta)
-    return make_spec("Gabidulin", n, n - k, spec.theta_exp, gp)
-
-
-def twisted_dual_params(field: FieldTower, spec: CodeSpec) -> CodeSpec:
-    """Closed-form parameters of the dual of a Twisted code (2 <= k <= n-2,
-    eta != 0): same theta, dimension n-k, generator vector as in the
-    Gabidulin case, and
-
-        eta' = (-1)^n * eta * theta^(k-n+1)(D)/theta^(k-n)(D)
-                               * theta^(k-n)(s)/s,
-
-    with D = det of the full n x n Moore matrix of g and
-    s = <theta^(n-k)(g') ; g>."""
-    if spec.family != "Twisted":
-        raise BuildError("twisted_dual_params expects a Twisted spec")
-    theta = _validate_common(field, spec)
-    n, k = spec.n, spec.k
-    if not 2 <= k <= n - 2:
-        raise BuildError("dual parameters need 2 <= k <= n-2")
-    if spec.eta is None or len(spec.eta) != 1 or spec.eta[0] == 0:
-        raise BuildError("twisted dual parameters need a single nonzero eta")
-    eta = field.check(spec.eta[0])
-    g = spec.g
-    gp = _dual_generator_vector(field, g, n, k, theta)
-    D = la.det(field, la.moore_matrix(field, g, n, theta))
-    s = la.dot(field, theta.power(n - k).on_vector(gp), g)
-    if D == 0 or s == 0:
-        raise AssertionError("degenerate dual data")  # pragma: no cover
-    sign = field.one if n % 2 == 0 else field.neg(field.one)
-    etap = field.mul(sign, eta)
-    etap = field.mul(etap, field.div(theta.power(k - n + 1)(D), theta.power(k - n)(D)))
-    etap = field.mul(etap, field.div(theta.power(k - n)(s), s))
-    return make_spec("Twisted", n, n - k, spec.theta_exp, gp, eta=(etap,))
-
-
-# --------------------------------------------------------------------------
 # code maps
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SemilinearMap:
+class SemilinearMap(Record):
     """x -> lam * tau(x) * A with A invertible over the subfield F_q and tau
     a full automorphism; the shape of code equivalence."""
 
-    lam: int
-    A: la.Matrix
-    tau: FullAut
+    __slots__ = ("lam", "A", "tau")
+
+    def __init__(self, lam: int, A: la.Matrix, tau: FullAut):
+        _set(self, "lam", lam)
+        _set(self, "A", A)
+        _set(self, "tau", tau)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.lam, self.A, self.tau) == (other.lam, other.A, other.tau)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.lam, self.A, self.tau))
+
+    def __repr__(self):
+        return f"SemilinearMap(lam={self.lam!r}, A={self.A!r}, tau={self.tau!r})"
 
     def apply_vector(self, field: FieldTower, v):
         w = self.tau.on_vector(v)
@@ -449,12 +430,6 @@ def _galois_stable_part(code: LinearCode) -> la.Matrix:
     pairs = itertools.pairwise(code.diffs.ranks("cols", range(m)))
     top = next((i for i, (a, b) in enumerate(pairs) if a == b), m - 1)
     return code.diffs.meet(range(1, top + 1))
-
-
-def subfield_subcode(code: LinearCode):
-    """(dimension over F_q, F_q-basis rows) of the subcode with entries in F_q."""
-    gen = _galois_stable_part(code)
-    return len(gen), gen
 
 
 def has_rank_one_codeword(code: LinearCode):
@@ -665,7 +640,7 @@ def code_from_dict(data: dict):
                     "modulus", field_from_dict)
     rows = _member(data, "gen", "an array of rows, each an array of coefficient arrays",
                    lambda gen: tuple(tuple(field.from_coeffs(c) for c in row) for row in gen))
-    n, k = (_member(data, key, "an integer", int) for key in ("n", "k"))
+    n, k = (_member(data, key, "an integer", exact_int) for key in ("n", "k"))
     code = LinearCode.from_rows(field, rows, n)
     if code.k != k:
         raise ValueError("stored dimension does not match the generator matrix")

@@ -42,8 +42,9 @@ Three interchangeable arithmetic backends exist:
 
 Every backend takes one proof that f is primitive: the order test of x
 (FieldTower._x_is_primitive, Q-1 factored by trial division and Pollard-Brent
-in _prime_factors).  Every tower runs it on itself, with the generic kernels,
-before it builds any table; the modulus search runs it through _is_primitive.
+in numtheory._prime_factors).  Every tower runs it on itself, with the
+generic kernels, before it builds any table; the modulus search runs it
+through _is_primitive.
 
 The tower backend's identities, with R = Q' + 1, beta = alpha**R, logs to
 base alpha and half = log(-1), which is (Q-1)/2 at odd p and 0 at p = 2:
@@ -81,11 +82,13 @@ Automorphism conventions used across the package:
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from array import array
 from collections import namedtuple
-from dataclasses import dataclass
+
+from .base import Record
+from .numtheory import _is_prime, _prime_factors
+from .numtheory import galois_generators  # noqa: F401 (re-exported)
 
 TABLE_LIMIT = 1 << 20  # the largest field the table backend builds on request
 _DEFAULT_TABLE_LIMIT = 1 << 15  # the largest field that takes tables by default
@@ -107,89 +110,6 @@ class FieldError(ValueError):
 # small helpers
 # --------------------------------------------------------------------------
 
-# Miller-Rabin with the first 13 primes as bases is exact below this bound
-# (Sorenson and Webster, 2015); above it _is_prime runs Baillie-PSW.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_EXACT_BELOW = 3317044064679887385961981
-
-
-def _is_prime(n: int) -> bool:
-    """Whether n is prime, decided as sympy.isprime decides it: Miller-Rabin
-    on _MR_BASES below _MR_EXACT_BELOW, where it is exact, and above that
-    Baillie-PSW: a strong base-2 test and a strong Lucas test, which no known
-    composite passes both of."""
-    if n < 2:
-        return False
-    for f in _MR_BASES:
-        if n % f == 0:
-            return n == f
-    odd, s = n - 1, 0
-    while not odd & 1:
-        odd, s = odd >> 1, s + 1
-
-    def strong(a: int) -> bool:
-        x = pow(a, odd, n)
-        if x == 1 or x == n - 1:
-            return True
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                return True
-        return False
-
-    if n < _MR_EXACT_BELOW:
-        return all(strong(a) for a in _MR_BASES)
-    return strong(2) and _is_strong_lucas_prp(n)
-
-
-def _jacobi(a: int, n: int) -> int:
-    """The Jacobi symbol (a/n) for odd n > 0."""
-    a %= n
-    sign = 1
-    while a:
-        while not a & 1:
-            a >>= 1
-            if n % 8 in (3, 5):
-                sign = -sign
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            sign = -sign
-        a %= n
-    return sign if n == 1 else 0
-
-
-def _is_strong_lucas_prp(n: int) -> bool:
-    """Strong Lucas probable-prime test of an odd n > 41 with no factor in
-    _MR_BASES, with Selfridge's parameters: D the first of 5, -7, 9, -11, ...
-    with (D/n) = -1, P = 1, Q = (1 - D)/4.  U_k, V_k and Q^k go up the bits of
-    the odd part of n + 1 by the doubling and +1 steps of the Lucas sequences."""
-    if math.isqrt(n) ** 2 == n:
-        return False  # no D with (D/n) = -1 exists
-    D = 5
-    while (j := _jacobi(D, n)) != -1:
-        if j == 0:
-            return False  # gcd(D, n) > 1 and |D| < n
-        D = -D - 2 if D > 0 else -D + 2
-    Q = (1 - D) // 4
-    odd, s = n + 1, 0
-    while not odd & 1:
-        odd, s = odd >> 1, s + 1
-    U, V, Qk = 1, 1, Q % n  # k = 1
-    for bit in bin(odd)[3:]:
-        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
-        if bit == "1":
-            U, V = (U + V) % n, (D * U + V) % n
-            U, V = (U + n if U & 1 else U) >> 1, (V + n if V & 1 else V) >> 1
-            Qk = Qk * Q % n
-    if U == 0 or V == 0:
-        return True
-    for _ in range(s - 1):
-        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
-        if V == 0:
-            return True
-    return False
-
-
 def digits_of(value: int, p: int, d: int) -> list[int]:
     """Little-endian base-p digit vector of length d."""
     out = [0] * d
@@ -205,62 +125,6 @@ def pack_digits(digits, p: int) -> int:
     for c in reversed(list(digits)):
         v = v * p + int(c)
     return v
-
-
-@functools.cache
-def _prime_factors(n: int) -> tuple[int, ...]:
-    """Distinct prime factors of n >= 1, ascending: trial division below
-    1000, then Pollard-Brent splits of what is left until every part is
-    prime.  Cached, so a modulus search factors its Q - 1 once, not once
-    per candidate."""
-    found = set()
-    f = 2
-    while f < 1000 and f * f <= n:
-        if n % f == 0:
-            found.add(f)
-            while n % f == 0:
-                n //= f
-        f += 1 + (f > 2)
-    parts = [n] if n > 1 else []
-    while parts:
-        n = parts.pop()
-        if _is_prime(n):
-            found.add(n)
-        else:
-            f = _rho_factor(n)
-            parts += [f, n // f]
-    return tuple(sorted(found))
-
-
-def _rho_factor(n: int) -> int:
-    """A proper factor of the odd composite n: Pollard's rho on y -> y^2 + c
-    in Brent's form (Brent, "An improved Monte Carlo factorization
-    algorithm", BIT 20, 1980), with the gcds taken over runs of 128 steps and
-    c = 1, 2, ... tried in turn until one splits n."""
-    c = 0
-    while True:
-        c += 1
-        y, r, g, acc = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    acc = acc * (x - y) % n
-                g = math.gcd(acc, n)
-                k += 128
-            r *= 2
-        if g == n:  # the run overshot: step again from its start one by one
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(x - ys, n)
-        if g != n:
-            return g
 
 
 def _is_primitive(mod, p: int) -> bool:
@@ -614,7 +478,7 @@ class FieldTower:
         return tuple(digits_of(self.check(a), self.p, self.d))
 
     def from_coeffs(self, coeffs) -> int:
-        coeffs = [int(c) for c in coeffs]
+        coeffs = list(map(exact_int, coeffs))
         if len(coeffs) > self.d:
             raise FieldError(f"coefficient vector longer than degree {self.d}")
         coeffs += [0] * (self.d - len(coeffs))
@@ -1144,10 +1008,18 @@ def field_to_dict(field: FieldTower) -> dict:
     }
 
 
+def exact_int(value) -> int:
+    """value itself when it is an int other than a bool, as a JSON integer
+    loads, else TypeError: a file's 4.0, 2.9, "4" or true is no integer."""
+    if value.__class__ is not int:
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
+    return value
+
+
 def field_from_dict(data: dict) -> FieldTower:
     return make_field(
-        int(data["p"]), int(data["e"]), int(data["m"]),
-        modulus=tuple(int(c) for c in data["modulus"]),
+        exact_int(data["p"]), exact_int(data["e"]), exact_int(data["m"]),
+        modulus=tuple(map(exact_int, data["modulus"])),
     )
 
 
@@ -1155,15 +1027,28 @@ def field_from_dict(data: dict) -> FieldTower:
 # automorphisms
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GaloisAut:
+_set = object.__setattr__  # how a Record sets its slots
+
+
+class GaloisAut(Record):
     """sigma_r : a -> a^(q^r), an element of Gal(F_{q^m} / F_q)."""
 
-    field: FieldTower
-    r: int
+    __slots__ = ("field", "r")
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", self.r % self.field.m)
+    def __init__(self, field: FieldTower, r: int):
+        _set(self, "field", field)
+        _set(self, "r", r % field.m)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.field, self.r) == (other.field, other.r)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.field, self.r))
+
+    def __repr__(self):
+        return f"GaloisAut(field={self.field!r}, r={self.r!r})"
 
     def __call__(self, a: int) -> int:
         return self.field.frob_q(a, self.r)
@@ -1176,15 +1061,25 @@ class GaloisAut:
         return GaloisAut(self.field, self.r * i)
 
 
-@dataclass(frozen=True)
-class FullAut:
+class FullAut(Record):
     """tau_j : a -> a^(p^j), an element of Aut(F_{q^m}) (order d = e*m)."""
 
-    field: FieldTower
-    j: int
+    __slots__ = ("field", "j")
 
-    def __post_init__(self):
-        object.__setattr__(self, "j", self.j % self.field.d)
+    def __init__(self, field: FieldTower, j: int):
+        _set(self, "field", field)
+        _set(self, "j", j % field.d)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.field, self.j) == (other.field, other.j)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.field, self.j))
+
+    def __repr__(self):
+        return f"FullAut(field={self.field!r}, j={self.j!r})"
 
     def __call__(self, a: int) -> int:
         return self.field.frob_p(a, self.j)
@@ -1192,11 +1087,6 @@ class FullAut:
     def on_vector(self, v) -> tuple[int, ...]:
         f, j = self.field, self.j
         return tuple(f.frob_p(a, j) for a in v)
-
-
-def galois_generators(m: int) -> list[int]:
-    """Exponents r for which a -> a^(q^r) generates Gal(F_{q^m}/F_q)."""
-    return [r for r in range(1, m) if math.gcd(r, m) == 1] or ([0] if m == 1 else [])
 
 
 # --------------------------------------------------------------------------

@@ -11,9 +11,9 @@ n-k at the latest and t by step k.  Every dimension comes from the
 systematic differences D_j = sigma^j(A) - A of the code (codes.Differences:
 R = (I_k | A) up to the order of columns).  LinearCode.diffs is the one
 cache of them per code, indexed by j mod m: every sequence, profile,
-fingerprint and intersection here reads it, and so do the subfield subcode
-and Gabidulin recognition.  For a set J of exponents that contains 0, as
-every sequence and every triple class key does:
+fingerprint and intersection here reads it, and so do the rank-one
+codeword test and Gabidulin recognition.  For a set J of exponents that
+contains 0, as every sequence and every triple class key does:
 
     dim sum_{j in J} sigma^j(C)  = k + rank(D_j stacked, j in J, j != 0)
     dim  n_{j in J}  sigma^j(C)  = k - rank(D_j^T stacked, j in J, j != 0)
@@ -80,12 +80,13 @@ entries fixed by every Galois automorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
 from functools import lru_cache
 
 from . import codes as cd
 from . import linalg as la
-from .rng import DetRNG
+from .base import Record
+
+_set = object.__setattr__  # how a Record sets its slots
 
 
 def sum_code(code: cd.LinearCode, auts) -> cd.LinearCode:
@@ -134,15 +135,35 @@ def t_sequence(code: cd.LinearCode, sigma_exp: int, i_max: int | None = None) ->
     return [code.k - v for v in _sequence(code, "cols", sigma_exp, i_max, code.k + 1)]
 
 
-@dataclass(frozen=True)
-class InvariantProfile:
-    """Fixed-length dimension data of one (code, sigma) pair."""
+class InvariantProfile(Record):
+    """Fixed-length dimension data of one (code, sigma) pair: s_0 .. s_{n-k},
+    t_0 .. t_k, Delta_0 .. Delta_{n-k} (Delta_{n-k} = 0) and Lambda_0 ..
+    Lambda_k (Lambda_k = 0)."""
 
-    sigma: int
-    s: tuple[int, ...]       # s_0 .. s_{n-k}
-    t: tuple[int, ...]       # t_0 .. t_k
-    delta: tuple[int, ...]   # Delta_0 .. Delta_{n-k}   (Delta_{n-k} = 0)
-    lam: tuple[int, ...]     # Lambda_0 .. Lambda_k     (Lambda_k = 0)
+    __slots__ = ("sigma", "s", "t", "delta", "lam")
+
+    def __init__(self, sigma: int, s: tuple[int, ...], t: tuple[int, ...],
+                 delta: tuple[int, ...], lam: tuple[int, ...]):
+        _set(self, "sigma", sigma)
+        _set(self, "s", s)
+        _set(self, "t", t)
+        _set(self, "delta", delta)
+        _set(self, "lam", lam)
+
+    def _fields(self):
+        return (self.sigma, self.s, self.t, self.delta, self.lam)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (f"InvariantProfile(sigma={self.sigma!r}, s={self.s!r}, t={self.t!r}, "
+                f"delta={self.delta!r}, lam={self.lam!r})")
 
     @property
     def key(self):
@@ -161,8 +182,7 @@ def invariant_profile(code: cd.LinearCode, sigma_exp: int) -> InvariantProfile:
     )
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(Record):
     """Equivalence-invariant key plus its per-exponent / per-trial detail.
 
     Equality, hashing and repr use only (mode, key): the key is the sorted
@@ -170,9 +190,23 @@ class Fingerprint:
     exponent-indexed profiles (or trial-indexed dimension pairs) for witness
     extraction."""
 
-    mode: str
-    key: tuple
-    detail: tuple = dc_field(compare=False, repr=False)
+    __slots__ = ("mode", "key", "detail")
+
+    def __init__(self, mode: str, key: tuple, detail: tuple):
+        _set(self, "mode", mode)
+        _set(self, "key", key)
+        _set(self, "detail", detail)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.mode, self.key) == (other.mode, other.key)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.mode, self.key))
+
+    def __repr__(self):
+        return f"Fingerprint(mode={self.mode!r}, key={self.key!r})"
 
 
 def fingerprint_consecutive(code: cd.LinearCode) -> Fingerprint:
@@ -181,8 +215,11 @@ def fingerprint_consecutive(code: cd.LinearCode) -> Fingerprint:
     profiles: list[InvariantProfile] = []
     for r in range(m):
         # the rows at m-r equal those at r (mirror exponents, see above)
-        profiles.append(replace(profiles[m - r], sigma=r) if m - r < r
-                        else invariant_profile(code, r))
+        if m - r < r:
+            mirror = profiles[m - r]
+            profiles.append(InvariantProfile(r, mirror.s, mirror.t, mirror.delta, mirror.lam))
+        else:
+            profiles.append(invariant_profile(code, r))
     key = tuple(sorted(p.key for p in profiles))
     return Fingerprint("consecutive", key, tuple(profiles))
 
@@ -191,6 +228,8 @@ def fingerprint_consecutive(code: cd.LinearCode) -> Fingerprint:
 def random_triples(m: int, trials: int, seed: int) -> tuple[tuple[int, int, int], ...]:
     """The seeded exponent triples shared by every code in a comparison
     (cached per argument tuple, so every code compared draws them once)."""
+    from .rng import DetRNG  # here, not above: `rankinv invariants` draws no triple
+
     if m < 3:
         raise ValueError("need m >= 3 for distinct triples")
     return tuple(tuple(DetRNG(seed, f"census-triples/{idx}").sample_distinct(3, m))

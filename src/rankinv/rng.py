@@ -72,12 +72,6 @@ class DetRNG:
             if v < bound:
                 return v
 
-    def randint(self, a: int, b: int) -> int:
-        """Uniform integer in [a, b] inclusive."""
-        if b < a:
-            raise ValueError("empty range")
-        return a + self.randbelow(b - a + 1)
-
     def choice(self, seq):
         if not seq:
             raise ValueError("cannot choose from an empty sequence")

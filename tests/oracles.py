@@ -50,17 +50,27 @@ against.
   with one zero-skipping scatter of each product's digits into the equations
   and a separate decoder of kernel digits into A, the former search behind
   classify.bruteforce_equivalent.
+
+Paper results and helpers that nothing in the package calls live here too,
+with the tests that check them: the closed-form dual parameters of
+Gabidulin and twisted codes (gabidulin_dual_params, twisted_dual_params,
+from _dual_generator_vector), the subfield subcode (subfield_subcode, the
+Galois-stable part of C), the split of a code with s_1 <= k+1 into rank-one
+words plus a Gabidulin part (rank_one_decomposition), and randint on a
+DetRNG.  They were codes.*, classify.* and DetRNG.randint.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from array import array
 
 import numpy as np
 import sympy
 
 from rankinv import codes as cd
+from rankinv import invariants as iv
 from rankinv import linalg as la
 from rankinv.classify import Verdict
 from rankinv.codes import BudgetExceeded, BuildError, LinearCode, dual
@@ -753,3 +763,139 @@ def _digits_to_matrix(field: FieldTower, digits, n: int, e: int, gamma_pows) -> 
             row.append(acc)
         rows.append(tuple(row))
     return tuple(rows)
+
+
+# --------------------------------------------------------------------------
+# paper results with no caller in the package
+# --------------------------------------------------------------------------
+
+def _dual_generator_vector(field: FieldTower, g, n: int, k: int, theta: GaloisAut):
+    """The canonical dual generator: the unique (up to scalar) nonzero vector
+    orthogonal to theta^j(theta^{-(n-k-1)}(g)) for j = 0..n-2."""
+    shifted = theta.power(-(n - k - 1)).on_vector(g)
+    M = la.moore_matrix(field, shifted, n - 1, theta)
+    ker = la.nullspace(field, M, n)
+    if len(ker) != 1:
+        raise AssertionError("dual generator kernel is not one-dimensional")  # pragma: no cover
+    gp = ker[0]
+    if la.rank_q(field, gp) != n:
+        raise AssertionError("dual generator does not have full F_q-rank")  # pragma: no cover
+    return gp
+
+
+def gabidulin_dual_params(field: FieldTower, spec: cd.CodeSpec) -> cd.CodeSpec:
+    """Closed-form parameters of the dual of a Gabidulin code: same theta,
+    dimension n-k, generator vector from _dual_generator_vector."""
+    if spec.family != "Gabidulin":
+        raise BuildError("gabidulin_dual_params expects a Gabidulin spec")
+    theta = cd._validate_common(field, spec)
+    n, k = spec.n, spec.k
+    if not 1 <= k <= n - 1:
+        raise BuildError("dual parameters need 1 <= k <= n-1")
+    gp = _dual_generator_vector(field, spec.g, n, k, theta)
+    return cd.make_spec("Gabidulin", n, n - k, spec.theta_exp, gp)
+
+
+def twisted_dual_params(field: FieldTower, spec: cd.CodeSpec) -> cd.CodeSpec:
+    """Closed-form parameters of the dual of a Twisted code (2 <= k <= n-2,
+    eta != 0): same theta, dimension n-k, generator vector as in the
+    Gabidulin case, and
+
+        eta' = (-1)^n * eta * theta^(k-n+1)(D)/theta^(k-n)(D)
+                               * theta^(k-n)(s)/s,
+
+    with D = det of the full n x n Moore matrix of g and
+    s = <theta^(n-k)(g') ; g>."""
+    if spec.family != "Twisted":
+        raise BuildError("twisted_dual_params expects a Twisted spec")
+    theta = cd._validate_common(field, spec)
+    n, k = spec.n, spec.k
+    if not 2 <= k <= n - 2:
+        raise BuildError("dual parameters need 2 <= k <= n-2")
+    if spec.eta is None or len(spec.eta) != 1 or spec.eta[0] == 0:
+        raise BuildError("twisted dual parameters need a single nonzero eta")
+    eta = field.check(spec.eta[0])
+    g = spec.g
+    gp = _dual_generator_vector(field, g, n, k, theta)
+    D = la.det(field, la.moore_matrix(field, g, n, theta))
+    s = la.dot(field, theta.power(n - k).on_vector(gp), g)
+    if D == 0 or s == 0:
+        raise AssertionError("degenerate dual data")  # pragma: no cover
+    sign = field.one if n % 2 == 0 else field.neg(field.one)
+    etap = field.mul(sign, eta)
+    etap = field.mul(etap, field.div(theta.power(k - n + 1)(D), theta.power(k - n)(D)))
+    etap = field.mul(etap, field.div(theta.power(k - n)(s), s))
+    return cd.make_spec("Twisted", n, n - k, spec.theta_exp, gp, eta=(etap,))
+
+
+def subfield_subcode(code: LinearCode):
+    """(dimension over F_q, F_q-basis rows) of the subcode with entries in F_q."""
+    gen = cd._galois_stable_part(code)
+    return len(gen), gen
+
+
+def rank_one_decomposition(code: cd.LinearCode, theta_exp: int):
+    """Split C = C1 (+) Gabidulin part, valid when s_1 <= k+1.
+
+    Returns (C1, t, g) with C1 spanned by rank-one codewords (dimension k-t),
+    t the dimension of the Gabidulin summand, and g its generator vector
+    (None when t = 0).  Verifies the recomposition before returning.
+
+    The intersections T_i = C n theta(C) n ... n theta^i(C) fall until they
+    stabilize, and they stabilize at the Galois-stable part V of C
+    (codes._galois_stable_part), which is C1.  V lies in every T_i.  Once
+    T_i = T_(i+1) = C n theta(T_i), T_i lies in theta(T_i), which has the
+    same dimension, so theta(T_i) = T_i; theta generates the Galois group,
+    so T_i is stable under every automorphism, lies in each image of C and
+    hence in V.  Both C1 and T_(t-1) are read off the code's differences
+    (LinearCode.diffs), and a vector of T_(t-1) outside C1, shifted back by
+    theta^-(t-1), generates the Gabidulin part."""
+    field = code.field
+    n, k, m = code.n, code.k, field.m
+    if math.gcd(theta_exp, m) != 1:
+        raise ValueError("theta must generate the Galois group")
+    theta = GaloisAut(field, theta_exp)
+    s1 = iv.s_sequence(code, theta_exp, i_max=1)[1]
+    if s1 > k + 1:
+        raise ValueError(f"decomposition needs s_1 <= k+1 (got s_1 = {s1}, k = {k})")
+
+    c1_gen = cd._galois_stable_part(code)
+    t = k - len(c1_gen)
+    c1 = cd.LinearCode(field, n, len(c1_gen), c1_gen)
+
+    if t == 0:
+        _verify_rank_one_span(c1)
+        return c1, 0, None
+
+    # pick v in T_{t-1} \ C1 and shift it back to a generator
+    prev = code.diffs.meet([theta_exp * i for i in range(1, t)])
+    v = next((row for row in prev if la.rank(field, (*c1_gen, row)) > len(c1_gen)), None)
+    if v is None:
+        raise AssertionError("no vector found outside the stable intersection")  # pragma: no cover
+    g = theta.power(-(t - 1)).on_vector(v)
+    if la.rank_q(field, g) <= t:
+        raise AssertionError("recovered generator has too small F_q-rank")  # pragma: no cover
+
+    recomposed = la.rref(field, la.stack(c1_gen, la.moore_matrix(field, g, t, theta)))[0]
+    if recomposed != code.gen:
+        raise AssertionError("decomposition failed to recompose the code")  # pragma: no cover
+    _verify_rank_one_span(c1)
+    return c1, t, tuple(g)
+
+
+def _verify_rank_one_span(c1: cd.LinearCode) -> None:
+    if c1.k == 0:
+        return
+    dim_q, _ = subfield_subcode(c1)
+    if dim_q != c1.k:
+        raise AssertionError(
+            "stable intersection is not spanned by rank-one codewords"
+        )  # pragma: no cover
+
+
+def randint(rng, a: int, b: int) -> int:
+    """Uniform integer in [a, b] inclusive from a DetRNG, the former
+    DetRNG.randint."""
+    if b < a:
+        raise ValueError("empty range")
+    return a + rng.randbelow(b - a + 1)

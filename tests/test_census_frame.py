@@ -1,4 +1,4 @@
-"""The census reads every key off the Moore frame of g (classify.census).
+"""The census reads every key off the Moore frame of g (rankinv.census).
 
 The keys are checked against the fingerprints of the built codes, each of
 the five facts the census docstring proves is checked on its own, the frame
@@ -14,7 +14,7 @@ import pytest
 import sympy
 
 from conftest import FP_FIELDS, FP_IDS
-import rankinv.classify as cl
+import rankinv.census as cs
 import rankinv.codes as cd
 import rankinv.invariants as iv
 import rankinv.linalg as la
@@ -37,9 +37,9 @@ TOWER_IDS = [f"{b}-q{q}n{n}k{k}" for b, q, n, k in TOWER_CASES]
 
 def _census(monkeypatch, backend, q, n, k, seed, trials=20):
     """census() with every field it makes on the given backend."""
-    real = cl.make_field
-    monkeypatch.setattr(cl, "make_field", lambda p, e, m: real(p, e, m, backend=backend))
-    report, field = cl.census(q, n, k, seed, trials=trials)
+    real = gf.make_field
+    monkeypatch.setattr(gf, "make_field", lambda p, e, m: real(p, e, m, backend=backend))
+    report, field = cs.census(q, n, k, seed, trials=trials)
     assert field.backend == backend
     return report, field
 
@@ -53,7 +53,7 @@ def _code(field, report, cls):
 def _frame(field, report):
     """E, whose row j is e_j = g^[j], and the census's ring (N, half), the
     exponents conj with zeta^conj[a] = eta^[a], a in Z_m, and zeta."""
-    n_ring, half, le = cl._eta_exponents(field, report.eta)
+    n_ring, half, le = cs._eta_exponents(field, report.eta)
     zeta = report.eta if le == 1 else field.neg(report.eta)
     conj = tuple(le * field.q**a % n_ring for a in range(field.m))
     return _moore(field, report.g), (n_ring, half), conj, zeta
@@ -129,7 +129,7 @@ def test_frame_shift(monkeypatch, case):
             assert GaloisAut(field, a).on_vector(E[j]) == E[(j + a) % n]
     for cls in report.params:
         code = _code(field, report, cls)
-        side = cl._frame_blocks(ring, n, k, conj, *cls)[0]
+        side = cs._frame_blocks(ring, n, k, conj, *cls)[0]
         for a in range(m):
             image = _span(field, [GaloisAut(field, a).on_vector(row) for row in code.gen], n)
             rows = [la.vec_mat(field, c, E) for c in _e_rows(field, zeta, n, side[a])]
@@ -144,7 +144,7 @@ def test_frame_sparse_rows(monkeypatch, case):
     for r, t, h in report.params:
         support = [r * j % n for j in range(k)] + [r * (k - 1 + t) % n]
         assert len(set(support)) == k + 1
-        units, u, w, a, b = cl._frame_blocks(ring, n, k, conj, r, t, h)[0][0]
+        units, u, w, a, b = cs._frame_blocks(ring, n, k, conj, r, t, h)[0][0]
         assert (u, w) == (r * h % n, support[-1])
         assert (field.pow(zeta, a), field.pow(zeta, b)) == (1, report.eta)
         assert units == sum(1 << v for v in support[:k]) & ~(1 << u)
@@ -158,7 +158,7 @@ def test_frame_complement(monkeypatch, case):
     report, field = _census(monkeypatch, backend, q, n, k, seed=6, trials=0)
     _, ring, conj, zeta = _frame(field, report)
     for cls in report.params:
-        sides = cl._frame_blocks(ring, n, k, conj, *cls)
+        sides = cs._frame_blocks(ring, n, k, conj, *cls)
         code_e = _e_rows(field, zeta, n, sides[0][0])
         perp_e = la.nullspace(field, code_e, n)  # the coordinate form in e-coordinates
         for a in range(field.m):
@@ -185,7 +185,7 @@ def _check_blocks(field, n, blocks):
     one; after each, the rank must be the rank of all rows so far."""
     ring, state, rows = _alpha_ring(field), (0, []), []
     for block in blocks:
-        state, rank = cl._frame_add(ring, state, *block)
+        state, rank = cs._frame_add(ring, state, *block)
         rows += _e_rows(field, field.alpha, n, block)
         assert rank == la.rank(field, rows), blocks
 
@@ -237,7 +237,7 @@ def test_frame_rank_on_structured_graphs(case):
         _check_blocks(field, n, balanced)
         state = (0, [])
         for block in balanced:
-            state, rank = cl._frame_add(_alpha_ring(field), state, *block)
+            state, rank = cs._frame_add(_alpha_ring(field), state, *block)
         assert rank == n - 1
         # a new gain on the last edge unbalances the cycle
         units, u, w, a, b = balanced[-1]
@@ -271,27 +271,27 @@ def test_full_rank_pair_settles_the_triple(q, n, k):
     # c1 its least gap: the pair of blocks {c1, c2} has the rank of {0, c2 - c1}
     # (translation), and when one of the three pairs has full rank n, so has
     # the triple, read directly off firsts[c1] and block c2
-    report, field = cl.census(q, n, k, seed=1, trials=0)
-    n_ring, half, le = cl._eta_exponents(field, report.eta)
+    report, field = cs.census(q, n, k, seed=1, trials=0)
+    n_ring, half, le = cs._eta_exponents(field, report.eta)
     ring, m = (n_ring, half), field.m
     conj = tuple(le * pow(q, a, n_ring) % n_ring for a in range(m))
 
     def rank(side, *blocks):
         state, v = (0, []), 0
         for a in blocks:
-            state, v = cl._frame_add(ring, state, *side[a])
+            state, v = cs._frame_add(ring, state, *side[a])
         return state, v
 
     settled = 0
     for cls in report.params:
-        for side in cl._frame_blocks(ring, n, k, conj, *cls):
+        for side in cs._frame_blocks(ring, n, k, conj, *cls):
             pair = [rank(side, 0, g)[1] for g in range(m)]
             for c1 in range(1, m // 3 + 1):
                 first = rank(side, 0, c1)[0]
                 for c2 in range(2 * c1, m - c1 + 1):
                     assert rank(side, c1, c2)[1] == pair[c2 - c1], (cls, c1, c2)
                     if n in (pair[c1], pair[c2 - c1], pair[c2]):
-                        assert cl._frame_add(ring, first, *side[c2])[1] == n, (cls, c1, c2)
+                        assert cs._frame_add(ring, first, *side[c2])[1] == n, (cls, c1, c2)
                         settled += 1
     assert settled
 
@@ -300,9 +300,9 @@ def test_census_frame_call_count(monkeypatch):
     # pins the _frame_add calls of one census: 2940 before full-rank pairs
     # settled the triple keys, so losing that shortcut fails here
     calls = []
-    real = cl._frame_add
-    monkeypatch.setattr(cl, "_frame_add", lambda *args: calls.append(1) or real(*args))
-    cl.census(3, 7, 3, seed=1, trials=100)
+    real = cs._frame_add
+    monkeypatch.setattr(cs, "_frame_add", lambda *args: calls.append(1) or real(*args))
+    cs.census(3, 7, 3, seed=1, trials=100)
     assert len(calls) == 2148
 
 
@@ -322,7 +322,7 @@ def test_eta_exponents_give_zeta_of_order_n(case):
     for l in range(field.Qm1):
         eta = field.alpha_pow(l)
         order = field.Qm1 // math.gcd(l, field.Qm1)
-        n_ring, half, le = cl._eta_exponents(field, eta)
+        n_ring, half, le = cs._eta_exponents(field, eta)
         zeta = eta if le == 1 else field.neg(eta)
         assert n_ring in (order, 2 * order) and (le == 1) == (n_ring == order)
         assert field.pow(zeta, le) == eta and field.pow(zeta, half) == minus_one
@@ -338,8 +338,8 @@ def test_class_keys_make_no_field_call(monkeypatch, case):
     # every FieldTower method, the constructor included, made to fail
     backend, q, n, k = case
     tasks = []
-    real = cl._census_class_keys
-    monkeypatch.setattr(cl, "_census_class_keys", lambda task: tasks.append(task) or real(task))
+    real = cs._census_class_keys
+    monkeypatch.setattr(cs, "_census_class_keys", lambda task: tasks.append(task) or real(task))
     report, _ = _census(monkeypatch, backend, q, n, k, seed=8)
 
     def plain(x):
@@ -372,7 +372,7 @@ def test_census_matches_stored_references(seed):
     refs = json.loads(REFS.read_text())["census"][seed]
     for qnk, ref in refs.items():
         q, n, k = map(int, qnk.split(","))
-        report, _ = cl.census(q, n, k, int(seed), trials=100)
+        report, _ = cs.census(q, n, k, int(seed), trials=100)
         assert (report.lb1, report.lb2) == (ref["lb1"], ref["lb2"]), qnk
         assert [_digest(pair) for pair in zip(report.fingerprints1, report.fingerprints2)] \
             == ref["classes"], qnk

@@ -7,6 +7,7 @@ import oracles
 from conftest import FP_FIELDS, FP_IDS
 import rankinv.classify as cl
 import rankinv.codes as cd
+import rankinv.counting as ct
 import rankinv.invariants as inv
 import rankinv.linalg as la
 from rankinv.gf import FullAut, GaloisAut, galois_generators, make_field
@@ -44,7 +45,7 @@ def _random_smap(field, n, rng):
 
 def test_census_ub_table():
     for (n, k), ub in UB_TABLE.items():
-        assert cl.census_ub(n, k) == ub
+        assert ct.census_ub(n, k) == ub
         # closed form: every class has exactly two members
         m = 2 * n
         phi = len(galois_generators(m))
@@ -52,13 +53,13 @@ def test_census_ub_table():
     # symmetric under k -> n-k
     for n in (6, 7, 8):
         for k in range(2, n - 1):
-            assert cl.census_ub(n, k) == cl.census_ub(n, n - k)
+            assert ct.census_ub(n, k) == ct.census_ub(n, n - k)
 
 
 @pytest.mark.parametrize("n,k", [(6, 2), (7, 3)])
 def test_census_classes_partition(n, k):
     m = 2 * n
-    reps = cl.census_param_classes(n, k)
+    reps = ct.census_param_classes(n, k)
     covered = set()
     for (r, t, h) in reps:
         partner = ((-r) % m, n - k + 1 - t, k - 1 - h)
@@ -76,9 +77,9 @@ def test_census_classes_partition(n, k):
 
 def test_census_param_guards():
     with pytest.raises(ValueError):
-        cl.census_param_classes(6, 0)
+        ct.census_param_classes(6, 0)
     with pytest.raises(ValueError):
-        cl.census_param_classes(6, 6)
+        ct.census_param_classes(6, 6)
 
 
 # --------------------------------------------------------------------------
@@ -87,38 +88,38 @@ def test_census_param_guards():
 
 
 def test_gaussian_binomial_values():
-    assert cl.gaussian_binomial(4, 2, 2) == 35
-    assert cl.gaussian_binomial(4, 2, 3) == 130
-    assert cl.gaussian_binomial(5, 2, 2) == 155
-    assert cl.gaussian_binomial(5, 3, 2) == 155  # symmetry
-    assert cl.gaussian_binomial(7, 0, 2) == 1
-    assert cl.gaussian_binomial(7, 7, 3) == 1
+    assert ct.gaussian_binomial(4, 2, 2) == 35
+    assert ct.gaussian_binomial(4, 2, 3) == 130
+    assert ct.gaussian_binomial(5, 2, 2) == 155
+    assert ct.gaussian_binomial(5, 3, 2) == 155  # symmetry
+    assert ct.gaussian_binomial(7, 0, 2) == 1
+    assert ct.gaussian_binomial(7, 7, 3) == 1
 
 
 def test_counting_gabidulin_fixed_theta():
-    r = cl.counting(2, 2, 4, 4)
+    r = ct.counting(2, 2, 4, 4)
     b = r.get("gabidulin_fixed_theta")
     assert b.kind == "exact" and b.applicable and b.value == 1344
-    assert cl.counting(3, 2, 4, 4).get("gabidulin_fixed_theta").value == 303264
+    assert ct.counting(3, 2, 4, 4).get("gabidulin_fixed_theta").value == 303264
 
 
 def test_counting_twisted_fixed_theta():
     # no admissible twist scalar exists over the binary field
-    b2 = cl.counting(2, 2, 4, 4).get("twisted_fixed_theta")
+    b2 = ct.counting(2, 2, 4, 4).get("twisted_fixed_theta")
     assert b2.value == 0 and "zero at q=2" in b2.note
-    b3 = cl.counting(3, 2, 4, 4).get("twisted_fixed_theta")
+    b3 = ct.counting(3, 2, 4, 4).get("twisted_fixed_theta")
     assert b3.value == 12130560 and b3.applicable
 
 
 def test_counting_class_bounds():
-    r = cl.counting(3, 2, 4, 4)
+    r = ct.counting(3, 2, 4, 4)
     b = r.get("gabidulin_classes_m_eq_n")
     assert b.value == 1            # phi(4)/2
     assert not b.applicable        # k = 2 is outside 2 < k < n-2
     assert r.get("gabidulin_classes_m_gt_n_lower").value is None  # needs m > n
     assert r.get("twisted_classes_m_eq_n").value == 11  # orbit count * phi/2
 
-    big = cl.counting(2, 3, 8, 12)
+    big = ct.counting(2, 3, 8, 12)
     lo = big.get("gabidulin_all_theta_lower")
     hi = big.get("gabidulin_all_theta_upper")
     assert lo.applicable and hi.applicable and lo.value <= hi.value
@@ -128,10 +129,10 @@ def test_counting_class_bounds():
 
 
 def test_counting_mrd_lower():
-    b = cl.counting(2, 2, 4, 6).get("inequivalent_mrd_lower")
+    b = ct.counting(2, 2, 4, 6).get("inequivalent_mrd_lower")
     assert b.applicable and b.value == 2
     with pytest.raises(KeyError):
-        cl.counting(2, 2, 4, 6).get("no_such_bound")
+        ct.counting(2, 2, 4, 6).get("no_such_bound")
 
 
 @pytest.mark.parametrize("case", FP_FIELDS, ids=FP_IDS)
@@ -141,28 +142,28 @@ def test_eta_orbit_count_matches_the_field_walk(case, k):
     # for k = 1 and m = 3 or 5, where the walk excludes the norm -1 at odd p
     backend, p, e, m = case
     field = make_field(p, e, m, backend=backend)
-    assert cl.count_aut_orbits_eta(p**e, m, k) == oracles.aut_orbits_eta(field, k)
+    assert ct.count_aut_orbits_eta(p**e, m, k) == oracles.aut_orbits_eta(field, k)
 
 
 def test_eta_orbit_count():
-    assert cl.count_aut_orbits_eta(3, 2, 1) == 3
+    assert ct.count_aut_orbits_eta(3, 2, 1) == 3
     # over F_2 every nonzero scalar has norm 1, leaving only eta = 0
-    assert cl.count_aut_orbits_eta(2, 4, 2) == 1
-    assert cl.count_aut_orbits_eta(2, 30, 1) is None  # beyond the field cap
+    assert ct.count_aut_orbits_eta(2, 4, 2) == 1
+    assert ct.count_aut_orbits_eta(2, 30, 1) is None  # beyond the field cap
     with pytest.raises(ValueError):
-        cl.count_aut_orbits_eta(6, 2, 1)
+        ct.count_aut_orbits_eta(6, 2, 1)
     with pytest.raises(ValueError, match="m must be"):
-        cl.count_aut_orbits_eta(3, 0, 1)
+        ct.count_aut_orbits_eta(3, 0, 1)
 
 
 def test_q_to_pe_matches_sympy_factorint():
     for q in [*range(-2, 3001), 2**31 - 1, 2**61 - 1, (2**31 - 1) ** 2, 3**40, 2**89 - 1]:
         factors = sympy.factorint(q) if q > 1 else {}
         if len(factors) == 1:
-            assert cl._q_to_pe(q) == next(iter(factors.items())), q
+            assert ct._q_to_pe(q) == next(iter(factors.items())), q
         else:
             with pytest.raises(ValueError, match=rf"^q = {q} is not a prime power$"):
-                cl._q_to_pe(q)
+                ct._q_to_pe(q)
 
 
 def test_q_to_pe_rejects_a_hard_composite_without_factoring_it():
@@ -171,8 +172,8 @@ def test_q_to_pe_rejects_a_hard_composite_without_factoring_it():
     p1, p2 = sympy.nextprime(2**80), sympy.nextprime(2**80 + 2**40)
     for q in [2 * p1 * p2, p1 * p2, (p1 * p2) ** 2, p1**3 * p2]:
         with pytest.raises(ValueError, match=rf"^q = {q} is not a prime power$"):
-            cl._q_to_pe(q)
-    assert cl._q_to_pe(p1**3) == (p1, 3)
+            ct._q_to_pe(q)
+    assert ct._q_to_pe(p1**3) == (p1, 3)
 
 
 # --------------------------------------------------------------------------
@@ -486,10 +487,10 @@ def test_rank_tests_are_fewer_than_subspaces_and_words():
     for q in (2, 3, 4):
         for n in range(2, 9):
             for k in range(1, n):
-                prefixes = [cl.gaussian_binomial(n - 1 - p0, k - 1, q) for p0 in range(n - k + 1)]
+                prefixes = [ct.gaussian_binomial(n - 1 - p0, k - 1, q) for p0 in range(n - k + 1)]
                 T = sum(prefixes)
-                tests = cl.gaussian_binomial(n - 1, k - 1, q)
-                subspaces = cl.gaussian_binomial(n, k, q)
+                tests = ct.gaussian_binomial(n - 1, k - 1, q)
+                subspaces = ct.gaussian_binomial(n, k, q)
                 assert subspaces == sum(q ** (n - k - p0) * c for p0, c in enumerate(prefixes))
                 assert tests <= T <= subspaces
                 for m in range(n, 9):
@@ -515,7 +516,7 @@ def test_recognition_guards(f16):
 def test_rank_one_decomposition_pure_gabidulin(f2_8):
     rng = DetRNG(29, "cls-dec-pure")
     code = _gab(f2_8, 6, 3, rng)
-    c1, t, g = cl.rank_one_decomposition(code, 1)
+    c1, t, g = oracles.rank_one_decomposition(code, 1)
     assert c1.k == 0 and t == 3 and g is not None
     rebuilt = cd.LinearCode.from_rows(
         f2_8, la.moore_matrix(f2_8, g, 3, GaloisAut(f2_8, 1)), 6)
@@ -524,7 +525,7 @@ def test_rank_one_decomposition_pure_gabidulin(f2_8):
 
 def test_rank_one_decomposition_flat_code(f16):
     flat = cd.LinearCode.from_rows(f16, ((1, 0, 0, 0), (0, 1, 1, 0)), 4)
-    c1, t, g = cl.rank_one_decomposition(flat, 1)
+    c1, t, g = oracles.rank_one_decomposition(flat, 1)
     assert t == 0 and g is None and cd.code_equal(c1, flat)
 
 
@@ -534,7 +535,7 @@ def test_rank_one_decomposition_mixed(f2_8):
     rows = ((1, 1, 0, 0, 0, 0),) + la.moore_matrix(f2_8, g, 2, GaloisAut(f2_8, 1))
     code = cd.LinearCode.from_rows(f2_8, rows, 6)
     assert code.k == 3
-    c1, t, g_out = cl.rank_one_decomposition(code, 1)
+    c1, t, g_out = oracles.rank_one_decomposition(code, 1)
     assert c1.k == 1 and t == 2 and g_out is not None
     assert la.rank(f2_8, code.gen + (g_out,)) == code.k
 
@@ -557,7 +558,7 @@ def test_rank_one_decomposition_matches_iterate_oracle(case):
                     code = cd.LinearCode.from_rows(
                         F, flat[: k - t] + la.moore_matrix(F, g, t, theta), n)
                     iterates = oracles.rank_one_iterates(code, r)
-                    c1, t_out, g_out = cl.rank_one_decomposition(code, r)
+                    c1, t_out, g_out = oracles.rank_one_decomposition(code, r)
                     assert c1.gen == iterates[-1]
                     assert t_out == code.k - c1.k == len(iterates) - 1
                     seen_t.add(t_out)
@@ -577,10 +578,10 @@ def test_rank_one_decomposition_guards(f2_8):
     spec = cd.make_spec("Twisted", 6, 2, g=g, eta=f2_8.alpha)
     wide = cd.build(f2_8, spec)  # s_1 = k + 2 for this construction
     with pytest.raises(ValueError):
-        cl.rank_one_decomposition(wide, 1)
+        oracles.rank_one_decomposition(wide, 1)
     code = _gab(f2_8, 6, 2, rng.spawn("x"))
     with pytest.raises(ValueError):
-        cl.rank_one_decomposition(code, 2)  # gcd(2, 8) != 1
+        oracles.rank_one_decomposition(code, 2)  # gcd(2, 8) != 1
 
 
 # --------------------------------------------------------------------------
@@ -743,11 +744,11 @@ def test_each_code_computes_its_differences_once(monkeypatch, f2_8):
     cl.distinguish(gab, tw, trials=10)
     image = cd.apply_semilinear(tw, _random_smap(f2_8, 6, rng.spawn("map")))
     assert cl.distinguish(tw, image, trials=10).status == "Unknown"
-    cl.rank_one_decomposition(gab, 1)
+    oracles.rank_one_decomposition(gab, 1)
     assert len(made) == 3 and all(c is d for c, d in zip(made, (gab, tw, image)))
     # C1 of a mixed code is a new code, which gets its own cache
     rows = ((1, 1, 0, 0, 0, 0),) + la.moore_matrix(f2_8, g, 2, GaloisAut(f2_8, 1))
     mixed = cd.LinearCode.from_rows(f2_8, rows, 6)
-    c1, _, _ = cl.rank_one_decomposition(mixed, 1)
+    c1, _, _ = oracles.rank_one_decomposition(mixed, 1)
     assert made[3] is mixed and made[4] is c1 and len(made) == 5
     assert len({id(c) for c in made}) == len(made)

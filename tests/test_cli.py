@@ -268,6 +268,36 @@ def test_cli_import_and_ub_only_census_leave_numpy_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
+# what a subcommand may not load: the modules of the other subcommands, and
+# dataclasses, which only the census module's CensusReport needs
+FIELD_MODULES = ("rankinv.gf", "rankinv.codes", "rankinv.linalg", "rankinv.invariants",
+                 "rankinv.classify", "rankinv.census", "dataclasses")
+IMPORT_SET_CALLS = [
+    (["census", "--n", "6", "--k", "2", "--ub-only"], FIELD_MODULES),
+    (["count", "--q", "2", "--k", "2", "--n", "4", "--m", "4"], FIELD_MODULES),
+    (["code", "build", "--family", "Gabidulin", "--p", "3", "--m", "5", "--n", "5", "--k", "2",
+      "--random-g", "--out", "gab.json"], ("rankinv.classify", "dataclasses")),
+    (["code", "dual", "--file", "gab.json"], ("rankinv.classify", "dataclasses")),
+    (["invariants", "--file", "gab.json"], ("rankinv.classify", "dataclasses")),
+]
+
+
+def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
+    # cli imports a subcommand's modules when it dispatches to it: in a fresh
+    # process, count and census --ub-only load no field code, and code
+    # build, code dual and invariants leave classify and the census unloaded
+    script = ("import sys, rankinv.cli as cli\n"
+              "rc = cli.main(sys.argv[2:])\n"
+              "loaded = sorted(set(sys.argv[1].split(',')) & set(sys.modules))\n"
+              "assert not loaded, loaded\n"
+              "sys.exit(rc)\n")
+    for argv, unloaded in IMPORT_SET_CALLS:
+        proc = subprocess.run([sys.executable, "-c", script, ",".join(unloaded), *argv],
+                              cwd=tmp_path, capture_output=True, text=True, timeout=120,
+                              env=_src_env())
+        assert proc.returncode == 0, (argv, proc.stderr)
+
+
 SMALL_FIELD_CODES = {
     "worked": ["--m", "15", "--modulus", MODULUS_ARG, "--n", "8", "--k", "3", "--g", G_ARG,
                "--eta", ETA_ARG],
@@ -335,6 +365,15 @@ CODE_DOC = {"field": {"p": 2, "e": 1, "m": 4, "modulus": [1, 1, 0, 0, 1]},
     {"gen": [[5, 6]]},
     {"n": [2]},
     {"field": 3},
+    # a value that int() would turn into some integer is no integer either
+    {"n": 2.0},
+    {"n": "2"},
+    {"k": 1.9},
+    {"k": True},
+    {"field": dict(CODE_DOC["field"], m=4.0)},
+    {"field": dict(CODE_DOC["field"], modulus=[1, 1, 0, 0, 1.0])},
+    {"gen": [[[1, 0, 0, 0], [0, 1.0, 0, 0]]]},
+    {"gen": [[[1, 0, 0, 0], [0, True, 0, 0]]]},
 ])
 def test_code_file_with_a_mistyped_value_is_a_clean_error(tmp_path, patch):
     path = tmp_path / "code.json"
@@ -393,6 +432,17 @@ def test_negative_trials_are_a_clean_error(stored_pair):
 def test_count_rejects_m_below_one(m):
     _assert_clean_error(*run_cli("count", "--q", "2", "--k", "2", "--n", "4", "--m", m),
                         "m must be >= 1")
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+def test_count_too_long_to_print_is_a_clean_error(fmt):
+    # q^m has about 47,700 digits at m = 100000: past the interpreter's limit
+    # for int -> str, which the error names and which stays as it was
+    limit = sys.get_int_max_str_digits()
+    _assert_clean_error(*run_cli("count", "--q", "3", "--k", "2", "--n", "4", "--m", "100000",
+                                 "--format", fmt),
+                        "--m 100000", f"{limit} digits")
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_count_with_a_huge_prime_q_answers_instead_of_hanging():

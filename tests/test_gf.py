@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from rankinv import gf
+from rankinv import gf, numtheory
 from rankinv.gf import (
     FieldError,
     FullAut,
@@ -263,15 +263,15 @@ def test_prime_factors_match_sympy_factorint():
     # above the exact Miller-Rabin bound, where primality is Baillie-PSW
     cases += [3**60 - 1, 2**89 - 1, 2**107 - 1, 5**40 - 1, (2**61 - 1) * (2**31 - 1) ** 2]
     for n in cases:
-        assert gf._prime_factors(n) == tuple(sorted(sympy.factorint(n))), n
+        assert numtheory._prime_factors(n) == tuple(sorted(sympy.factorint(n))), n
 
 
 def test_modulus_search_factors_q_minus_one_once():
     # 37 candidates of degree 4 over F_7 pass x**(Q-1) = 1 and reach the
     # factoring step; Q - 1 = 2400 is factored for the first alone
-    gf._prime_factors.cache_clear()
+    numtheory._prime_factors.cache_clear()
     assert gf._search_default_modulus(7, 4) == 75
-    info = gf._prime_factors.cache_info()
+    info = numtheory._prime_factors.cache_info()
     assert (info.misses, info.hits) == (1, 36)
 
 
@@ -281,16 +281,16 @@ def test_primality_matches_sympy_isprime():
     # strong pseudoprimes to the first 1, 4, 9 and 12 prime bases, and
     # numbers on both sides of the exact Miller-Rabin bound
     hard = [2047, 3215031751, 3825123056546413051, 318665857834031151167461,
-            gf._MR_EXACT_BELOW - 2, gf._MR_EXACT_BELOW + 2, 2**89 - 1, 2**89 + 1,
+            numtheory._MR_EXACT_BELOW - 2, numtheory._MR_EXACT_BELOW + 2, 2**89 - 1, 2**89 + 1,
             (2**61 - 1) * (2**89 - 1), 2**127 - 1, (2**64 + 13) ** 2]
     rng = DetRNG(0, "gf-prime")
     rand = [rng.randbelow(1 << 96) | 1 for _ in range(200)]
     for n in [*range(-2, 3000), *hard, *rand]:
-        assert gf._is_prime(n) == sympy.isprime(n), n
+        assert numtheory._is_prime(n) == sympy.isprime(n), n
     # the Lucas half of Baillie-PSW on its own, where its pseudoprimes are small
     for n in range(43, 30000, 2):
-        if all(n % f for f in gf._MR_BASES):
-            assert gf._is_strong_lucas_prp(n) == is_strong_lucas_prp(n), n
+        if all(n % f for f in numtheory._MR_BASES):
+            assert numtheory._is_strong_lucas_prp(n) == is_strong_lucas_prp(n), n
 
 
 def test_table_backend_exp_is_bijective(f3_5):

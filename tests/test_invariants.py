@@ -220,7 +220,7 @@ def test_plateau_value_has_subfield_basis(request, make_args):
         plateau = len(seq) - 1  # index of the first repeated value
         stable = inv.sum_code(code, _sigma_powers(field, r, plateau))
         assert stable.k == seq[-1] < n  # below full length: non-vacuous
-        dim_sub, rows = cd.subfield_subcode(stable)
+        dim_sub, rows = oracles.subfield_subcode(stable)
         assert dim_sub == stable.k
         assert all(field.in_subfield_q(a) for row in rows for a in row)
         assert rows == la.rref(field, oracles.subfield_kernel(stable))[0]

@@ -116,8 +116,10 @@ def test_row_space_sum_and_intersection_dimension_formula(f2_8):
     for trial in range(12):
         r = rng.spawn(str(trial))
         ra, rb = r.spawn("A"), r.spawn("B")
-        A = tuple(tuple(F.random_element(ra) for _ in range(n)) for _ in range(r.randint(1, 4)))
-        B = tuple(tuple(F.random_element(rb) for _ in range(n)) for _ in range(r.randint(1, 4)))
+        A = tuple(tuple(F.random_element(ra) for _ in range(n))
+                  for _ in range(oracles.randint(r, 1, 4)))
+        B = tuple(tuple(F.random_element(rb) for _ in range(n))
+                  for _ in range(oracles.randint(r, 1, 4)))
         s = la.rref(F, la.stack(A, B))[0]
         i = la.row_space_intersection(F, A, B, n)
         da, db = la.rank(F, A), la.rank(F, B)
