@@ -16,7 +16,10 @@ must agree, and any disagreement raises (it would mean an implementation bug).
 The census and closed-form counting have modules of their own.  census,
 CensusReport, census_param_classes and make_field are re-exported here, and
 `classify.census` is the census entry point that `rankinv census` calls; the
-census builds its field through `gf.make_field`.
+census builds its field through `gf.make_field`.  The first three are
+imported on first access (a module __getattr__, PEP 562), so `rankinv
+classify gabidulin` and `rankinv compare` load neither the census nor
+dataclasses.
 """
 
 from __future__ import annotations
@@ -29,11 +32,24 @@ from . import codes as cd
 from . import invariants as iv
 from . import linalg as la
 from .base import Record
-from .census import CensusReport, census  # noqa: F401 (re-exported)
-from .counting import census_param_classes  # noqa: F401 (re-exported)
 from .gf import FullAut, make_field  # noqa: F401 (make_field re-exported)
 
 _set = object.__setattr__  # how a Record sets its slots
+
+
+def __getattr__(name: str):
+    """census and CensusReport from the census module, census_param_classes
+    from counting, imported on first access.  The name is then bound here,
+    so later lookups, and the tracers that replace module attributes
+    (bench/tracer.py), see an ordinary module attribute."""
+    if name in ("census", "CensusReport"):
+        from . import census as module
+    elif name == "census_param_classes":
+        from . import counting as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(module, name)
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -201,14 +217,22 @@ def is_theta_gabidulin(code: cd.LinearCode, theta_exp: int,
     projective codeword count fits under dist_cap) whether s_1 = k+1 and the
     code is MRD.  All evaluated criteria must agree.
 
+    d > 1 (no codeword of F_q-rank one) holds exactly when the subfield
+    subcode C n F_q^n is zero.  Its dimension is read off the ranks in the
+    code's differences trie (codes._galois_stable_dim), which the t-rows
+    share, so no intersection basis is formed.
+
     By the Singleton bound d <= n-k+1, C is MRD exactly when no codeword has
     F_q-rank <= n-k, i.e. no codeword is orthogonal to a k-dimensional
     F_q-subspace of F_q^n.  codes._is_mrd_by_subspaces decides that by one
     F_q-rank test per (k-1)-dimensional F_q-subspace of the last n-1
-    coordinates, [n-1 choose k-1]_q tests, never more than the
-    [n choose k]_q subspaces or the projective codewords, and it sweeps no
-    codeword.  dist_cap still counts codewords, so that the criterion is
-    None exactly where it was when codewords were swept."""
+    coordinates, and it sweeps no codeword.  C is MRD exactly when C^perp
+    is (Delsarte 1978; Gabidulin 1985, Thm 3; the proof for any n and m is
+    in codes._reordered_dual), so the walk runs on C^perp, read off C's
+    RREF, when k > n-k: [n-1 choose min(k, n-k)-1]_q tests, never more than
+    the [n choose k]_q subspaces or the projective codewords.  dist_cap
+    still counts the codewords of C, so that the criterion is None exactly
+    where it was when codewords were swept."""
     field = code.field
     n, k, m = code.n, code.k, field.m
     if math.gcd(theta_exp, m) != 1:
@@ -220,8 +244,7 @@ def is_theta_gabidulin(code: cd.LinearCode, theta_exp: int,
 
     s_ext = iv.s_sequence(code, theta_exp, i_max=n - k + 1)
     s = s_ext[: n - k + 1]
-    rank_one, _ = cd.has_rank_one_codeword(code)
-    d_gt_1 = not rank_one
+    d_gt_1 = cd._galois_stable_dim(code) == 0
 
     crits: dict[str, Optional[bool]] = {}
 
@@ -244,7 +267,9 @@ def is_theta_gabidulin(code: cd.LinearCode, theta_exp: int,
     elif s[1] != k + 1:
         crits["mrd_plus_s1"] = False
     else:
-        crits["mrd_plus_s1"] = cd._is_mrd_by_subspaces(code)
+        # C is MRD exactly when C^perp is: walk the smaller dimension
+        crits["mrd_plus_s1"] = cd._is_mrd_by_subspaces(cd._reordered_dual(code) if 2 * k > n
+                                                        else code)
 
     values = {v for v in crits.values() if v is not None}
     if len(values) != 1:

@@ -26,7 +26,8 @@ is dispatched to, so a process compiles and executes only those:
 * `count`, `census --ub-only`   counting (integers only, no field code)
 * `code build`, `code dual`     codes (with linalg and gf; rng for --random-g)
 * `invariants`                  codes and invariants
-* `compare`, `classify`         classify, which loads the census module too
+* `compare`, `classify`         classify, codes and invariants (rng for
+                                compare's random triples); not the census
 * `census`                      classify, through which it calls census
 """
 

@@ -33,7 +33,9 @@ Rank-one codewords come from the largest Galois-stable subcode of C, which
 is the intersection of all its Galois images.  By Galois descent
 (Giorgetti-Previtali, "Galois invariance, trace codes and subfield
 subcodes", Finite Fields Appl. 2010) that subcode is the F_{q^m}-span of
-C n F_q^n, and its RREF basis has entries in F_q.
+C n F_q^n, and its RREF basis has entries in F_q.  Its dimension is k minus
+a rank the code's differences trie already holds (_galois_stable_dim), so
+whether a rank-one codeword exists costs no kernel or basis.
 
 The minimum rank distance is a sweep over the projective codewords that
 walks the F_p-digits of the message in Gray order, so each word costs one
@@ -48,8 +50,11 @@ F_q-subspace of F_q^n.  Each such subspace contains a (k-1)-dimensional one
 in the hyperplane b_0 = 0, whose orthogonal codewords are the multiples of
 one cofactor word, so _is_mrd_by_subspaces takes one F_q-rank test per
 (k-1)-subspace, [n-1 choose k-1]_q of them, never more than the projective
-codewords.  _subspace_products walks subspaces by their RREF bases, in the
-same Gray order over the F_p-digits of the free entries (the support
+codewords.  C is MRD exactly when C^perp is, and _reordered_dual reads
+C^perp off the RREF of C up to the order of columns, so a caller can walk
+the smaller side: [n-1 choose min(k, n-k)-1]_q tests (the proof is in
+_reordered_dual).  _subspace_products walks subspaces by their RREF bases,
+in the same Gray order over the F_p-digits of the free entries (the support
 enumeration of Gaborit, Ruatta and Schrek, "On the complexity of the rank
 syndrome decoding problem", IEEE TIT 2016), one column update per subspace.
 The minimum distance stays on the word sweep: the rank tests decide only
@@ -412,6 +417,25 @@ def apply_semilinear(code: LinearCode, smap: SemilinearMap) -> LinearCode:
 # rank-one codewords, subfield subcode, minimum distance
 # --------------------------------------------------------------------------
 
+def _galois_stable_walk(code: LinearCode) -> tuple[int, int]:
+    """(top, rank): the first i at which the "cols" ranks after the blocks at
+    exponents 0..i and 0..i+1 agree (m-1 when none do), and that rank.  The
+    walk reads the code's trie, so a t-row at exponent 1 already walked
+    costs no elimination here."""
+    prev = -1
+    for i, r in enumerate(code.diffs.ranks("cols", range(code.field.m))):
+        if r == prev:
+            return i - 1, r
+        prev = r
+    return code.field.m - 1, prev
+
+
+def _galois_stable_dim(code: LinearCode) -> int:
+    """dim V, V as in _galois_stable_part: k minus the "cols" rank at the
+    first repeat, with no kernel and no basis formed."""
+    return code.k - _galois_stable_walk(code)[1]
+
+
 def _galois_stable_part(code: LinearCode) -> la.Matrix:
     """RREF basis of V = the intersection of theta^j(C) over j < m, theta the
     Frobenius a -> a^q, read off the differences D_1..D_(m-1) (see
@@ -425,17 +449,19 @@ def _galois_stable_part(code: LinearCode) -> la.Matrix:
     theta, so it lies in every theta^j(C) and in V, and its coordinates in R
     are its own entries at the pivot columns, which lie in F_q.  V is T_(m-1)
     of the t-row at exponent 1, equal to T_i at its first repeat
-    (invariants), so the walk stops there, sharing t_sequence's eliminations."""
-    m = code.field.m
-    pairs = itertools.pairwise(code.diffs.ranks("cols", range(m)))
-    top = next((i for i, (a, b) in enumerate(pairs) if a == b), m - 1)
-    return code.diffs.meet(range(1, top + 1))
+    (invariants), so the walk stops there, sharing t_sequence's eliminations.
+    T_top is the set of xR with x in the common left kernel of the D_j
+    (Differences.meet), so dim V is k minus the rank of the stacked D_j^T
+    at top; the basis is formed only when that is positive."""
+    top, rank = _galois_stable_walk(code)
+    return code.diffs.meet(range(1, top + 1)) if rank < code.k else ()
 
 
 def has_rank_one_codeword(code: LinearCode):
     """(bool, witness codeword).  A nonzero codeword of F_q-rank one is a
     scalar times a word of F_q^n, so one exists iff the subfield subcode is
-    nonzero; the witness is the first row of its basis."""
+    nonzero; the witness is the first row of its basis.  Recognition needs
+    only the bool, which _galois_stable_dim gives without the basis."""
     gen = _galois_stable_part(code)
     return (True, gen[0]) if gen else (False, None)
 
@@ -581,6 +607,41 @@ def _is_mrd_by_subspaces(code: LinearCode) -> bool:
         if la._fp_rank(field, la.spread(field, w)) < field.e * len(w):
             return False
     return True
+
+
+def _reordered_dual(code: LinearCode) -> LinearCode:
+    """C^perp with its coordinates reordered, the non-pivot columns of C's
+    RREF R first: (I_(n-k) | -A^T), A the k x (n-k) block of R off its
+    pivots, read off R with no elimination.  It is in RREF, so it is a
+    LinearCode like any other; it is not C^perp itself unless the pivots of
+    R are its last columns.
+
+    In that order R is (A | I_k), and (A | I_k)(I_(n-k) | -A^T)^T = A - A =
+    0, so the two are generators of a code and its dual of dimensions k and
+    n-k.  _is_mrd_by_subspaces on it decides whether C is MRD, with
+    [n-1 choose n-k-1]_q rank tests instead of [n-1 choose k-1]_q, fewer
+    when k > n-k.  For a code D with generator G (k x n), no nonzero word
+    has F_q-rank <= n-k exactly when the first k columns of GA are
+    independent for every A in GL_n(F_q): a word xG is orthogonal to a
+    k-dimensional U exactly when x G B_U^T = 0, and A with first columns B_U^T
+    reaches every U.  (D A)^perp = D^perp A^(-T), because
+    (GA)(H A^(-T))^T = G H^T = 0 for a generator H of D^perp.  For
+    G = (G1 | G2) and H = (H1 | H2), split after column k, with G H^T = 0,
+    G1 is invertible exactly when H2 is: if xG1 = 0 for some x != 0, the word
+    xG = (0 | xG2) is nonzero and orthogonal to every row of H, so
+    H2 (xG2)^T = 0 and H2 is singular, and symmetrically.
+    A -> A^(-T) permutes GL_n(F_q), which holds the permutation that moves
+    the last n-k columns to the front.  So no nonzero word of D has F_q-rank
+    <= n-k exactly when no nonzero word of D^perp has F_q-rank <= k, which
+    is the walk's question for D^perp, of dimension n-k.  A column
+    permutation keeps every F_q-rank, and none of this needs n <= m."""
+    field, R = code.field, code.gen
+    pivots = {next(c for c, a in enumerate(row) if a) for row in R}
+    free = [c for c in range(code.n) if c not in pivots]
+    unit = la.identity(field, len(free))
+    return LinearCode(field, code.n, len(free),
+                      tuple(unit[i] + tuple(field.neg(row[c]) for row in R)
+                            for i, c in enumerate(free)))
 
 
 def min_distance_bruteforce(code: LinearCode, cap: int = 1 << 24) -> int:

@@ -7,9 +7,11 @@ directly comparable as tuples.
 
 One elimination routine, _insert_row, serves every field.  Over F_{q^m} it
 gives rank, rref, det, nullspace and IncrementalRank; over F_p it gives
-rank_p and nullspace_p, because F_p is the field make_field(p, 1, 1), whose
-packed elements are the integers 0..p-1.  Both kernels are read off an RREF
-by one helper, one vector per free column.
+nullspace_p, because F_p is the field make_field(p, 1, 1), whose packed
+elements are the integers 0..p-1.  Both kernels are read off an RREF by one
+helper, one vector per free column.  rank_p, which the F_q-rank tests of
+MRD recognition call many times on a few short rows, eliminates on plain
+integer lists instead, with no field object.
 
 The elimination works on rows in the field's row form (FieldTower.row_form
 and packed_rows): packed elements, or log + 1 (0 for 0) on the tower
@@ -315,12 +317,32 @@ def _prime_field(p: int) -> FieldTower:
 
 def rank_p(p: int, rows, stop: int | None = None) -> int:
     """Rank over F_p of a dense integer matrix (entries reduced mod p); the
-    rows stop being read once the rank reaches stop."""
-    Fp = _prime_field(p)
+    rows stop being read once the rank reaches stop.
+
+    The elimination runs on plain integer lists, with no field object: the
+    basis holds (lead, row, inverse of the lead entry) in the order the rows
+    were found, each row reduced mod p, 0 mod p before its lead column and
+    at the leads of the rows before it.  Clearing the leads of a new row in
+    that order leaves each cleared lead at 0 mod p, because the later basis
+    rows are 0 there, so the row ends 0 at every lead.  It lies in the span
+    exactly when it ends 0: a nonzero combination of basis rows is nonzero
+    at the lead of its first row.  Otherwise it joins the basis.  Only the
+    entries read are reduced during the pass (every step is a ring
+    operation, so the row stays congruent mod p to the reduced one), and the
+    whole row once, when it joins."""
     basis: list = []
-    for row in rows:
-        if _insert_row(Fp, basis, [c % p for c in row]) is not None and len(basis) == stop:
-            break
+    for cur in rows:
+        for lead, brow, inv in basis:
+            c = cur[lead] * inv % p
+            if c:
+                cur = [a - c * b for a, b in zip(cur, brow)]
+        for lead, c in enumerate(cur):
+            c %= p
+            if c:
+                basis.append((lead, [a % p for a in cur], pow(c, -1, p)))
+                if len(basis) == stop:
+                    return stop
+                break
     return len(basis)
 
 

@@ -404,16 +404,45 @@ def _recognition_against_oracle(code, theta, dist_cap=1 << 20):
     return verdict, crits
 
 
-def test_recognition_matches_oracle_on_every_f8_code():
+def _every_f8_code():
+    """Every [3, 2] code over F_8, by the rows of its RREF, freshly built."""
     f8 = make_field(2, 1, 3)
     rows = [((1, 0, a), (0, 1, b)) for a in range(8) for b in range(8)]
     rows += [((1, a, 0), (0, 0, 1)) for a in range(8)] + [((0, 1, 0), (0, 0, 1))]
+    return [cd.LinearCode.from_rows(f8, r, 3) for r in rows]
+
+
+def test_recognition_matches_oracle_on_every_f8_code():
+    codes = _every_f8_code()
     verdicts = set()
-    for r in rows:
-        code = cd.LinearCode.from_rows(f8, r, 3)
+    for code in codes:
         for theta in (1, 2):
             verdicts.add(_recognition_against_oracle(code, theta)[0])
-    assert len(rows) == 73 and verdicts == {True, False}
+    assert len(codes) == 73 and verdicts == {True, False}
+
+
+def test_recognition_builds_no_basis(monkeypatch):
+    # d > 1 is read off the ranks of the differences trie, and the MRD walk
+    # on the dual side reads the dual off the RREF: recognition forms no
+    # intersection basis and no kernel.  The [3,2] codes over F_8 take the
+    # dual walk whenever s_1 = 3; the [5,4] code over F_{3^7} is over the
+    # distance cap, and the [4,3] code over F_{3^4} takes the dual walk at
+    # odd p
+    def refuse(*args, **kwargs):
+        raise AssertionError("recognition formed a basis")
+
+    monkeypatch.setattr(cd.Differences, "meet", refuse)
+    monkeypatch.setattr(la, "nullspace", refuse)
+    verdicts = set()
+    for code in _every_f8_code():
+        for theta in (1, 2):
+            verdicts.add(cl.is_theta_gabidulin(code, theta)[0])
+    assert verdicts == {True, False}
+    rng = DetRNG(101, "cls-rec-no-basis")
+    ok, crits = cl.is_theta_gabidulin(_gab(make_field(3, 1, 7), 5, 4, rng), 1)
+    assert ok and crits["mrd_plus_s1"] is None
+    ok, crits = cl.is_theta_gabidulin(_gab(make_field(3, 1, 4), 4, 3, rng), 1)
+    assert ok and crits["mrd_plus_s1"] is True
 
 
 def test_recognition_matches_oracle_on_twisted_and_offset_twists():
@@ -478,6 +507,20 @@ def test_recognition_always_takes_the_subspace_walk(f2_8, f3_5, monkeypatch):
         decisions.clear()
         ok, crits = cl.is_theta_gabidulin(_gab(field, n, k, rng), 1)
         assert ok and crits["mrd_plus_s1"] is True and decisions == ["subspaces"]
+
+
+def test_recognition_walks_the_smaller_side(f16, f2_8, f3_5, monkeypatch):
+    # the MRD walk takes C^perp, of dimension n-k, when k > n-k, and C
+    # otherwise; the answer is the same (test_codes checks both sides)
+    walked = []
+    walk = cd._is_mrd_by_subspaces
+    monkeypatch.setattr(cd, "_is_mrd_by_subspaces", lambda code: walked.append(code.k) or walk(code))
+    rng = DetRNG(89, "cls-rec-side")
+    for field, n, k in ((make_field(2, 1, 3), 3, 2), (f16, 4, 3), (f16, 4, 2), (f2_8, 5, 2),
+                        (f3_5, 5, 3), (make_field(3, 1, 4), 4, 3)):
+        walked.clear()
+        ok, crits = cl.is_theta_gabidulin(_gab(field, n, k, rng), 1)
+        assert ok and crits["mrd_plus_s1"] is True and walked == [min(k, n - k)]
 
 
 def test_rank_tests_are_fewer_than_subspaces_and_words():

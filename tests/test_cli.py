@@ -279,13 +279,16 @@ IMPORT_SET_CALLS = [
       "--random-g", "--out", "gab.json"], ("rankinv.classify", "dataclasses")),
     (["code", "dual", "--file", "gab.json"], ("rankinv.classify", "dataclasses")),
     (["invariants", "--file", "gab.json"], ("rankinv.classify", "dataclasses")),
+    (["classify", "gabidulin", "--file", "gab.json"],
+     ("rankinv.census", "rankinv.counting", "rankinv.rng", "dataclasses")),
 ]
 
 
 def test_each_subcommand_loads_only_the_modules_it_runs(tmp_path):
     # cli imports a subcommand's modules when it dispatches to it: in a fresh
-    # process, count and census --ub-only load no field code, and code
-    # build, code dual and invariants leave classify and the census unloaded
+    # process, count and census --ub-only load no field code, code build,
+    # code dual and invariants leave classify and the census unloaded, and
+    # classify gabidulin loads classify without the census
     script = ("import sys, rankinv.cli as cli\n"
               "rc = cli.main(sys.argv[2:])\n"
               "loaded = sorted(set(sys.argv[1].split(',')) & set(sys.modules))\n"

@@ -447,33 +447,66 @@ def test_walk_yields_each_projective_codeword_once(case):
         assert set(words) == expected
 
 
-@pytest.mark.parametrize("case", FP_FIELDS + TOWER_FIELDS, ids=FP_IDS + TOWER_IDS)
-def test_subspace_walk_matches_oracle(case):
-    # the rank tests are called directly, for every 1 <= k < n <= m, on a
-    # Gabidulin code, a random code, and codes with a planted row of F_q-rank
-    # n-k (the largest rank that breaks MRD) or 1; both oracles decide each
-    # code, the word sweep while it has at most 4,000 projective codewords
+def _subspace_oracle_codes(case):
+    """The field of case and, for every 1 <= k < n <= m, a Gabidulin code,
+    a random code, and codes with a planted row of F_q-rank n-k (the largest
+    rank that breaks MRD) or 1."""
     backend, p, e, m = case
     F = make_field(p, e, m, backend=backend)
     rng = DetRNG(89, f"subspace-oracle/{backend}/{p}/{e}/{m}")
-    seen = set()
+    codes = []
     for n in range(2, m + 1):
         for k in range(1, n):
             g = la.random_full_rank_vector(F, n, rng)
-            codes = [cd.build(F, cd.make_spec("Gabidulin", n, k, 1, g)),
-                     cd.LinearCode.from_rows(F, [_random_vector(F, n, rng) for _ in range(k)], n)]
+            codes += [cd.build(F, cd.make_spec("Gabidulin", n, k, 1, g)),
+                      cd.LinearCode.from_rows(F, [_random_vector(F, n, rng) for _ in range(k)], n)]
             # k >= 3 draws more planted codes: there the cofactors carry signs
             for r in [n - k, 1] * (1 if k < 3 else 4):
                 rows = [_low_rank_word(F, n, r, rng)] + [_random_vector(F, n, rng) for _ in range(k - 1)]
                 codes.append(cd.LinearCode.from_rows(F, rows, n))
-            for code in codes:
-                mrd = oracles.is_mrd_by_determinants(code)
-                if _projective_count(F, code.k) <= 4000:
-                    assert mrd is (oracles.min_distance_bruteforce(code) == n - code.k + 1)
-                assert cd._is_mrd_by_subspaces(code) is mrd, (n, code.k)
-                seen.add((code.k, mrd))
+    return F, codes
+
+
+@pytest.mark.parametrize("case", FP_FIELDS + TOWER_FIELDS, ids=FP_IDS + TOWER_IDS)
+def test_subspace_walk_matches_oracle(case):
+    # the rank tests are called directly on every code of
+    # _subspace_oracle_codes; both oracles decide each code, the word sweep
+    # while it has at most 4,000 projective codewords
+    F, codes = _subspace_oracle_codes(case)
+    seen = set()
+    for code in codes:
+        n = code.n
+        mrd = oracles.is_mrd_by_determinants(code)
+        if _projective_count(F, code.k) <= 4000:
+            assert mrd is (oracles.min_distance_bruteforce(code) == n - code.k + 1)
+        assert cd._is_mrd_by_subspaces(code) is mrd, (n, code.k)
+        seen.add((code.k, mrd))
     assert {mrd for _, mrd in seen} == {True, False}
-    assert {k for k, _ in seen} == set(range(1, m))
+    assert {k for k, _ in seen} == set(range(1, case[3]))
+
+
+@pytest.mark.parametrize("case", FP_FIELDS + TOWER_FIELDS, ids=FP_IDS + TOWER_IDS)
+def test_mrd_walk_on_the_reordered_dual_matches_oracle(case):
+    # C is MRD exactly when C^perp is: the walk on C, the walk on the dual
+    # read off C's RREF, and the minor criterion agree on every code of
+    # _subspace_oracle_codes, with k on both sides of n-k.  The read-off is
+    # in RREF and is the dual that linalg.nullspace gives, up to putting
+    # C's non-pivot columns first
+    F, codes = _subspace_oracle_codes(case)
+    seen = set()
+    for code in codes:
+        n, k = code.n, code.k
+        mrd = oracles.is_mrd_by_determinants(code)
+        dual = cd._reordered_dual(code)
+        pivots = [next(c for c, a in enumerate(row) if a) for row in code.gen]
+        order = [c for c in range(n) if c not in pivots] + pivots
+        want = cd.LinearCode.from_rows(F, [[row[c] for c in order] for row in cd.dual(code).gen], n)
+        assert dual == want and la.rref(F, dual.gen)[0] == dual.gen
+        assert cd._is_mrd_by_subspaces(code) is mrd
+        assert cd._is_mrd_by_subspaces(dual) is mrd, (n, k)
+        seen.add(((k > n - k) - (k < n - k), mrd))
+    # MRD and non-MRD codes with k > n-k and with k < n-k
+    assert {(1, True), (1, False), (-1, True), (-1, False)} <= seen
 
 
 @pytest.mark.parametrize("case", FP_FIELDS + TOWER_FIELDS, ids=FP_IDS + TOWER_IDS)
@@ -553,6 +586,11 @@ def test_has_rank_one_codeword_all_mu_agrees(f16, f3_5, f4_3):
         # the all-ones word has F_q-rank one
         codes.append(cd.LinearCode.from_rows(F, ((1,) * n, codes[0].gen[0])))
         for c in codes:
+            # the dimension read off the trie, on a fresh trie, is the size
+            # of the basis the meet forms
+            dim = cd._galois_stable_dim(c)
+            assert (dim > 0) == oracles.has_rank_one_codeword_all_mu(c)[0]
+            assert dim == len(cd._galois_stable_part(c))
             found, wit = cd.has_rank_one_codeword(c)
             assert found == oracles.has_rank_one_codeword_all_mu(c)[0]
             # the witness comes from the subfield subcode
@@ -649,7 +687,9 @@ def test_galois_stable_part_matches_dual_oracle(case):
               for c in codes if 0 < c.k < m]
     assert any(c.k and c.gen[0][0] == 0 for c in codes)
     for c in codes:
-        assert cd._galois_stable_part(c) == oracles.galois_stable_part_via_duals(c)
+        want = oracles.galois_stable_part_via_duals(c)
+        assert cd._galois_stable_dim(c) == len(want)
+        assert cd._galois_stable_part(c) == want
 
 
 def _meet_cases(F, m, rng):

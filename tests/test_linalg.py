@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 import oracles
 from rankinv import codes as cd
@@ -355,6 +357,40 @@ def test_rank_p_and_nullspace_p(rows):
     # cross-check rank against the field-backed elimination over F_3
     F3 = make_field(3, 1, 1)
     assert r == la.rank(F3, tuple(tuple(row) for row in rows)) if rows else True
+
+
+def _sympy_rank_p(p, rows, ncols):
+    K = GF(p)
+    return DomainMatrix([[K(a) for a in row] for row in rows], (len(rows), ncols), K).rank()
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+@given(data=st.data())
+def test_rank_p_matches_sympy(p, data):
+    # random matrices, and products B*C through s < min(rows, ncols) inner
+    # columns, so rank-deficient; every entry then gets a random multiple of
+    # p added, negative ones too, so rank_p sees unreduced integers.  With
+    # stop, the rank is min(rank, stop) and the rows are read up to the one
+    # that takes the rank of the rows read so far to stop, and no further
+    nrows, ncols = data.draw(st.integers(0, 7)), data.draw(st.integers(1, 7))
+    entries = st.integers(0, p - 1)
+    if data.draw(st.booleans()):
+        s = data.draw(st.integers(0, max(0, min(nrows, ncols) - 1)))
+        B = data.draw(st.lists(st.lists(entries, min_size=s, max_size=s), min_size=nrows, max_size=nrows))
+        C = data.draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=s, max_size=s))
+        rows = [[sum(b * c for b, c in zip(brow, col)) for col in zip(*C)] if s else [0] * ncols
+                for brow in B]
+    else:
+        rows = data.draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                                  min_size=nrows, max_size=nrows))
+    rows = [[a + p * data.draw(st.integers(-3, 3)) for a in row] for row in rows]
+    want = _sympy_rank_p(p, rows, ncols)
+    assert la.rank_p(p, rows) == want
+    prefix_ranks = [_sympy_rank_p(p, rows[:i], ncols) for i in range(nrows + 1)]
+    for stop in range(1, nrows + 2):
+        read = []
+        assert la.rank_p(p, (read.append(row) or row for row in rows), stop) == min(want, stop)
+        assert len(read) == (prefix_ranks.index(stop) if stop <= want else nrows)
 
 
 # ---------------------------------------------------------------------------
