@@ -34,8 +34,6 @@ from . import linalg as la
 from .base import Record
 from .gf import FullAut, make_field  # noqa: F401 (make_field re-exported)
 
-_set = object.__setattr__  # how a Record sets its slots
-
 
 def __getattr__(name: str):
     """census and CensusReport from the census module, census_param_classes
@@ -61,23 +59,7 @@ class Verdict(Record):
     separated the codes (or the equivalence map), or None."""
 
     __slots__ = ("status", "witness", "detail")
-
-    def __init__(self, status: str, witness: Optional[dict], detail: str = ""):
-        _set(self, "status", status)
-        _set(self, "witness", witness)
-        _set(self, "detail", detail)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.status, self.witness, self.detail)
-                    == (other.status, other.witness, other.detail))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.status, self.witness, self.detail))
-
-    def __repr__(self):
-        return f"Verdict(status={self.status!r}, witness={self.witness!r}, detail={self.detail!r})"
+    _defaults = {"detail": ""}
 
     def __str__(self):
         if self.status == "Unknown":

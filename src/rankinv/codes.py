@@ -71,17 +71,16 @@ from functools import partial, reduce
 from typing import Optional
 
 from . import linalg as la
-from .base import FAMILIES, BudgetExceeded, BuildError, Record  # noqa: F401 (re-exported)
+from .base import FAMILIES, BudgetExceeded, BuildError, Record, _set  # noqa: F401 (re-exported)
 from .gf import (FieldError, FieldTower, FullAut, GaloisAut, exact_int, field_from_dict,
                  field_to_dict)
-
-_set = object.__setattr__  # how a Record sets its slots
 
 
 class LinearCode(Record):
     """F_{q^m}-linear code given by its canonical RREF generator matrix."""
 
     __slots__ = ("field", "n", "k", "gen", "_diffs")
+    _compared = ("field", "n", "k", "gen")
 
     def __init__(self, field: FieldTower, n: int, k: int, gen: la.Matrix):
         if not 0 <= k <= n:
@@ -91,15 +90,6 @@ class LinearCode(Record):
         _set(self, "k", k)
         _set(self, "gen", gen)
         _set(self, "_diffs", None)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.field, self.n, self.k, self.gen)
-                    == (other.field, other.n, other.k, other.gen))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.n, self.k, self.gen))
 
     def __repr__(self):
         return f"LinearCode(n={self.n}, k={self.k}, q^m={self.field.q}^{self.field.m})"
@@ -115,6 +105,11 @@ class LinearCode(Record):
             raise ValueError(f"generator rows have length {len(rows[0])}, not n = {n}")
         R, _ = la.rref(field, rows)
         return cls(field, n, len(R), R)
+
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        """The pivot column of each row of the RREF generator."""
+        return tuple(next(c for c, a in enumerate(row) if a) for row in self.gen)
 
     @property
     def diffs(self) -> "Differences":
@@ -153,7 +148,7 @@ class Differences:
 
     def __init__(self, code: LinearCode):
         self.code = code
-        pivots = {next(c for c, a in enumerate(row) if a) for row in code.gen}
+        pivots = set(code.pivots)
         self._A = code.field.row_form([[a for c, a in enumerate(row) if c not in pivots]
                                        for row in code.gen])
         self._blocks: dict[tuple[str, int], la.Matrix] = {}
@@ -220,9 +215,11 @@ def code_equal(c1: LinearCode, c2: LinearCode) -> bool:
 
 
 def dual(code: LinearCode) -> LinearCode:
-    """Dual with respect to the standard bilinear form sum(u_i v_i)."""
-    gen = la.nullspace(code.field, code.gen, code.n)
-    return LinearCode(code.field, code.n, code.n - code.k, gen)
+    """Dual with respect to the standard bilinear form sum(u_i v_i): the
+    kernel basis read off the stored RREF, put in RREF by one elimination."""
+    field, n = code.field, code.n
+    gen = la.rref(field, la._free_column_basis(field, code.gen, code.pivots, n))[0]
+    return LinearCode(field, n, n - code.k, gen)
 
 
 # --------------------------------------------------------------------------
@@ -234,34 +231,7 @@ class CodeSpec(Record):
     GeneralizedTwisted, else one."""
 
     __slots__ = ("family", "n", "k", "theta_exp", "g", "eta", "t", "h")
-
-    def __init__(self, family: str, n: int, k: int, theta_exp: int = 1,
-                 g: tuple[int, ...] = (), eta: Optional[tuple[int, ...]] = None,
-                 t: Optional[tuple[int, ...]] = None, h: Optional[tuple[int, ...]] = None):
-        _set(self, "family", family)
-        _set(self, "n", n)
-        _set(self, "k", k)
-        _set(self, "theta_exp", theta_exp)
-        _set(self, "g", g)
-        _set(self, "eta", eta)
-        _set(self, "t", t)
-        _set(self, "h", h)
-
-    def _fields(self):
-        return (self.family, self.n, self.k, self.theta_exp, self.g, self.eta, self.t, self.h)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return (f"CodeSpec(family={self.family!r}, n={self.n!r}, k={self.k!r}, "
-                f"theta_exp={self.theta_exp!r}, g={self.g!r}, eta={self.eta!r}, "
-                f"t={self.t!r}, h={self.h!r})")
+    _defaults = {"theta_exp": 1, "g": (), "eta": None, "t": None, "h": None}
 
 
 def _as_tuple(x) -> Optional[tuple[int, ...]]:
@@ -372,22 +342,6 @@ class SemilinearMap(Record):
     a full automorphism; the shape of code equivalence."""
 
     __slots__ = ("lam", "A", "tau")
-
-    def __init__(self, lam: int, A: la.Matrix, tau: FullAut):
-        _set(self, "lam", lam)
-        _set(self, "A", A)
-        _set(self, "tau", tau)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.lam, self.A, self.tau) == (other.lam, other.A, other.tau)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.lam, self.A, self.tau))
-
-    def __repr__(self):
-        return f"SemilinearMap(lam={self.lam!r}, A={self.A!r}, tau={self.tau!r})"
 
     def apply_vector(self, field: FieldTower, v):
         w = self.tau.on_vector(v)
@@ -635,8 +589,7 @@ def _reordered_dual(code: LinearCode) -> LinearCode:
     <= n-k exactly when no nonzero word of D^perp has F_q-rank <= k, which
     is the walk's question for D^perp, of dimension n-k.  A column
     permutation keeps every F_q-rank, and none of this needs n <= m."""
-    field, R = code.field, code.gen
-    pivots = {next(c for c, a in enumerate(row) if a) for row in R}
+    field, R, pivots = code.field, code.gen, code.pivots
     free = [c for c in range(code.n) if c not in pivots]
     unit = la.identity(field, len(free))
     return LinearCode(field, code.n, len(free),

@@ -15,8 +15,6 @@ import math
 from .base import Record
 from .numtheory import _is_prime, galois_generators
 
-_set = object.__setattr__  # how a Record sets its slots
-
 
 def gaussian_binomial(m: int, n: int, q: int) -> int:
     num = den = 1
@@ -32,57 +30,13 @@ class CountBound(Record):
     None where the formula has no value."""
 
     __slots__ = ("name", "kind", "value", "applicable", "note")
-
-    def __init__(self, name: str, kind: str, value: int | None, applicable: bool,
-                 note: str = ""):
-        _set(self, "name", name)
-        _set(self, "kind", kind)
-        _set(self, "value", value)
-        _set(self, "applicable", applicable)
-        _set(self, "note", note)
-
-    def _fields(self):
-        return (self.name, self.kind, self.value, self.applicable, self.note)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return (f"CountBound(name={self.name!r}, kind={self.kind!r}, value={self.value!r}, "
-                f"applicable={self.applicable!r}, note={self.note!r})")
+    _defaults = {"note": ""}
 
 
 class CountResult(Record):
     """The bounds of counting(q, k, n, m), in a fixed order."""
 
-    __slots__ = ("q", "k", "n", "m", "bounds")
-
-    def __init__(self, q: int, k: int, n: int, m: int, bounds: tuple[CountBound, ...]):
-        _set(self, "q", q)
-        _set(self, "k", k)
-        _set(self, "n", n)
-        _set(self, "m", m)
-        _set(self, "bounds", bounds)
-
-    def _fields(self):
-        return (self.q, self.k, self.n, self.m, self.bounds)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return (f"CountResult(q={self.q!r}, k={self.k!r}, n={self.n!r}, m={self.m!r}, "
-                f"bounds={self.bounds!r})")
+    __slots__ = ("q", "k", "n", "m", "bounds")  # bounds: a tuple of CountBound
 
     def get(self, name: str) -> CountBound:
         for b in self.bounds:

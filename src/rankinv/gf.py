@@ -86,7 +86,7 @@ import operator
 from array import array
 from collections import namedtuple
 
-from .base import Record
+from .base import Record, _set
 from .numtheory import _is_prime, _prime_factors
 from .numtheory import galois_generators  # noqa: F401 (re-exported)
 
@@ -1027,9 +1027,6 @@ def field_from_dict(data: dict) -> FieldTower:
 # automorphisms
 # --------------------------------------------------------------------------
 
-_set = object.__setattr__  # how a Record sets its slots
-
-
 class GaloisAut(Record):
     """sigma_r : a -> a^(q^r), an element of Gal(F_{q^m} / F_q)."""
 
@@ -1038,17 +1035,6 @@ class GaloisAut(Record):
     def __init__(self, field: FieldTower, r: int):
         _set(self, "field", field)
         _set(self, "r", r % field.m)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.field, self.r) == (other.field, other.r)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.r))
-
-    def __repr__(self):
-        return f"GaloisAut(field={self.field!r}, r={self.r!r})"
 
     def __call__(self, a: int) -> int:
         return self.field.frob_q(a, self.r)
@@ -1069,17 +1055,6 @@ class FullAut(Record):
     def __init__(self, field: FieldTower, j: int):
         _set(self, "field", field)
         _set(self, "j", j % field.d)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.field, self.j) == (other.field, other.j)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field, self.j))
-
-    def __repr__(self):
-        return f"FullAut(field={self.field!r}, j={self.j!r})"
 
     def __call__(self, a: int) -> int:
         return self.field.frob_p(a, self.j)

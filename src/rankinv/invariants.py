@@ -86,8 +86,6 @@ from . import codes as cd
 from . import linalg as la
 from .base import Record
 
-_set = object.__setattr__  # how a Record sets its slots
-
 
 def sum_code(code: cd.LinearCode, auts) -> cd.LinearCode:
     """The code sum(aut(C) for aut in auts)."""
@@ -142,29 +140,6 @@ class InvariantProfile(Record):
 
     __slots__ = ("sigma", "s", "t", "delta", "lam")
 
-    def __init__(self, sigma: int, s: tuple[int, ...], t: tuple[int, ...],
-                 delta: tuple[int, ...], lam: tuple[int, ...]):
-        _set(self, "sigma", sigma)
-        _set(self, "s", s)
-        _set(self, "t", t)
-        _set(self, "delta", delta)
-        _set(self, "lam", lam)
-
-    def _fields(self):
-        return (self.sigma, self.s, self.t, self.delta, self.lam)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return (f"InvariantProfile(sigma={self.sigma!r}, s={self.s!r}, t={self.t!r}, "
-                f"delta={self.delta!r}, lam={self.lam!r})")
-
     @property
     def key(self):
         return (self.s[1:], self.t[1:])
@@ -173,13 +148,9 @@ class InvariantProfile(Record):
 def invariant_profile(code: cd.LinearCode, sigma_exp: int) -> InvariantProfile:
     n, k = code.n, code.k
     s, t = s_sequence(code, sigma_exp, n - k + 1), t_sequence(code, sigma_exp, k + 1)
-    return InvariantProfile(
-        sigma=sigma_exp % code.field.m,
-        s=tuple(s[: n - k + 1]),
-        t=tuple(t[: k + 1]),
-        delta=tuple(b - a for a, b in zip(s, s[1:])),
-        lam=tuple(a - b for a, b in zip(t, t[1:])),
-    )
+    return InvariantProfile(sigma_exp % code.field.m, tuple(s[: n - k + 1]), tuple(t[: k + 1]),
+                            tuple(b - a for a, b in zip(s, s[1:])),
+                            tuple(a - b for a, b in zip(t, t[1:])))
 
 
 class Fingerprint(Record):
@@ -191,22 +162,7 @@ class Fingerprint(Record):
     extraction."""
 
     __slots__ = ("mode", "key", "detail")
-
-    def __init__(self, mode: str, key: tuple, detail: tuple):
-        _set(self, "mode", mode)
-        _set(self, "key", key)
-        _set(self, "detail", detail)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.mode, self.key) == (other.mode, other.key)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.mode, self.key))
-
-    def __repr__(self):
-        return f"Fingerprint(mode={self.mode!r}, key={self.key!r})"
+    _compared = ("mode", "key")
 
 
 def fingerprint_consecutive(code: cd.LinearCode) -> Fingerprint:

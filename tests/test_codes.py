@@ -262,16 +262,27 @@ def test_hook0_twist1_identity_chain(f2_8):
 # duals
 # ---------------------------------------------------------------------------
 
-def test_generic_dual_properties(f2_8):
-    F = f2_8
-    rng = DetRNG(9, "dual")
-    for family in ("Gabidulin", "Twisted", "GeneralizedTwisted"):
-        c = _random_code(F, family, 6, 3, rng.spawn(family))
-        d = cd.dual(c)
-        assert d.k == c.n - c.k and d.n == c.n
-        for row in c.gen:
-            assert all(la.dot(F, row, h) == 0 for h in d.gen)
-        assert cd.code_equal(cd.dual(d), c)
+DUAL_N = 5
+
+
+@pytest.mark.parametrize("k", [0, 1, DUAL_N - 1, DUAL_N], ids=lambda k: f"k{k}")
+@pytest.mark.parametrize("case", FP_FIELDS + TOWER_FIELDS, ids=FP_IDS + TOWER_IDS)
+def test_generic_dual_properties(case, k):
+    """dual reads C^perp off the stored RREF; la.nullspace, which eliminates
+    the generator afresh, is the oracle."""
+    backend, p, e, m = case
+    F = make_field(p, e, m, backend=backend)
+    rng = DetRNG(9, f"dual/{backend}/{p}/{e}/{m}/{k}")
+    c = cd.LinearCode.from_rows(F, [], DUAL_N)
+    while c.k < k:
+        row = tuple(rng.randbelow(F.Q) for _ in range(DUAL_N))
+        c = cd.LinearCode.from_rows(F, c.gen + (row,), DUAL_N)
+    d = cd.dual(c)
+    assert d.gen == la.nullspace(F, c.gen, DUAL_N)
+    assert d.k == c.n - c.k and d.n == c.n
+    for row in c.gen:
+        assert all(la.dot(F, row, h) == 0 for h in d.gen)
+    assert cd.code_equal(cd.dual(d), c)
 
 
 @pytest.mark.parametrize("theta_exp", [1, 3])

@@ -1,14 +1,18 @@
-"""The package's value types: repr, equality, hashing and immutability.
+"""The package's value types: construction, repr, equality, hashing and
+immutability.
 
-The records are plain classes with __slots__ (rankinv.base.Record).  Their
-repr strings are pinned to the ones the frozen dataclasses they replace
-printed, on both field backends."""
+The records are plain classes with __slots__, built, compared, hashed and
+printed by rankinv.base.Record.  Their repr strings are pinned to the ones
+the frozen dataclasses they replace printed, on both field backends."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import rankinv
 import rankinv.classify as cl
 import rankinv.codes as cd
 import rankinv.counting as ct
@@ -161,3 +165,71 @@ def test_linear_code_diffs_are_made_once(backend, monkeypatch):
     # a code equal to it keeps its own cache
     twin = cd.LinearCode(F, code.n, code.k, code.gen)
     assert twin == code and twin.diffs is not first and len(made) == 2
+
+
+def _fields(F):
+    """(record type, its constructor's fields by name, in order) for every
+    record type."""
+    return [
+        (GaloisAut, {"field": F, "r": 5}),
+        (FullAut, {"field": F, "j": 6}),
+        (cd.LinearCode, {"field": F, "n": 3, "k": 1, "gen": ((1, 2, 4),)}),
+        (cd.CodeSpec, {"family": "Twisted", "n": 4, "k": 2, "theta_exp": 1, "g": (1, 2, 4, 8),
+                       "eta": (3,), "t": None, "h": None}),
+        (cd.SemilinearMap, {"lam": 3, "A": ((1, 0), (0, 1)), "tau": FullAut(F, 1)}),
+        (iv.InvariantProfile, {"sigma": 1, "s": (2, 3, 4), "t": (2, 1, 0), "delta": (1, 1, 0),
+                               "lam": (1, 1, 0)}),
+        (iv.Fingerprint, {"mode": "consecutive", "key": ((1,),), "detail": ("d",)}),
+        (cl.Verdict, {"status": "Unknown", "witness": None, "detail": "x"}),
+        (ct.CountBound, {"name": "x", "kind": "exact", "value": 5, "applicable": True,
+                         "note": "y"}),
+        (ct.CountResult, {"q": 2, "k": 2, "n": 4, "m": 4,
+                          "bounds": (ct.CountBound("x", "exact", 5, True),)}),
+    ]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_keywords_and_positions_build_equal_records(backend):
+    for cls, fields in _fields(_field(backend)):
+        rec = cls(*fields.values())
+        assert rec == cls(**fields) and repr(rec) == repr(cls(**fields))
+        first, *rest = fields
+        assert rec == cls(fields[first], **{name: fields[name] for name in rest})
+
+
+def test_left_out_fields_take_their_defaults():
+    assert cd.CodeSpec("Gabidulin", 4, 2) == cd.CodeSpec("Gabidulin", 4, 2, 1, (), None, None,
+                                                         None)
+    spec = cd.CodeSpec("Twisted", 4, 2, eta=(3,))
+    assert (spec.theta_exp, spec.g, spec.eta, spec.t, spec.h) == (1, (), (3,), None, None)
+    assert ct.CountBound("x", "exact", 5, True).note == ""
+    assert cl.Verdict("Unknown", None).detail == ""
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_bad_constructor_calls_raise_type_error(backend):
+    for cls, fields in _fields(_field(backend)):
+        first, *rest = fields
+        values = list(fields.values())
+        with pytest.raises(TypeError):  # the first field missing
+            cls(**{name: fields[name] for name in rest})
+        with pytest.raises(TypeError):  # one positional field too many
+            cls(*values, None)
+        with pytest.raises(TypeError):  # a field that is not one
+            cls(*values, bogus=1)
+        with pytest.raises(TypeError):  # the first field twice
+            cls(*values, **{first: fields[first]})
+
+
+def test_every_record_type_is_checked_here():
+    for info in pkgutil.iter_modules(rankinv.__path__):
+        importlib.import_module(f"rankinv.{info.name}")
+    types, todo = set(), [rankinv.base.Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            types.add(sub)
+            todo.append(sub)
+    F = _field("table")
+    assert types == {type(rec) for rec, _, _ in _records(F)} == {cls for cls, _ in _fields(F)}
+    for cls in types:  # one ==, hash for every record, so the checks above cover them all
+        assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls), cls
