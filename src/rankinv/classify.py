@@ -12,6 +12,14 @@ here sit on two rungs:
 is_theta_gabidulin() recognizes Gabidulin codes for a *fixed* generator theta
 through several independent published criteria evaluated simultaneously; they
 must agree, and any disagreement raises (it would mean an implementation bug).
+Its MRD criterion, for a code with s_1 = k+1 and min(k, n-k) >= 2, is
+settled by a certificate: a generator g' with C = Gab_{theta,k}(g'),
+recovered from the intersection of the Galois images of C
+(_gabidulin_generator).  By the characterization of Horlemann-Trautmann and
+Marshall, such a code is MRD exactly when it is theta-Gabidulin, so a
+missing certificate answers "no".  The subspace walk of
+codes._is_mrd_by_subspaces runs only where the smaller of C and C^perp has
+dimension one, and there it is a single rank test.
 
 The census and closed-form counting have modules of their own.  census,
 CensusReport, census_param_classes and make_field are re-exported here, and
@@ -32,7 +40,7 @@ from . import codes as cd
 from . import invariants as iv
 from . import linalg as la
 from .base import Record
-from .gf import FullAut, make_field  # noqa: F401 (make_field re-exported)
+from .gf import FullAut, GaloisAut, make_field  # noqa: F401 (make_field re-exported)
 
 
 def __getattr__(name: str):
@@ -199,6 +207,16 @@ def is_theta_gabidulin(code: cd.LinearCode, theta_exp: int,
     projective codeword count fits under dist_cap) whether s_1 = k+1 and the
     code is MRD.  All evaluated criteria must agree.
 
+    The MRD question is asked only when s_1 = k+1 and the code is within
+    dist_cap.  When min(k, n-k) >= 2 a certificate answers it, with no walk.
+    A code with s_1 = k+1 is MRD exactly when it is theta-Gabidulin
+    (Horlemann-Trautmann and Marshall, "New criteria for MRD and Gabidulin
+    codes and some rank-metric code constructions", AMC 2017), and
+    _gabidulin_generator returns a generator g' exactly when it is: g'
+    proves "yes" and None proves "no".  Codes whose smaller side has
+    dimension one take the subspace walk below, which there is one rank
+    test, cheaper than recovering g'.
+
     d > 1 (no codeword of F_q-rank one) holds exactly when the subfield
     subcode C n F_q^n is zero.  Its dimension is read off the ranks in the
     code's differences trie (codes._galois_stable_dim), which the t-rows
@@ -211,10 +229,10 @@ def is_theta_gabidulin(code: cd.LinearCode, theta_exp: int,
     coordinates, and it sweeps no codeword.  C is MRD exactly when C^perp
     is (Delsarte 1978; Gabidulin 1985, Thm 3; the proof for any n and m is
     in codes._reordered_dual), so the walk runs on C^perp, read off C's
-    RREF, when k > n-k: [n-1 choose min(k, n-k)-1]_q tests, never more than
-    the [n choose k]_q subspaces or the projective codewords.  dist_cap
-    still counts the codewords of C, so that the criterion is None exactly
-    where it was when codewords were swept."""
+    RREF, when k > n-k: [n-1 choose min(k, n-k)-1]_q tests, which is one
+    test where the walk runs here, min(k, n-k) = 1.  dist_cap still counts
+    the codewords of C, so that the criterion is None exactly where it was
+    when codewords were swept."""
     field = code.field
     n, k, m = code.n, code.k, field.m
     if math.gcd(theta_exp, m) != 1:
@@ -248,6 +266,10 @@ def is_theta_gabidulin(code: cd.LinearCode, theta_exp: int,
         crits["mrd_plus_s1"] = None
     elif s[1] != k + 1:
         crits["mrd_plus_s1"] = False
+    elif min(k, n - k) >= 2:
+        # with s_1 = k+1, C is MRD exactly when it is theta-Gabidulin, which
+        # the recovered generator settles either way
+        crits["mrd_plus_s1"] = _gabidulin_generator(code, theta_exp) is not None
     else:
         # C is MRD exactly when C^perp is: walk the smaller dimension
         crits["mrd_plus_s1"] = cd._is_mrd_by_subspaces(cd._reordered_dual(code) if 2 * k > n
@@ -260,6 +282,47 @@ def is_theta_gabidulin(code: cd.LinearCode, theta_exp: int,
             f"(n={n}, k={k}, theta={theta_exp})"
         )
     return values.pop(), crits
+
+
+def _gabidulin_generator(code: cd.LinearCode, theta_exp: int):
+    """A generator g' of C as a theta-Gabidulin code, C = Gab_{theta,k}(g')
+    spanned by the Moore rows g', theta(g'), ..., theta^(k-1)(g') with
+    rank_q(g') = n, or None when C is not theta-Gabidulin; theta is
+    a -> a^(q^theta_exp), a generator of Gal(F_{q^m}/F_q), and 1 <= k <= n-1.
+
+    g' comes from V = C n theta(C) n ... n theta^(k-1)(C), read off the
+    differences trie that the s- and t-rows grow (Differences.meet), as
+    g' = theta^-(k-1)(v) for v spanning V.  It is returned only after the
+    check rank_q(g') = n and RREF(Moore_k(g')) = the code's RREF generator,
+    so a g' returned makes C theta-Gabidulin by definition, and therefore
+    MRD: it certifies "yes" on its own.  When V is right, the span check
+    follows from the rank check (theta^-i(v) lies in C for i < k, and those
+    are the k Moore rows of g', independent as rank_q(g') = n >= k); it is
+    kept so that the certificate does not rest on the trie.
+
+    None is returned only when C is not theta-Gabidulin.  Let C =
+    Gab_{theta,k}(g) with rank_q(g) = n.  Its dual is Gab_{theta,n-k}(h)
+    for some h with rank_q(h) = n (Gabidulin 1985 for theta the Frobenius;
+    Kshevetskiy and Gabidulin, ISIT 2005, for any generating theta).  theta
+    acts entrywise, so theta(u).theta(c) = theta(u.c) and theta^i(C)^perp =
+    theta^i(C^perp); with (n U_i)^perp = sum U_i^perp,
+    V^perp = sum_{i<k} theta^i(C^perp) = <theta^j(h) : j <= n-2>.  Those are
+    n-1 rows of the n x n Moore matrix of h, which is invertible because
+    rank_q(h) = n and theta generates, so dim V^perp = n-1 and dim V = 1.
+    theta^(k-1)(g) lies in every theta^i(C), so it spans V: v = lam *
+    theta^(k-1)(g), and g' = theta^-(k-1)(lam) * g, a nonzero multiple of g.
+    Then rank_q(g') = n, and the Moore rows of g' are those of g scaled, so
+    they span C and the check passes.  For a code with s_1 = k+1, None
+    thus also proves that C is not MRD (see is_theta_gabidulin)."""
+    field, n, k = code.field, code.n, code.k
+    V = code.diffs.meet([theta_exp * i for i in range(1, k)])
+    if len(V) != 1:
+        return None
+    g = GaloisAut(field, -theta_exp * (k - 1)).on_vector(V[0])
+    if la.rank_q(field, g) != n:
+        return None
+    moore = la.moore_matrix(field, g, k, GaloisAut(field, theta_exp))
+    return g if la.rref(field, moore)[0] == code.gen else None
 
 
 def _systematic_criterion(code: cd.LinearCode, theta_exp: int) -> bool:

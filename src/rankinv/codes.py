@@ -67,7 +67,7 @@ import itertools
 import json
 import math
 import operator
-from functools import partial, reduce
+from functools import reduce
 from typing import Optional
 
 from . import linalg as la
@@ -544,7 +544,6 @@ def _is_mrd_by_subspaces(code: LinearCode) -> bool:
     mul = field.mul
     add, sub = (operator.xor,) * 2 if field.p == 2 else (field.add, field.sub)
     cols = list(zip(*G))
-    minor = la.cofactor_det(field, k - 1) if 3 <= k <= 4 else partial(la.det, field)
     walked = cols[1:]
     if k == 2:
         # c = (u_1, -u_0) is linear in the one column u of N, so walking the
@@ -553,7 +552,7 @@ def _is_mrd_by_subspaces(code: LinearCode) -> bool:
     for pivots, N in _subspace_products(field, walked, k - 1):
         free = [j for j in range(n) if j - 1 not in pivots]
         if k > 2:
-            c = [minor([M[:r] + M[r + 1:] for M in N]) for r in range(k)]
+            c = [la.det(field, [M[:r] + M[r + 1:] for M in N]) for r in range(k)]
             c[1::2] = map(field.neg, c[1::2])
             w = [reduce(add, map(mul, c, cols[j])) for j in free]
         else:

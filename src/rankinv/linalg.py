@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import operator
 
 from .gf import FieldTower, GaloisAut, digits_of
 
@@ -220,30 +219,6 @@ def det(field: FieldTower, A: Matrix) -> int:
     if scales:
         d = mul(d, field.inv(functools.reduce(mul, scales)))
     return d
-
-
-def cofactor_det(field: FieldTower, k: int):
-    """The determinant of k x k matrices, 1 <= k <= 3, as a function of the
-    matrix: its cofactor expansion along the first row, with at most nine
-    products, no inversion and no elimination.  For callers that take very
-    many small determinants; det serves every size."""
-    if not 1 <= k <= 3:
-        raise ValueError("closed-form determinants exist here for k <= 3 only")
-    mul = field.mul
-    if field.p == 2:
-        add = sub = operator.xor
-    else:
-        add, sub = field.add, field.sub
-    if k == 1:
-        return lambda A: A[0][0]
-    if k == 2:
-        return lambda A: sub(mul(A[0][0], A[1][1]), mul(A[0][1], A[1][0]))
-
-    def det3(A):
-        (a, b, c), (d, e, f), (g, h, i) = A
-        return add(sub(mul(a, sub(mul(e, i), mul(f, h))), mul(b, sub(mul(d, i), mul(f, g)))),
-                   mul(c, sub(mul(d, h), mul(e, g))))
-    return det3
 
 
 def nullspace(field: FieldTower, rows, ncols: int) -> Matrix:

@@ -3,8 +3,9 @@
 import pytest
 import sympy
 
+import certify
 import oracles
-from conftest import FP_FIELDS, FP_IDS
+from conftest import FP_FIELDS, FP_IDS, TOWER_FIELDS, TOWER_IDS
 import rankinv.classify as cl
 import rankinv.codes as cd
 import rankinv.counting as ct
@@ -423,11 +424,11 @@ def test_recognition_matches_oracle_on_every_f8_code():
 
 def test_recognition_builds_no_basis(monkeypatch):
     # d > 1 is read off the ranks of the differences trie, and the MRD walk
-    # on the dual side reads the dual off the RREF: recognition forms no
-    # intersection basis and no kernel.  The [3,2] codes over F_8 take the
-    # dual walk whenever s_1 = 3; the [5,4] code over F_{3^7} is over the
-    # distance cap, and the [4,3] code over F_{3^4} takes the dual walk at
-    # odd p
+    # on the dual side reads the dual off the RREF: recognition at
+    # min(k, n-k) = 1, which recovers no certificate, forms no intersection
+    # basis and no kernel.  The [3,2] codes over F_8 take the dual walk
+    # whenever s_1 = 3; the [5,4] code over F_{3^7} is over the distance
+    # cap, and the [4,3] code over F_{3^4} takes the dual walk at odd p
     def refuse(*args, **kwargs):
         raise AssertionError("recognition formed a basis")
 
@@ -474,53 +475,162 @@ def test_recognition_over_the_distance_cap_stays_none(f16):
 
 
 def _counted_mrd_decisions(monkeypatch):
-    """The list that each MRD decision of is_theta_gabidulin appends its walk
-    to: "words" for codes._least_rank, "subspaces" for the subspace walk."""
+    """The list that each MRD decision of is_theta_gabidulin appends its way
+    to: "words" for codes._least_rank, "subspaces" for the subspace walk,
+    and "certificate" (or "no certificate", when it returns None) for
+    classify._gabidulin_generator."""
     decisions = []
-    for walk, name in (("words", "_least_rank"), ("subspaces", "_is_mrd_by_subspaces")):
-        def counted(*args, walk=walk, decide=getattr(cd, name)):
-            decisions.append(walk)
-            return decide(*args)
-        monkeypatch.setattr(cd, name, counted)
+    for module, walk, name in ((cd, "words", "_least_rank"),
+                               (cd, "subspaces", "_is_mrd_by_subspaces"),
+                               (cl, "certificate", "_gabidulin_generator")):
+        def counted(*args, walk=walk, decide=getattr(module, name)):
+            out = decide(*args)
+            decisions.append(walk if out is not None else "no " + walk)
+            return out
+        monkeypatch.setattr(module, name, counted)
     return decisions
 
 
 def test_recognition_sweeps_only_when_s1_is_k_plus_1(f2_8, monkeypatch):
+    # s_1 != k+1 settles mrd_plus_s1 with neither a certificate nor a walk;
+    # a Gabidulin code with min(k, n-k) >= 2 is certified and never walked,
+    # one with min(k, n-k) = 1 walks once, and one over the distance cap
+    # (k = 4: 256^4/255 words) does neither
     decisions = _counted_mrd_decisions(monkeypatch)
     rng = DetRNG(79, "cls-rec-count")
     g = la.random_full_rank_vector(f2_8, 5, rng)
-    tw = cd.build(f2_8, cd.make_spec("Twisted", 5, 2, 1, g, eta=_nonzero(f2_8, rng)))
-    assert inv.s_sequence(tw, 1, i_max=1)[1] != 3
-    ok, crits = cl.is_theta_gabidulin(tw, 1)
-    assert not ok and crits["mrd_plus_s1"] is False and decisions == []
-    gab = cd.build(f2_8, cd.make_spec("Gabidulin", 5, 2, 1, g))
-    ok, crits = cl.is_theta_gabidulin(gab, 1)
-    assert ok and crits["mrd_plus_s1"] is True and len(decisions) == 1
+    for k, want in ((2, ["certificate"]), (3, ["certificate"]), (1, ["subspaces"]), (4, [])):
+        decisions.clear()
+        if k in (2, 3):
+            tw = cd.build(f2_8, cd.make_spec("Twisted", 5, k, 1, g, eta=_nonzero(f2_8, rng)))
+            assert inv.s_sequence(tw, 1, i_max=1)[1] != k + 1
+            ok, crits = cl.is_theta_gabidulin(tw, 1)
+            assert not ok and crits["mrd_plus_s1"] is False and decisions == []
+        gab = cd.build(f2_8, cd.make_spec("Gabidulin", 5, k, 1, g))
+        ok, crits = cl.is_theta_gabidulin(gab, 1)
+        assert ok and crits["mrd_plus_s1"] is (True if want else None) and decisions == want
 
 
-def test_recognition_always_takes_the_subspace_walk(f2_8, f3_5, monkeypatch):
-    # k = 1, where one word is the whole sweep; [5,2] over F_{3^5}, where the
-    # 244 words are fewer than the 1,210 subspaces; [5,2] over F_{2^8}
+def test_recognition_certifies_or_takes_the_subspace_walk(f2_8, f3_5, monkeypatch):
+    # k = 1, where the walk is one rank test, walks; [5,2] over F_{3^5} and
+    # over F_{2^8}, and [6,3] over F_{2^8}, are certified by a recovered
+    # generator and never walk; no MRD decision sweeps codewords
     decisions = _counted_mrd_decisions(monkeypatch)
     rng = DetRNG(83, "cls-rec-walk")
-    for field, n, k in ((f2_8, 4, 1), (f3_5, 5, 2), (f2_8, 5, 2)):
+    for field, n, k in ((f2_8, 4, 1), (f3_5, 5, 2), (f2_8, 5, 2), (f2_8, 6, 3)):
         decisions.clear()
         ok, crits = cl.is_theta_gabidulin(_gab(field, n, k, rng), 1)
-        assert ok and crits["mrd_plus_s1"] is True and decisions == ["subspaces"]
+        want = ["certificate"] if min(k, n - k) >= 2 else ["subspaces"]
+        assert ok and crits["mrd_plus_s1"] is True and decisions == want
 
 
 def test_recognition_walks_the_smaller_side(f16, f2_8, f3_5, monkeypatch):
     # the MRD walk takes C^perp, of dimension n-k, when k > n-k, and C
-    # otherwise; the answer is the same (test_codes checks both sides)
+    # otherwise; the answer is the same (test_codes checks both sides).  A
+    # walk runs only when min(k, n-k) = 1: otherwise the certificate answers
     walked = []
     walk = cd._is_mrd_by_subspaces
     monkeypatch.setattr(cd, "_is_mrd_by_subspaces", lambda code: walked.append(code.k) or walk(code))
+    certified = []
+    recover = cl._gabidulin_generator
+    monkeypatch.setattr(cl, "_gabidulin_generator",
+                        lambda code, theta: certified.append(code.k) or recover(code, theta))
     rng = DetRNG(89, "cls-rec-side")
     for field, n, k in ((make_field(2, 1, 3), 3, 2), (f16, 4, 3), (f16, 4, 2), (f2_8, 5, 2),
-                        (f3_5, 5, 3), (make_field(3, 1, 4), 4, 3)):
+                        (f3_5, 5, 3), (make_field(3, 1, 4), 4, 3), (make_field(2, 1, 5), 5, 4),
+                        (make_field(2, 1, 6), 6, 4)):
         walked.clear()
+        certified.clear()
         ok, crits = cl.is_theta_gabidulin(_gab(field, n, k, rng), 1)
-        assert ok and crits["mrd_plus_s1"] is True and walked == [min(k, n - k)]
+        assert ok and crits["mrd_plus_s1"] is True
+        if min(k, n - k) == 1:
+            assert walked == [min(k, n - k)] and certified == []
+        else:
+            assert walked == [] and certified == [k]
+
+
+def test_recognition_without_a_certificate_does_not_walk(f2_8, monkeypatch):
+    # the Moore rows of g of F_q-rank r < n, k + 1 <= r: s_1 = k+1, but the
+    # code is not Gabidulin, so by Horlemann-Trautmann and Marshall not MRD.
+    # With min(k, n-k) >= 2 the missing certificate says so, and no walk
+    # runs; the determinant oracle agrees
+    decisions = _counted_mrd_decisions(monkeypatch)
+    rng = DetRNG(107, "cls-rec-no-certificate")
+    for n, k, r in ((5, 2, 3), (6, 2, 4), (6, 3, 4), (6, 3, 5)):
+        basis = la.random_full_rank_vector(f2_8, r, rng)
+        g = basis + tuple(f2_8.add(basis[i], basis[i + 1]) for i in range(n - r))
+        code = cd.LinearCode.from_rows(f2_8, la.moore_matrix(f2_8, g, k, GaloisAut(f2_8, 1)), n)
+        assert code.k == k and la.rank_q(f2_8, g) == r
+        assert inv.s_sequence(code, 1, i_max=1)[1] == k + 1
+        assert not oracles.is_mrd_by_determinants(code)
+        decisions.clear()
+        ok, crits = cl.is_theta_gabidulin(code, 1)
+        assert not ok and crits["mrd_plus_s1"] is False and decisions == ["no certificate"]
+
+
+@pytest.mark.parametrize("case", FP_FIELDS + TOWER_FIELDS, ids=FP_IDS + TOWER_IDS)
+def test_gabidulin_generator_matches_the_definition(case):
+    """classify._gabidulin_generator for every generating theta, 2 <= n <= m
+    and 1 <= k <= n-1.  On Gab_{theta,k}(g) it returns a multiple of g.  On
+    twisted, planted rank-one and random codes it returns a generator exactly
+    when the code is theta-Gabidulin by the characterization of
+    Horlemann-Trautmann and Marshall (MRD by the determinant oracle, and
+    s_1 = k+1 by s_naive), and None otherwise, never raising.  Every
+    generator returned passes the oracle-only checker."""
+    backend, p, e, m = case
+    F = make_field(p, e, m, backend=backend)
+    rng = DetRNG(97, f"gab-generator/{backend}/{p}/{e}/{m}")
+    meet_dims, verdicts = set(), set()
+    for theta in galois_generators(m):
+        for n in range(2, m + 1):
+            g = la.random_full_rank_vector(F, n, rng)
+            for k in range(1, n):
+                gab = cd.build(F, cd.make_spec("Gabidulin", n, k, theta, g))
+                got = cl._gabidulin_generator(gab, theta)
+                assert got is not None and la.rank(F, (g, got)) == 1
+                assert certify.check(gab, theta, got)
+                tw = cd.build(F, cd.make_spec("Twisted", n, k, theta, g, eta=_nonzero(F, rng)))
+                # r >= 1 rows over F_q, which every theta^i(C) contains, on
+                # top of k - r Moore rows of g
+                planted = [cd.LinearCode.from_rows(
+                    F, la.random_invertible_matrix_q(F, n, rng)[:r]
+                    + la.moore_matrix(F, g, k - r, GaloisAut(F, theta)), n) for r in range(1, k + 1)]
+                rows = [[F.random_element(rng) for _ in range(n)] for _ in range(k)]
+                # never Gabidulin: a twist with 2 <= k <= n-2 (s_1 = k+2), and
+                # a code holding an F_q-row (F_q-rank 1 < n-k+1)
+                cases = [(tw, 2 <= k <= n - 2), *((c, True) for c in planted),
+                         (cd.LinearCode.from_rows(F, rows, n), False)]
+                for code, never in cases:
+                    got = cl._gabidulin_generator(code, theta)
+                    # a random code may come out of dimension below k
+                    want = (oracles.is_mrd_by_determinants(code)
+                            and oracles.s_naive(code, theta, i_max=1)[1] == code.k + 1)
+                    assert (got is not None) == want and not (never and want), (code.gen, theta)
+                    if want:
+                        assert certify.check(code, theta, got)
+                    exps = [theta * i for i in range(1, code.k)]
+                    meet_dims.add(min(len(code.diffs.meet(exps)), 2))
+                    verdicts.add(want)
+    # V = 0 needs a k >= 2 code with 2k <= n, so m >= 4
+    assert meet_dims == ({0, 1, 2} if m >= 4 else {1, 2}) and verdicts == {True, False}
+
+
+def test_gabidulin_generator_checks_the_intersection_it_is_given(f2_8, monkeypatch):
+    # with V read off the trie correctly, rank_q(g') = n already puts the k
+    # Moore rows of g' in C; the span check is what still rejects a V that a
+    # faulty trie got wrong, here theta^2(h) for another full-rank h in
+    # place of the line of theta^2(g)
+    rng = DetRNG(103, "cls-gab-generator-check")
+    g = la.random_full_rank_vector(f2_8, 6, rng)
+    code = cd.build(f2_8, cd.make_spec("Gabidulin", 6, 3, 1, g))
+    meet = cd.Differences.meet
+    right = meet(code.diffs, [1, 2])
+    assert len(right) == 1 and cl._gabidulin_generator(code, 1) is not None
+    h = la.random_full_rank_vector(f2_8, 6, rng)
+    wrong = GaloisAut(f2_8, 2).on_vector(h)
+    assert la.rank(f2_8, (wrong, right[0])) == 2
+    monkeypatch.setattr(cd.Differences, "meet", lambda self, exps: (wrong,))
+    assert cl._gabidulin_generator(code, 1) is None
 
 
 def test_rank_tests_are_fewer_than_subspaces_and_words():

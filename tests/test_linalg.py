@@ -242,36 +242,6 @@ def test_lane_row_kernel_matches_oracle(p, d, data):
     _check_elimination(make_field(p, 1, d, backend="generic"), data, 4, 5, 3)
 
 
-@pytest.mark.parametrize("case", BACKEND_FIELDS, ids=BACKEND_IDS)
-def test_cofactor_det_matches_det(case):
-    # random matrices, and singular ones: a zero row, a repeated column, and
-    # a last row that is a combination of the others
-    backend, p, e, m = case
-    F = make_field(p, e, m, backend=backend)
-    rng = DetRNG(11, f"cofactor-det/{backend}/{p}/{e}/{m}")
-    for k in (1, 2, 3):
-        det = la.cofactor_det(F, k)
-        for trial in range(40):
-            A = [[F.random_element(rng) for _ in range(k)] for _ in range(k)]
-            singular = trial % 4 if k > 1 else trial % 2
-            if singular == 1:
-                A[rng.randbelow(k)] = [0] * k
-            elif singular == 2:
-                for row in A:
-                    row[-1] = row[0]
-            elif singular == 3:
-                comb = (0,) * k
-                for row in A[:-1]:
-                    comb = la.add_vec(F, comb, la.scale_vec(F, F.random_element(rng), row))
-                A[-1] = comb
-            A = tuple(map(tuple, A))
-            assert det(A) == la.det(F, A), A
-            if singular:
-                assert det(A) == 0
-    with pytest.raises(ValueError):
-        la.cofactor_det(F, 4)
-
-
 @pytest.mark.parametrize("case", [c for c in BACKEND_FIELDS if c[0] == "table"],
                          ids=[i for c, i in zip(BACKEND_FIELDS, BACKEND_IDS) if c[0] == "table"])
 def test_table_rank_passes_invert_nothing(case, monkeypatch):
