@@ -17,7 +17,9 @@ twist map {j: (c_j, e_j)}, and theta^j(g) otherwise.  The twist maps are
 
 with g of full F_q-rank n and theta a generating Galois automorphism.
 build() checks a spec's family preconditions, forms its twist map and reads
-every row off one Moore matrix theta^j(g), j < max(k, e_j + 1).  For the
+every row off one Moore matrix theta^j(g), j < max(k, e_j + 1).  The Moore
+rows, the twists and the RREF are all in the field's row form (logs on a
+tower field, FieldTower.row_form); only the generator is packed.  For the
 GeneralizedTwisted family the twist offsets t_i must either all lie in
 [1, n-k] or all lie in [m-n+1, m-k]; mixed ranges are rejected.  In every
 family the construction is checked to produce dimension exactly k.
@@ -79,7 +81,7 @@ from .gf import (FieldError, FieldTower, FullAut, GaloisAut, exact_int, field_fr
 class LinearCode(Record):
     """F_{q^m}-linear code given by its canonical RREF generator matrix."""
 
-    __slots__ = ("field", "n", "k", "gen", "_diffs")
+    __slots__ = ("field", "n", "k", "gen", "_row_gen", "_diffs")
     _compared = ("field", "n", "k", "gen")
 
     def __init__(self, field: FieldTower, n: int, k: int, gen: la.Matrix):
@@ -89,22 +91,30 @@ class LinearCode(Record):
         _set(self, "n", n)
         _set(self, "k", k)
         _set(self, "gen", gen)
+        _set(self, "_row_gen", None)  # gen in the field's row form, kept by from_rows
         _set(self, "_diffs", None)
 
     def __repr__(self):
         return f"LinearCode(n={self.n}, k={self.k}, q^m={self.field.q}^{self.field.m})"
 
     @classmethod
-    def from_rows(cls, field: FieldTower, rows, n: int | None = None) -> "LinearCode":
-        rows = la.mat(field, rows)
+    def from_rows(cls, field: FieldTower, rows, n: int | None = None,
+                  in_row_form: bool = False) -> "LinearCode":
+        """The code the rows span: rows of packed elements, checked, or with
+        in_row_form rows already in the field's row form (FieldTower.row_form),
+        as build makes them.  The RREF is formed in the row form, packed
+        once for gen, and kept as it is: Differences reads its A off it."""
+        rows = tuple(map(tuple, rows)) if in_row_form else la.mat(field, rows)
         if n is None:
             if not rows:
                 raise ValueError("cannot infer the length of a zero code")
             n = len(rows[0])
         if rows and len(rows[0]) != n:
             raise ValueError(f"generator rows have length {len(rows[0])}, not n = {n}")
-        R, _ = la.rref(field, rows)
-        return cls(field, n, len(R), R)
+        R, _ = la.rref_rows(field, rows if in_row_form else field.row_form(rows))
+        code = cls(field, n, len(R), field.packed_rows(R))
+        _set(code, "_row_gen", R)
+        return code
 
     @property
     def pivots(self) -> tuple[int, ...]:
@@ -134,8 +144,11 @@ class Differences:
     padded with zeros at the pivots, and xR lies in theta^j(C) exactly when
     x D_j = 0.
 
-    A is put in the field's row form (FieldTower.row_form) once, and every
-    block is computed and fed in it; only rows, cols and meet convert back.
+    A is in the field's row form (FieldTower.row_form): read off R in the
+    row form when the code kept it (LinearCode.from_rows, which build goes
+    through), else converted from the packed R once.
+    Every block is computed and fed in the row form; only rows, cols and
+    meet convert back.
 
     Every elimination of stacked blocks grows the code's private trie:
     _trie[side] for side "rows" (blocks D_j) or "cols" (blocks D_j^T) is the
@@ -148,9 +161,12 @@ class Differences:
 
     def __init__(self, code: LinearCode):
         self.code = code
-        pivots = set(code.pivots)
-        self._A = code.field.row_form([[a for c, a in enumerate(row) if c not in pivots]
-                                       for row in code.gen])
+        # A's entries row by row, one list: frob_q_diffs acts entrywise, so
+        # one call forms a whole block
+        pivots, R = set(code.pivots), code._row_gen
+        A = [a for row in (code.gen if R is None else R)
+             for c, a in enumerate(row) if c not in pivots]
+        self._A = code.field.row_form([A])[0] if R is None else A
         self._blocks: dict[tuple[str, int], la.Matrix] = {}
         self._trie = {side: (0, la.IncrementalRank(code.field), {}) for side in ("rows", "cols")}
 
@@ -159,9 +175,12 @@ class Differences:
         j in Z_m."""
         B = self._blocks.get((side, j))
         if B is None:
-            diffs = self.code.field.frob_q_diffs
-            B = self._blocks[side, j] = (tuple(diffs(a, j) for a in self._A) if side == "rows"
-                                         else tuple(zip(*self._block("rows", j))))
+            if side == "rows":
+                w, D = self.code.n - self.code.k, self.code.field.frob_q_diffs(self._A, j)
+                B = tuple([D[i * w:(i + 1) * w] for i in range(self.code.k)])
+            else:
+                B = tuple(zip(*self._block("rows", j)))
+            self._blocks[side, j] = B
         return B
 
     def rows(self, j: int) -> la.Matrix:
@@ -321,11 +340,13 @@ def build(field: FieldTower, spec: CodeSpec, strict_norm: bool = False) -> Linea
             raise BuildError("NewGabII requires m - k <= k")
         twists = {i: (theta.power(i)(eta0), (k + i) % m) for i in range(min(k, m - k))}
 
-    moore = la.moore_matrix(field, spec.g, max([k] + [e + 1 for _, e in twists.values()]), theta)
+    # the Moore rows, the twists and the RREF in the field's row form
+    g = field.row_form([spec.g])[0]
+    moore = la.moore_rows(field, g, max([k] + [e + 1 for _, e in twists.values()]), theta)
     rows = list(moore[:k])
     for j, (c, e) in twists.items():
-        rows[j] = la.add_vec(field, rows[j], la.scale_vec(field, c, moore[e]))
-    code = LinearCode.from_rows(field, rows, n)
+        rows[j] = field.row_add(rows[j], c, moore[e])
+    code = LinearCode.from_rows(field, rows, n, in_row_form=True)
     if code.k != k:
         raise BuildError(
             f"internal: construction degenerated to dimension {code.k} != k={k}"

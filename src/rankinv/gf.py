@@ -21,9 +21,14 @@ Three interchangeable arithmetic backends exist:
                  table, since addition there is XOR.
 * ``tower``   -- even d = 2d' with Q' = p**d' <= TABLE_LIMIT, the default
                  when Q > 2**15 >= Q'.  Packed arithmetic is the generic
-                 backend's; linalg's elimination and codes.Differences work
-                 on logs (the row form: log + 1, 0 for 0), each log and Zech
-                 log read off tables of F_{Q'} built on first row use.
+                 backend's; codes.build, linalg's elimination and
+                 codes.Differences work on logs (the row form: log + 1, 0
+                 for 0), each log read off tables of F_{Q'} built on first
+                 row use.  A code is made in the row form: Frobenius
+                 multiplies each log by p**j (frob_q_row), and every sum, in
+                 a twist (row_add), in elimination and in frob_q_diffs, is
+                 the one Zech step written out in the row kernel
+                 _reduce_tower; only the generator is packed.
 * ``generic`` -- direct arithmetic on packed ints; no field-sized tables.
                  Used for the other large fields and to cross-check the
                  table backend.  At p = 2 addition is XOR and multiplication
@@ -68,7 +73,7 @@ base alpha and half = log(-1), which is (Q-1)/2 at odd p and 0 at p = 2:
 * 1 + alpha**k = (1 + beta**s*a0(r)) + beta**s*a1(r)*alpha, so its log
   Z(k) is a few subfield lookups and the rule above (none when both
   coordinates vanish).  For a = alpha**la, a + alpha**lt = alpha**(la +
-  Z(lt - la)), and a**(p**j) - a = (-a)(1 + alpha**(half + la*(p**j - 1))).
+  Z(lt - la)), and log(a**(p**j)) = p**j * la.
 
 The intermediate subfield F_q is generated by gamma = alpha**((Q-1)//(q-1)).
 Automorphism conventions used across the package:
@@ -294,15 +299,27 @@ def _lane_reader(p: int, w: int, lanes: int) -> list[int]:
 # logs of the tower backend
 # --------------------------------------------------------------------------
 
-_TowerLogs = namedtuple("_TowerLogs", "log exp zech")
+_TowerLogs = namedtuple("_TowerLogs", "log exp R E0 E1 X0 L2 szech")
 
 
 def _tower_logs(field: "FieldTower") -> _TowerLogs:
-    """log (packed a to log a + 1, 0 for 0), exp (its inverse) and zech (k <
-    Q - 1 to a number congruent to log(1 + alpha**k) mod Q - 1, or -1 for 0)
-    of the tower backend, by the identities of the module docstring, from
-    the subfield's tables (_build_tables on g), E0[r] and E1[r] (log_beta of
-    a0(r), a1(r), -1 for 0) and L (indexed by log_beta(u) + 1, 0 for u = 0)."""
+    """log (packed a to log a + 1, 0 for 0) and exp (its inverse) of the
+    tower backend, by the identities of the module docstring, and the tables
+    that they and the Zech step of FieldTower._reduce_tower read, with
+    R = Q' + 1 and n = Q' - 1:
+
+    * E0[r], E1[r]: log_beta of a0(r), a1(r), with 2n for 0, where the
+      extended sexp holds 0 (lists: they index faster than arrays);
+    * X0[i] = log_beta(1 + beta**i) + 2n for i < 2n, or 5n when that is 0,
+      and 2n (log_beta(1) + 2n) for 2n <= i < 3n, so X0[s + E0[r]] - 2n is
+      log_beta(x0) of 1 + beta**s * (a0(r) + a1(r)*alpha);
+    * L2[i] = L[i mod n + 1] for i < 3n, and L[0] from 3n on, so that
+      L2[X0[s + E0[r]] - l1] for 0 <= l1 < 2n is L at x0 / beta**l1, x0 = 0
+      included;
+    * szech: the subfield's Zech logs (_build_tables on g), repeated, -1
+      for 0.
+
+    L, indexed by log_beta(u) + 1 and 0 for u = 0, is the one log reads."""
     from .linalg import nullspace_p  # linalg builds on this module
 
     p, d, qm1 = field.p, field.d, field.Qm1
@@ -348,25 +365,19 @@ def _tower_logs(field: "FieldTower") -> _TowerLogs:
         l1 = slog[x1]
         return (R * l1 + L[(slog[x0] - l1) % n + 1 if x0 else 0]) % qm1 + 1
 
+    n2 = 2 * n
+    E0, E1 = ([n2 if e < 0 else e for e in E] for E in (E0, E1))
+    sexp += array("i", [0]) * n
+    X0 = array("i", [z + n2 if z >= 0 else 5 * n for z in szech]) + array("i", [n2]) * n
+    L2 = L[1 : n + 1] * 3 + array("q", [L[0]]) * (n2 + 1)
+
     def exp(la: int) -> int:
         if not la:
             return 0
         s, r = divmod(la - 1, R)
-        e0, e1 = E0[r], E1[r]
-        return packed((sexp[s + e0] if e0 >= 0 else 0) + Qh * (sexp[s + e1] if e1 >= 0 else 0))
+        return packed(sexp[s + E0[r]] + Qh * sexp[s + E1[r]])
 
-    def zech(k: int) -> int:
-        s, r = divmod(k, R)
-        e1 = E1[r]
-        if e1 < 0:  # r = 0: 1 + beta**s
-            z = szech[s]
-            return R * z if z >= 0 else -1
-        e0 = E0[r]
-        l1 = s + e1
-        l0 = szech[s + e0] if e0 >= 0 else 0
-        return R * l1 + L[(l0 - l1) % n + 1 if l0 >= 0 else 0]
-
-    return _TowerLogs(log, exp, zech)
+    return _TowerLogs(log, exp, R, E0, E1, X0, L2, szech)
 
 
 def _linear_map(field: "FieldTower", rows: list[int]):
@@ -781,19 +792,33 @@ class FieldTower:
 
     def _reduce_tower(self, cur: list, c: int, entry) -> None:
         """Tower backend, any p (half = 0 at p = 2): the odd-p table kernel on
-        log + 1 entries, each Zech log computed (_tower_logs); lf + b is
-        log(-f * row[j]) with f = c / pv."""
+        log + 1 entries; lf + b - a is the Zech index k of entry j, as
+        log(cur[j] - f * row[j]) = log cur[j] + Z(log(-f * row[j]) -
+        log cur[j]) with f = c / pv.  The one Zech step of the backend is
+        written out here, with no call per entry: for k = R*s + r,
+        0 <= r < R, 1 + alpha**k = x0 + x1*alpha with x1 = beta**l1,
+        l1 = s + E1[r], so Z(k) = R*l1 + L[x0 / x1] with L read off L2 and
+        X0 (_tower_logs); at r = 0 it is R*log_beta(1 + beta**s), none when
+        that is 0 (module docstring).  Every sum of the row form is made
+        here: the elimination, a twist (row_add) and frob_q_diffs."""
         pv, tail = entry
-        zech, qm1 = self._tower.zech, self.Qm1
-        lf = c - pv + self._half - 1
+        _, _, R, E0, E1, X0, L2, szech = self._tower
+        qm1 = self.Qm1
+        lf = c - pv + self._half
         for j, b in tail:
-            lt = lf + b
             a = cur[j]
             if a:
-                z = zech((lt - a + 1) % qm1)
-                cur[j] = (a - 1 + z) % qm1 + 1 if z >= 0 else 0
+                k = (lf + b - a) % qm1
+                s = k // R
+                r = k % R
+                if r:
+                    l1 = s + E1[r]
+                    cur[j] = (a - 1 + R * l1 + L2[X0[s + E0[r]] - l1]) % qm1 + 1
+                else:
+                    z = szech[s]
+                    cur[j] = (a - 1 + R * z) % qm1 + 1 if z >= 0 else 0
             else:
-                cur[j] = lt % qm1 + 1
+                cur[j] = (lf + b - 1) % qm1 + 1
 
     def _reduce_gf2(self, cur: list, c: int, entry) -> None:
         """Generic backend, p = 2: shift-and-XOR products, XOR sums."""
@@ -839,6 +864,46 @@ class FieldTower:
             return rows
         exp = self._tower.exp
         return tuple(tuple(exp(a) for a in row) for row in rows)
+
+    def frob_q_row(self, row, r: int) -> tuple[int, ...]:
+        """The row (a^(q^r) for a in row) of a row in the row form, in the
+        row form; r taken mod m.  On the tower backend log a^(p^j) =
+        p^j * log a mod Q-1 with j = e*r mod d, so an entry la + 1 becomes
+        la * p^j mod Q-1 + 1 and no element is packed; elsewhere frob_q per
+        entry."""
+        if self.backend != "tower":
+            return tuple(self.frob_q(a, r) for a in row)
+        qm1 = self.Qm1
+        t = pow(self.p, self.e * (r % self.m), qm1)
+        return tuple([(a - 1) * t % qm1 + 1 if a else 0 for a in row])
+
+    def row_add(self, cur, c: int, row) -> tuple[int, ...]:
+        """cur + c * row for rows cur and row in the row form and c packed,
+        in the row form.  On the tower backend that is one call of the row
+        kernel with entry (pv, row) for pv = -1 (log half, so log + 1 is
+        half + 1): the kernel subtracts (c / pv) * row = -c * row; elsewhere
+        mul and add per entry."""
+        if self.backend != "tower":
+            add, mul = self.add, self.mul
+            return tuple(add(a, mul(c, b)) for a, b in zip(cur, row))
+        out = list(cur)
+        if c:
+            self._reduce_tower(out, self._tower.log(c),
+                               (self._half + 1, [(j, b) for j, b in enumerate(row) if b]))
+        return tuple(out)
+
+    def row_normalise(self, row, pc: int) -> tuple[int, ...]:
+        """row divided by its entry at pc, which is nonzero, in the row form:
+        on the tower backend a subtraction of logs, elsewhere one inverse
+        and a mul per entry, none when the entry is 1."""
+        pv = row[pc]
+        if self.backend == "tower":
+            qm1 = self.Qm1
+            return tuple((a - pv) % qm1 + 1 if a else 0 for a in row)
+        if pv == 1:
+            return tuple(row)
+        s, mul = self.inv(pv), self.mul
+        return tuple(mul(s, a) for a in row)
 
     # -- Frobenius / norms / subfields ---------------------------------------
 
@@ -896,7 +961,8 @@ class FieldTower:
     def frob_q_diffs(self, row, r: int) -> tuple[int, ...]:
         """The row (a^(q^r) - a for a in row) in the row form (row_form), r
         taken mod m, with one kernel per backend and no per-entry FieldTower
-        call (the rows of the systematic differences, codes.Differences).
+        call (the systematic differences: codes.Differences passes all the
+        entries of A as one row and cuts the block D_j out of the result).
         a^(q^r) = a^(p^j) with j = e*r mod d, and j = 0 gives zeros.
 
         * table: log a^(p^j) = log a * p^j mod Q-1.  At p = 2 the difference
@@ -909,16 +975,18 @@ class FieldTower:
           read back once.  A lane of the first part is at most d(p-1)^2 (d
           rows, lanes below p, digits below p), of the second (p-1)^2, so
           (d+1)(p-1)^2 in all, within the bound L of _init_lanes.
-        * tower: on log + 1 entries, log(a^(p^j) - a) = la + half +
-          Z(la*(p^j - 1) + half) (module docstring), one Zech log each."""
+        * tower: a^(p^j) - a = a^(p^j) + (-1) * a, one call of the row
+          kernel _reduce_tower: cur = a^(p^j) (log p^j * log a, frob_q_row),
+          the row a and -f = -1, by c = pv = 1, since the kernel subtracts
+          (c / pv) * row.  An entry a = 0 is 0 in both, so it is left out
+          of the row."""
         j = self.e * (r % self.m) % self.d
         if j == 0:
             return (0,) * len(row)
         if self.backend == "tower":
-            zech, qm1, half = self._tower.zech, self.Qm1, self._half
-            t = pow(self.p, j, qm1) - 1
-            zs = [zech(((a - 1) * t + half) % qm1) if a else -1 for a in row]
-            return tuple((a - 1 + half + z) % qm1 + 1 if z >= 0 else 0 for a, z in zip(row, zs))
+            cur = list(self.frob_q_row(row, r))
+            self._reduce_tower(cur, 1, (1, [(i, a) for i, a in enumerate(row) if a]))
+            return tuple(cur)
         if self._exp is not None:
             exp, log, qm1 = self._exp, self._log, self.Qm1
             t = pow(self.p, j, qm1)

@@ -16,8 +16,9 @@ integer lists instead, with no field object.
 The elimination works on rows in the field's row form (FieldTower.row_form
 and packed_rows): packed elements, or log + 1 (0 for 0) on the tower
 backend.  rank, rref, det and nullspace convert once per matrix, so table
-and generic fields pay no call per row; IncrementalRank takes and returns
-the row form, which codes.Differences feeds it directly.
+and generic fields pay no call per row; IncrementalRank, rref_rows and
+moore_rows take and return the row form, in which codes.build makes a code
+and codes.Differences feeds its blocks.
 
 Its basis rows are echelon rows that are never normalised: each is 0 before
 its pivot column and keeps its raw pivot value there, next to what the
@@ -31,8 +32,8 @@ generic kernel at odd p is fraction-free: it sets the row to pv times
 itself minus c times the basis row, so it takes no inverse, and the row
 comes out scaled by pv (FieldTower.row_scales).  Neither changes the row
 space.  rref divides each row by its pivot once, after back-substitution
-(on the tower backend by subtracting logs); det reads the raw pivots and
-divides out the scales.
+(FieldTower.row_normalise: on the tower backend a subtraction of logs); det
+reads the raw pivots and divides out the scales.
 
 Basis rows are immutable: _insert_row only reduces the row it is given (a
 copy of it), inserts that copy as it stands, and never writes to a row or an
@@ -106,18 +107,6 @@ def scale_vec(field: FieldTower, c: int, v) -> Vector:
     return tuple(field.mul(c, a) for a in v)
 
 
-def add_vec(field: FieldTower, u, v) -> Vector:
-    return tuple(field.add(a, b) for a, b in zip(u, v))
-
-
-def dot(field: FieldTower, u, v) -> int:
-    acc = 0
-    for a, b in zip(u, v):
-        if a and b:
-            acc = field.add(acc, field.mul(a, b))
-    return acc
-
-
 def _insert_row(field: FieldTower, basis: list, row, scales: list | None = None):
     """Reduce row against basis, a list of (pivot column, row, entry) triples
     sorted by pivot column: each row is 0 before its pivot column and holds
@@ -155,8 +144,14 @@ def _insert_row(field: FieldTower, basis: list, row, scales: list | None = None)
 
 def rref(field: FieldTower, rows) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form with zero rows dropped.  Returns (R, pivots)."""
+    R, pivots = rref_rows(field, field.row_form(rows))
+    return field.packed_rows(R), pivots
+
+
+def rref_rows(field: FieldTower, rows) -> tuple[Matrix, tuple[int, ...]]:
+    """rref of rows in the field's row form, with R in the row form."""
     echelon: list = []
-    for row in field.row_form(rows):
+    for row in rows:
         _insert_row(field, echelon, row)
     # back-substitution: feeding the echelon rows from the last pivot up
     # reduces each one against the already reduced rows below it
@@ -164,19 +159,8 @@ def rref(field: FieldTower, rows) -> tuple[Matrix, tuple[int, ...]]:
     for _, row, _ in reversed(echelon):
         _insert_row(field, reduced, row)
     # then each row is divided by its pivot value, once (on logs, a subtraction)
-    pivots = tuple(pc for pc, _, _ in reduced)
-    if field.backend == "tower":
-        qm1 = field.Qm1
-        return field.packed_rows([[(a - row[pc]) % qm1 + 1 if a else 0 for a in row]
-                                  for pc, row, _ in reduced]), pivots
-    mul = field.mul
-    R = []
-    for pc, row, _ in reduced:
-        if row[pc] != 1:
-            s = field.inv(row[pc])
-            row = [mul(s, a) for a in row]
-        R.append(tuple(row))
-    return tuple(R), pivots
+    return (tuple(field.row_normalise(row, pc) for pc, row, _ in reduced),
+            tuple(pc for pc, _, _ in reduced))
 
 
 def rank(field: FieldTower, rows) -> int:
@@ -380,11 +364,17 @@ def rank_q(field: FieldTower, v) -> int:
 
 def moore_matrix(field: FieldTower, v, k: int, theta: GaloisAut) -> Matrix:
     """Rows v, theta(v), ..., theta^(k-1)(v) (theta applied entrywise)."""
-    rows = []
-    cur = tuple(field.check(a) for a in v)
+    v = field.row_form([[field.check(a) for a in v]])[0]
+    return field.packed_rows(moore_rows(field, v, k, theta))
+
+
+def moore_rows(field: FieldTower, row, k: int, theta: GaloisAut) -> Matrix:
+    """moore_matrix of a row in the field's row form, in the row form: each
+    row theta of the one before (FieldTower.frob_q_row)."""
+    rows: list = []
     for _ in range(k):
-        rows.append(cur)
-        cur = theta.on_vector(cur)
+        row = field.frob_q_row(row, theta.r) if rows else tuple(row)
+        rows.append(row)
     return tuple(rows)
 
 

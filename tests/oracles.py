@@ -505,18 +505,43 @@ def sum_dims(code, exps) -> int:
     return len(rref(code.field, rows)[0])
 
 
+def add_vec(field, u, v) -> tuple[int, ...]:
+    """The entrywise sum u + v, one packed add per entry."""
+    return tuple(field.add(a, b) for a, b in zip(u, v))
+
+
+def dot(field, u, v) -> int:
+    """sum u_i v_i by packed mul and add."""
+    acc = 0
+    for a, b in zip(u, v):
+        if a and b:
+            acc = field.add(acc, field.mul(a, b))
+    return acc
+
+
+def moore_packed(field, g, k, theta):
+    """The rows theta^i(g), i < k, each the packed image of the one before
+    (GaloisAut.on_vector, frob_q per entry): linalg.moore_matrix without the
+    field's row form."""
+    rows = [tuple(field.check(a) for a in g)]
+    while len(rows) < k:
+        rows.append(theta.on_vector(rows[-1]))
+    return tuple(rows[:k])
+
+
 def family_rows(field, spec):
-    """Generator rows (not reduced) of the code that spec describes; spec is
-    assumed to pass codes.build's validation."""
+    """Generator rows (not reduced) of the code that spec describes, from
+    packed elements alone (moore_packed, mul and add); spec is assumed to
+    pass codes.build's validation."""
     k = spec.k
     theta = GaloisAut(field, spec.theta_exp)
     g = tuple(field.check(a) for a in spec.g)
     if spec.family == "Gabidulin":
-        return la.moore_matrix(field, g, k, theta)
+        return moore_packed(field, g, k, theta)
     if spec.family == "Twisted":
         eta = field.check(spec.eta[0])
-        moore = la.moore_matrix(field, g, k + 1, theta)
-        first = la.add_vec(field, moore[0], la.scale_vec(field, eta, moore[k]))
+        moore = moore_packed(field, g, k + 1, theta)
+        first = add_vec(field, moore[0], la.scale_vec(field, eta, moore[k]))
         return (first,) + moore[1:k]
     if spec.family == "GeneralizedTwisted":
         return _gtw_rows(field, spec, theta)
@@ -542,14 +567,14 @@ def _gtw_rows(field, spec, theta):
             f"t entries must all lie in [1, {n - k}] or all in [{m - n + 1}, {m - k}] "
             "(mixed ranges are not part of the family)"
         )
-    powers = la.moore_matrix(field, spec.g, m, theta)
+    powers = moore_packed(field, spec.g, m, theta)
     rows = []
     h_to_i = {hi: i for i, hi in enumerate(h)}
     for j in range(k):
         if j in h_to_i:
             i = h_to_i[j]
             twist_exp = (k - 1 + t[i]) % m
-            rows.append(la.add_vec(field, powers[j],
+            rows.append(add_vec(field, powers[j],
                                    la.scale_vec(field, field.check(eta[i]), powers[twist_exp])))
         else:
             rows.append(powers[j])
@@ -566,12 +591,12 @@ def _newgab_rows(field, spec, theta):
     if spec.family == "NewGabII" and not m - k <= k:
         raise BuildError("NewGabII requires m - k <= k")
     twisted_count = k if spec.family == "NewGabI" else m - k
-    powers = la.moore_matrix(field, spec.g, m, theta)
+    powers = moore_packed(field, spec.g, m, theta)
     rows = []
     for i in range(k):
         if i < twisted_count:
             coef = theta.power(i)(eta)  # theta^i(eta)
-            rows.append(la.add_vec(field, powers[i],
+            rows.append(add_vec(field, powers[i],
                                    la.scale_vec(field, coef, powers[(k + i) % m])))
         else:
             rows.append(powers[i])
@@ -818,7 +843,7 @@ def twisted_dual_params(field: FieldTower, spec: cd.CodeSpec) -> cd.CodeSpec:
     g = spec.g
     gp = _dual_generator_vector(field, g, n, k, theta)
     D = la.det(field, la.moore_matrix(field, g, n, theta))
-    s = la.dot(field, theta.power(n - k).on_vector(gp), g)
+    s = dot(field, theta.power(n - k).on_vector(gp), g)
     if D == 0 or s == 0:
         raise AssertionError("degenerate dual data")  # pragma: no cover
     sign = field.one if n % 2 == 0 else field.neg(field.one)

@@ -10,7 +10,7 @@ from rankinv import codes as cd
 from rankinv import counting as ct
 from rankinv import invariants as iv
 from rankinv import linalg as la
-from rankinv.gf import FullAut, GaloisAut, galois_generators, make_field
+from rankinv.gf import FieldTower, FullAut, GaloisAut, galois_generators, make_field
 from rankinv.rng import DetRNG
 
 
@@ -134,8 +134,8 @@ def _family_specs(field, rng):
     return specs
 
 
-@pytest.mark.parametrize("case", FP_FIELDS + [("table", 2, 1, 8)],
-                         ids=FP_IDS + ["table-p2e1m8"])
+@pytest.mark.parametrize("case", FP_FIELDS + TOWER_FIELDS + [("table", 2, 1, 8)],
+                         ids=FP_IDS + TOWER_IDS + ["table-p2e1m8"])
 def test_build_matches_the_family_row_oracle(case):
     backend, p, e, m = case
     F = make_field(p, e, m, backend=backend)
@@ -151,6 +151,92 @@ def test_build_matches_the_family_row_oracle(case):
         # the high range of offsets, t in [m-n+1, m-k] above n-k
         built.add("high t" if spec.t and spec.t[0] > spec.n - spec.k else spec.family)
     assert built == set(cd.FAMILIES) | {"high t"}
+
+
+def test_build_matches_the_family_row_oracle_at_the_generic_shape():
+    # [8,3] codes over F_{3^16}, which takes the tower backend: build makes
+    # the Moore rows, the twists and the RREF on logs, the oracle on packed
+    # elements; one and two twists in either range of t, every family
+    F = make_field(3, 1, 16)
+    assert F.backend == "tower"
+    rng = DetRNG(79, "family-rows/generic-shape")
+    g = la.random_full_rank_vector(F, 8, rng.spawn("g"))
+    eta, eta2 = F.random_element(rng), F.random_nonzero(rng)
+    specs = [cd.make_spec("Gabidulin", 8, 3, 3, g),
+             cd.make_spec("Twisted", 8, 3, 5, g, eta=eta),
+             cd.make_spec("NewGabI", 8, 3, 7, g, eta=eta2),
+             cd.make_spec("GeneralizedTwisted", 8, 3, 1, g, eta=(eta, eta2), t=(1, 5), h=(0, 2))]
+    specs += [cd.make_spec("GeneralizedTwisted", 8, 3, r, g, eta=eta2, t=t, h=h)
+              for r, t, h in ((1, 2, 1), (3, 9, 0), (11, 13, 2), (15, 5, 2))]
+    for spec in specs:
+        expected = cd.LinearCode.from_rows(F, oracles.family_rows(F, spec), spec.n)
+        assert expected.k == 3 and cd.build(F, spec).gen == expected.gen, spec
+
+
+@pytest.mark.parametrize("case", TOWER_FIELDS, ids=TOWER_IDS)
+def test_zero_twist_coefficients_on_the_tower(case):
+    # a twist by 0, whose row form is 0 too, leaves the Moore row as it is
+    backend, p, e, m = case
+    F = make_field(p, e, m, backend=backend)
+    n, k = m, m // 2
+    g = la.random_full_rank_vector(F, n, DetRNG(81, f"zero-twist/{p}/{e}/{m}"))
+    gab = cd.build(F, cd.make_spec("Gabidulin", n, k, 1, g))
+    newgab = "NewGabI" if m - k > k else "NewGabII"
+    for spec in (cd.make_spec("Twisted", n, k, 1, g, eta=0),
+                 cd.make_spec(newgab, n, k, 1, g, eta=0),
+                 cd.make_spec("GeneralizedTwisted", n, k, 1, g, eta=(0,), t=(1,), h=(0,))):
+        assert cd.code_equal(cd.build(F, spec), gab), spec
+
+
+@pytest.mark.parametrize("case", FP_FIELDS + TOWER_FIELDS, ids=FP_IDS + TOWER_IDS)
+def test_differences_from_the_kept_rref_match_a_fresh_code(case):
+    # build and from_rows keep the RREF in the row form, and Differences
+    # reads A off it; a code made from gen alone converts A itself.  Both
+    # give the same blocks, ranks and meets.
+    backend, p, e, m = case
+    F = make_field(p, e, m, backend=backend)
+    rng = DetRNG(83, f"kept-rref/{backend}/{p}/{e}/{m}")
+    n = m
+    g = la.random_full_rank_vector(F, n, rng.spawn("g"))
+    codes = [cd.build(F, cd.make_spec("Gabidulin", n, 2, 1, g)),
+             cd.build(F, cd.make_spec("Twisted", n, n - 1, 1, g, eta=F.random_nonzero(rng))),
+             cd.LinearCode.from_rows(F, [[F.random_element(rng) for _ in range(n)]
+                                         for _ in range(2)], n)]
+    for code in codes:
+        fresh = cd.LinearCode(F, code.n, code.k, code.gen)
+        assert code._row_gen is not None and fresh._row_gen is None
+        assert code.diffs._A == fresh.diffs._A
+        for j in range(m):
+            assert code.diffs.rows(j) == fresh.diffs.rows(j)
+            assert code.diffs.cols(j) == fresh.diffs.cols(j)
+        for side in ("rows", "cols"):
+            for exps in ((0, 1, 2, 3), (0, m - 1, 1), tuple(range(m))):
+                assert list(code.diffs.ranks(side, exps)) == list(fresh.diffs.ranks(side, exps))
+        for exps in ((1,), (1, 2), tuple(range(1, m))):
+            assert code.diffs.meet(exps) == fresh.diffs.meet(exps)
+
+
+def test_a_generic_class_makes_no_packed_field_operation(monkeypatch):
+    # a (3,8,3) census class over F_{3^16} on the tower backend: from g to
+    # its consecutive fingerprint nothing is packed but gen, so no frob_p,
+    # mul, add or inv runs
+    F = make_field(3, 1, 16)
+    rng = DetRNG(85, "packed-free class")
+    g = la.random_full_rank_vector(F, 8, rng.spawn("g"), subfield_size=F.q ** 8)
+    eta = F.alpha_pow(rng.randbelow(F.Qm1))
+    spec = cd.make_spec("GeneralizedTwisted", 8, 3, 3, g, eta=(eta,), t=(2,), h=(1,))
+    counts = dict.fromkeys(("frob_p", "mul", "add", "inv"), 0)
+    for name in counts:
+        def counted(self, *args, _name=name, _real=getattr(FieldTower, name)):
+            counts[_name] += 1
+            return _real(self, *args)
+        monkeypatch.setattr(FieldTower, name, counted)
+    code = cd.build(F, spec)
+    iv.fingerprint_consecutive(code)
+    assert counts == dict.fromkeys(counts, 0)
+    monkeypatch.undo()
+    expected = cd.LinearCode.from_rows(F, oracles.family_rows(F, spec), 8)
+    assert code.gen == expected.gen
 
 
 @pytest.mark.parametrize("case", FP_FIELDS, ids=FP_IDS)
@@ -281,7 +367,7 @@ def test_generic_dual_properties(case, k):
     assert d.gen == la.nullspace(F, c.gen, DUAL_N)
     assert d.k == c.n - c.k and d.n == c.n
     for row in c.gen:
-        assert all(la.dot(F, row, h) == 0 for h in d.gen)
+        assert all(oracles.dot(F, row, h) == 0 for h in d.gen)
     assert cd.code_equal(cd.dual(d), c)
 
 
@@ -894,8 +980,8 @@ def test_linear_code_canonical_form_and_contains(f2_8):
     # generator matrix is stored in reduced echelon form: rebuilding from
     # shuffled row combinations gives the identical matrix
     mixed = (
-        la.add_vec(F, c.gen[0], c.gen[1]),
-        la.add_vec(F, c.gen[1], la.scale_vec(F, F.alpha, c.gen[2])),
+        oracles.add_vec(F, c.gen[0], c.gen[1]),
+        oracles.add_vec(F, c.gen[1], la.scale_vec(F, F.alpha, c.gen[2])),
         c.gen[2],
     )
     c2 = cd.LinearCode.from_rows(F, mixed)

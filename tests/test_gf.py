@@ -480,31 +480,41 @@ TOWER_LOG_FIELDS = [(3, 1, 16), (3, 1, 12), (2, 1, 16), (3, 2, 2), (2, 1, 2)]
 @pytest.mark.parametrize("p,e,m", TOWER_LOG_FIELDS,
                          ids=[f"p{p}e{e}m{m}" for p, e, m in TOWER_LOG_FIELDS])
 def test_tower_logs_match_the_generic_arithmetic(p, e, m):
-    # log, exp and Zech log of the tower backend against the packed mul and
-    # add it shares with the generic backend: alpha^k for every r = k < R,
-    # and k = R*s + r at the ends of both ranges, where the coset split
-    # turns over; 0, +-1, alpha, subfield elements and random products
+    # log, exp and the Zech step of the tower row kernel against the packed
+    # mul and add the backend shares with the generic one: alpha^k for every
+    # r = k < R, and k = R*s + r at the ends of both ranges, where the coset
+    # split turns over; 0, +-1, alpha, subfield elements and random products
     F = make_field(p, e, m, backend="tower")
-    log, exp, zech = F._tower
+    log, exp = F._tower.log, F._tower.exp
     qm1, Qh = F.Qm1, p ** (F.d // 2)
     R = Qh + 1
+    minus_one = log(F.neg(1))
     assert (log(0), exp(0), log(1), log(F.alpha)) == (0, 0, 1, 2)
-    assert log(F.neg(1)) == (qm1 // 2 if p > 2 else 0) + 1
+    assert minus_one == (qm1 // 2 if p > 2 else 0) + 1
     ends = [R * s + r for s in (1, 2, Qh - 2) for r in (0, 1, 2, R - 2, R - 1)]
     x, last = 1, 0
     for k in sorted({*range(R), *(k for k in ends if k < qm1), qm1 - 1}):
         x, last = F.mul(x, F.alpha) if k == last + 1 else F.alpha_pow(k), k
         assert log(x) == k + 1 and exp(k + 1) == x, k
-        z, s = zech(k), F.add(1, x)
-        assert (z == -1 if s == 0 else z >= 0 and exp(z % qm1 + 1) == s), k
+        # the kernel subtracts (c / pv) * row: c = 1 over pv = -1 adds x to 1
+        cur = [1]
+        F._reduce_tower(cur, 1, (minus_one, [(0, k + 1)]))
+        assert exp(cur[0]) == F.add(1, x), k
     rng = DetRNG(0, f"gf-tower-logs/{p}/{e}/{m}")
     for idx in (0, 1, 2, Qh - 1, *(rng.randbelow(Qh) for _ in range(20))):
         u = F.subfield_element(Qh, idx)
         assert exp(log(u)) == u and (u == 0 or (log(u) - 1) % R == 0)
-    for _ in range(100):
+    for i in range(100):
         a, b = F.random_nonzero(rng), F.random_nonzero(rng)
         assert exp(log(a)) == a
         assert log(F.mul(a, b)) == (log(a) + log(b) - 2) % qm1 + 1
+        # one kernel step a - (c / pv) * b, with a = 0 and a sum of 0 among them
+        c, pv = F.random_nonzero(rng), F.random_nonzero(rng)
+        term = F.mul(F.mul(c, F.inv(pv)), b)
+        a = (a, 0, term)[i % 3]
+        cur = [log(a)]
+        F._reduce_tower(cur, log(c), (log(pv), [(0, log(b))]))
+        assert exp(cur[0]) == F.add(a, F.neg(term)), (a, b, c, pv)
 
 
 def test_modulus_search_and_census_build_no_tower_tables(monkeypatch):

@@ -16,7 +16,7 @@ import oracles
 from rankinv import codes as cd
 from rankinv import invariants as iv
 from rankinv import linalg as la
-from rankinv.gf import FieldTower, GaloisAut, make_field
+from rankinv.gf import FieldTower, GaloisAut, galois_generators, make_field
 from rankinv.rng import DetRNG
 
 # (backend, p, e, m): both field backends for p in {2, 3} and e in {1, 2},
@@ -77,7 +77,7 @@ def test_nullspace_annihilates_and_has_right_dimension(f16, data):
     N = la.nullspace(f16, A, ncols)
     assert len(N) == ncols - la.rank(f16, A)
     for x in N:
-        assert all(la.dot(f16, row, x) == 0 for row in A)
+        assert all(oracles.dot(f16, row, x) == 0 for row in A)
     # nullspace rows are independent
     assert la.rank(f16, N) == len(N) if N else True
 
@@ -451,6 +451,23 @@ def test_moore_matrix_structure_and_rank_law(f2_8):
     # rank law: dim of the first j rows is min(j, rank_q(g))
     for j in range(1, 5):
         assert la.rank(F, M[:j]) == min(j, la.rank_q(F, g))
+
+
+@pytest.mark.parametrize("case", BACKEND_FIELDS + TOWER_FIELDS, ids=BACKEND_IDS + TOWER_IDS)
+def test_moore_rows_match_the_packed_images(case):
+    # moore_matrix goes through the row form (moore_rows and frob_q_row: on
+    # the tower backend p^j times each log), and must give the images
+    # theta^i(g) that packed frob_q gives, for every generating theta
+    backend, p, e, m = case
+    F = make_field(p, e, m, backend=backend)
+    rng = DetRNG(5, f"moore-rows/{backend}/{p}/{e}/{m}")
+    g = (0, 1, F.alpha, *(F.random_element(rng) for _ in range(5)))
+    for r in galois_generators(m):
+        theta = GaloisAut(F, r)
+        M = la.moore_matrix(F, g, m + 1, theta)
+        assert M == oracles.moore_packed(F, g, m + 1, theta) and M[m] == g
+        assert la.moore_rows(F, F.row_form([g])[0], m + 1, theta) == tuple(map(tuple, F.row_form(M)))
+    assert la.moore_matrix(F, g, 0, GaloisAut(F, 1)) == ()
 
 
 def test_moore_rank_law_with_deficient_vector(f2_8):
