@@ -103,10 +103,10 @@ def _frame_blocks(ring, n: int, k: int, conj, r: int, t: int, h: int):
 
 
 def _census_class_keys(args):
-    """Both fingerprint keys of one parameter class, off the frame (census);
-    module-level for the process pool, and every argument a plain int or a
-    tuple of them: classes holds each distinct triple class (0, c1, c2) with
-    its count."""
+    """Both fingerprint keys of one parameter class, off the frame (census),
+    with no field arithmetic: every argument is a plain int or a tuple of
+    them, and classes holds each distinct triple class (0, c1, c2) with its
+    count."""
     ring, n, k, conj, cls, classes = args
     m = len(conj)
     keys = []
@@ -161,8 +161,9 @@ def census(q: int, n: int, k: int, seed: int, trials: int = 100,
     """Fingerprint the one-twist generalized-twisted code of every parameter
     class over F_{q^m}, m = 2n, with a shared random g (entries in F_{q^n},
     full F_q-rank) and eta outside F_{q^n}; count distinguishable
-    fingerprints.  jobs > 1 spreads the classes over a process pool (jobs < 1
-    is an error); the report is identical either way.
+    fingerprints.  The classes run one after another in this process, for
+    every jobs >= 1 (jobs < 1 is an error): a class costs well under a
+    millisecond, so a process pool's start-up cost more than it saved.
 
     No code is built: the keys are read off the Moore frame of g.  Write
     x^[a] = x^(q^a), sigma^a for it applied entrywise, and [v] = v mod n.
@@ -251,14 +252,7 @@ def census(q: int, n: int, k: int, seed: int, trials: int = 100,
     conj = tuple(le * pow(q, a, n_ring) % n_ring for a in range(m))
     classes = tuple(Counter(iv._translation_classes(iv.random_triples(m, trials, seed), m)).items())
     tasks = [((n_ring, half), n, k, conj, cls, classes) for cls in params]
-    if jobs > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_census_class_keys, tasks))
-    else:
-        results = [_census_class_keys(task) for task in tasks]
-    fps1, fps2 = zip(*results)
+    fps1, fps2 = zip(*map(_census_class_keys, tasks))
     report = CensusReport(
         q=q, n=n, m=m, k=k, seed=seed, trials=trials, g=g, eta=eta,
         ub=len(params), lb1=len(set(fps1)), lb2=len(set(fps2)),

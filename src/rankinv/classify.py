@@ -17,9 +17,8 @@ settled by a certificate: a generator g' with C = Gab_{theta,k}(g'),
 recovered from the intersection of the Galois images of C
 (_gabidulin_generator).  By the characterization of Horlemann-Trautmann and
 Marshall, such a code is MRD exactly when it is theta-Gabidulin, so a
-missing certificate answers "no".  The subspace walk of
-codes._is_mrd_by_subspaces runs only where the smaller of C and C^perp has
-dimension one, and there it is a single rank test.
+missing certificate answers "no".  Where the smaller of C and C^perp has
+dimension one, a single rank test answers it (codes._is_mrd_line).
 
 The census and closed-form counting have modules of their own.  census,
 CensusReport, census_param_classes and make_field are re-exported here, and
@@ -208,31 +207,21 @@ def is_theta_gabidulin(code: cd.LinearCode, theta_exp: int,
     code is MRD.  All evaluated criteria must agree.
 
     The MRD question is asked only when s_1 = k+1 and the code is within
-    dist_cap.  When min(k, n-k) >= 2 a certificate answers it, with no walk.
+    dist_cap.  When min(k, n-k) >= 2 a certificate answers it.
     A code with s_1 = k+1 is MRD exactly when it is theta-Gabidulin
     (Horlemann-Trautmann and Marshall, "New criteria for MRD and Gabidulin
     codes and some rank-metric code constructions", AMC 2017), and
     _gabidulin_generator returns a generator g' exactly when it is: g'
     proves "yes" and None proves "no".  Codes whose smaller side has
-    dimension one take the subspace walk below, which there is one rank
-    test, cheaper than recovering g'.
+    dimension one take codes._is_mrd_line instead, one rank test, cheaper
+    than recovering g'.  dist_cap counts the codewords of C, although none
+    is swept, so that the criterion is None exactly where it was when
+    codewords were swept.
 
     d > 1 (no codeword of F_q-rank one) holds exactly when the subfield
     subcode C n F_q^n is zero.  Its dimension is read off the ranks in the
     code's differences trie (codes._galois_stable_dim), which the t-rows
-    share, so no intersection basis is formed.
-
-    By the Singleton bound d <= n-k+1, C is MRD exactly when no codeword has
-    F_q-rank <= n-k, i.e. no codeword is orthogonal to a k-dimensional
-    F_q-subspace of F_q^n.  codes._is_mrd_by_subspaces decides that by one
-    F_q-rank test per (k-1)-dimensional F_q-subspace of the last n-1
-    coordinates, and it sweeps no codeword.  C is MRD exactly when C^perp
-    is (Delsarte 1978; Gabidulin 1985, Thm 3; the proof for any n and m is
-    in codes._reordered_dual), so the walk runs on C^perp, read off C's
-    RREF, when k > n-k: [n-1 choose min(k, n-k)-1]_q tests, which is one
-    test where the walk runs here, min(k, n-k) = 1.  dist_cap still counts
-    the codewords of C, so that the criterion is None exactly where it was
-    when codewords were swept."""
+    share, so no intersection basis is formed."""
     field = code.field
     n, k, m = code.n, code.k, field.m
     if math.gcd(theta_exp, m) != 1:
@@ -271,9 +260,7 @@ def is_theta_gabidulin(code: cd.LinearCode, theta_exp: int,
         # the recovered generator settles either way
         crits["mrd_plus_s1"] = _gabidulin_generator(code, theta_exp) is not None
     else:
-        # C is MRD exactly when C^perp is: walk the smaller dimension
-        crits["mrd_plus_s1"] = cd._is_mrd_by_subspaces(cd._reordered_dual(code) if 2 * k > n
-                                                        else code)
+        crits["mrd_plus_s1"] = cd._is_mrd_line(code)
 
     values = {v for v in crits.values() if v is not None}
     if len(values) != 1:

@@ -484,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     cen.add_argument("--seed", type=int, default=0)
     cen.add_argument("--trials", type=int, default=100)
     cen.add_argument("--jobs", type=int, default=1,
-                     help="worker processes (output identical regardless)")
+                     help="checked (>= 1) and echoed; the classes run in one process")
     cen.add_argument("--ub-only", action="store_true",
                      help="only compute the parameter-class upper bound")
     cen.add_argument("--timings", action="store_true",

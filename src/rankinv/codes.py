@@ -44,38 +44,21 @@ walks the F_p-digits of the message in Gray order, so each word costs one
 precomputed vector addition (an XOR at p = 2) and no multiplication; the
 proofs are in _gray_steps and _projective_spreads.
 
-MRD-ness has its own exact test, from the rank analogue of the MDS minor
-criterion (Horlemann-Trautmann and Marshall, "New criteria for MRD and
-Gabidulin codes and some rank-metric code constructions", AMC 2017): a word
-has F_q-rank <= n-k exactly when it is orthogonal to a k-dimensional
-F_q-subspace of F_q^n.  Each such subspace contains a (k-1)-dimensional one
-in the hyperplane b_0 = 0, whose orthogonal codewords are the multiples of
-one cofactor word, so _is_mrd_by_subspaces takes one F_q-rank test per
-(k-1)-subspace, [n-1 choose k-1]_q of them, never more than the projective
-codewords.  C is MRD exactly when C^perp is, and _reordered_dual reads
-C^perp off the RREF of C up to the order of columns, so a caller can walk
-the smaller side: [n-1 choose min(k, n-k)-1]_q tests (the proof is in
-_reordered_dual).  _subspace_products walks subspaces by their RREF bases,
-in the same Gray order over the F_p-digits of the free entries (the support
-enumeration of Gaborit, Ruatta and Schrek, "On the complexity of the rank
-syndrome decoding problem", IEEE TIT 2016), one column update per subspace.
-The minimum distance stays on the word sweep: the rank tests decide only
-whether it reaches n-k+1.
+When C or C^perp has dimension one, whether C is MRD is one F_q-rank test
+(_is_mrd_line); classify settles every other code by a recovered Gabidulin
+generator.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import operator
-from functools import reduce
 from typing import Optional
 
 from . import linalg as la
 from .base import FAMILIES, BudgetExceeded, BuildError, Record, _set  # noqa: F401 (re-exported)
-from .gf import (FieldError, FieldTower, FullAut, GaloisAut, exact_int, field_from_dict,
-                 field_to_dict)
+from .gf import FieldError, FieldTower, GaloisAut, exact_int, field_from_dict, field_to_dict
 
 
 class LinearCode(Record):
@@ -453,7 +436,7 @@ def _gray_steps(p: int, count: int):
     other g_r is 0 - 0 or keeps both terms.  t -> g is a bijection
     (t_r = sum of g_r' over r' >= r, mod p), so every digit vector is met
     once.  The same s is the counter an odometer over t steps up, the ones
-    below it wrapping to 0: the Gray walks here add one B_s per step, and
+    below it wrapping to 0: _projective_spreads adds one B_s per step, and
     classify.bruteforce_equivalent adds prefix sums in odometer order."""
     for t in range(1, p ** count):
         s, u = 0, t
@@ -505,116 +488,25 @@ def _least_rank(code: LinearCode) -> int:
     return best
 
 
-def _subspace_products(field: FieldTower, cols, k: int):
-    """Yield (pivots, M) for the RREF basis B (k x n, entries in F_q) of each
-    k-dimensional F_q-subspace of F_q^n, n = len(cols): its pivot columns
-    and the k vectors M[i] = sum_j B[i][j] cols[j].  Each of the
-    [n choose k]_q subspaces comes exactly once, with no field multiplication
-    per subspace.
+def _is_mrd_line(code: LinearCode) -> bool:
+    """Whether C is MRD (no nonzero codeword has F_q-rank <= n-k, by the
+    Singleton bound), for a code with min(k, n-k) = 1: one F_q-rank test.
 
-    RREF bases are unique, so walking the pivot sets (p_0 < ... < p_(k-1))
-    and, for each, every value of the free entries B[i][j] (j > p_i, j not a
-    pivot) meets each subspace once.  M[i] is cols[p_i] + sum_j B[i][j] cols[j],
-    and with B[i][j] = sum_l c_ijl gamma^l over the F_p-digits c_ijl of the
-    entry (gamma^l, l < e, an F_p-basis of F_q) it is
-    cols[p_i] + sum_(j, l) c_ijl S_jl, with S_jl = gamma^l cols[j] computed
-    once per walk.  The digits are walked in the Gray order of _gray_steps,
-    so each step adds one S_jl to one M[i]: at p = 2 an XOR per entry, at
-    odd p one field addition per entry."""
-    n, p = len(cols), field.p
-    add = operator.xor if p == 2 else field.add
-    gammas = [field.pow(field.gamma, l) for l in range(1, field.e)]
-    steps_of = [[col, *(tuple(field.mul(g, a) for a in col) for g in gammas)] for col in cols]
-    for pivots in itertools.combinations(range(n), k):
-        M = [cols[j] for j in pivots]
-        yield pivots, tuple(M)
-        steps = [(i, S) for i, pc in enumerate(pivots)
-                 for j in range(pc + 1, n) if j not in pivots for S in steps_of[j]]
-        for s in _gray_steps(p, len(steps)):
-            i, S = steps[s]
-            M[i] = tuple(map(add, M[i], S))
-            yield pivots, tuple(M)
+    k = 1: the codewords are lam*g, g the one row of the generator, and
+    rank_q(lam*g) = rank_q(g) for lam != 0, so C is MRD (d = n) exactly
+    when rank_q(g) = n.
 
-
-def _is_mrd_by_subspaces(code: LinearCode) -> bool:
-    """Whether no nonzero codeword has F_q-rank <= n-k (by the Singleton
-    bound, whether C is MRD), decided by one F_q-rank test per
-    (k-1)-dimensional F_q-subspace P of the last n-1 coordinates of F_q^n.
-
-    Write a word c of F_{q^m}^n as the m x n matrix C_c over F_q of its
-    entries' coordinates in an F_q-basis beta_1..beta_m of F_{q^m}.  For b in
-    F_q^n, c.b = sum_t beta_t (C_c b)_t with every (C_c b)_t in F_q, so c.b = 0
-    exactly when C_c b = 0, and {b in F_q^n : c.b = 0} has dimension
-    n - rank_q(c).  So C is MRD exactly when no codeword xG != 0 is
-    orthogonal to a k-dimensional U, and U meets b_0 = 0 in some P.
-
-    Let B be the RREF basis of P (pivots p_i), N = G B^T (k x (k-1)) and
-    c_r = (-1)^r times the minor of N without row r (c = (1) at k = 1), so
-    c.N_i = 0 (a determinant with a repeated column).  If c = 0, N has
-    dependent columns, so for every U containing P some x != 0 has
-    x G B_U^T = 0: C is not MRD, and w = cG = 0 fails the test below.
-    Otherwise c spans the left kernel of N, and since x.N_i = xG.B_i the
-    codewords orthogonal to P are the multiples of w = cG != 0.  From
-    w.B_i = 0, w_(p_i) = -sum_j B[i][j] w_j over the n-k+1 non-pivot
-    columns j, whose entries thus span those of w over F_q.  Hence C is MRD
-    exactly when for every P those n-k+1 entries are F_q-independent (their
-    spread has F_p-rank e(n-k+1)): [n-1 choose k-1]_q tests against the
-    [n choose k]_q determinants det(G B_U^T) of the minor criterion.  The
-    walk stops at the first P that fails."""
-    field, n, k, G = code.field, code.n, code.k, code.gen
-    mul = field.mul
-    add, sub = (operator.xor,) * 2 if field.p == 2 else (field.add, field.sub)
-    cols = list(zip(*G))
-    walked = cols[1:]
-    if k == 2:
-        # c = (u_1, -u_0) is linear in the one column u of N, so walking the
-        # columns of cG yields w itself
-        walked = [tuple(sub(mul(u1, a), mul(u0, b)) for a, b in zip(*G)) for u0, u1 in walked]
-    for pivots, N in _subspace_products(field, walked, k - 1):
-        free = [j for j in range(n) if j - 1 not in pivots]
-        if k > 2:
-            c = [la.det(field, [M[:r] + M[r + 1:] for M in N]) for r in range(k)]
-            c[1::2] = map(field.neg, c[1::2])
-            w = [reduce(add, map(mul, c, cols[j])) for j in free]
-        else:
-            w = [(N[0] if N else G[0])[j] for j in free]
-        if la._fp_rank(field, la.spread(field, w)) < field.e * len(w):
-            return False
-    return True
-
-
-def _reordered_dual(code: LinearCode) -> LinearCode:
-    """C^perp with its coordinates reordered, the non-pivot columns of C's
-    RREF R first: (I_(n-k) | -A^T), A the k x (n-k) block of R off its
-    pivots, read off R with no elimination.  It is in RREF, so it is a
-    LinearCode like any other; it is not C^perp itself unless the pivots of
-    R are its last columns.
-
-    In that order R is (A | I_k), and (A | I_k)(I_(n-k) | -A^T)^T = A - A =
-    0, so the two are generators of a code and its dual of dimensions k and
-    n-k.  _is_mrd_by_subspaces on it decides whether C is MRD, with
-    [n-1 choose n-k-1]_q rank tests instead of [n-1 choose k-1]_q, fewer
-    when k > n-k.  For a code D with generator G (k x n), no nonzero word
-    has F_q-rank <= n-k exactly when the first k columns of GA are
-    independent for every A in GL_n(F_q): a word xG is orthogonal to a
-    k-dimensional U exactly when x G B_U^T = 0, and A with first columns B_U^T
-    reaches every U.  (D A)^perp = D^perp A^(-T), because
-    (GA)(H A^(-T))^T = G H^T = 0 for a generator H of D^perp.  For
-    G = (G1 | G2) and H = (H1 | H2), split after column k, with G H^T = 0,
-    G1 is invertible exactly when H2 is: if xG1 = 0 for some x != 0, the word
-    xG = (0 | xG2) is nonzero and orthogonal to every row of H, so
-    H2 (xG2)^T = 0 and H2 is singular, and symmetrically.
-    A -> A^(-T) permutes GL_n(F_q), which holds the permutation that moves
-    the last n-k columns to the front.  So no nonzero word of D has F_q-rank
-    <= n-k exactly when no nonzero word of D^perp has F_q-rank <= k, which
-    is the walk's question for D^perp, of dimension n-k.  A column
-    permutation keeps every F_q-rank, and none of this needs n <= m."""
-    field, R, pivots = code.field, code.gen, code.pivots
-    free = [c for c in range(code.n) if c not in pivots]
-    unit = la.identity(field, len(free))
-    return LinearCode(field, code.n, len(free),
-                      tuple(unit[i] + tuple(field.neg(row[c]) for row in R)
-                            for i, c in enumerate(free)))
+    n-k = 1, c the one non-pivot column of the RREF R: C = h^perp for h with
+    h_c = 1 and h_(p_i) = -R[i][c] at the pivot p_i of row i (row i of R
+    dotted with h is R[i][c] - R[i][c] = 0).  A word of F_q-rank one is
+    lam*b, lam != 0 and b in F_q^n nonzero, and it lies in C exactly when
+    sum b_i h_i = 0, so C is MRD (d = 2) exactly when the entries of h, which
+    span what 1 and the R[i][c] span, are F_q-independent: rank_q = n."""
+    field, n, R = code.field, code.n, code.gen
+    if code.k == 1:
+        return la.rank_q(field, R[0]) == n
+    c, = set(range(n)).difference(code.pivots)
+    return la.rank_q(field, [1] + [row[c] for row in R]) == n
 
 
 def min_distance_bruteforce(code: LinearCode, cap: int = 1 << 24) -> int:

@@ -83,7 +83,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import codes as cd
-from . import linalg as la
 from .base import Record
 
 

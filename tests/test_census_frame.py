@@ -334,7 +334,7 @@ def test_eta_exponents_give_zeta_of_order_n(case):
 
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
 def test_class_keys_make_no_field_call(monkeypatch, case):
-    # the pool tasks are plain ints, and the keys come out unchanged with
+    # the class tasks are plain ints, and the keys come out unchanged with
     # every FieldTower method, the constructor included, made to fail
     backend, q, n, k = case
     tasks = []

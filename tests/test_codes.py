@@ -7,7 +7,6 @@ import pytest
 import oracles
 from conftest import FP_FIELDS, FP_IDS, TOWER_FIELDS, TOWER_IDS
 from rankinv import codes as cd
-from rankinv import counting as ct
 from rankinv import invariants as iv
 from rankinv import linalg as la
 from rankinv.gf import FieldTower, FullAut, GaloisAut, galois_generators, make_field
@@ -544,20 +543,21 @@ def test_walk_yields_each_projective_codeword_once(case):
         assert set(words) == expected
 
 
-def _subspace_oracle_codes(case):
-    """The field of case and, for every 1 <= k < n <= m, a Gabidulin code,
-    a random code, and codes with a planted row of F_q-rank n-k (the largest
-    rank that breaks MRD) or 1."""
+def _line_codes(case):
+    """The field of case and, for every 2 <= n <= m and k in {1, n-1} (the
+    codes _is_mrd_line decides), a Gabidulin code, a random code, and codes
+    with a planted row of F_q-rank n-k (the largest rank that breaks MRD)
+    or 1."""
     backend, p, e, m = case
     F = make_field(p, e, m, backend=backend)
-    rng = DetRNG(89, f"subspace-oracle/{backend}/{p}/{e}/{m}")
+    rng = DetRNG(89, f"mrd-line-oracle/{backend}/{p}/{e}/{m}")
     codes = []
     for n in range(2, m + 1):
-        for k in range(1, n):
+        for k in sorted({1, n - 1}):
             g = la.random_full_rank_vector(F, n, rng)
             codes += [cd.build(F, cd.make_spec("Gabidulin", n, k, 1, g)),
                       cd.LinearCode.from_rows(F, [_random_vector(F, n, rng) for _ in range(k)], n)]
-            # k >= 3 draws more planted codes: there the cofactors carry signs
+            # k >= 3 draws more planted codes
             for r in [n - k, 1] * (1 if k < 3 else 4):
                 rows = [_low_rank_word(F, n, r, rng)] + [_random_vector(F, n, rng) for _ in range(k - 1)]
                 codes.append(cd.LinearCode.from_rows(F, rows, n))
@@ -565,75 +565,51 @@ def _subspace_oracle_codes(case):
 
 
 @pytest.mark.parametrize("case", FP_FIELDS + TOWER_FIELDS, ids=FP_IDS + TOWER_IDS)
-def test_subspace_walk_matches_oracle(case):
-    # the rank tests are called directly on every code of
-    # _subspace_oracle_codes; both oracles decide each code, the word sweep
-    # while it has at most 4,000 projective codewords
-    F, codes = _subspace_oracle_codes(case)
-    seen = set()
-    for code in codes:
-        n = code.n
-        mrd = oracles.is_mrd_by_determinants(code)
-        if _projective_count(F, code.k) <= 4000:
-            assert mrd is (oracles.min_distance_bruteforce(code) == n - code.k + 1)
-        assert cd._is_mrd_by_subspaces(code) is mrd, (n, code.k)
-        seen.add((code.k, mrd))
-    assert {mrd for _, mrd in seen} == {True, False}
-    assert {k for k, _ in seen} == set(range(1, case[3]))
-
-
-@pytest.mark.parametrize("case", FP_FIELDS + TOWER_FIELDS, ids=FP_IDS + TOWER_IDS)
-def test_mrd_walk_on_the_reordered_dual_matches_oracle(case):
-    # C is MRD exactly when C^perp is: the walk on C, the walk on the dual
-    # read off C's RREF, and the minor criterion agree on every code of
-    # _subspace_oracle_codes, with k on both sides of n-k.  The read-off is
-    # in RREF and is the dual that linalg.nullspace gives, up to putting
-    # C's non-pivot columns first
-    F, codes = _subspace_oracle_codes(case)
+def test_mrd_line_matches_oracle(case):
+    # the one rank test against the minor criterion on every code with
+    # k = 1 or n-k = 1, and against the word sweep while a code has at most
+    # 4,000 projective codewords; MRD and non-MRD codes occur on both sides
+    F, codes = _line_codes(case)
     seen = set()
     for code in codes:
         n, k = code.n, code.k
         mrd = oracles.is_mrd_by_determinants(code)
-        dual = cd._reordered_dual(code)
-        pivots = [next(c for c, a in enumerate(row) if a) for row in code.gen]
-        order = [c for c in range(n) if c not in pivots] + pivots
-        want = cd.LinearCode.from_rows(F, [[row[c] for c in order] for row in cd.dual(code).gen], n)
-        assert dual == want and la.rref(F, dual.gen)[0] == dual.gen
-        assert cd._is_mrd_by_subspaces(code) is mrd
-        assert cd._is_mrd_by_subspaces(dual) is mrd, (n, k)
-        seen.add(((k > n - k) - (k < n - k), mrd))
-    # MRD and non-MRD codes with k > n-k and with k < n-k
-    assert {(1, True), (1, False), (-1, True), (-1, False)} <= seen
+        if _projective_count(F, k) <= 4000:
+            assert mrd is (oracles.min_distance_bruteforce(code) == n - k + 1)
+        assert cd._is_mrd_line(code) is mrd, (n, k)
+        seen.add(("k = 1" if k == 1 else "n-k = 1", mrd))
+    assert seen == {(side, mrd) for side in ("k = 1", "n-k = 1") for mrd in (True, False)}
 
 
 @pytest.mark.parametrize("case", FP_FIELDS + TOWER_FIELDS, ids=FP_IDS + TOWER_IDS)
-def test_subspace_walk_meets_each_subspace_once(case, monkeypatch):
-    # on unit columns the walk yields the RREF bases themselves, so it must
-    # yield each basis of the oracle's enumeration once, with its pivots.
-    # The rank tests of an MRD code then walk each (k-1)-subspace of the
-    # last n-1 coordinates once: [n-1 choose k-1]_q tests, each on the
-    # n-k+1 entries of w at its non-pivot columns
+def test_mrd_line_agrees_on_the_dual(case):
+    # C is MRD exactly when C^perp is (n <= m; Gabidulin 1985), and the dual
+    # of a code with k = 1 has n-k = 1 and the other way round, so the two
+    # sides of the test decide each other's codes: the k = 1 side on C^perp
+    # matches the minor criterion on C with n-k = 1, and vice versa
+    F, codes = _line_codes(case)
+    for code in codes:
+        dual = cd.dual(code)
+        assert cd._is_mrd_line(dual) is oracles.is_mrd_by_determinants(code), (code.n, code.k)
+    assert {code.k == 1 for code in codes} == {True, False}
+
+
+@pytest.mark.parametrize("case", FP_FIELDS + TOWER_FIELDS, ids=FP_IDS + TOWER_IDS)
+def test_mrd_line_makes_one_rank_test(case, monkeypatch):
+    # each decision is one F_p-rank test on the spread of n entries: g at
+    # k = 1, and 1 with the non-pivot column at n-k = 1
     backend, p, e, m = case
     F = make_field(p, e, m, backend=backend)
-    for n in range(1, 5 if F.q <= 3 else 4):
-        units = la.identity(F, n)
-        for k in range(n + 1):
-            walked = list(cd._subspace_products(F, units, k))
-            bases = {B for _, B in walked}
-            assert len(walked) == len(bases) == ct.gaussian_binomial(n, k, F.q)
-            assert bases == set(oracles.rref_subspace_bases(F, n, k))
-            assert all(pivots == tuple(next(j for j, a in enumerate(row) if a) for row in B)
-                       for pivots, B in walked)
-    rng = DetRNG(97, f"subspace-walk/{backend}/{p}/{e}/{m}")
+    rng = DetRNG(97, f"mrd-line/{backend}/{p}/{e}/{m}")
     tested = []
     monkeypatch.setattr(la, "_fp_rank", lambda field, entries, stop=None, rank=la._fp_rank:
                         tested.append(len(entries)) or rank(field, entries, stop))
-    for n in range(2, min(m, 4) + 1):
-        for k in range(1, n):
+    for n in range(2, m + 1):
+        for k in sorted({1, n - 1}):
             code = cd.build(F, cd.make_spec("Gabidulin", n, k, 1, la.random_full_rank_vector(F, n, rng)))
             tested.clear()
-            assert cd._is_mrd_by_subspaces(code)
-            assert tested == [e * (n - k + 1)] * ct.gaussian_binomial(n - 1, k - 1, F.q)
+            assert cd._is_mrd_line(code)
+            assert tested == [e * n]
 
 
 @pytest.mark.parametrize("case", FP_FIELDS, ids=FP_IDS)
