@@ -4,8 +4,11 @@ counting() evaluates closed-form counts/bounds for Gabidulin and twisted
 families; census_param_classes() lists the parameter classes of one-twist
 generalized-twisted codes over a doubled field (m = 2n), and census_ub(),
 their number, is the census's upper bound UB.  Everything here is integer
-arithmetic on the parameters, with no field built, so `rankinv count` and
-`census --ub-only` load no field code.
+arithmetic on the parameters, with no field built and no walk over the
+field or the classes: the automorphism orbits of twist scalars are a sum of
+d = [F_{q^m} : F_p] gcds (Burnside's lemma), and the census classes are the
+parameter triples with r < n.  So `rankinv count` and `census --ub-only`
+load no field code.
 """
 
 from __future__ import annotations
@@ -70,23 +73,27 @@ def count_aut_orbits_eta(q: int, m: int, k: int, field_cap: int = 1 << 22) -> in
     generates the group, sends l to p*l.  When k*m is odd at odd p, m is
     odd, so norm(-1) = (-1)^(1+q+...+q^(m-1)) = -1, and eta -> -eta, which
     commutes with the group, swaps the norms 1 and -1: every k gives the
-    count for norm(eta) != 1."""
-    p = _q_to_pe(q)[0]
+    count for norm(eta) != 1.
+
+    The orbits are counted by Burnside's lemma.  l -> p*l generates a cyclic
+    group of order d = e*m acting on Z_{Q-1}.  It maps the multiples of
+    q - 1 into themselves, and, p being a unit mod Q - 1, their complement
+    too, so the orbits on the complement are those on Z_{Q-1} less those on
+    the multiples.  l -> p^j*l fixes the l with (p^j - 1)*l = 0 mod Q - 1,
+    gcd(p^j - 1, Q - 1) of them; among the multiples (q-1)*u, u in Z_M with
+    M = (Q-1)/(q-1), it fixes those with (p^j - 1)*u = 0 mod M, gcd(p^j - 1,
+    M) of them.  So the count is
+    1 + (1/d)*sum_{j<d} gcd(p^j - 1, Q - 1) - (1/d)*sum_{j<d} gcd(p^j - 1, M),
+    the leading 1 counting eta = 0."""
+    p, e = _q_to_pe(q)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if q**m > field_cap:
         return None
     qm1 = q**m - 1
-    seen = bytearray(qm1)
-    orbits = 1  # {0}
-    for l in range(qm1):
-        if seen[l] or l % (q - 1) == 0:
-            continue
-        orbits += 1
-        while not seen[l]:
-            seen[l] = 1
-            l = l * p % qm1
-    return orbits
+    d = e * m
+    fixed = sum(math.gcd(p**j - 1, qm1) - math.gcd(p**j - 1, qm1 // (q - 1)) for j in range(d))
+    return 1 + fixed // d
 
 
 def counting(q: int, k: int, n: int, m: int, field_cap: int = 1 << 22) -> CountResult:
@@ -195,23 +202,21 @@ def _exact_fraction(f: Fraction) -> int:
 
 def census_param_classes(n: int, k: int) -> list[tuple[int, int, int]]:
     """Canonical representatives of (theta exponent, twist offset t, twisted
-    row h) modulo the pairing (r,t,h) ~ (-r mod m, n-k+1-t, k-1-h)."""
-    m = 2 * n
+    row h) modulo the pairing (r,t,h) ~ (-r mod m, n-k+1-t, k-1-h), m = 2n:
+    the triples with r < n, r ascending, then t, then h.
+
+    The pairing is an involution.  It sends each generator r < n of Z_m to
+    m - r > n, and r = n is no generator, since gcd(n, 2n) = n >= 2 (k in
+    1..n-1 needs n >= 2).  t -> n-k+1-t and h -> k-1-h are bijections of
+    1..n-k and 0..k-1.  So each class holds exactly one triple with r < n,
+    and that triple comes first in the order above."""
     if not 1 <= k <= n - 1:
         raise ValueError("census needs 1 <= k <= n-1")
-    seen = set()
-    reps = []
-    for r in galois_generators(m):
-        for t in range(1, n - k + 1):
-            for h in range(k):
-                if (r, t, h) in seen:
-                    continue
-                partner = ((-r) % m, n - k + 1 - t, k - 1 - h)
-                seen.add((r, t, h))
-                seen.add(partner)
-                reps.append((r, t, h))
-    return reps
+    return [(r, t, h) for r in galois_generators(2 * n) if r < n
+            for t in range(1, n - k + 1) for h in range(k)]
 
 
 def census_ub(n: int, k: int) -> int:
+    """The census upper bound UB = phi(2n)/2 * (n-k) * k, the number of
+    parameter classes."""
     return len(census_param_classes(n, k))

@@ -582,9 +582,6 @@ class FieldTower:
             raise FieldError(f"norm of {a} to F_{p} is {n}, not a nonzero constant")
         return b if n == 1 else self.mul(b, pow(n, p - 2, p))
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, k: int) -> int:
         if a == 0:
             if k < 0:

@@ -3,7 +3,7 @@
 Every stochastic quantity in this package (random vectors, random field
 elements, random automorphism triples, ...) is drawn from a DetRNG so that a
 (seed, tag) pair fully determines the result on every platform and Python
-version.  Independent purposes use independent tags via spawn().
+version.  Independent purposes use independent tags.
 """
 
 from __future__ import annotations
@@ -31,11 +31,6 @@ class DetRNG:
     @property
     def tag(self) -> str:
         return self._tag
-
-    def spawn(self, child_tag: str) -> "DetRNG":
-        """Independent stream for a sub-purpose; extends the tag path."""
-        tag = f"{self._tag}/{child_tag}" if self._tag else child_tag
-        return DetRNG(self._seed, tag)
 
     def _refill(self) -> None:
         block = str(self._counter).encode("ascii")

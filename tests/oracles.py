@@ -46,6 +46,11 @@ against.
 * aut_orbits_eta: the orbits of a -> a^p on the admissible twist scalars,
   walked element by element through the field's norm and Frobenius, the
   former classify.count_aut_orbits_eta.
+* aut_orbits_eta_exponents: the same orbits walked on exponents l -> p*l of
+  a primitive element, the former loop of counting.count_aut_orbits_eta.
+* census_param_classes_walk: the census parameter classes as first-met
+  representatives under a seen set, the former
+  counting.census_param_classes.
 * bruteforce_equivalent / _digits_to_matrix: the exact equivalence search
   with one zero-skipping scatter of each product's digits into the equations
   and a separate decoder of kernel digits into A, the former search behind
@@ -56,8 +61,9 @@ with the tests that check them: the closed-form dual parameters of
 Gabidulin and twisted codes (gabidulin_dual_params, twisted_dual_params,
 from _dual_generator_vector), the subfield subcode (subfield_subcode, the
 Galois-stable part of C), the split of a code with s_1 <= k+1 into rank-one
-words plus a Gabidulin part (rank_one_decomposition), and randint on a
-DetRNG.  They were codes.*, classify.* and DetRNG.randint.
+words plus a Gabidulin part (rank_one_decomposition), and spawn and
+randint on a DetRNG.  They were codes.*, classify.*, DetRNG.spawn and
+DetRNG.randint.
 """
 
 from __future__ import annotations
@@ -74,7 +80,9 @@ from rankinv import invariants as iv
 from rankinv import linalg as la
 from rankinv.classify import Verdict
 from rankinv.codes import BudgetExceeded, BuildError, LinearCode, dual
-from rankinv.gf import FieldError, FieldTower, FullAut, GaloisAut, digits_of, pack_digits
+from rankinv.gf import (FieldError, FieldTower, FullAut, GaloisAut, digits_of, galois_generators,
+                        pack_digits)
+from rankinv.rng import DetRNG
 
 
 def _pow(field, a: int, k: int) -> int:
@@ -692,6 +700,42 @@ def aut_orbits_eta(field, k: int) -> int:
     return orbits
 
 
+def aut_orbits_eta_exponents(q: int, m: int) -> int:
+    """The orbits of aut_orbits_eta walked on exponents: each l in Z_{Q-1}
+    not divisible by q - 1 (norm != 1), through l -> p*l, plus {0}; the
+    former walk behind counting.count_aut_orbits_eta."""
+    p = sympy.primefactors(q)[0]
+    qm1 = q**m - 1
+    seen = bytearray(qm1)
+    orbits = 1  # {0}
+    for l in range(qm1):
+        if seen[l] or l % (q - 1) == 0:
+            continue
+        orbits += 1
+        while not seen[l]:
+            seen[l] = 1
+            l = l * p % qm1
+    return orbits
+
+
+def census_param_classes_walk(n: int, k: int) -> list[tuple[int, int, int]]:
+    """First-met representatives of (r, t, h) ~ (-r mod 2n, n-k+1-t, k-1-h)
+    over r, then t, then h, with a seen set; the former
+    counting.census_param_classes."""
+    m = 2 * n
+    seen = set()
+    reps = []
+    for r in galois_generators(m):
+        for t in range(1, n - k + 1):
+            for h in range(k):
+                if (r, t, h) in seen:
+                    continue
+                seen.add((r, t, h))
+                seen.add(((-r) % m, n - k + 1 - t, k - 1 - h))
+                reps.append((r, t, h))
+    return reps
+
+
 def bruteforce_equivalent(c1: cd.LinearCode, c2: cd.LinearCode,
                           cap: int = 1 << 22) -> Verdict:
     """Exact equivalence decision.
@@ -848,8 +892,8 @@ def twisted_dual_params(field: FieldTower, spec: cd.CodeSpec) -> cd.CodeSpec:
         raise AssertionError("degenerate dual data")  # pragma: no cover
     sign = field.one if n % 2 == 0 else field.neg(field.one)
     etap = field.mul(sign, eta)
-    etap = field.mul(etap, field.div(theta.power(k - n + 1)(D), theta.power(k - n)(D)))
-    etap = field.mul(etap, field.div(theta.power(k - n)(s), s))
+    etap = field.mul(etap, field.mul(theta.power(k - n + 1)(D), field.inv(theta.power(k - n)(D))))
+    etap = field.mul(etap, field.mul(theta.power(k - n)(s), field.inv(s)))
     return cd.make_spec("Twisted", n, n - k, spec.theta_exp, gp, eta=(etap,))
 
 
@@ -916,6 +960,12 @@ def _verify_rank_one_span(c1: cd.LinearCode) -> None:
         raise AssertionError(
             "stable intersection is not spanned by rank-one codewords"
         )  # pragma: no cover
+
+
+def spawn(rng, child_tag: str):
+    """The stream DetRNG(seed, "tag/child_tag") of a sub-purpose, the former
+    DetRNG.spawn."""
+    return DetRNG(rng.seed, f"{rng.tag}/{child_tag}" if rng.tag else child_tag)
 
 
 def randint(rng, a: int, b: int) -> int:

@@ -76,6 +76,17 @@ def test_census_classes_partition(n, k):
     assert covered == full
 
 
+@pytest.mark.parametrize("n", range(2, 31))
+def test_census_classes_are_the_first_half_of_the_walk(n):
+    # the r < n comprehension against the seen-set walk it replaced: the same
+    # representatives in the same order, phi(2n)/2 * (n-k) * k of them
+    phi = len(galois_generators(2 * n))
+    for k in range(1, n):
+        reps = ct.census_param_classes(n, k)
+        assert reps == oracles.census_param_classes_walk(n, k)
+        assert len(reps) == ct.census_ub(n, k) == phi // 2 * (n - k) * k
+
+
 def test_census_param_guards():
     with pytest.raises(ValueError):
         ct.census_param_classes(6, 0)
@@ -146,6 +157,26 @@ def test_eta_orbit_count_matches_the_field_walk(case, k):
     assert ct.count_aut_orbits_eta(p**e, m, k) == oracles.aut_orbits_eta(field, k)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_eta_orbit_count_matches_the_exponent_walk(q):
+    # Burnside's sum of gcds against the walk of l -> p*l on every exponent
+    m = 1
+    while q**m <= 1 << 16:
+        want = oracles.aut_orbits_eta_exponents(q, m)
+        assert [ct.count_aut_orbits_eta(q, m, k) for k in (1, 2)] == [want, want], m
+        m += 1
+
+
+@pytest.mark.parametrize("p,e,m", [(2, 1, m) for m in range(1, 7)] + [(3, 1, m) for m in range(1, 6)]
+                         + [(2, 2, m) for m in range(1, 5)] + [(3, 2, m) for m in range(1, 4)])
+def test_eta_orbit_count_matches_the_field_walk_on_small_fields(p, e, m):
+    # k = 1 and 3 at odd m and odd p exclude the norm -1, which the count
+    # reaches through eta -> -eta
+    field = make_field(p, e, m)
+    for k in (1, 2, 3):
+        assert ct.count_aut_orbits_eta(p**e, m, k) == oracles.aut_orbits_eta(field, k), k
+
+
 def test_eta_orbit_count():
     assert ct.count_aut_orbits_eta(3, 2, 1) == 3
     # over F_2 every nonzero scalar has norm 1, leaving only eta = 0
@@ -198,19 +229,19 @@ def test_distinguish_self_unknown(worked_example_codes):
 
 def test_distinguish_dimension_witness(f16):
     rng = DetRNG(2, "cls-dim")
-    c1 = _gab(f16, 4, 2, rng.spawn("a"))
-    c2 = _gab(f16, 4, 3, rng.spawn("b"))
+    c1 = _gab(f16, 4, 2, oracles.spawn(rng, "a"))
+    c2 = _gab(f16, 4, 3, oracles.spawn(rng, "b"))
     v = cl.distinguish(c1, c2)
     assert v.status == "Inequivalent" and v.witness["invariant"] == "dimension"
 
 
 def test_distinguish_guards(f16, f2_8):
     rng = DetRNG(3, "cls-guards")
-    c1 = _gab(f16, 4, 2, rng.spawn("a"))
-    c2 = _gab(f2_8, 4, 2, rng.spawn("b"))
+    c1 = _gab(f16, 4, 2, oracles.spawn(rng, "a"))
+    c2 = _gab(f2_8, 4, 2, oracles.spawn(rng, "b"))
     with pytest.raises(ValueError):
         cl.distinguish(c1, c2)  # different fields
-    c3 = _gab(f16, 3, 2, rng.spawn("c"))
+    c3 = _gab(f16, 3, 2, oracles.spawn(rng, "c"))
     with pytest.raises(ValueError):
         cl.distinguish(c1, c3)  # different lengths
 
@@ -218,8 +249,8 @@ def test_distinguish_guards(f16, f2_8):
 def test_distinguish_never_flags_equivalent_pairs(f16):
     for seed in range(3):
         rng = DetRNG(seed, "cls-equiv-pairs")
-        code = _gab(f16, 4, 2, rng.spawn("code"))
-        image = cd.apply_semilinear(code, _random_smap(f16, 4, rng.spawn("map")))
+        code = _gab(f16, 4, 2, oracles.spawn(rng, "code"))
+        image = cd.apply_semilinear(code, _random_smap(f16, 4, oracles.spawn(rng, "map")))
         v = cl.distinguish(code, image, trials=25, seed=seed)
         assert v.status == "Unknown"
 
@@ -231,8 +262,8 @@ def test_distinguish_never_flags_equivalent_pairs(f16):
 
 def test_bruteforce_recovers_planted_map(f16):
     rng = DetRNG(7, "cls-bf-pos")
-    code = _gab(f16, 4, 2, rng.spawn("code"))
-    image = cd.apply_semilinear(code, _random_smap(f16, 4, rng.spawn("map")))
+    code = _gab(f16, 4, 2, oracles.spawn(rng, "code"))
+    image = cd.apply_semilinear(code, _random_smap(f16, 4, oracles.spawn(rng, "map")))
     v = cl.bruteforce_equivalent(code, image)
     assert v.status == "Equivalent"
     assert cd.code_equal(cd.apply_semilinear(code, v.witness["map"]), image)
@@ -257,8 +288,8 @@ def test_bruteforce_trivial_and_budget(f16):
     full = cd.LinearCode.from_rows(f16, la.identity(f16, 3), 3)
     v = cl.bruteforce_equivalent(full, full)
     assert v.status == "Equivalent"
-    code = _gab(f16, 4, 2, rng.spawn("code"))
-    image = cd.apply_semilinear(code, _random_smap(f16, 4, rng.spawn("map")))
+    code = _gab(f16, 4, 2, oracles.spawn(rng, "code"))
+    image = cd.apply_semilinear(code, _random_smap(f16, 4, oracles.spawn(rng, "map")))
     with pytest.raises(cd.BudgetExceeded):
         cl.bruteforce_equivalent(code, image, cap=1)
 
@@ -294,7 +325,7 @@ def test_bruteforce_matches_former_search(case):
     n = 3
     seen = set()
     for k in range(n + 1):
-        r = rng.spawn(f"k{k}")
+        r = oracles.spawn(rng, f"k{k}")
         c1, c2 = _random_pair(F, n, k, r)
         image = cd.apply_semilinear(c1, _random_smap(F, n, r))
         for pair in ((c1, image), (c1, c2)):
@@ -310,7 +341,7 @@ def test_bruteforce_skips_kernels_of_singular_matrices(monkeypatch):
     # basis matrices of this pair share a right null vector: no combination
     # is invertible, so the search decides without a determinant
     F = make_field(3, 2, 3, backend="table")
-    c1, c2 = _random_pair(F, 3, 1, DetRNG(83, "bf-oracle/table/3/2/3").spawn("k1"))
+    c1, c2 = _random_pair(F, 3, 1, oracles.spawn(DetRNG(83, "bf-oracle/table/3/2/3"), "k1"))
     calls = []
     det = la.det
     monkeypatch.setattr(la, "det", lambda field, A: calls.append(A) or det(field, A))
@@ -329,11 +360,11 @@ def test_bruteforce_skips_kernels_of_singular_matrices(monkeypatch):
 
 def test_orbit_size_and_membership(f16):
     rng = DetRNG(11, "cls-orbit")
-    code = _gab(f16, 4, 2, rng.spawn("code"))
+    code = _gab(f16, 4, 2, oracles.spawn(rng, "code"))
     orbit = oracles.orbit_of_code(code)
     # all Gabidulin codes at m = n = 4 form a single class of size 1344
     assert len(orbit) == 1344
-    image = cd.apply_semilinear(code, _random_smap(f16, 4, rng.spawn("map")))
+    image = cd.apply_semilinear(code, _random_smap(f16, 4, oracles.spawn(rng, "map")))
     assert image.gen in orbit
     with pytest.raises(cd.BudgetExceeded):
         oracles.orbit_of_code(code, cap=10)
@@ -366,7 +397,7 @@ def test_recognition_accepts_both_reshaped_families():
     field = make_field(3, 1, 7)
     rng = DetRNG(17, "cls-rec-newgab")
     for family, k in (("NewGabI", 2), ("NewGabII", 4)):
-        g = la.random_full_rank_vector(field, 5, rng.spawn(family))
+        g = la.random_full_rank_vector(field, 5, oracles.spawn(rng, family))
         eta = next(
             a for a in range(1, field.Q)
             if cd.norm_condition_ok(field, k, a)
@@ -685,8 +716,8 @@ def test_rank_one_decomposition_matches_iterate_oracle(case):
     for r in galois_generators(m):
         theta = GaloisAut(F, r)
         for n in range(2, m + 1):
-            flat = la.random_invertible_matrix_q(F, n, rng.spawn(f"A/{r}/{n}"))
-            g = la.random_full_rank_vector(F, n, rng.spawn(f"g/{r}/{n}"))
+            flat = la.random_invertible_matrix_q(F, n, oracles.spawn(rng, f"A/{r}/{n}"))
+            g = la.random_full_rank_vector(F, n, oracles.spawn(rng, f"g/{r}/{n}"))
             for k in range(1, n + 1):
                 for t in range(k + 1):
                     code = cd.LinearCode.from_rows(
@@ -713,7 +744,7 @@ def test_rank_one_decomposition_guards(f2_8):
     wide = cd.build(f2_8, spec)  # s_1 = k + 2 for this construction
     with pytest.raises(ValueError):
         oracles.rank_one_decomposition(wide, 1)
-    code = _gab(f2_8, 6, 2, rng.spawn("x"))
+    code = _gab(f2_8, 6, 2, oracles.spawn(rng, "x"))
     with pytest.raises(ValueError):
         oracles.rank_one_decomposition(code, 2)  # gcd(2, 8) != 1
 
@@ -877,15 +908,15 @@ def test_each_code_computes_its_differences_once(monkeypatch, f2_8):
 
     monkeypatch.setattr(cd.Differences, "__init__", counting_init)
     rng = DetRNG(83, "diffs-once")
-    gab = _gab(f2_8, 6, 3, rng.spawn("gab"))
-    g = la.random_full_rank_vector(f2_8, 6, rng.spawn("g"))
+    gab = _gab(f2_8, 6, 3, oracles.spawn(rng, "gab"))
+    g = la.random_full_rank_vector(f2_8, 6, oracles.spawn(rng, "g"))
     tw = cd.build(f2_8, cd.make_spec("Twisted", 6, 3, 1, g, eta=f2_8.alpha))
     assert made == []
     # the s-row, the stable part and the systematic criterion share one cache
     cl.is_theta_gabidulin(gab, 1)
     assert made == [gab]
     cl.distinguish(gab, tw, trials=10)
-    image = cd.apply_semilinear(tw, _random_smap(f2_8, 6, rng.spawn("map")))
+    image = cd.apply_semilinear(tw, _random_smap(f2_8, 6, oracles.spawn(rng, "map")))
     assert cl.distinguish(tw, image, trials=10).status == "Unknown"
     oracles.rank_one_decomposition(gab, 1)
     assert len(made) == 3 and all(c is d for c, d in zip(made, (gab, tw, image)))

@@ -326,7 +326,6 @@ def test_field_laws(f4_3, data):
     assert F.sub(a, b) == F.add(a, F.neg(b))
     if a != 0:
         assert F.mul(a, F.inv(a)) == F.one
-        assert F.div(b, a) == F.mul(b, F.inv(a))
 
 
 def test_inverse_of_zero_fails(f16):

@@ -81,7 +81,7 @@ def test_i_max_gives_fixed_length(worked_example_codes):
 def test_s_methods_agree(f2_8, family, n, k):
     rng = DetRNG(11, f"inv-fastnaive/{family}")
     for trial in range(4):
-        code = _random_code(f2_8, family, n, k, rng.spawn(str(trial)))
+        code = _random_code(f2_8, family, n, k, oracles.spawn(rng, str(trial)))
         for r in (1, 3, 5):
             assert inv.s_sequence(code, r) == oracles.s_naive(code, r)
             assert inv.s_sequence(code, r, i_max=4) == oracles.s_naive(code, r, i_max=4)
@@ -91,7 +91,7 @@ def test_s_methods_agree(f2_8, family, n, k):
 def test_t_methods_agree(f2_8, family, n, k):
     rng = DetRNG(12, f"inv-tmethods/{family}")
     for trial in range(4):
-        code = _random_code(f2_8, family, n, k, rng.spawn(str(trial)))
+        code = _random_code(f2_8, family, n, k, oracles.spawn(rng, str(trial)))
         for r in (1, 3, 7):
             assert inv.t_sequence(code, r) == oracles.t_direct(code, r)
             assert inv.t_sequence(code, r, i_max=4) == oracles.t_direct(code, r, i_max=4)

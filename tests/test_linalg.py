@@ -98,8 +98,8 @@ def test_rank_and_det_basics(f16):
 def test_det_is_multiplicative(f16):
     rng = DetRNG(5, "det")
     for _ in range(10):
-        A = la.random_invertible_matrix_q(f16, 3, rng.spawn(f"A{_}"))
-        B = la.random_invertible_matrix_q(f16, 3, rng.spawn(f"B{_}"))
+        A = la.random_invertible_matrix_q(f16, 3, oracles.spawn(rng, f"A{_}"))
+        B = la.random_invertible_matrix_q(f16, 3, oracles.spawn(rng, f"B{_}"))
         assert la.det(f16, la.matmul(f16, A, B)) == f16.mul(la.det(f16, A), la.det(f16, B))
 
 
@@ -116,8 +116,8 @@ def test_row_space_sum_and_intersection_dimension_formula(f2_8):
     rng = DetRNG(17, "subspace")
     n = 6
     for trial in range(12):
-        r = rng.spawn(str(trial))
-        ra, rb = r.spawn("A"), r.spawn("B")
+        r = oracles.spawn(rng, str(trial))
+        ra, rb = oracles.spawn(r, "A"), oracles.spawn(r, "B")
         A = tuple(tuple(F.random_element(ra) for _ in range(n))
                   for _ in range(oracles.randint(r, 1, 4)))
         B = tuple(tuple(F.random_element(rb) for _ in range(n))
@@ -135,7 +135,7 @@ def test_row_space_sum_and_intersection_dimension_formula(f2_8):
 def test_incremental_rank_matches_batch(f16):
     rng = DetRNG(31, "inc")
     rows = tuple(tuple(f16.random_element(ri) for _ in range(4))
-                 for ri in (rng.spawn(str(i)) for i in range(8)))
+                 for ri in (oracles.spawn(rng, str(i)) for i in range(8)))
     inc = la.IncrementalRank(f16)
     rank = 0
     for i, row in enumerate(rows, start=1):

@@ -25,13 +25,13 @@ def test_stream_depends_on_seed_and_on_tag():
 def test_spawn_does_not_disturb_parent():
     parent = DetRNG(7, "parent")
     before = DetRNG(7, "parent").bytes(40)
-    child_a = parent.spawn("a")
-    child_b = parent.spawn("b")
+    child_a = oracles.spawn(parent, "a")
+    child_b = oracles.spawn(parent, "b")
     assert child_a.bytes(16) != child_b.bytes(16)
     assert parent.bytes(40) == before
     # spawn path is hierarchical: parent/a
     assert child_a.tag == "parent/a"
-    assert parent.spawn("a").bytes(16) == DetRNG(7, "parent/a").bytes(16)
+    assert oracles.spawn(parent, "a").bytes(16) == DetRNG(7, "parent/a").bytes(16)
 
 
 def test_negative_seed_rejected():
