@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import gf
 from . import invariants as iv
 from . import linalg as la
-from .counting import _q_to_pe, census_param_classes
+from .counting import _check_census, census_param_classes
 from .numtheory import _prime_factors
 from .rng import DetRNG
 
@@ -229,13 +229,9 @@ def census(q: int, n: int, k: int, seed: int, trials: int = 100,
       computed for the rows.  When one of them is n, so is the triple's
       rank, and no _frame_add call is made for it."""
     m = 2 * n
-    if n < 6:
-        raise ValueError("census needs n >= 6")
-    if not 2 <= k <= n - 2:
-        raise ValueError("census needs 2 <= k <= n-2")
+    p, e = _check_census(q, n, k, seed)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    p, e = _q_to_pe(q)
     field = gf.make_field(p, e, m)
 
     g = la.random_full_rank_vector(field, n, DetRNG(seed, "census-g"), subfield_size=q**n)

@@ -307,6 +307,7 @@ def cmd_classify_gabidulin(args) -> int:
 def cmd_count(args) -> int:
     from .counting import counting
 
+    _check_at_least("--field-cap", args.field_cap, 0)
     result = counting(args.q, args.k, args.n, args.m, field_cap=args.field_cap)
     # a value past the interpreter's digit limit for int -> str would fail
     # in the output; name the flag that makes counts that long instead
@@ -349,8 +350,9 @@ def cmd_census(args) -> int:
               ("ub_only", args.ub_only), ("format", args.format)]
 
     if args.ub_only:
-        from .counting import census_ub
+        from .counting import _check_census, census_ub
 
+        _check_census(args.q, args.n, args.k, args.seed)
         ub = census_ub(args.n, args.k)
         doc = {"summary": {"UB": ub}}
         csv_lines = pretty_lines = [f"UB = {ub}"]

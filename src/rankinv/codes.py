@@ -130,8 +130,8 @@ class Differences:
     A is in the field's row form (FieldTower.row_form): read off R in the
     row form when the code kept it (LinearCode.from_rows, which build goes
     through), else converted from the packed R once.
-    Every block is computed and fed in the row form; only rows, cols and
-    meet convert back.
+    Every block is computed and fed in the row form; only rows and meet
+    convert back.
 
     Every elimination of stacked blocks grows the code's private trie:
     _trie[side] for side "rows" (blocks D_j) or "cols" (blocks D_j^T) is the
@@ -170,11 +170,6 @@ class Differences:
         """D_j: k rows, n-k wide."""
         field = self.code.field
         return field.packed_rows(self._block("rows", j % field.m))
-
-    def cols(self, j: int) -> la.Matrix:
-        """The transpose of D_j: n-k rows, k wide (no rows when k = 0)."""
-        field = self.code.field
-        return field.packed_rows(self._block("cols", j % field.m))
 
     def ranks(self, side: str, exps):
         """Rank of the stacked blocks at exponents exps after each block
@@ -363,7 +358,7 @@ def apply_semilinear(code: LinearCode, smap: SemilinearMap) -> LinearCode:
         raise ValueError("matrix size must equal the code length")
     for row in smap.A:
         for a in row:
-            if not field.in_subfield_q(a):
+            if not field.in_subfield(a, 1):
                 raise ValueError("A must have entries in F_q")
     if la.det(field, smap.A) == 0:
         raise ValueError("A must be invertible")

@@ -2,13 +2,13 @@
 
 counting() evaluates closed-form counts/bounds for Gabidulin and twisted
 families; census_param_classes() lists the parameter classes of one-twist
-generalized-twisted codes over a doubled field (m = 2n), and census_ub(),
-their number, is the census's upper bound UB.  Everything here is integer
-arithmetic on the parameters, with no field built and no walk over the
-field or the classes: the automorphism orbits of twist scalars are a sum of
-d = [F_{q^m} : F_p] gcds (Burnside's lemma), and the census classes are the
-parameter triples with r < n.  So `rankinv count` and `census --ub-only`
-load no field code.
+generalized-twisted codes over a doubled field (m = 2n), census_ub(),
+their number, is the census's upper bound UB, and _check_census() checks
+the census's parameters.  Everything here is integer arithmetic on the
+parameters, with no field built and no walk over the field or the classes:
+the automorphism orbits of twist scalars are a sum of d = [F_{q^m} : F_p]
+gcds (Burnside's lemma), and the census classes are the parameter triples
+with r < n.  So `rankinv count` and `census --ub-only` load no field code.
 """
 
 from __future__ import annotations
@@ -214,6 +214,21 @@ def census_param_classes(n: int, k: int) -> list[tuple[int, int, int]]:
         raise ValueError("census needs 1 <= k <= n-1")
     return [(r, t, h) for r in galois_generators(2 * n) if r < n
             for t in range(1, n - k + 1) for h in range(k)]
+
+
+def _check_census(q: int, n: int, k: int, seed: int) -> tuple[int, int]:
+    """(p, e) with q = p**e, once the census's parameters are checked: n >= 6,
+    2 <= k <= n-2, q a prime power and seed >= 0, else ValueError.  Integer
+    arithmetic only, so census --ub-only refuses what the full census
+    refuses, with its messages, and loads no field code."""
+    if n < 6:
+        raise ValueError("census needs n >= 6")
+    if not 2 <= k <= n - 2:
+        raise ValueError("census needs 2 <= k <= n-2")
+    pe = _q_to_pe(q)
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    return pe
 
 
 def census_ub(n: int, k: int) -> int:

@@ -25,10 +25,8 @@ Three interchangeable arithmetic backends exist:
                  codes.Differences work on logs (the row form: log + 1, 0
                  for 0), each log read off tables of F_{Q'} built on first
                  row use.  A code is made in the row form: Frobenius
-                 multiplies each log by p**j (frob_q_row), and every sum, in
-                 a twist (row_add), in elimination and in frob_q_diffs, is
-                 the one Zech step written out in the row kernel
-                 _reduce_tower; only the generator is packed.
+                 multiplies each log by p**j (frob_q_row), and only the
+                 generator is packed.
 * ``generic`` -- direct arithmetic on packed ints; no field-sized tables.
                  Used for the other large fields and to cross-check the
                  table backend.  At p = 2 addition is XOR and multiplication
@@ -44,6 +42,13 @@ Three interchangeable arithmetic backends exist:
                  inverse is Itoh-Tsujii: a**(p + ... + p**(d-1)) as a
                  product of Frobenius images, divided by the norm of a down
                  to F_p; the row kernel of the elimination never takes one.
+
+Each backend has one row kernel (FieldTower.row_reduce), and a twist
+(row_add) is one call of it (_row_step).  On table and tower fields a
+difference row (frob_q_diffs) is one call too, so every sum of the row form,
+in elimination, a twist or a difference, is the one Zech step written out in
+_reduce_logs_zech (table, odd p; XOR at p = 2) or _reduce_tower; the generic
+backend keeps a fused difference row.
 
 Every backend takes one proof that f is primitive: the order test of x
 (FieldTower._x_is_primitive, Q-1 factored by trial division and Pollard-Brent
@@ -525,9 +530,6 @@ class FieldTower:
             return self._exp[self._log[a] + self._half]
         return self._from_lanes(self._apply(self._neg_units, a), self.d)
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -796,8 +798,9 @@ class FieldTower:
         0 <= r < R, 1 + alpha**k = x0 + x1*alpha with x1 = beta**l1,
         l1 = s + E1[r], so Z(k) = R*l1 + L[x0 / x1] with L read off L2 and
         X0 (_tower_logs); at r = 0 it is R*log_beta(1 + beta**s), none when
-        that is 0 (module docstring).  Every sum of the row form is made
-        here: the elimination, a twist (row_add) and frob_q_diffs."""
+        that is 0 (module docstring).  Every sum of the tower's row form is
+        made here: the elimination, and through _row_step a twist (row_add)
+        and frob_q_diffs."""
         pv, tail = entry
         _, _, R, E0, E1, X0, L2, szech = self._tower
         qm1 = self.Qm1
@@ -874,20 +877,22 @@ class FieldTower:
         t = pow(self.p, self.e * (r % self.m), qm1)
         return tuple([(a - 1) * t % qm1 + 1 if a else 0 for a in row])
 
+    def _row_step(self, cur, c: int, row) -> tuple[int, ...]:
+        """cur - c * row for rows cur and row and c in the row form, as one
+        call of the row kernel: the basis row (1, *row) has its pivot in a
+        column 0 put in front of cur, and 1 is 1 in every row form (log 1 +
+        1 on the tower), so the kernel subtracts (c / 1) * row."""
+        out = [0, *cur]
+        self.row_reduce(out, c, self.row_entry((1, *row), 0))
+        return tuple(out[1:])
+
     def row_add(self, cur, c: int, row) -> tuple[int, ...]:
         """cur + c * row for rows cur and row in the row form and c packed,
-        in the row form.  On the tower backend that is one call of the row
-        kernel with entry (pv, row) for pv = -1 (log half, so log + 1 is
-        half + 1): the kernel subtracts (c / pv) * row = -c * row; elsewhere
-        mul and add per entry."""
-        if self.backend != "tower":
-            add, mul = self.add, self.mul
-            return tuple(add(a, mul(c, b)) for a, b in zip(cur, row))
-        out = list(cur)
-        if c:
-            self._reduce_tower(out, self._tower.log(c),
-                               (self._half + 1, [(j, b) for j, b in enumerate(row) if b]))
-        return tuple(out)
+        in the row form: the row step (_row_step) with -c, and no kernel
+        call when c = 0."""
+        if not c:
+            return tuple(cur)
+        return self._row_step(cur, self.row_form([[self.neg(c)]])[0][0], row)
 
     def row_normalise(self, row, pc: int) -> tuple[int, ...]:
         """row divided by its entry at pc, which is nonzero, in the row form:
@@ -957,48 +962,27 @@ class FieldTower:
 
     def frob_q_diffs(self, row, r: int) -> tuple[int, ...]:
         """The row (a^(q^r) - a for a in row) in the row form (row_form), r
-        taken mod m, with one kernel per backend and no per-entry FieldTower
-        call (the systematic differences: codes.Differences passes all the
-        entries of A as one row and cuts the block D_j out of the result).
-        a^(q^r) = a^(p^j) with j = e*r mod d, and j = 0 gives zeros.
+        taken mod m (the systematic differences: codes.Differences passes all
+        the entries of A as one row and cuts the block D_j out of the
+        result).  a^(q^r) = a^(p^j) with j = e*r mod d, and j = 0 gives
+        zeros.
 
-        * table: log a^(p^j) = log a * p^j mod Q-1.  At p = 2 the difference
-          is the XOR.  At odd p, -a = alpha^(la + half) with la = log a, and
-          b + alpha^ln for b = alpha^lb is alpha^(ln + zech[(lb - ln) mod Q-1]),
-          or 0 when that Zech log is -1: one lookup per entry.
+        * table and tower: frob_q_row, then the row step (_row_step) with
+          c = 1 subtracts the row, so each sum is the Zech step of the row
+          kernel.
         * generic, p = 2: the Frobenius image XOR a.
         * generic, odd p: a^(p^j) - a = a^(p^j) + (p-1)a, formed in lanes as
           the digit-weighted rows of M_j plus (p-1) times the spread a, and
           read back once.  A lane of the first part is at most d(p-1)^2 (d
           rows, lanes below p, digits below p), of the second (p-1)^2, so
-          (d+1)(p-1)^2 in all, within the bound L of _init_lanes.
-        * tower: a^(p^j) - a = a^(p^j) + (-1) * a, one call of the row
-          kernel _reduce_tower: cur = a^(p^j) (log p^j * log a, frob_q_row),
-          the row a and -f = -1, by c = pv = 1, since the kernel subtracts
-          (c / pv) * row.  An entry a = 0 is 0 in both, so it is left out
-          of the row."""
+          (d+1)(p-1)^2 in all, within the bound L of _init_lanes.  One
+          read-back per entry costs less than the row step through the
+          fraction-free kernel, so this backend keeps the fused row."""
         j = self.e * (r % self.m) % self.d
         if j == 0:
             return (0,) * len(row)
-        if self.backend == "tower":
-            cur = list(self.frob_q_row(row, r))
-            self._reduce_tower(cur, 1, (1, [(i, a) for i, a in enumerate(row) if a]))
-            return tuple(cur)
-        if self._exp is not None:
-            exp, log, qm1 = self._exp, self._log, self.Qm1
-            t = pow(self.p, j, qm1)
-            if self.p == 2:
-                return tuple(exp[log[a] * t % qm1] ^ a if a else 0 for a in row)
-            zech, half = self._zech, self._half
-            out = []
-            for a in row:
-                if a:
-                    la = log[a]
-                    ln = (la + half) % qm1
-                    z = zech[(la * t - ln) % qm1]
-                    a = exp[ln + z] if z >= 0 else 0
-                out.append(a)
-            return tuple(out)
+        if self.backend != "generic":
+            return self._row_step(self.frob_q_row(row, r), 1, row)
         if self.p == 2:
             return tuple(self._frob_map(a, j) ^ a for a in row)
         rows, units, apply, d = self._frob_matrix(j), self._units, self._apply, self.d
@@ -1009,9 +993,6 @@ class FieldTower:
     def norm_q(self, a: int) -> int:
         """Norm of F_{q^m} over F_q: a ** ((q^m - 1)/(q - 1)).  norm(0) = 0."""
         return self.pow(a, self._norm_exp)
-
-    def in_subfield_q(self, a: int) -> bool:
-        return self.frob_q(a, 1) == a
 
     def in_subfield(self, a: int, s: int) -> bool:
         """Membership in F_{q^s} (requires s | m)."""

@@ -17,20 +17,12 @@ class DetRNG:
     def __init__(self, seed: int, tag: str = ""):
         if seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        self._seed = seed
-        self._tag = tag
+        self.seed = seed
+        self.tag = tag
         self._prefix = str(seed).encode("ascii") + b"|" + tag.encode("utf-8") + b"|"
         self._counter = 0
         self._buf = b""
         self._pos = 0
-
-    @property
-    def seed(self) -> int:
-        return self._seed
-
-    @property
-    def tag(self) -> str:
-        return self._tag
 
     def _refill(self) -> None:
         block = str(self._counter).encode("ascii")

@@ -255,7 +255,7 @@ def has_rank_one_codeword_all_mu(code):
                 col = i * d + s
                 for j in range(n):
                     c = field.mul(x, code.gen[i][j])
-                    delta = field.sub(field.frob_q(c, 1), field.mul(mu, c))
+                    delta = field.add(field.frob_q(c, 1), field.neg(field.mul(mu, c)))
                     if delta:
                         coeffs = field.coeffs(delta)
                         for dd in range(d):
@@ -296,7 +296,7 @@ def subfield_kernel(code):
             grow = code.gen[i]
             for j in range(n):
                 c = field.mul(x, grow[j])
-                delta = field.sub(field.frob_q(c, 1), c)
+                delta = field.add(field.frob_q(c, 1), field.neg(c))
                 if delta:
                     coeffs = field.coeffs(delta)
                     for dd in range(d):
@@ -493,7 +493,7 @@ def meet_stacked(code, exps):
     kernel of the D_j transposes stacked and eliminated afresh, the former
     codes.Differences.meet."""
     field = code.field
-    kernel = la.nullspace(field, [row for j in exps for row in code.diffs.cols(j)], code.k)
+    kernel = la.nullspace(field, [row for j in exps for row in zip(*code.diffs.rows(j))], code.k)
     return la.rref(field, [la.vec_mat(field, x, code.gen) for x in kernel])[0]
 
 

@@ -486,6 +486,27 @@ def test_census_rejects_jobs_below_one(jobs, ub_only):
     _assert_clean_error(*run_cli(*argv, *(["--ub-only"] if ub_only else [])), "--jobs")
 
 
+@pytest.mark.parametrize("argv,needle", [
+    (("--q", "6"), "q = 6 is not a prime power"),
+    (("--q", "-5"), "q = -5 is not a prime power"),
+    (("--seed", "-3"), "seed must be a non-negative integer"),
+    (("--n", "3", "--k", "1"), "census needs n >= 6"),
+    (("--k", "5"), "census needs 2 <= k <= n-2"),
+])
+@pytest.mark.parametrize("ub_only", [False, True])
+def test_census_and_ub_only_refuse_the_same_input(argv, needle, ub_only):
+    # --ub-only runs the full census's check of (q, n, k, seed), and its
+    # messages, though it builds no field
+    base = ["census", "--n", "6", "--k", "2", "--trials", "1", *(["--ub-only"] if ub_only else [])]
+    _assert_clean_error(*run_cli(*base, *argv), f"error: {needle}")
+
+
+@pytest.mark.parametrize("cap", ["-1", "-100"])
+def test_count_rejects_a_negative_field_cap(cap):
+    _assert_clean_error(*run_cli("count", "--q", "2", "--k", "2", "--n", "4", "--m", "4",
+                                 "--field-cap", cap), "error: --field-cap must be >= 0")
+
+
 @pytest.mark.parametrize("argv", [
     ("--q", "2", "--n", "6", "--k", "2", "--seed", "1", "--trials", "4", "--format", "pretty"),
     ("--q", "2", "--n", "6", "--k", "2", "--seed", "1", "--trials", "4", "--format", "csv"),

@@ -323,7 +323,6 @@ def test_field_laws(f4_3, data):
     assert F.add(a, F.zero) == a
     assert F.mul(a, F.one) == a
     assert F.add(a, F.neg(a)) == F.zero
-    assert F.sub(a, b) == F.add(a, F.neg(b))
     if a != 0:
         assert F.mul(a, F.inv(a)) == F.one
 
@@ -568,10 +567,10 @@ def test_frob_q_is_frob_p_iterated(f4_3, data):
 @pytest.mark.parametrize("case", FP_FIELDS + [("generic", 3, 1, 16)] + TOWER_FIELDS + [("tower", 3, 1, 16)],
                          ids=FP_IDS + ["generic-p3e1m16"] + TOWER_IDS + ["tower-p3e1m16"])
 def test_frob_q_diffs_match_the_per_entry_path(case):
-    # the one-kernel difference row against GaloisAut.on_vector and sub per
-    # entry; F_{3^16} takes the fused lane read-back at d = 16, and Q - 1,
-    # with every digit p - 1, loads its lanes the most.  The kernel works in
-    # the row form, which is log + 1 on the tower backend
+    # the difference row and the twist row_add against GaloisAut.on_vector,
+    # add, neg and mul per entry; F_{3^16} takes the fused lane read-back at
+    # d = 16, and Q - 1, with every digit p - 1, loads its lanes the most.
+    # Both work in the row form, which is log + 1 on the tower backend
     backend, p, e, m = case
     F = make_field(p, e, m, backend=backend)
     assert F.backend == backend
@@ -579,9 +578,39 @@ def test_frob_q_diffs_match_the_per_entry_path(case):
     row = (0, 1, F.alpha, F.Q - 1, F.gamma, F.neg(F.alpha),
            *(F.random_element(rng) for _ in range(12)))
     for j in range(-1, m + 1):
-        expected = tuple(map(F.sub, GaloisAut(F, j).on_vector(row), row))
+        expected = tuple(F.add(b, F.neg(a)) for b, a in zip(GaloisAut(F, j).on_vector(row), row))
         assert F.packed_rows([F.frob_q_diffs(F.row_form([row])[0], j)])[0] == expected
     assert F.frob_q_diffs((), 1) == ()
+    # cur has zeros where row has none, and entries that cancel c * row
+    cur = tuple(F.random_element(rng) for _ in row)
+    for c in (0, 1, F.neg(1), F.alpha, F.Q - 1, F.random_nonzero(rng)):
+        cur = cur[:3] + (F.neg(F.mul(c, row[3])), 0) + cur[5:]
+        expected = tuple(F.add(a, F.mul(c, b)) for a, b in zip(cur, row))
+        got = F.row_add(F.row_form([cur])[0], c, F.row_form([row])[0])
+        assert F.packed_rows([got])[0] == expected, c
+    assert F.row_add((), 1, ()) == ()
+
+
+@pytest.mark.parametrize("case", FP_FIELDS + TOWER_FIELDS, ids=FP_IDS + TOWER_IDS)
+def test_row_sums_are_one_row_kernel_call(case, monkeypatch):
+    # row_add with c != 0 is one call of the field's row kernel on every
+    # backend, and so is frob_q_diffs with j != 0 on table and tower fields;
+    # the generic backend keeps its fused difference row, and c = 0 or j = 0
+    # makes no call
+    backend, p, e, m = case
+    F = make_field(p, e, m, backend=backend)
+    calls = []
+    real = F.row_reduce
+    monkeypatch.setattr(F, "row_reduce", lambda cur, c, entry: calls.append(c) or real(cur, c, entry))
+    row = F.row_form([(1, F.alpha, 0, F.gamma)])[0]
+    for j, want in ((1, 0 if backend == "generic" else 1), (0, 0), (m, 0)):
+        F.frob_q_diffs(row, j)
+        assert len(calls) == want, j
+        calls.clear()
+    for c, want in ((F.alpha, 1), (1, 1), (0, 0)):
+        F.row_add(row, c, row)
+        assert len(calls) == want, c
+        calls.clear()
 
 
 @given(st.data())
@@ -590,7 +619,7 @@ def test_norm_lands_in_subfield_and_is_multiplicative(f3_5, data):
     a = data.draw(st.integers(1, F.Q - 1))
     b = data.draw(st.integers(1, F.Q - 1))
     na = F.norm_q(a)
-    assert F.in_subfield_q(na)
+    assert F.in_subfield(na, 1)
     assert F.norm_q(F.mul(a, b)) == F.mul(na, F.norm_q(b))
     # norm is the (Q-1)/(q-1) power
     assert na == F.pow(a, F.Qm1 // (F.q - 1))
@@ -613,7 +642,7 @@ def test_elements_q_enumerates_the_intermediate_field(f4_3):
     F = f4_3
     elems = [F.subfield_element(F.q, i) for i in range(F.q)]
     assert len(elems) == F.q
-    assert all(F.in_subfield_q(a) for a in elems)
+    assert all(F.in_subfield(a, 1) for a in elems)
     assert len(set(elems)) == F.q
 
 

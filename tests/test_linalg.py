@@ -519,4 +519,4 @@ def test_random_invertible_matrix_q(f3_5):
     F = f3_5
     A = la.random_invertible_matrix_q(F, 4, DetRNG(8, "gl"))
     assert la.det(F, A) != 0
-    assert all(F.in_subfield_q(x) for row in A for x in row)
+    assert all(F.in_subfield(x, 1) for row in A for x in row)

@@ -3,11 +3,14 @@ program, or named by the benchmark.
 
 The scan parses each src/rankinv/*.py and follows names from cli.main and
 from module-level code (class bodies, decorators and defaults included).  A
-reached definition reaches every definition whose name its body mentions: as
-a name, an attribute, an imported name or a string that is an identifier,
-which is how cli dispatches and classify.__getattr__ resolves.  Matching by
-name over-approximates what is reached, so the scan can miss dead code but
-never flags live code.  Dunder definitions are reached by the language.
+reached definition reaches every top-level definition whose name its body
+mentions: as a name, an attribute, an imported name or a string that is an
+identifier, which is how cli dispatches and classify.__getattr__ resolves.
+A method, property or other definition in a class body is reached only
+through an attribute access x.name in a reached body, so a local variable
+or a string that shares its name does not keep it.  Matching by name
+over-approximates what is reached, so the scan can miss dead code but never
+flags live code.  Dunder definitions are reached by the language.
 
 ALLOWED holds what only the benchmark reaches: the tracer's TARGETS (read
 from bench/tracer.py, read-only) and the names that bench/make_refs.py,
@@ -38,7 +41,8 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _names(nodes) -> set[str]:
-    """The names that nodes mention, not descending into function bodies."""
+    """The names that nodes mention, not descending into function bodies;
+    an attribute access x.name gives both name and ".name"."""
     out = set()
     todo = list(nodes)
     while todo:
@@ -46,7 +50,7 @@ def _names(nodes) -> set[str]:
         if isinstance(node, ast.Name):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            out |= {node.attr, "." + node.attr}
         elif isinstance(node, ast.alias):
             out.add(node.name.split(".")[-1])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
@@ -83,6 +87,8 @@ def scan(sources: dict[str, str], roots=()) -> list[str]:
     """The definitions of sources that neither cli.main, module-level code
     nor the definitions in roots reach."""
     defs = definitions(sources)
+    # what reaches each definition: its name, or ".name" for a class member
+    wanted = {key: "." * (key.count(".") - 1) + node.name for key, node in defs.items()}
     names = {"main"}.union(*(_names(ast.parse(source).body) for source in sources.values()))
     reached = set()
     todo = [key for key in defs if key in roots]
@@ -97,7 +103,7 @@ def scan(sources: dict[str, str], roots=()) -> list[str]:
             break
         seen_names |= fresh
         todo = [key for key, node in defs.items()
-                if node.name in fresh or node.name.startswith("__") and node.name.endswith("__")]
+                if wanted[key] in fresh or node.name.startswith("__") and node.name.endswith("__")]
     return sorted(key for key in defs if key not in reached)
 
 
@@ -138,8 +144,14 @@ def test_the_scan_finds_unreached_definitions():
                 "    def __init__(self):\n        self.x = helper()\n"
                 "    def used(self):\n        return self.x\n"
                 "    def unused(self):\n        return bench_only()\n"
-                "def helper():\n    return 1\n"
+                "    def tag(self):\n        return 3\n"
+                "    @property\n    def label(self):\n        return 4\n"
+                "def helper():\n    tag = 'label'\n    return 1\n"
                 "def bench_only():\n    return 2\n"),
     }
+    # a local name and a string do not reach the members tag and label
+    assert scan(sources) == ["box.Box.label", "box.Box.tag", "box.Box.unused",
+                             "box.bench_only", "cli.dead"]
+    assert scan(sources, ["box.Box.unused"]) == ["box.Box.label", "box.Box.tag", "cli.dead"]
+    sources["cli"] = sources["cli"].replace("Box().used()", "Box().used() + Box().tag() + Box().label")
     assert scan(sources) == ["box.Box.unused", "box.bench_only", "cli.dead"]
-    assert scan(sources, ["box.Box.unused"]) == ["cli.dead"]
